@@ -9,7 +9,7 @@ collects every problem (with a field path) before aborting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .errors import ExprError, ParameterError
 from .expr import parse_scalar
@@ -37,17 +37,23 @@ class WorkbenchConfig:
     seed: int
     chi: tuple[int, ...]
     raw: dict
+    _reps: list | None = dataclass_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def datum(self) -> ReductionDatum:
         eta = tuple(parse_scalar(lit, self.field) for lit in self.eta_literals)
         return ReductionDatum(self.torus, eta, getattr(self.field, "l", None), self.chi)
 
     def build_reps(self) -> list[MatrixRep]:
-        """Build (and thereby fully verify) every configured representation."""
-        out = []
-        for slots_raw in self.reps_raw:
-            out.append(self._build_rep(slots_raw))
-        return out
+        """Build (and thereby fully verify) every configured representation.
+
+        The reps are built once per config and shared by later calls.  A build
+        that raises keeps nothing, so every later call raises the same error.
+        """
+        if self._reps is None:
+            self._reps = [self._build_rep(slots_raw) for slots_raw in self.reps_raw]
+        return list(self._reps)
 
     def _build_rep(self, slots_raw) -> MatrixRep:
         f = self.field

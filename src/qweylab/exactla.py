@@ -63,8 +63,9 @@ def mat_pow(a: Mat, e: int, field: Field) -> Mat:
     while e:
         if e & 1:
             out = mat_mul(out, base)
-        base = mat_mul(base, base)
         e >>= 1
+        if e:
+            base = mat_mul(base, base)
     return out
 
 

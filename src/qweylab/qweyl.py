@@ -322,8 +322,9 @@ class PBWElement:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other):

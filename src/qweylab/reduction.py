@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, RelationError
 from .exactla import (
     Mat,
     SparseEliminator,
@@ -24,11 +24,10 @@ from .exactla import (
     mat_vec,
     matrix_kernel,
     scalar_of_identity,
-    sparse_kernel,
 )
 from .moment import TorusData
 from .qweyl import CheckOutcome
-from .rootofunity import MatrixRep
+from .rootofunity import MatrixRep, commutant_basis
 from .scalars import CyclotomicField, Scalar
 
 
@@ -73,6 +72,14 @@ def moment_operators(rep: MatrixRep, torus: TorusData):
     return ops, scalars
 
 
+def _rep_moment_operators(rep: MatrixRep, torus: TorusData):
+    """moment_operators(rep, torus), computed once per rep and torus."""
+    per_torus = rep.cache.setdefault("moment_operators", {})
+    if torus not in per_torus:
+        per_torus[torus] = moment_operators(rep, torus)
+    return per_torus[torus]
+
+
 @dataclass
 class WeightSpaceResult:
     basis: list  # exact column vectors spanning the joint eigenspace
@@ -89,7 +96,7 @@ def weight_space(rep: MatrixRep, torus: TorusData, eta) -> WeightSpaceResult:
     eta = tuple(eta)
     if len(eta) != torus.d:
         raise ParameterError("eta must have one entry per subtorus coordinate")
-    ops, _ = moment_operators(rep, torus)
+    ops, _ = _rep_moment_operators(rep, torus)
     f = rep.field
     stacked = []
     for op, ej in zip(ops, eta):
@@ -107,9 +114,10 @@ def weight_space(rep: MatrixRep, torus: TorusData, eta) -> WeightSpaceResult:
     out = WeightSpaceResult(basis, eta, ops)
     for v in out.basis:
         for op, ej in zip(ops, eta):
-            got = mat_vec(op, v)
-            want = [ej * c for c in v]
-            assert got == want
+            if mat_vec(op, v) != [ej * c for c in v]:
+                raise RelationError(
+                    "weight space basis vector is not a joint eigenvector"
+                )
     return out
 
 
@@ -121,7 +129,7 @@ def compatible_eta_grid(rep: MatrixRep, torus: TorusData):
     no l-th root in the field.
     """
     f: CyclotomicField = rep.field
-    _, scalars = moment_operators(rep, torus)
+    _, scalars = _rep_moment_operators(rep, torus)
     base = []
     for s in scalars:
         root = lth_root_in_field(s, f)
@@ -254,9 +262,17 @@ def reduced_endomorphism_algebra(
     """Endomorphisms of Hom(V_eta, V) commuting with postcomposition by the
     representation, compared with the image of End(V_eta).
 
-    The commutant is computed as the exact kernel of the full commutation
-    system on Hom(V_eta, V); the map f -> (g -> g o f) from End(V_eta) is
-    then checked to be injective with image exactly that commutant.
+    Stacking the m = dim V_eta columns of a map identifies Hom(V_eta, V) with
+    V^m, where each generator g acts as blockdiag(g, ..., g).  An endomorphism
+    Theta of V^m is an m x m array of dim x dim blocks, and Theta commutes
+    with every blockdiag(g, ..., g) exactly when each block commutes with
+    every g.  So the commutant is M_m(C), where C is the commutant of the
+    representation, and its dimension is m^2 dim C.
+
+    The map f -> (h -> h o f) from End(V_eta) sends f to the block matrix
+    with f[j][k] Id in block (k, j).  Its m^2 basis images have disjoint
+    nonempty supports, so it is injective, and they lie in M_m(C) exactly
+    when Id lies in C.  The map is onto the commutant when dim C = 1.
     """
     ws = weight_space(rep, torus, eta)
     m = ws.dimension
@@ -264,66 +280,34 @@ def reduced_endomorphism_algebra(
         raise ParameterError("empty weight space: nothing to reduce")
     f = rep.field
     dim = rep.dim
-    nW = dim * m  # Hom(V_eta, V) via column stacking
-    rows = []
-    gens = list(rep.xs) + list(rep.ys)
-    # Theta commutes with blockdiag(g, ..., g) for each generator g; the
-    # constraints decouple into m x m blocks of size dim x dim each.
-    for g in gens:
-        for br in range(m):
-            for bc in range(m):
-                for r in range(dim):
-                    for c in range(dim):
-                        # (G Theta - Theta G)[br*dim+r][bc*dim+c] = 0
-                        row: dict[int, Scalar] = {}
-                        for k in range(dim):
-                            if not g[r][k].is_zero():
-                                key = (br * dim + k) * nW + (bc * dim + c)
-                                row[key] = row.get(key, f.zero) + g[r][k]
-                            if not g[k][c].is_zero():
-                                key = (br * dim + r) * nW + (bc * dim + k)
-                                row[key] = row.get(key, f.zero) - g[k][c]
-                        row = {kk: v for kk, v in row.items() if not v.is_zero()}
-                        if row:
-                            rows.append(row)
-    commutant = sparse_kernel(rows, nW * nW, f)
-    cdim = len(commutant)
-    # the comparison map from End(V_eta): f |-> (g -> g o f); on stacked
-    # columns this is block (k, j) = f[j][k] * Id
-    elim = SparseEliminator(f)
-    for vec in commutant:
-        elim.add(dict(vec))
-    image_rank = SparseEliminator(f)
-    iso = True
-    witness = [] if keep_witness else None
-    for p in range(m):
-        for qq in range(m):
-            vec: dict[int, Scalar] = {}
-            for t in range(dim):
-                row_i = qq * dim + t
-                col_i = p * dim + t
-                vec[row_i * nW + col_i] = f.one
-            if not elim.contains(dict(vec)):
-                iso = False
-            image_rank.add(dict(vec))
-            if keep_witness:
-                witness.append(sorted(vec))
-    if image_rank.rank != m * m:
-        iso = False
-    if cdim != m * m:
-        iso = False
+    basis = commutant_basis(rep)
+    cdim = m * m * len(basis)
+    span = SparseEliminator(f)
+    for vec in basis:
+        span.add(vec)
+    identity_commutes = span.contains({t * dim + t: f.one for t in range(dim)})
+    witness = None
+    if keep_witness:
+        # the support of each basis image, indexed as in the full commutation
+        # system on V^m: entry (row, col) of Theta is unknown row * dim * m + col
+        nW = dim * m
+        witness = [
+            [(qq * dim + t) * nW + p * dim + t for t in range(dim)]
+            for p in range(m)
+            for qq in range(m)
+        ]
     return ReducedAlgebraResult(
         dimension=cdim,
         weight_dim=m,
         commutant_dim=cdim,
-        iso_verified=iso,
+        iso_verified=identity_commutes and cdim == m * m,
         witness=witness,
     )
 
 
 def verify_moment_operators_commute(rep: MatrixRep, torus: TorusData) -> CheckOutcome:
     out = CheckOutcome()
-    ops, _ = moment_operators(rep, torus)
+    ops, _ = _rep_moment_operators(rep, torus)
     for j in range(len(ops)):
         for k in range(j + 1, len(ops)):
             out.record(

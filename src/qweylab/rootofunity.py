@@ -18,7 +18,7 @@ Representation conventions (single-parameter preset, rescaled):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .errors import DomainError, ParameterError, RelationError
 from .exactla import (
@@ -233,14 +233,22 @@ class MatrixRep:
     xs: tuple
     ys: tuple
     character: CentralCharacter
+    # data derived from the matrices, computed at most once per rep: the
+    # Euler matrices, the commutant basis, the moment operators of each torus
+    cache: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def field(self):
         return self.spec.field
 
     def alpha_matrices(self):
-        ident = identity(self.dim, self.field)
-        return [mat_add(ident, mat_mul(x, y)) for x, y in zip(self.xs, self.ys)]
+        """The Euler operators I + X_i Y_i."""
+        if "alphas" not in self.cache:
+            ident = identity(self.dim, self.field)
+            self.cache["alphas"] = [
+                mat_add(ident, mat_mul(x, y)) for x, y in zip(self.xs, self.ys)
+            ]
+        return list(self.cache["alphas"])
 
 
 def _verify_rep(spec: AlgebraSpec, l: int, xs, ys) -> CentralCharacter:
@@ -370,8 +378,13 @@ def build_irrep(slots, l: int) -> MatrixRep:
     return MatrixRep(spec, l, dim, tuple(xs), tuple(ys), character)
 
 
-def commutant_dimension(rep: MatrixRep) -> int:
-    """Dimension of the joint commutant of all generator matrices."""
+def commutant_basis(rep: MatrixRep) -> list[dict[int, Scalar]]:
+    """Basis of the joint commutant of all generator matrices, as sparse
+    vectors over the row-major entry index r * dim + c.  It is solved once
+    per rep, and every caller shares the returned list."""
+    basis = rep.cache.get("commutant")
+    if basis is not None:
+        return basis
     f = rep.field
     dim = rep.dim
     rows = []
@@ -388,7 +401,13 @@ def commutant_dimension(rep: MatrixRep) -> int:
                 row = {kk: v for kk, v in row.items() if not v.is_zero()}
                 if row:
                     rows.append(row)
-    return len(sparse_kernel(rows, dim * dim, f))
+    basis = rep.cache["commutant"] = sparse_kernel(rows, dim * dim, f)
+    return basis
+
+
+def commutant_dimension(rep: MatrixRep) -> int:
+    """Dimension of the joint commutant of all generator matrices."""
+    return len(commutant_basis(rep))
 
 
 def verify_alpha_spectrum(rep: MatrixRep) -> CheckOutcome:

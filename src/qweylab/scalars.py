@@ -249,8 +249,9 @@ class Scalar:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other):

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qweylab.errors import DomainError, ParameterError
-from qweylab.exactla import mat_pow, scalar_of_identity
+from qweylab import reduction
+from qweylab.config import load_config
+from qweylab.errors import DomainError, ParameterError, RelationError
+from qweylab.exactla import SparseEliminator, mat_pow, scalar_of_identity, sparse_kernel
 from qweylab.moment import TorusData
 from qweylab.reduction import (
     compatible_eta_grid,
@@ -21,6 +24,7 @@ from qweylab.scalars import make_field
 Z3 = make_field("cyclotomic", 3)
 T11 = TorusData.from_rows([[1]])
 T21 = TorusData.from_rows([[1], [1]])
+N2_L3 = Path(__file__).resolve().parent.parent / "configs" / "n2_l3.json"
 
 
 def rank1(field, lam_num, mu_num):
@@ -29,6 +33,61 @@ def rank1(field, lam_num, mu_num):
     mu = field.from_fraction(Fraction(mu_num))
     b = [mu / (lam * field.zeta_power(m)) for m in range(l)]
     return build_irrep_rank1(lam, b, l)
+
+
+def full_reduced_endomorphism_algebra(rep, torus, eta):
+    """Reference for reduced_endomorphism_algebra: the commutant of
+    blockdiag(g, ..., g) on Hom(V_eta, V) = V^m as one kernel of the full
+    (dim m)^2-unknown commutation system, and the image of End(V_eta) tested
+    against it by membership and rank.  Returns the four compared fields."""
+    ws = weight_space(rep, torus, eta)
+    m = ws.dimension
+    f = rep.field
+    dim = rep.dim
+    nW = dim * m
+    rows = []
+    for g in list(rep.xs) + list(rep.ys):
+        for br in range(m):
+            for bc in range(m):
+                for r in range(dim):
+                    for c in range(dim):
+                        # (G Theta - Theta G)[br*dim+r][bc*dim+c] = 0
+                        row = {}
+                        for k in range(dim):
+                            if not g[r][k].is_zero():
+                                key = (br * dim + k) * nW + (bc * dim + c)
+                                row[key] = row.get(key, f.zero) + g[r][k]
+                            if not g[k][c].is_zero():
+                                key = (br * dim + r) * nW + (bc * dim + k)
+                                row[key] = row.get(key, f.zero) - g[k][c]
+                        row = {kk: v for kk, v in row.items() if not v.is_zero()}
+                        if row:
+                            rows.append(row)
+    commutant = sparse_kernel(rows, nW * nW, f)
+    cdim = len(commutant)
+    elim = SparseEliminator(f)
+    for vec in commutant:
+        elim.add(dict(vec))
+    image_rank = SparseEliminator(f)
+    iso = True
+    witness = []
+    for p in range(m):
+        for qq in range(m):
+            vec = {(qq * dim + t) * nW + p * dim + t: f.one for t in range(dim)}
+            if not elim.contains(dict(vec)):
+                iso = False
+            image_rank.add(dict(vec))
+            witness.append(sorted(vec))
+    if image_rank.rank != m * m or cdim != m * m:
+        iso = False
+    return cdim, cdim, iso, witness
+
+
+def assert_matches_full_system(rep, torus, eta):
+    out = reduced_endomorphism_algebra(rep, torus, eta, keep_witness=True)
+    got = (out.dimension, out.commutant_dim, out.iso_verified, out.witness)
+    assert got == full_reduced_endomorphism_algebra(rep, torus, eta)
+    return out
 
 
 def test_moment_operators_rank1():
@@ -128,9 +187,31 @@ def test_reduced_endomorphism_off_locus():
     assert out.iso_verified and out.dimension == 1
     # for the decomposable rep the identity genuinely fails
     split = build_irrep_rank1(Z3.from_int(1), [Z3.zero] * 3, 3)
-    out2 = reduced_endomorphism_algebra(split, T11, (Z3.zero,))
+    out2 = assert_matches_full_system(split, T11, (Z3.zero,))
     assert not out2.iso_verified
     assert out2.weight_dim == 3 and out2.dimension > 9
+    assert_matches_full_system(rep, T11, (Z3.zero,))
+
+
+def test_reduced_endomorphism_matches_full_system():
+    config = load_config(str(N2_L3))
+    pairs = 0
+    for rep in config.build_reps():
+        for eta in compatible_eta_grid(rep, config.torus):
+            if weight_space(rep, config.torus, eta).dimension:
+                out = assert_matches_full_system(rep, config.torus, eta)
+                assert out.iso_verified and out.dimension == 9
+                pairs += 1
+    assert pairs == 6
+
+
+def test_weight_space_self_check_raises(monkeypatch):
+    rep = rank1(Z3, 1, 2)
+    grid = compatible_eta_grid(rep, T11)
+    wrong = weight_space(rep, T11, grid[1]).basis
+    monkeypatch.setattr(reduction, "matrix_kernel", lambda rows, field: wrong)
+    with pytest.raises(RelationError):
+        weight_space(rep, T11, grid[0])
 
 
 def test_fiber_pipeline_l5():

@@ -1,0 +1,116 @@
+"""Bounds on the work done, by counting calls of the layer functions.
+
+Each count is fixed by the algorithm, so an algorithmic regression fails here
+on any machine, however fast.
+"""
+
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from qweylab import checks, config, exactla, reduction, rootofunity
+from qweylab.checks import run_verification_suite
+from qweylab.config import load_config, parse_config
+from qweylab.qweyl import AlgebraSpec, PBWElement
+from qweylab.scalars import Scalar, make_field
+
+N2_L3 = Path(__file__).resolve().parent.parent / "configs" / "n2_l3.json"
+Z3 = make_field("cyclotomic", 3)
+REP_CHECKS = [
+    "rep-build",
+    "rep-irreducibility",
+    "fiber-weights",
+    "fiber-restriction",
+    "fiber-reduced-endos",
+]
+
+
+def counting(monkeypatch, owner, name, log):
+    """Replace owner.name by a wrapper that appends its arguments to log."""
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        log.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_mat_pow_skips_the_last_squaring(monkeypatch):
+    a = [[Z3.one, Z3.zeta], [Z3.zero, Z3.from_int(2)]]
+    calls = []
+    counting(monkeypatch, exactla, "mat_mul", calls)
+    got = exactla.mat_pow(a, 5, Z3)
+    assert len(calls) == 4
+    want = a
+    for _ in range(4):
+        want = exactla.mat_mul(want, a)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "make, cls",
+    [
+        (lambda: Z3.zeta + 2, Scalar),
+        (lambda: AlgebraSpec.single_parameter(1, Z3).x(1) + 1, PBWElement),
+    ],
+)
+def test_pow_skips_the_last_squaring(monkeypatch, make, cls):
+    u = make()
+    want = u * u * u * u * u
+    calls = []
+    counting(monkeypatch, cls, "__mul__", calls)
+    assert u**5 == want
+    assert len(calls) == 4
+
+
+def test_verify_run_shares_reps_and_derived_data(monkeypatch):
+    builds, moment_ops, kernels = [], [], []
+    counting(monkeypatch, config, "build_irrep", builds)
+    counting(monkeypatch, reduction, "moment_operators", moment_ops)
+    for module in (exactla, rootofunity):
+        counting(monkeypatch, module, "sparse_kernel", kernels)
+    # the sizes of the kernels solved inside fiber-reduced-endos
+    reduced_endos_sizes = []
+
+    def marked(fn):
+        def run(cfg):
+            start = len(kernels)
+            try:
+                return fn(cfg)
+            finally:
+                reduced_endos_sizes.extend(args[1] for args in kernels[start:])
+
+        return run
+
+    monkeypatch.setattr(
+        checks,
+        "CHECKS",
+        [
+            (cid, law, marked(fn) if cid == "fiber-reduced-endos" else fn)
+            for cid, law, fn in checks.CHECKS
+        ],
+    )
+    report = run_verification_suite(load_config(str(N2_L3)))
+    assert report["summary"]["ok"] and report["summary"]["pass"] == 17
+    assert len(builds) == 2
+    per_rep = Counter(id(args[0]) for args in moment_ops)
+    assert len(per_rep) == 2 and set(per_rep.values()) == {1}
+    # each configured rep (dim 9) solves its 81-unknown commutant system once
+    assert sum(1 for args in kernels if args[1] == 81) == 2
+    assert max(reduced_endos_sizes, default=0) <= 81
+
+
+def test_failed_rep_build_fails_every_rep_check():
+    raw = json.loads(N2_L3.read_text())
+    raw["reps"][0][0]["lambda"] = "0"
+    report = run_verification_suite(parse_config(raw))
+    by_id = {rec["check_id"]: rec for rec in report["checks"]}
+    for cid in REP_CHECKS:
+        assert by_id[cid]["status"] == "fail"
+        assert by_id[cid]["detail"] == (
+            "ZeroDivisorError: division by zero in the cyclotomic field"
+        )
+    assert report["summary"]["fail"] == len(REP_CHECKS)
