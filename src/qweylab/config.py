@@ -86,6 +86,18 @@ class ConfigError(ParameterError):
         super().__init__("invalid config:\n  " + "\n  ".join(problems))
 
 
+def _integer_rows_problems(key: str, rows) -> list[str]:
+    """Problems of a value that must be a list of rows of JSON integers."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        return [f"{key}: expected a list of integer rows"]
+    return [
+        f"{key}[{i}][{j}]: expected an integer"
+        for i, row in enumerate(rows)
+        for j, c in enumerate(row)
+        if not isinstance(c, int) or isinstance(c, bool)
+    ]
+
+
 def load_config(path: str) -> WorkbenchConfig:
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
@@ -130,7 +142,9 @@ def parse_config(raw: dict) -> WorkbenchConfig:
 
     spec = None
     m_raw = raw.get("M", "single_parameter")
-    if field_obj is not None and n is not None:
+    m_problems = [] if m_raw == "single_parameter" else _integer_rows_problems("M", m_raw)
+    problems.extend(m_problems)
+    if field_obj is not None and n is not None and not m_problems:
         try:
             if m_raw == "single_parameter":
                 spec = AlgebraSpec.single_parameter(
@@ -146,9 +160,11 @@ def parse_config(raw: dict) -> WorkbenchConfig:
 
     torus = None
     a_raw = raw.get("A")
+    a_problems = [] if a_raw is None else _integer_rows_problems("A", a_raw)
+    problems.extend(a_problems)
     if d and a_raw is None:
         problems.append("A: missing (required when d > 0)")
-    if n is not None and d is not None:
+    if n is not None and d is not None and not a_problems:
         try:
             if d == 0:
                 torus = TorusData(n, 0, tuple(() for _ in range(n)))

@@ -92,10 +92,18 @@ class WeightSpaceResult:
 
 
 def weight_space(rep: MatrixRep, torus: TorusData, eta) -> WeightSpaceResult:
-    """Joint eigenspace of the moment operators with eigenvalues eta."""
+    """Joint eigenspace of the moment operators with eigenvalues eta,
+    computed once per rep, torus and eta and shared by later calls."""
     eta = tuple(eta)
     if len(eta) != torus.d:
         raise ParameterError("eta must have one entry per subtorus coordinate")
+    per_point = rep.cache.setdefault("weight_spaces", {})
+    if (torus, eta) not in per_point:
+        per_point[torus, eta] = _weight_space(rep, torus, eta)
+    return per_point[torus, eta]
+
+
+def _weight_space(rep: MatrixRep, torus: TorusData, eta) -> WeightSpaceResult:
     ops, _ = _rep_moment_operators(rep, torus)
     f = rep.field
     stacked = []
@@ -161,7 +169,7 @@ def lth_root_in_field(value: Scalar, f: CyclotomicField) -> Scalar | None:
 
 
 def _as_rational(value: Scalar, f: CyclotomicField) -> Fraction | None:
-    v = value.v
+    v = f.coefficients(value.v)
     if any(v[1:]):
         return None
     return v[0]
@@ -210,33 +218,28 @@ def restriction_kernel_check(
     The ideal is spanned by P (Phi(u_j) - eta_j Id) over matrix units P; its
     span is compared against {f : f|_(V_eta) = 0} by exact dimension count
     plus containment (each generator annihilates the weight space).
+
+    P = E_rc sends a generator S to the matrix whose only nonzero row, r, is
+    row c of S.  Different r use disjoint entries, so the ideal is dim copies
+    of the row span of the generators, and its dimension is dim times the rank
+    of their d * dim rows.
     """
     ws = weight_space(rep, torus, eta)
     f = rep.field
     dim = rep.dim
     m = ws.dimension
-    elim = SparseEliminator(f)
+    row_span = SparseEliminator(f)
     contained = True
     for op, ej in zip(ws.moment_ops, ws.eta):
         shifted = [list(row) for row in op]
         for r in range(dim):
             shifted[r][r] = shifted[r][r] - ej
-        # right multiplication by a matrix unit E_rc maps "shifted" into row
-        # space elements; P E = (P applied after E).  Span over P = matrix
-        # units of P * shifted: entries P_rc picks row c of shifted into row r.
-        for c in range(dim):
-            row_vec = shifted[c]
-            if all(v.is_zero() for v in row_vec):
-                continue
-            for r in range(dim):
-                vec = {
-                    r * dim + k: v for k, v in enumerate(row_vec) if not v.is_zero()
-                }
-                elim.add(vec)
+        for row in shifted:
+            row_span.add(dict(enumerate(row)))
         for v in ws.basis:
             if any(not c.is_zero() for c in mat_vec(shifted, v)):
                 contained = False
-    dim_ideal = elim.rank
+    dim_ideal = dim * row_span.rank
     dim_expected = dim * (dim - m)
     return RestrictionKernelReport(
         dim_ideal=dim_ideal,

@@ -448,7 +448,7 @@ def export_rep(rep: MatrixRep) -> dict:
     over the cyclotomic power basis."""
 
     def scal(s: Scalar):
-        return [str(c) for c in s.v]
+        return [str(c) for c in rep.field.coefficients(s.v)]
 
     def mat(m: Mat):
         return [[scal(v) for v in row] for row in m]

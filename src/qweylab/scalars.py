@@ -10,10 +10,15 @@ Supported fields:
   denominator has a positive leading coefficient.  Equality is therefore
   structural.
 * ``cyclotomic`` -- the field generated over the rationals by a primitive
-  root of unity ``zeta`` of odd order ``l > 1``.  Values are coefficient
-  vectors of length ``phi(l)`` over the basis ``1, zeta, ..., zeta^(phi-1)``,
-  reduced modulo the ``l``-th cyclotomic polynomial.  Inverses come from the
-  extended Euclidean algorithm against that modulus.
+  root of unity ``zeta`` of odd order ``l > 1``.  A value is a pair
+  ``(nums, den)``: ``phi(l)`` integer numerators over the basis
+  ``1, zeta, ..., zeta^(phi-1)`` and one positive common denominator, with
+  ``gcd(den, *nums) == 1``, so equality is structural and zero is
+  ``((0, ..., 0), 1)``.  The ``l``-th cyclotomic polynomial is monic, so
+  products reduce by fixed integer rows.  The inverse of an irrational value
+  is the product of its nontrivial Galois conjugates divided by its rational
+  norm.  ``Fraction`` appears only where values enter (``from_fraction``,
+  ``from_coeffs``) and leave (``coefficients``).
 
 All values are immutable and all operations are pure functions, so scalars
 may be shared freely between threads and cached by identity of their field.
@@ -189,7 +194,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ParameterError("scalars from different fields")
             return other
         if isinstance(other, int):
@@ -469,7 +474,9 @@ class RationalFunctionField(Field):
         ds = _poly_str(den, "q")
         if len([c for c in num if c]) > 1:
             ns = f"({ns})"
-        if len([c for c in den if c]) > 1:
+        # a one-term denominator with a coefficient, k*q^m, needs parentheses
+        # too: n/k*q^m reads back as (n/k)*q^m
+        if len([c for c in den if c]) > 1 or "*" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -487,53 +494,60 @@ class CyclotomicField(Field):
             raise ParameterError("cyclotomic order l must be odd and > 1")
         self.l = l
         self.modulus = cyclotomic_polynomial(l)
-        self.degree = len(self.modulus) - 1
-        phi = self.degree
-        self.zero = Scalar(self, (Fraction(0),) * phi)
-        one = [Fraction(0)] * phi
-        one[0] = Fraction(1)
-        self.one = Scalar(self, tuple(one))
-        # reduction rows for t^k, k = phi .. 2*phi-2
-        self._red: list[tuple[Fraction, ...]] = []
-        prev = [Fraction(-c, self.modulus[-1]) for c in self.modulus[:-1]]
-        self._red.append(tuple(prev))
+        self.degree = phi = len(self.modulus) - 1
+        zeros = (0,) * phi
+        self.zero = Scalar(self, (zeros, 1))
+        self.one = Scalar(self, ((1,) + zeros[1:], 1))
+        # Phi_l is monic, so t^k for k = phi .. 2*phi-2 reduces to an integer
+        # row over 1, t, ..., t^(phi-1)
+        row = tuple(-c for c in self.modulus[:-1])
+        self._red: list[tuple[int, ...]] = [row]
         for _ in range(phi - 2):
-            nxt = [Fraction(0)] + prev[:-1]
-            top = prev[-1]
-            if top:
-                for i in range(phi):
-                    nxt[i] += top * self._red[0][i]
-            self._red.append(tuple(nxt))
-            prev = nxt
-        self._zeta_pows = self._build_zeta_powers()
+            top = row[-1]
+            row = tuple(
+                (row[i - 1] if i else 0) + top * self._red[0][i] for i in range(phi)
+            )
+            self._red.append(row)
+        t = (0, 1) + zeros[2:]
+        self._zeta_pows = [self.one.v]
+        for _ in range(l - 1):
+            self._zeta_pows.append(self._mul(self._zeta_pows[-1], (t, 1)))
+        # the Galois automorphisms sigma_k: zeta -> zeta^k other than the
+        # identity, as integer matrices; row j is sigma_k(zeta^j)
+        self._conjugations = [
+            [self._zeta_pows[j * k % l][0] for j in range(phi)]
+            for k in range(2, l)
+            if gcd(k, l) == 1
+        ]
 
-    def _build_zeta_powers(self):
-        pows = [self.one.v]
-        t = [Fraction(0)] * self.degree
-        if self.degree > 1:
-            t[1] = Fraction(1)
-            t = tuple(t)
-        else:
-            t = self._red[0] if self._red else self.one.v
-        cur = self.one.v
-        for _ in range(self.l - 1):
-            cur = self._mul(cur, t)
-            pows.append(cur)
-        return pows
+    @staticmethod
+    def _normal(nums, den):
+        """The normal form of nums / den, for den > 0."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                return tuple(x // g for x in nums), den // g
+        return tuple(nums), den
+
+    def from_int(self, n: int) -> Scalar:
+        return Scalar(self, ((int(n),) + (0,) * (self.degree - 1), 1))
 
     def from_fraction(self, f: Fraction) -> Scalar:
-        v = [Fraction(0)] * self.degree
-        v[0] = Fraction(f)
-        return Scalar(self, tuple(v))
+        f = Fraction(f)
+        return Scalar(self, ((f.numerator,) + (0,) * (self.degree - 1), f.denominator))
 
     def from_coeffs(self, coeffs) -> Scalar:
-        """Build a value from up to phi(l) rational coefficients of zeta powers."""
-        v = [Fraction(0)] * self.degree
+        """Build sum_k coeffs[k] zeta^k from rational coefficients."""
         acc = self.zero
         for k, c in enumerate(coeffs):
             if c:
-                acc = acc + self.from_fraction(Fraction(c)) * self.zeta_power(k)
-        return acc if coeffs else Scalar(self, tuple(v))
+                acc = acc + self.from_fraction(c) * self.zeta_power(k)
+        return acc
+
+    def coefficients(self, v) -> tuple[Fraction, ...]:
+        """The rational coefficients of v over 1, zeta, ..., zeta^(phi-1)."""
+        nums, den = v
+        return tuple(Fraction(x, den) for x in nums)
 
     @property
     def zeta(self) -> Scalar:
@@ -550,75 +564,64 @@ class CyclotomicField(Field):
         return self.zeta_power(e)
 
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        an, ad = a
+        bn, bd = b
+        if ad == bd:
+            return self._normal([x + y for x, y in zip(an, bn)], ad)
+        return self._normal([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(-x for x in a[0]), a[1]
 
     def _mul(self, a, b):
+        an, ad = a
+        bn, bd = b
         phi = self.degree
-        out = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a):
+        out = [0] * (2 * phi - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b):
+                for k, y in enumerate(bn, i):
                     if y:
-                        out[i + j] += x * y
+                        out[k] += x * y
         for k in range(2 * phi - 2, phi - 1, -1):
             c = out[k]
             if c:
-                row = self._red[k - phi]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return tuple(out[:phi])
+                for i, r in enumerate(self._red[k - phi]):
+                    if r:
+                        out[i] += c * r
+        del out[phi:]
+        return self._normal(out, ad * bd)
 
     def _inv(self, a):
-        if all(c == 0 for c in a):
+        nums, den = a
+        if not any(nums):
             raise ZeroDivisorError("division by zero in the cyclotomic field")
-
-        def ftrim(u):
-            while u and u[-1] == 0:
-                u.pop()
-            return u
-
-        def fdivmod(u, w):
-            u = list(u)
-            quo = [Fraction(0)] * max(0, len(u) - len(w) + 1)
-            dw, lw = len(w) - 1, w[-1]
-            for k in range(len(u) - len(w), -1, -1):
-                c = u[k + dw] / lw
-                if c:
-                    quo[k] = c
-                    for i, cw in enumerate(w):
-                        u[k + i] -= c * cw
-            return quo, ftrim(u)
-
-        def fmulsub(u, quo, w):
-            # u - quo * w
-            out = list(u) + [Fraction(0)] * max(0, len(quo) + len(w) - 1 - len(u))
-            for i, cq in enumerate(quo):
-                if cq:
-                    for j, cw in enumerate(w):
-                        out[i + j] -= cq * cw
-            return ftrim(out)
-
-        # extended Euclid in Q[t] against the cyclotomic modulus
-        r0 = [Fraction(c) for c in self.modulus]
-        r1 = ftrim(list(a))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            quo, rem = fdivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, fmulsub(s0, quo, s1)
-        # r1 is a nonzero constant and s1 * a == r1 (mod modulus)
-        c = r1[0]
-        inv = [x / c for x in s1]
-        inv += [Fraction(0)] * (self.degree - len(inv))
-        return tuple(inv[: self.degree])
+        c = nums[0]
+        if any(nums[1:]):
+            # a^-1 = prod_(k != 1) sigma_k(a) / N(a), where the norm
+            # N(a) = a prod_(k != 1) sigma_k(a) is rational
+            prod = None
+            for rows in self._conjugations:
+                conj = [0] * self.degree
+                for x, row in zip(nums, rows):
+                    if x:
+                        for i, r in enumerate(row):
+                            if r:
+                                conj[i] += x * r
+                prod = (tuple(conj), 1) if prod is None else self._mul(prod, (conj, 1))
+            c = self._mul((nums, 1), prod)[0][0]
+            nums = tuple(den * x for x in prod[0])
+        else:
+            nums = (den,) + nums[1:]
+        if c < 0:
+            nums, c = tuple(-x for x in nums), -c
+        return self._normal(nums, c)
 
     def format(self, v) -> str:
         parts = []
+        coeffs = self.coefficients(v)
         for k in range(self.degree - 1, -1, -1):
-            c = v[k]
+            c = coeffs[k]
             if not c:
                 continue
             if k == 0:

@@ -88,6 +88,18 @@ def test_roundtrip_print_parse():
         assert parse_expression(format_pbw(u), S2) == u
 
 
+def test_roundtrip_one_term_denominator_with_coefficient():
+    for c in (1, -3, 5):
+        for k in (2, 3, 12):
+            for m in (1, 2, 16):
+                v = QQ_Q.from_polys((c,), (0,) * m + (k,))
+                assert parse_scalar(str(v), QQ_Q) == v
+                u = v * S2.x(1, 4) * S2.d(2, 4)
+                assert parse_expression(format_pbw(u), S2) == u
+    v = parse_expression("3/2*d2^4*x1^4", S2)
+    assert format_pbw(v) == "3/(2*q^16)*x1^4*d2^4"
+
+
 def test_config_validation_collects_problems():
     with pytest.raises(ConfigError) as info:
         parse_config({"field": "cyclotomic", "l": 2, "n": 0, "d": 1})
@@ -101,6 +113,23 @@ def test_config_l2_rejected():
             {"field": "cyclotomic", "l": 2, "n": 1, "d": 1, "A": [[1]]}
         )
     assert "l" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("M", "foo", "M: expected a list of integer rows"),
+        ("M", [[1.5, 1], [-1, 1]], "M[0][0]: expected an integer"),
+        ("M", [[1, True], [-1, 1]], "M[0][1]: expected an integer"),
+        ("A", [[1], [0.5]], "A[1][0]: expected an integer"),
+    ],
+)
+def test_config_rejects_non_integer_matrix_entries(key, value, problem):
+    raw = json.loads((CONFIGS / "n2_l3.json").read_text())
+    raw[key] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw)
+    assert info.value.problems == [problem]
 
 
 def test_cli_eval_and_exit_codes(tmp_path, capsys):

@@ -6,7 +6,13 @@ import pytest
 from qweylab import reduction
 from qweylab.config import load_config
 from qweylab.errors import DomainError, ParameterError, RelationError
-from qweylab.exactla import SparseEliminator, mat_pow, scalar_of_identity, sparse_kernel
+from qweylab.exactla import (
+    SparseEliminator,
+    mat_pow,
+    mat_vec,
+    scalar_of_identity,
+    sparse_kernel,
+)
 from qweylab.moment import TorusData
 from qweylab.reduction import (
     compatible_eta_grid,
@@ -88,6 +94,36 @@ def assert_matches_full_system(rep, torus, eta):
     got = (out.dimension, out.commutant_dim, out.iso_verified, out.witness)
     assert got == full_reduced_endomorphism_algebra(rep, torus, eta)
     return out
+
+
+def full_restriction_kernel_check(rep, torus, eta):
+    """Reference for restriction_kernel_check: the left ideal spanned by
+    E_rc (Phi(u_j) - eta_j Id) over all matrix units, as one elimination over
+    all dim^2 entries.  Returns the four compared fields."""
+    ws = weight_space(rep, torus, eta)
+    f = rep.field
+    dim = rep.dim
+    elim = SparseEliminator(f)
+    contained = True
+    for op, ej in zip(ws.moment_ops, ws.eta):
+        shifted = [list(row) for row in op]
+        for r in range(dim):
+            shifted[r][r] = shifted[r][r] - ej
+        for c in range(dim):
+            for r in range(dim):
+                elim.add(
+                    {
+                        r * dim + k: v
+                        for k, v in enumerate(shifted[c])
+                        if not v.is_zero()
+                    }
+                )
+        for v in ws.basis:
+            if any(not c.is_zero() for c in mat_vec(shifted, v)):
+                contained = False
+    dim_expected = dim * (dim - ws.dimension)
+    passed = elim.rank == dim_expected and contained
+    return elim.rank, dim_expected, contained, passed
 
 
 def test_moment_operators_rank1():
@@ -202,6 +238,18 @@ def test_reduced_endomorphism_matches_full_system():
                 out = assert_matches_full_system(rep, config.torus, eta)
                 assert out.iso_verified and out.dimension == 9
                 pairs += 1
+    assert pairs == 6
+
+
+def test_restriction_kernel_matches_full_system():
+    config = load_config(str(N2_L3))
+    pairs = 0
+    for rep in config.build_reps():
+        for eta in compatible_eta_grid(rep, config.torus):
+            report = restriction_kernel_check(rep, config.torus, eta)
+            got = (report.dim_ideal, report.dim_expected, report.contained, report.passed)
+            assert got == full_restriction_kernel_check(rep, config.torus, eta)
+            pairs += 1
     assert pairs == 6
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -159,3 +160,84 @@ def test_scalar_str():
     assert str(z + 1) == "zeta+1"
     Z5 = make_field("cyclotomic", 5)
     assert str(Z5.zeta**2) == "zeta^2"
+
+
+CYCLOTOMIC_ORDERS = (3, 5, 7, 9, 15)
+
+
+def _seeded_cyclotomic(l, count=40):
+    F = make_field("cyclotomic", l)
+    rng = random.Random(f"cyclotomic:{l}")
+    return F, [_random_scalar(rng, F) for _ in range(count)]
+
+
+@pytest.mark.parametrize("l", CYCLOTOMIC_ORDERS)
+def test_cyclotomic_normal_form(l):
+    F, xs = _seeded_cyclotomic(l)
+    values = list(xs)
+    for x, y in zip(xs, xs[1:]):
+        values += [x + y, x - y, x * y, -x]
+        if not x.is_zero():
+            values.append(x.inv())
+    for s in values:
+        nums, den = s.v
+        assert len(nums) == F.degree
+        assert all(type(c) is int for c in nums) and type(den) is int
+        assert den > 0 and gcd(den, *nums) == 1
+    assert F.zero.v == ((0,) * F.degree, 1)
+
+
+def test_cyclotomic_hash_agrees_with_equality():
+    Z5 = make_field("cyclotomic", 5)
+    z = Z5.zeta
+    built = [
+        Z5.from_coeffs([Fraction(1, 2), Fraction(-1, 3), 0, Fraction(5, 6)]),
+        (3 - 2 * z + 5 * z**3) / 6,
+        ((3 - 2 * z + 5 * z**3) * 7 / 42).inv().inv(),
+    ]
+    assert built[0] == built[1] == built[2]
+    assert len({hash(s) for s in built}) == 1 and len(set(built)) == 1
+    assert Z5.from_fraction(Fraction(4, 2)) == Z5.from_int(2) == 2
+    assert hash(Z5.from_fraction(Fraction(4, 2))) == hash(Z5.from_int(2))
+    assert (z - z).v == Z5.zero.v and (z - z).is_zero()
+
+
+@pytest.mark.parametrize("l", CYCLOTOMIC_ORDERS)
+def test_cyclotomic_inverse_and_associativity(l):
+    F, xs = _seeded_cyclotomic(l)
+    irrational = 0
+    for x, y, z in zip(xs, xs[1:], xs[2:]):
+        assert (x * y) * z == x * (y * z)
+        if not x.is_zero():
+            assert x * x.inv() == F.one
+            irrational += any(x.v[0][1:])
+    assert irrational > len(xs) // 2
+
+
+@pytest.mark.parametrize("l, ks", [(9, (3,)), (15, (3, 5))])
+def test_cyclotomic_inverse_uses_only_coprime_conjugates(l, ks):
+    # x = 1 + zeta + ... + zeta^(m-1), with m = l / k, is nonzero, but the
+    # substitution zeta -> zeta^k (k not coprime to l) sends it to zero, so an
+    # inverse that also multiplied by that substitution would divide by zero
+    F = make_field("cyclotomic", l)
+    for k in ks:
+        x = sum((F.zeta_power(j) for j in range(l // k)), F.zero)
+        assert not x.is_zero()
+        assert x * x.inv() == F.one
+
+
+def test_cyclotomic_arithmetic_builds_no_fraction(monkeypatch):
+    from qweylab import scalars
+
+    F, xs = _seeded_cyclotomic(7, count=6)
+
+    def forbidden(*args):
+        raise AssertionError("Fraction built in cyclotomic arithmetic")
+
+    monkeypatch.setattr(scalars, "Fraction", forbidden)
+    for x, y in zip(xs, xs[1:]):
+        assert (x + y) - y == x
+        assert x * y == y * x
+        if not x.is_zero():
+            assert x * x.inv() == F.one
+    assert (xs[0] * 3 + 1).inv() * (xs[0] * 3 + 1) == 1

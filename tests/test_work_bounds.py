@@ -103,6 +103,16 @@ def test_verify_run_shares_reps_and_derived_data(monkeypatch):
     assert max(reduced_endos_sizes, default=0) <= 81
 
 
+def test_weight_space_is_computed_once_per_point(monkeypatch):
+    kernels = []
+    counting(monkeypatch, reduction, "matrix_kernel", kernels)
+    report = run_verification_suite(load_config(str(N2_L3)))
+    assert report["summary"]["ok"]
+    # two reps, three eta values each; fiber-weights, fiber-restriction and
+    # fiber-reduced-endos share each weight space
+    assert len(kernels) == 6
+
+
 def test_failed_rep_build_fails_every_rep_check():
     raw = json.loads(N2_L3.read_text())
     raw["reps"][0][0]["lambda"] = "0"
