@@ -24,7 +24,9 @@ from .qweyl import (
     ExpVec,
     LocalizedElement,
     PBWElement,
+    _FILL_STEP,
     _bump,
+    _integer_rows,
     _zero_vec,
 )
 from .scalars import Scalar
@@ -48,7 +50,7 @@ class TorusData:
 
     @staticmethod
     def from_rows(rows) -> TorusData:
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = _integer_rows(rows, "A")
         d = len(rows[0]) if rows else 0
         return TorusData(len(rows), d, rows)
 
@@ -172,6 +174,10 @@ def _alpha_table(spec: AlgebraSpec, i: int, r: int, s: int):
     f = spec.field
     if r == 0 or s == 0:
         return (((r, s, 0), f.one),)
+    # the chain runs down to (r - m, s - m); fill it bottom-up (see _FILL_STEP)
+    m = min(r, s)
+    for t in range(_FILL_STEP, m - 1, _FILL_STEP):
+        _alpha_table(spec, i, r - m + t, s - m + t)
     qii_inv = spec.q_power(-spec.m[i][i] * (s - 1))
     prev = _alpha_table(spec, i, r - 1, s - 1)
     out: dict[tuple[int, int, int], Scalar] = {}

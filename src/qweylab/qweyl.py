@@ -46,6 +46,17 @@ def _bump(vec: ExpVec, i: int, k: int) -> ExpVec:
     return tuple(out)
 
 
+def _integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
+    """The rows of an integer matrix as tuples; a non-integer entry (a bool
+    included) is a ParameterError naming it as name[i][j]."""
+    out = tuple(tuple(row) for row in rows)
+    for i, row in enumerate(out):
+        for j, c in enumerate(row):
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ParameterError(f"{name}[{i}][{j}]: expected an integer, got {c!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Immutable description of one q-Weyl algebra."""
@@ -78,7 +89,7 @@ class AlgebraSpec:
 
     @staticmethod
     def from_rows(rows, field: Field, rescaled: bool = True) -> AlgebraSpec:
-        m = tuple(tuple(int(c) for c in row) for row in rows)
+        m = _integer_rows(rows, "M")
         return AlgebraSpec(len(m), m, rescaled, field)
 
     @property
@@ -163,12 +174,20 @@ class AlgebraSpec:
 # ---------------------------------------------------------------------------
 
 
+# A cached table recurses on its predecessor.  Tables far from the base case
+# are filled bottom-up in steps of this many, so the recursion stays shallow
+# for large exponents; below it the calls are those of the plain recursion.
+_FILL_STEP = 128
+
+
 @lru_cache(maxsize=None)
 def _one_var_table(spec: AlgebraSpec, i: int, s: int, r: int):
     """Coefficients c_k with d_i^s x_i^r = sum_k c_k x_i^(r-k) d_i^(s-k)."""
     f = spec.field
     if s == 0 or r == 0:
         return (f.one,)
+    for t in range(_FILL_STEP, s - 1, _FILL_STEP):
+        _one_var_table(spec, i, t, r)
     mii = spec.m[i][i]
     if spec.rescaled:
         mu_pow = lambda t: spec.q_power(mii * t)
@@ -236,10 +255,6 @@ def _merge_exp_x(spec: AlgebraSpec, left: ExpVec, right: ExpVec) -> int:
     return spec.sign * e
 
 
-def _merge_exp_d(spec: AlgebraSpec, left: ExpVec, right: ExpVec) -> int:
-    return _merge_exp_x(spec, left, right)
-
-
 class PBWElement:
     """A finite linear combination of ordered monomials x^a d^b."""
 
@@ -299,7 +314,7 @@ class PBWElement:
             for (a2, b2), c2 in other.terms.items():
                 c12 = c1 * c2
                 for (am, bm), ck in _reorder(spec, b1, a2):
-                    e = _merge_exp_x(spec, a1, am) + _merge_exp_d(spec, bm, b2)
+                    e = _merge_exp_x(spec, a1, am) + _merge_exp_x(spec, bm, b2)
                     key = (
                         tuple(p + r for p, r in zip(a1, am)),
                         tuple(p + r for p, r in zip(bm, b2)),

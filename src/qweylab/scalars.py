@@ -8,7 +8,13 @@ Supported fields:
   integer-coefficient polynomials: numerator and denominator share no
   polynomial factor, the pair of integer contents is coprime, and the
   denominator has a positive leading coefficient.  Equality is therefore
-  structural.
+  structural.  Most denominators met in practice are one-term, c*q^k (q
+  powers and integers); their only divisors are the +-c'*q^j, so such a
+  value is reduced by stripping a common power of q and the integer gcd of
+  the contents, and a product of two of them multiplies the leads and adds
+  the exponents.  Every other denominator is reduced through the
+  polynomial gcd (pseudo-remainder Euclid).  Both paths give the same
+  normal form.
 * ``cyclotomic`` -- the field generated over the rationals by a primitive
   root of unity ``zeta`` of odd order ``l > 1``.  A value is a pair
   ``(nums, den)``: ``phi(l)`` integer numerators over the basis
@@ -64,9 +70,33 @@ def _psub(a, b):
     return _padd(a, _pneg(b))
 
 
+def _is_monomial(a) -> bool:
+    """True when the trimmed polynomial a has exactly one term, c*q^k."""
+    return a.count(0) == len(a) - 1
+
+
+def _valuation(a) -> int:
+    """The exponent of the lowest term of a nonzero polynomial."""
+    for i, c in enumerate(a):
+        if c:
+            return i
+
+
+def _pshift(a, k: int, c: int):
+    """c * q^k * a for a nonzero integer c."""
+    if c != 1:
+        a = tuple(x * c for x in a)
+    return (0,) * k + a if k else a
+
+
 def _pmul(a, b):
     if not a or not b:
         return _ZERO_POLY
+    # a one-term factor c*q^k is a shift plus a scale
+    if _is_monomial(b):
+        return _pshift(a, len(b) - 1, b[-1])
+    if _is_monomial(a):
+        return _pshift(b, len(a) - 1, a[-1])
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -390,6 +420,9 @@ class RationalFunctionField(Field):
             self._qpow_cache[e] = s
         return s
 
+    def from_int(self, n: int) -> Scalar:
+        return Scalar(self, ((int(n),) if n else _ZERO_POLY, _ONE_POLY))
+
     def from_fraction(self, f: Fraction) -> Scalar:
         f = Fraction(f)
         num = _trim([f.numerator])
@@ -407,10 +440,30 @@ class RationalFunctionField(Field):
             return (_ZERO_POLY, _ONE_POLY)
         if den == _ONE_POLY:
             return (num, den)
+        if _is_monomial(den):
+            return RationalFunctionField._normalize_monomial(num, len(den) - 1, den[-1])
+        return RationalFunctionField._normalize_euclid(num, den)
+
+    @staticmethod
+    def _normalize_monomial(num, k: int, c: int):
+        """The normal form of num / (c*q^k) for nonzero num and c."""
+        # the divisors of c*q^k in Z[q] are the +-c'*q^j, so the gcd of num
+        # and c*q^k is q^min(val(num), k) * gcd(content(num), c)
+        v = min(_valuation(num), k)
+        if v:
+            num = num[v:]
+        g = gcd(c, *num)
+        if c < 0:
+            g = -g
+        if g != 1:
+            num = tuple(x // g for x in num)
+        return (num, (0,) * (k - v) + (c // g,))
+
+    @staticmethod
+    def _normalize_euclid(num, den):
+        """Reduce num/den through the polynomial gcd (num, den nonzero)."""
         # strip common powers of q
-        vn = next(i for i, c in enumerate(num) if c)
-        vd = next(i for i, c in enumerate(den) if c)
-        v = min(vn, vd)
+        v = min(_valuation(num), _valuation(den))
         if v:
             num, den = num[v:], den[v:]
         g = _pgcd(num, den)
@@ -438,9 +491,15 @@ class RationalFunctionField(Field):
     def _mul(self, a, b):
         n1, d1 = a
         n2, d2 = b
+        num = _pmul(n1, n2)
         if d1 == _ONE_POLY and d2 == _ONE_POLY:
-            return (_pmul(n1, n2), _ONE_POLY)
-        return self._normalize(_pmul(n1, n2), _pmul(d1, d2))
+            return (num, _ONE_POLY)
+        if not num:
+            return self.zero.v
+        if _is_monomial(d1) and _is_monomial(d2):
+            # (c1*q^k1)(c2*q^k2) = c1*c2*q^(k1+k2)
+            return self._normalize_monomial(num, len(d1) + len(d2) - 2, d1[-1] * d2[-1])
+        return self._normalize(num, _pmul(d1, d2))
 
     def _inv(self, a):
         n, d = a

@@ -140,6 +140,37 @@ def test_cli_eval_and_exit_codes(tmp_path, capsys):
     assert main(["eval", "x1^-1", "--config", cfg]) == 2
 
 
+def test_cli_eval_deep_power(capsys):
+    # d1^1500 x1 needs the d-exponent table at s = 1500, past the default
+    # recursion limit; d1^750 (d1^750 x1) is the same element, reached
+    # through the tables at s = 750
+    cfg = str(CONFIGS / "generic_q.json")
+    assert main(["eval", "d1^1500*x1", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.strip() == "q^1500*x1*d1^1500 + (q^1500-1)*d1^1499"
+    assert main(["eval", "d1^750*(d1^750*x1)", "--config", cfg]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_cli_reduce_deep_power_under_low_recursion_limit(capsys):
+    # x1^e d1^e = prod_(j<e) (zeta^-j alpha1 - 1), and alpha1 = eta = 2 on
+    # n1_l3, so it reduces to ((2-1)(2 zeta^2-1)(2 zeta-1))^(e/3) = 7^(e/3).
+    # The alpha tables form a chain of length e; with room for fewer than e
+    # more frames, only a bottom-up fill of the chain gets through.
+    cfg = str(CONFIGS / "n1_l3.json")
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 400)
+    try:
+        code = main(["reduce", "x1^390*d1^390", "--config", cfg])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert capsys.readouterr().out.strip() == str(7**130)
+
+
 def test_cli_verify_report(tmp_path, capsys):
     cfg = str(CONFIGS / "n1_l3.json")
     out_path = tmp_path / "report.json"

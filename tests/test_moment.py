@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -38,6 +39,13 @@ def test_torus_validation():
     with pytest.raises(ParameterError):
         TorusData(1, 2, ((1, 0),))
     TorusData.from_rows([[2, 0], [0, 3], [1, 1]])
+
+
+@pytest.mark.parametrize("rows, entry", [([[0.7], [1]], "A[0][0]"), ([[1], [False]], "A[1][0]")])
+def test_torus_rejects_non_integer_entries(rows, entry):
+    with pytest.raises(ParameterError, match=rf"^{re.escape(entry)}: expected an integer"):
+        TorusData.from_rows(rows)
+    assert TorusData.from_rows([[0], [1]]).a == ((0,), (1,))
 
 
 def test_quantum_comoment():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -25,6 +26,16 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         AlgebraSpec(2, ((1, 1), (1, 1)), True, QQ_Q)
     AlgebraSpec(2, ((1, 1), (-1, -4)), True, QQ_Q)  # diagonal unconstrained
+
+
+@pytest.mark.parametrize(
+    "rows, entry",
+    [([[1.5, 1], [-1, 1]], "M[0][0]"), ([[1, True], [-1, 1]], "M[0][1]")],
+)
+def test_from_rows_rejects_non_integer_entries(rows, entry):
+    with pytest.raises(ParameterError, match=rf"^{re.escape(entry)}: expected an integer"):
+        AlgebraSpec.from_rows(rows, QQ_Q)
+    assert AlgebraSpec.from_rows([[1, 1], [-1, 1]], QQ_Q).m == ((1, 1), (-1, 1))
 
 
 def test_defining_relation_rescaled():

@@ -5,7 +5,9 @@ from math import gcd
 import pytest
 
 from qweylab.errors import DomainError, ParameterError, ZeroDivisorError
+from qweylab.expr import parse_scalar
 from qweylab.scalars import (
+    RationalFunctionField,
     cyclotomic_polynomial,
     make_field,
     q_integer,
@@ -124,6 +126,49 @@ def test_rational_function_normalization():
     b = (2 * q + 2) / 4
     assert str(b) == "(q+1)/2"
     assert ((q - 1) * (q + 1)).v == ((-1, 0, 1), (1,))
+
+
+def _monomial_denominator_cases():
+    """(num, den) pairs with a one-term denominator c*q^k, num nonzero."""
+    cases = [
+        ((1, 2), (0, 0, -3)),  # negative lead c
+        ((6, 0, 9), (0, -12)),  # negative c sharing the factor 3 with content(num)
+        ((4, 10), (0, 0, 0, 8)),  # c sharing 2 with content(num), val(num) = 0 < k = 3
+        ((0, 0, 0, 0, 3, 6), (0, 9)),  # val(num) = 4 > k = 1
+        ((0, 0, 5), (0, 0, 10)),  # val(num) = k
+        ((2, 0, 4), (6,)),  # k = 0 with c > 1
+        ((7,), (-5,)),  # k = 0 with c < 0
+    ]
+    rng = random.Random(20261018)
+    while len(cases) < 400:
+        val = rng.randint(0, 5)
+        num = (0,) * val + tuple(rng.randint(-12, 12) for _ in range(rng.randint(1, 4)))
+        c = rng.choice((-1, 1)) * rng.randint(1, 24)
+        if any(num):
+            num = num[: max(i for i, x in enumerate(num) if x) + 1]
+            cases.append((num, (0,) * rng.randint(0, 5) + (c,)))
+    return cases
+
+
+def test_monomial_denominator_matches_euclid():
+    shapes = set()
+    for num, den in _monomial_denominator_cases():
+        got = RationalFunctionField._normalize(num, den)
+        assert got == RationalFunctionField._normalize_euclid(num, den), (num, den)
+        k, c = len(den) - 1, den[-1]
+        val = next(i for i, x in enumerate(num) if x)
+        content = gcd(*num)
+        shapes.add(("c<0", c < 0))
+        shapes.add(("shared factor", gcd(content, c) > 1))
+        shapes.add(("val vs k", (val > k) - (val < k)))
+        shapes.add(("k=0, c>1", k == 0 and c > 1))
+        v = QQ_Q.scalar(got)
+        assert parse_scalar(str(v), QQ_Q) == v
+    # every shape named above occurs, both ways where it can
+    assert len(shapes) == 9
+    for den in ((0, 0, -3), (4,), (0, 7)):
+        assert RationalFunctionField._normalize((), den) == QQ_Q.zero.v
+        assert QQ_Q.from_polys((), den) == QQ_Q.zero
 
 
 def test_specialization_homomorphism():

@@ -10,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from qweylab import checks, config, exactla, reduction, rootofunity
+from qweylab import checks, config, exactla, reduction, rootofunity, scalars
 from qweylab.checks import run_verification_suite
 from qweylab.config import load_config, parse_config
 from qweylab.qweyl import AlgebraSpec, PBWElement
 from qweylab.scalars import Scalar, make_field
 
-N2_L3 = Path(__file__).resolve().parent.parent / "configs" / "n2_l3.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+N2_L3 = CONFIGS / "n2_l3.json"
 Z3 = make_field("cyclotomic", 3)
 REP_CHECKS = [
     "rep-build",
@@ -124,3 +125,13 @@ def test_failed_rep_build_fails_every_rep_check():
             "ZeroDivisorError: division by zero in the cyclotomic field"
         )
     assert report["summary"]["fail"] == len(REP_CHECKS)
+
+
+def test_generic_q_suite_runs_no_polynomial_gcd(monkeypatch):
+    # every Q(q) denominator on this suite is one-term, c*q^k, whose gcd
+    # with a numerator needs no polynomial Euclid
+    calls = []
+    counting(monkeypatch, scalars, "_pgcd", calls)
+    report = run_verification_suite(load_config(str(CONFIGS / "generic_q.json")))
+    assert report["summary"]["ok"] and report["summary"]["pass"] == 8
+    assert calls == []
