@@ -28,8 +28,6 @@ from .qweyl import (
     CheckOutcome,
     LocalizedElement,
     PBWElement,
-    localized_equal,
-    localized_multiply,
     normal_form,
     verify_alpha_commutativity,
     verify_power_identities,
@@ -39,7 +37,6 @@ from .hopf import (
     DoubleElement,
     antipode,
     coproduct,
-    heisenberg_product,
     hopf_pairing,
     left_regular_action,
     verify_double_presentation,

@@ -35,7 +35,6 @@ class WorkbenchConfig:
     reps_raw: list
     bounds: dict
     seed: int
-    chi: tuple[int, ...]
     raw: dict
     _reps: list | None = dataclass_field(
         default=None, init=False, repr=False, compare=False
@@ -43,7 +42,7 @@ class WorkbenchConfig:
 
     def datum(self) -> ReductionDatum:
         eta = tuple(parse_scalar(lit, self.field) for lit in self.eta_literals)
-        return ReductionDatum(self.torus, eta, getattr(self.field, "l", None), self.chi)
+        return ReductionDatum(self.torus, eta)
 
     def build_reps(self) -> list[MatrixRep]:
         """Build (and thereby fully verify) every configured representation.
@@ -125,7 +124,9 @@ def parse_config(raw: dict) -> WorkbenchConfig:
     kind = need("field", str)
     l = raw.get("l")
     field_obj = None
-    if kind is not None:
+    if l is not None and (not isinstance(l, int) or isinstance(l, bool)):
+        problems.append("l: expected an integer")
+    elif kind is not None:
         try:
             field_obj = make_field(kind, l)
         except ParameterError as exc:
@@ -212,11 +213,13 @@ def parse_config(raw: dict) -> WorkbenchConfig:
                         problems.append(f"reps[{ridx}][{sidx}]: need b or mu")
                     if field_obj is not None and isinstance(field_obj, CyclotomicField):
                         blist = slot.get("b")
-                        if blist is not None and len(blist) != field_obj.l:
+                        if blist is not None and not isinstance(blist, list):
+                            problems.append(f"reps[{ridx}][{sidx}]: b must be a list")
+                        elif blist is not None and len(blist) != field_obj.l:
                             problems.append(
                                 f"reps[{ridx}][{sidx}]: b must have length l"
                             )
-        if reps_raw and not isinstance(field_obj, CyclotomicField):
+        if reps_raw and field_obj is not None and not isinstance(field_obj, CyclotomicField):
             problems.append("reps: need a cyclotomic field")
 
     bounds = dict(DEFAULT_BOUNDS)
@@ -227,7 +230,7 @@ def parse_config(raw: dict) -> WorkbenchConfig:
         for key, val in braw.items():
             if key not in DEFAULT_BOUNDS:
                 problems.append(f"bounds.{key}: unknown bound")
-            elif not isinstance(val, int) or val < 0:
+            elif not isinstance(val, int) or isinstance(val, bool) or val < 0:
                 problems.append(f"bounds.{key}: expected a nonnegative integer")
             else:
                 bounds[key] = val
@@ -237,10 +240,10 @@ def parse_config(raw: dict) -> WorkbenchConfig:
         problems.append("seed: expected an integer")
         seed = 0
 
-    chi = raw.get("chi", [0] * (d or 0))
+    # character data: validated and echoed in the report, used by no check
+    chi = raw.get("chi", [])
     if not isinstance(chi, list) or not all(isinstance(c, int) for c in chi):
         problems.append("chi: expected a list of integers")
-        chi = [0] * (d or 0)
 
     if problems:
         raise ConfigError(problems)
@@ -252,6 +255,5 @@ def parse_config(raw: dict) -> WorkbenchConfig:
         reps_raw=reps_raw,
         bounds=bounds,
         seed=seed,
-        chi=tuple(chi),
         raw=raw,
     )

@@ -23,10 +23,6 @@ def identity(n: int, field: Field) -> Mat:
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def zeros(r: int, c: int, field: Field) -> Mat:
-    return [[field.zero] * c for _ in range(r)]
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     rows, inner, cols = len(a), len(b), len(b[0])
     out = []
@@ -167,25 +163,6 @@ class SparseEliminator:
 
     def contains(self, vec: dict[int, Scalar]) -> bool:
         return not self._reduce(vec)
-
-
-def span_rank(vectors, field: Field) -> int:
-    elim = SparseEliminator(field)
-    for v in vectors:
-        elim.add(v)
-    return elim.rank
-
-
-def spans_equal(vs, ws, field: Field) -> bool:
-    ev = SparseEliminator(field)
-    for v in vs:
-        ev.add(v)
-    ew = SparseEliminator(field)
-    for w in ws:
-        ew.add(w)
-    if ev.rank != ew.rank:
-        return False
-    return all(ev.contains(dict(w)) for w in ws)
 
 
 def sparse_kernel(rows, ncols: int, field: Field) -> list[dict[int, Scalar]]:

@@ -103,7 +103,7 @@ class _Parser:
             if tok.kind == "op" and tok.value in "+-":
                 self.advance()
                 rhs = self.parse_product()
-                value = _add(value, rhs) if tok.value == "+" else _add(value, _neg(rhs))
+                value = _add(value, rhs) if tok.value == "+" else _add(value, -rhs)
             else:
                 return value
 
@@ -113,13 +113,13 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.value == "*":
                 self.advance()
-                value = _mul(value, self.parse_factor(), tok.col)
+                value = value * self.parse_factor()
             elif tok.kind == "op" and tok.value == "/":
                 self.advance()
                 rhs = self.parse_factor()
                 if not isinstance(rhs, Scalar):
                     raise ExprError("can only divide by a scalar", tok.col)
-                value = _mul(value, rhs.inv(), tok.col)
+                value = value * rhs.inv()
             else:
                 return value
 
@@ -127,7 +127,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "-":
             self.advance()
-            return _neg(self.parse_factor())
+            return -self.parse_factor()
         return self.parse_power()
 
     def parse_power(self):
@@ -220,20 +220,12 @@ class _Parser:
         raise ExprError(f"unknown symbol {name!r}", tok.col)
 
 
-def _neg(v):
-    return -v
-
-
 def _add(u, v):
     if isinstance(u, Scalar) and not isinstance(v, Scalar):
         u, v = v, u
     if isinstance(v, LocalizedElement) and not isinstance(u, LocalizedElement):
         return v + u
     return u + v
-
-
-def _mul(u, v, col):
-    return u * v
 
 
 def parse_expression(text: str, spec: AlgebraSpec):

@@ -26,7 +26,18 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ParameterError
-from .qweyl import AlgebraSpec, CheckOutcome, ExpVec, PBWElement, _bump, _zero_vec
+from .qweyl import (
+    AlgebraSpec,
+    CheckOutcome,
+    ExpVec,
+    PBWElement,
+    TermElement,
+    _bump,
+    _merge_exponent,
+    _zero_vec,
+    exponent_vectors,
+    graded_monomials,
+)
 from .scalars import Scalar
 
 # Sides: "x" lives in the symmetric algebra on x-generators (degree +e_i),
@@ -45,60 +56,33 @@ def braid_exponent(spec: AlgebraSpec, dv: ExpVec, dw: ExpVec) -> int:
     )
 
 
-def _side_merge_exponent(spec: AlgebraSpec, left: ExpVec, right: ExpVec) -> int:
-    # x^left x^right -> x^(left+right) inside one factor; relations come from
-    # the braiding, so the twist is q^(-sum_{i<j} m_ij left_j right_i) on
-    # either side.
-    e = 0
-    m = spec.m
-    for i in range(spec.n):
-        ri = right[i]
-        if ri:
-            for j in range(i + 1, spec.n):
-                if left[j]:
-                    e += m[i][j] * left[j] * ri
-    return -e
+class SideElement(TermElement):
+    """Element of one braided symmetric algebra (terms: exponent -> scalar).
 
+    Merging x^left x^right inside one factor twists by q^(-_merge_exponent):
+    the relations come from the braiding, on either side."""
 
-class SideElement:
-    """Element of one braided symmetric algebra (terms: exponent -> scalar)."""
-
-    __slots__ = ("spec", "side", "terms")
+    __slots__ = ("spec", "side")
 
     def __init__(self, spec: AlgebraSpec, side: str, terms: dict[ExpVec, Scalar]):
         self.spec = spec
         self.side = side
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        super().__init__(terms)
 
-    def __add__(self, other: SideElement) -> SideElement:
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return SideElement(self.spec, self.side, out)
-
-    def scale(self, c: Scalar) -> SideElement:
-        return SideElement(self.spec, self.side, {k: v * c for k, v in self.terms.items()})
+    def _meta(self):
+        return (self.spec, self.side)
 
     def __mul__(self, other: SideElement) -> SideElement:
         out: dict[ExpVec, Scalar] = {}
         spec = self.spec
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                tw = spec.q_power(_side_merge_exponent(spec, e1, e2))
+                tw = spec.q_power(-_merge_exponent(spec, e1, e2))
                 key = tuple(p + r for p, r in zip(e1, e2))
                 c = c1 * c2 * tw
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
         return SideElement(spec, self.side, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SideElement)
-            and self.side == other.side
-            and self.spec == other.spec
-            and self.terms == other.terms
-        )
 
     def __hash__(self):
         return hash((self.spec, self.side, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
@@ -113,22 +97,18 @@ def side_one(spec: AlgebraSpec, side: str) -> SideElement:
     return side_monomial(spec, side, _zero_vec(spec.n))
 
 
-class BraidedTensorElement:
+class BraidedTensorElement(TermElement):
     """Element of the braided tensor square of one side."""
 
-    __slots__ = ("spec", "side", "terms")
+    __slots__ = ("spec", "side")
 
     def __init__(self, spec, side, terms: dict[tuple[ExpVec, ExpVec], Scalar]):
         self.spec = spec
         self.side = side
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        super().__init__(terms)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return BraidedTensorElement(self.spec, self.side, out)
+    def _meta(self):
+        return (self.spec, self.side)
 
     def __mul__(self, other):
         """(a (x) b)(c (x) d) = braid(b, c) ac (x) bd, bilinearly."""
@@ -138,8 +118,7 @@ class BraidedTensorElement:
         for (a, b), c1 in self.terms.items():
             for (c, d), c2 in other.terms.items():
                 e = braid_exponent(spec, _deg(side, b), _deg(side, c))
-                e += _side_merge_exponent(spec, a, c)
-                e += _side_merge_exponent(spec, b, d)
+                e -= _merge_exponent(spec, a, c) + _merge_exponent(spec, b, d)
                 key = (
                     tuple(p + r for p, r in zip(a, c)),
                     tuple(p + r for p, r in zip(b, d)),
@@ -148,14 +127,6 @@ class BraidedTensorElement:
                 prev = out.get(key)
                 out[key] = v if prev is None else prev + v
         return BraidedTensorElement(spec, side, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BraidedTensorElement)
-            and self.side == other.side
-            and self.spec == other.spec
-            and self.terms == other.terms
-        )
 
 
 @lru_cache(maxsize=None)
@@ -187,18 +158,24 @@ def counit(exp: ExpVec) -> bool:
 
 @lru_cache(maxsize=None)
 def antipode_coeff(spec: AlgebraSpec, side: str, exp: ExpVec) -> Scalar:
-    """S(monomial) = coeff * same monomial; braided anti-multiplicative."""
-    total = sum(exp)
-    if total == 0:
-        return spec.field.one
-    i = next(k for k in range(spec.n) if exp[k])
-    rest = _bump(exp, i, -1)
-    # S(g u) = braid(deg g, deg u) S(u) S(g); S(g) = -g
-    e = braid_exponent(spec, _deg(side, _bump(_zero_vec(spec.n), i, 1)), _deg(side, rest))
-    # moving the trailing generator g back to canonical position inside S(u) S(g):
-    # S(u) is a scalar multiple of u, and u g -> q-twist * canonical monomial
-    e += _side_merge_exponent(spec, rest, _bump(_zero_vec(spec.n), i, 1))
-    return antipode_coeff(spec, side, rest) * spec.q_power(e) * spec.field.from_int(-1)
+    """S(monomial) = coeff * same monomial; braided anti-multiplicative.
+
+    Peel the leading generator g off u = g u': S(g u') = braid(deg g, deg u')
+    S(u') S(g) with S(g) = -g, and S(u') is a multiple of u', so moving g back
+    to its canonical place in u' g adds the merge twist.  The loop runs that
+    recursion down to the unit monomial.
+    """
+    n = spec.n
+    e = 0
+    rest = exp
+    for _ in range(sum(exp)):
+        i = next(k for k in range(n) if rest[k])
+        g = _bump(_zero_vec(n), i, 1)
+        rest = _bump(rest, i, -1)
+        e += braid_exponent(spec, _deg(side, g), _deg(side, rest))
+        e -= _merge_exponent(spec, rest, g)
+    c = spec.q_power(e)
+    return -c if sum(exp) % 2 else c
 
 
 def antipode(u: SideElement) -> SideElement:
@@ -227,7 +204,7 @@ def pairing(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec) -> Scalar:
         return f.zero
     i = next(k for k in range(spec.n) if dexp[k])
     rest = _bump(dexp, i, -1)
-    acc = f.zero
+    acc = None
     for (h1, h2), c in coproduct(spec, "x", xexp).terms.items():
         if sum(h1) != 1 or h1[i] != 1:
             continue
@@ -235,8 +212,9 @@ def pairing(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec) -> Scalar:
         if inner.is_zero():
             continue
         e = braid_exponent(spec, _deg("d", rest), _deg("x", h1))
-        acc = acc + c * spec.q_power(e) * inner
-    return acc
+        v = c * spec.q_power(e) * inner
+        acc = v if acc is None else acc + v
+    return f.zero if acc is None else acc
 
 
 def hopf_pairing(spec: AlgebraSpec, f, h) -> Scalar:
@@ -245,13 +223,14 @@ def hopf_pairing(spec: AlgebraSpec, f, h) -> Scalar:
         f = side_monomial(spec, "d", f)
     if isinstance(h, tuple):
         h = side_monomial(spec, "x", h)
-    acc = spec.field.zero
+    acc = None
     for dexp, cf in f.terms.items():
         for xexp, ch in h.terms.items():
             p = pairing(spec, dexp, xexp)
             if not p.is_zero():
-                acc = acc + cf * ch * p
-    return acc
+                v = cf * ch * p
+                acc = v if acc is None else acc + v
+    return spec.field.zero if acc is None else acc
 
 
 def left_regular_action(spec: AlgebraSpec, dexp: ExpVec, h: SideElement) -> SideElement:
@@ -295,15 +274,18 @@ def _smash_core(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec):
     return tuple((k, v) for k, v in out.items() if not v.is_zero())
 
 
-class DoubleElement:
+class DoubleElement(TermElement):
     """Element of the smash product, with the product built from the
     coproduct/braiding/action composition rather than from any presentation."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
 
     def __init__(self, spec: AlgebraSpec, terms: dict[tuple[ExpVec, ExpVec], Scalar]):
         self.spec = spec
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        super().__init__(terms)
+
+    def _meta(self):
+        return (self.spec,)
 
     @staticmethod
     def monomial(spec, a, b, coeff=None) -> DoubleElement:
@@ -326,24 +308,6 @@ class DoubleElement:
             spec, _zero_vec(spec.n), _bump(_zero_vec(spec.n), i - 1, 1)
         )
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return DoubleElement(self.spec, out)
-
-    def __neg__(self):
-        return DoubleElement(self.spec, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> DoubleElement:
-        if isinstance(c, int):
-            c = self.spec.field.from_int(c)
-        return DoubleElement(self.spec, {k: v * c for k, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
@@ -355,8 +319,7 @@ class DoubleElement:
             for (c, d), c2 in other.terms.items():
                 c12 = c1 * c2
                 for (am, bm), ck in _smash_core(spec, b, c):
-                    e = _side_merge_exponent(spec, a, am)
-                    e += _side_merge_exponent(spec, bm, d)
+                    e = -_merge_exponent(spec, a, am) - _merge_exponent(spec, bm, d)
                     key = (
                         tuple(p + r for p, r in zip(a, am)),
                         tuple(p + r for p, r in zip(bm, d)),
@@ -366,25 +329,10 @@ class DoubleElement:
                     out[key] = v if prev is None else prev + v
         return DoubleElement(spec, out)
 
-    __rmul__ = scale
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DoubleElement)
-            and self.spec == other.spec
-            and self.terms == other.terms
-        )
+    __rmul__ = TermElement.scale
 
     def to_pbw(self, target: AlgebraSpec) -> PBWElement:
         return PBWElement(target, dict(self.terms))
-
-    @staticmethod
-    def from_pbw(u: PBWElement, spec: AlgebraSpec) -> DoubleElement:
-        return DoubleElement(spec, dict(u.terms))
-
-
-def heisenberg_product(u: DoubleElement, v: DoubleElement) -> DoubleElement:
-    return u * v
 
 
 # ---------------------------------------------------------------------------
@@ -392,36 +340,14 @@ def heisenberg_product(u: DoubleElement, v: DoubleElement) -> DoubleElement:
 # ---------------------------------------------------------------------------
 
 
-def _monomials_up_to(n: int, bound: int):
-    """All (a, b) with total degree <= bound, n coordinates each."""
-
-    def vecs(k, budget):
-        if k == 0:
-            yield ()
-            return
-        for h in range(budget + 1):
-            for rest in vecs(k - 1, budget - h):
-                yield (h,) + rest
-
-    for total in range(bound + 1):
-        for da in range(total + 1):
-            for a in vecs(n, da):
-                if sum(a) != da:
-                    continue
-                for b in vecs(n, total - da):
-                    if sum(b) == total - da:
-                        yield a, b
-
-
 def verify_hopf_axioms(spec: AlgebraSpec, degree_bound: int) -> CheckOutcome:
     """Coassociativity, counit, antipode, and bounded pairing nondegeneracy."""
     out = CheckOutcome()
     f = spec.field
+    n = spec.n
+    exps = [e for t in range(degree_bound + 1) for e in exponent_vectors(n, t, total=t)]
     for side in ("x", "d"):
-        for a, b in _monomials_up_to(spec.n, degree_bound):
-            if any(b):
-                continue
-            exp = a
+        for exp in exps:
             delta = coproduct(spec, side, exp)
             # coassociativity via exponent bookkeeping on triple legs
             left = {}
@@ -429,13 +355,15 @@ def verify_hopf_axioms(spec: AlgebraSpec, degree_bound: int) -> CheckOutcome:
                 for (u1, u2), cc in coproduct(spec, side, u).terms.items():
                     key = (u1, u2, v)
                     val = c * cc
-                    left[key] = left.get(key, f.zero) + val
+                    prev = left.get(key)
+                    left[key] = val if prev is None else prev + val
             right = {}
             for (u, v), c in delta.terms.items():
                 for (v1, v2), cc in coproduct(spec, side, v).terms.items():
                     key = (u, v1, v2)
                     val = c * cc
-                    right[key] = right.get(key, f.zero) + val
+                    prev = right.get(key)
+                    right[key] = val if prev is None else prev + val
             left = {k: v for k, v in left.items() if not v.is_zero()}
             right = {k: v for k, v in right.items() if not v.is_zero()}
             out.record(left == right, f"coassociativity {side}^{exp}")
@@ -465,14 +393,10 @@ def verify_hopf_axioms(spec: AlgebraSpec, degree_bound: int) -> CheckOutcome:
     # q-factorials vanish from exponent l on, so the generic statement is
     # only tested below that threshold there.
     exp_cap = getattr(spec.field, "l", None)
-    for a, b in _monomials_up_to(spec.n, degree_bound):
-        if any(b):
-            continue
+    for a in exps:
         if exp_cap is not None and any(e >= exp_cap for e in a):
             continue
-        for c, dd in _monomials_up_to(spec.n, degree_bound):
-            if any(dd) or sum(c) != sum(a):
-                continue
+        for c in exponent_vectors(n, sum(a), total=sum(a)):
             val = pairing(spec, c, a)
             if c == a:
                 out.record(not val.is_zero(), f"pairing diagonal {a}")
@@ -511,7 +435,7 @@ def verify_double_presentation(spec: AlgebraSpec, degree_bound: int) -> CheckOut
                     f"d{i} d{j} relation",
                 )
     # agreement with the engine on all monomial pairs
-    monos = list(_monomials_up_to(n, degree_bound))
+    monos = graded_monomials(n, degree_bound)
     for a1, b1 in monos:
         for a2, b2 in monos:
             du = DoubleElement.monomial(spec, a1, b1)

@@ -24,10 +24,12 @@ from .qweyl import (
     ExpVec,
     LocalizedElement,
     PBWElement,
+    TermElement,
     _FILL_STEP,
     _bump,
     _integer_rows,
     _zero_vec,
+    graded_monomials,
 )
 from .scalars import Scalar
 
@@ -69,12 +71,10 @@ class TorusData:
 
 @dataclass(frozen=True)
 class ReductionDatum:
-    """Torus embedding, target point eta, and bookkeeping parameters."""
+    """Torus embedding and target point eta."""
 
     torus: TorusData
     eta: tuple[Scalar, ...]
-    l: int | None = None
-    chi: tuple[int, ...] = ()  # carried but driving nothing in scope
 
     def __post_init__(self):
         if len(self.eta) != self.torus.d:
@@ -179,14 +179,16 @@ def _alpha_table(spec: AlgebraSpec, i: int, r: int, s: int):
     for t in range(_FILL_STEP, m - 1, _FILL_STEP):
         _alpha_table(spec, i, r - m + t, s - m + t)
     qii_inv = spec.q_power(-spec.m[i][i] * (s - 1))
-    prev = _alpha_table(spec, i, r - 1, s - 1)
+    below = _alpha_table(spec, i, r - 1, s - 1)
     out: dict[tuple[int, int, int], Scalar] = {}
-    for (rr, ss, k), c in prev:
+    for (rr, ss, k), c in below:
         # x^r d^s = q^-(s-1) x^(r-1) d^(s-1) alpha - x^(r-1) d^(s-1)
-        key_up = (rr, ss, k + 1)
-        out[key_up] = out.get(key_up, f.zero) + c * qii_inv
-        key_dn = (rr, ss, k)
-        out[key_dn] = out.get(key_dn, f.zero) - c
+        key, v = (rr, ss, k + 1), c * qii_inv
+        prev = out.get(key)
+        out[key] = v if prev is None else prev + v
+        key = (rr, ss, k)
+        prev = out.get(key)
+        out[key] = -c if prev is None else prev - c
     return tuple((k, c) for k, c in out.items() if not c.is_zero())
 
 
@@ -206,7 +208,8 @@ def _alpha_form_terms(spec: AlgebraSpec, a: ExpVec, b: ExpVec, coord_order=None)
             m = min(aa[i], bb[i])
             if m == 0:
                 key = (aa, bb, cc)
-                nxt[key] = nxt.get(key, f.zero) + coeff
+                prev = nxt.get(key)
+                nxt[key] = coeff if prev is None else prev + coeff
                 continue
             # twist from commuting the i-block together and back
             e = -sum(spec.m[i][j] * aa[j] * m for j in range(i + 1, n))
@@ -216,43 +219,24 @@ def _alpha_form_terms(spec: AlgebraSpec, a: ExpVec, b: ExpVec, coord_order=None)
             for (rr, ss, k), c in _alpha_table(spec, i, aa[i], bb[i]):
                 key = (_bump(aa, i, rr - aa[i]), _bump(bb, i, ss - bb[i]), _bump(cc, i, k))
                 val = tw * c
-                nxt[key] = nxt.get(key, f.zero) + val
+                prev = nxt.get(key)
+                nxt[key] = val if prev is None else prev + val
         terms = {k: v for k, v in nxt.items() if not v.is_zero()}
     return terms
 
 
-class ReducedElement:
+class ReducedElement(TermElement):
     """Canonical representative in the quotient by the moment left ideal."""
 
-    __slots__ = ("datum", "spec", "terms")
+    __slots__ = ("datum", "spec")
 
     def __init__(self, datum: ReductionDatum, spec: AlgebraSpec, terms):
         self.datum = datum
         self.spec = spec
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        super().__init__(terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReducedElement)
-            and self.datum == other.datum
-            and self.spec == other.spec
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return ReducedElement(self.datum, self.spec, out)
-
-    def scale(self, c: Scalar) -> ReducedElement:
-        return ReducedElement(
-            self.datum, self.spec, {k: v * c for k, v in self.terms.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _meta(self):
+        return (self.datum, self.spec)
 
     def grading_degree(self):
         degs = {
@@ -281,19 +265,12 @@ class ReducedElement:
             return LocalizedElement.from_pbw(self.spec.zero())
         return out
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
     def __str__(self):
         from .expr import _format_terms
 
         return _format_terms(self.sorted_terms())
 
     __repr__ = __str__
-
-
-def _hnf_data(torus: TorusData):
-    return column_hnf([list(r) for r in torus.a])
 
 
 def moment_ideal_reduce(
@@ -308,7 +285,6 @@ def moment_ideal_reduce(
     by the matching eta powers.
     """
     if isinstance(u, ReducedElement):
-        spec = u.spec
         u = u.to_localized()
     if isinstance(u, PBWElement):
         u = LocalizedElement.from_pbw(u)
@@ -319,8 +295,7 @@ def moment_ideal_reduce(
     spec = u.spec
     if spec.n != datum.torus.n:
         raise ParameterError("algebra rank and torus rank differ")
-    h, uu, pivots = _hnf_data(datum.torus)
-    field = spec.field
+    h, uu, pivots = column_hnf([list(r) for r in datum.torus.a])
     out: dict[AlphaKey, Scalar] = {}
     denom = u.denom
     for (a, b), coeff in u.numerator.terms.items():
@@ -341,23 +316,11 @@ def invariant_monomials(torus: TorusData, degree_bound: int):
     """PBW monomials x^a d^b with |a|+|b| <= bound and grading in ker(A^t)."""
     if degree_bound < 0:
         raise ParameterError("degree bound must be nonnegative")
-    n = torus.n
-
-    def vecs(k, budget):
-        if k == 0:
-            yield ()
-            return
-        for h in range(budget + 1):
-            for rest in vecs(k - 1, budget - h):
-                yield (h,) + rest
-
-    out = []
-    for a in vecs(n, degree_bound):
-        for b in vecs(n, degree_bound - sum(a)):
-            if torus.is_invariant_degree(tuple(p - r for p, r in zip(a, b))):
-                out.append((a, b))
-    out.sort()
-    return out
+    return sorted(
+        (a, b)
+        for a, b in graded_monomials(torus.n, degree_bound)
+        if torus.is_invariant_degree(tuple(p - r for p, r in zip(a, b)))
+    )
 
 
 def reduced_product(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
+from itertools import product
 
 from .errors import ParameterError
 from .scalars import Field, Scalar
@@ -44,6 +45,25 @@ def _bump(vec: ExpVec, i: int, k: int) -> ExpVec:
     out = list(vec)
     out[i] += k
     return tuple(out)
+
+
+def exponent_vectors(n: int, top: int, step: int = 1, total: int | None = None):
+    """Length-n exponent vectors with entries in range(0, top + 1, step), in
+    lexicographic order; with ``total``, only those whose entries sum to it."""
+    vecs = product(range(0, top + 1, step), repeat=n)
+    return vecs if total is None else (v for v in vecs if sum(v) == total)
+
+
+def graded_monomials(n: int, bound: int) -> list[Monomial]:
+    """All (a, b) with |a| + |b| <= bound, ordered by |a| + |b|, then |a|,
+    then lexicographically."""
+    return [
+        (a, b)
+        for t in range(bound + 1)
+        for da in range(t + 1)
+        for a in exponent_vectors(n, da, total=da)
+        for b in exponent_vectors(n, t - da, total=t - da)
+    ]
 
 
 def _integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
@@ -199,17 +219,20 @@ def _one_var_table(spec: AlgebraSpec, i: int, s: int, r: int):
     # d * (x^(r-k) d^(s-1-k)) = mu^(r-k) x^(r-k) d^(s-k)
     #                          + gamma [r-k]_mu x^(r-k-1) d^(s-1-k)
     kmax = min(s, r)
-    out = [f.zero] * (kmax + 1)
+    out = [None] * (kmax + 1)
     for k, c in enumerate(prev):
         if c.is_zero():
             continue
-        out[k] = out[k] + c * mu_pow(r - k)
+        v = c * mu_pow(r - k)
+        out[k] = v if out[k] is None else out[k] + v
         if r - k >= 1 and k + 1 <= kmax:
-            qint = f.zero
+            qint = None
             for t in range(r - k):
-                qint = qint + mu_pow(t)
-            out[k + 1] = out[k + 1] + c * gamma * qint
-    return tuple(out)
+                p = mu_pow(t)
+                qint = p if qint is None else qint + p
+            v = c * gamma * qint
+            out[k + 1] = v if out[k + 1] is None else out[k + 1] + v
+    return tuple(f.zero if c is None else c for c in out)
 
 
 @lru_cache(maxsize=None)
@@ -242,8 +265,10 @@ def _reorder(spec: AlgebraSpec, b: ExpVec, a: ExpVec):
     return tuple((key, c) for key, c in out.items() if not c.is_zero())
 
 
-def _merge_exp_x(spec: AlgebraSpec, left: ExpVec, right: ExpVec) -> int:
-    """Twist exponent for x^left * x^right -> x^(left+right)."""
+def _merge_exponent(spec: AlgebraSpec, left: ExpVec, right: ExpVec) -> int:
+    """Unsigned twist exponent sum_{i<j} m_ij left_j right_i of merging
+    x^left x^right into x^(left+right).  The PBW engine scales it by
+    ``spec.sign``; the braided symmetric algebras of :mod:`.hopf` negate it."""
     e = 0
     m = spec.m
     for i in range(spec.n):
@@ -252,69 +277,118 @@ def _merge_exp_x(spec: AlgebraSpec, left: ExpVec, right: ExpVec) -> int:
             for j in range(i + 1, spec.n):
                 if left[j]:
                     e += m[i][j] * left[j] * ri
-    return spec.sign * e
+    return e
 
 
-class PBWElement:
-    """A finite linear combination of ordered monomials x^a d^b."""
+class TermElement:
+    """A finite linear combination of basis keys, kept in the dict ``terms``
+    with the zero coefficients dropped.
 
-    __slots__ = ("spec", "terms")
+    This base holds the linear structure.  A subclass stores the metadata of
+    its algebra, which ``_meta`` returns as the constructor arguments before
+    ``terms`` and which includes a ``spec``; it defines the product.
+    """
 
-    def __init__(self, spec: AlgebraSpec, terms: dict[Monomial, Scalar]):
-        self.spec = spec
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
 
-    def _check(self, other: PBWElement):
-        if self.spec != other.spec:
-            raise ParameterError("elements from different algebras")
+    def _meta(self) -> tuple:
+        raise NotImplementedError
+
+    def _like(self, terms):
+        """An element of the same algebra whose coefficients are known to be nonzero."""
+        out = type(self)(*self._meta(), {})
+        out.terms = terms
+        return out
+
+    def _operand(self, other):
+        """The other operand of +, - and ==, as an element where the subclass
+        can convert it (PBWElement takes scalars)."""
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = self.spec.scalar_element(other)
-        if not isinstance(other, PBWElement):
+        other = self._operand(other)
+        if type(other) is not type(self):
             return NotImplemented
-        self._check(other)
+        meta = self._meta()
+        if other._meta() != meta:
+            raise ParameterError("elements from different algebras")
         out = dict(self.terms)
         for k, c in other.terms.items():
             prev = out.get(k)
             out[k] = c if prev is None else prev + c
-        return PBWElement(self.spec, out)
+        return type(self)(*meta, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PBWElement(self.spec, {k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
+        other = self._operand(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c: Scalar | int):
+        """c times this element, for a scalar or an int c."""
+        if isinstance(c, int):
+            c = self.spec.field.from_int(c)
+        if not self.terms or c.is_zero():
+            return self._like({})
+        # the coefficient fields have no zero divisors
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._meta() == other._meta() and self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+
+
+class PBWElement(TermElement):
+    """A finite linear combination of ordered monomials x^a d^b."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: AlgebraSpec, terms: dict[Monomial, Scalar]):
+        self.spec = spec
+        super().__init__(terms)
+
+    def _meta(self):
+        return (self.spec,)
+
+    def _operand(self, other):
         if isinstance(other, (int, Scalar)):
-            other = self.spec.scalar_element(other)
-        if isinstance(other, PBWElement):
-            return self + (-other)
-        return NotImplemented
+            return self.spec.scalar_element(other)
+        return other
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def scale(self, c: Scalar | int) -> PBWElement:
-        if isinstance(c, int):
-            c = self.spec.field.from_int(c)
-        if c.is_zero():
-            return self.spec.zero()
-        return PBWElement(self.spec, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
         if not isinstance(other, PBWElement):
             return NotImplemented
-        self._check(other)
+        if self.spec != other.spec:
+            raise ParameterError("elements from different algebras")
         spec = self.spec
+        s = spec.sign
         out: dict[Monomial, Scalar] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 c12 = c1 * c2
                 for (am, bm), ck in _reorder(spec, b1, a2):
-                    e = _merge_exp_x(spec, a1, am) + _merge_exp_x(spec, bm, b2)
+                    e = s * (_merge_exponent(spec, a1, am) + _merge_exponent(spec, bm, b2))
                     key = (
                         tuple(p + r for p, r in zip(a1, am)),
                         tuple(p + r for p, r in zip(bm, b2)),
@@ -342,18 +416,8 @@ class PBWElement:
                 base = base * base
         return out
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = self.spec.scalar_element(other)
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.spec, tuple(sorted(self.terms))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def grading_degree(self) -> ExpVec | None:
         """Common value of a - b over all terms, or None if inhomogeneous."""
@@ -363,12 +427,6 @@ class PBWElement:
         if len(degs) == 1:
             return next(iter(degs))
         return None
-
-    def total_degree(self) -> int:
-        return max((sum(a) + sum(b) for (a, b) in self.terms), default=0)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def __str__(self):
         from .expr import format_pbw
@@ -423,9 +481,15 @@ class LocalizedElement:
     def spec(self) -> AlgebraSpec:
         return self.numerator.spec
 
-    def _check(self, other: LocalizedElement):
+    def _operand(self, other) -> LocalizedElement:
+        """A scalar, PBW or localized operand as a fraction of this algebra."""
+        if isinstance(other, (int, Scalar)):
+            other = self.spec.scalar_element(other)
+        if isinstance(other, PBWElement):
+            other = LocalizedElement.from_pbw(other)
         if self.spec != other.spec:
             raise ParameterError("elements from different algebras")
+        return other
 
     @staticmethod
     def from_pbw(u: PBWElement) -> LocalizedElement:
@@ -434,9 +498,7 @@ class LocalizedElement:
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             return LocalizedElement(self.numerator.scale(other), self.denom)
-        if isinstance(other, PBWElement):
-            other = LocalizedElement.from_pbw(other)
-        self._check(other)
+        other = self._operand(other)
         neg_k = tuple(-k for k in self.denom)
         twisted = _sigma_scale(self.spec, other.numerator, neg_k)
         num = self.numerator * twisted
@@ -455,11 +517,7 @@ class LocalizedElement:
         return self.numerator * self.spec.alpha_power(lift)
 
     def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = LocalizedElement.from_pbw(self.spec.scalar_element(other))
-        if isinstance(other, PBWElement):
-            other = LocalizedElement.from_pbw(other)
-        self._check(other)
+        other = self._operand(other)
         target = tuple(max(p, r) for p, r in zip(self.denom, other.denom))
         num = self._with_denominator(target) + other._with_denominator(target)
         return LocalizedElement(num, target)
@@ -470,11 +528,7 @@ class LocalizedElement:
         return LocalizedElement(-self.numerator, self.denom)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = LocalizedElement.from_pbw(self.spec.scalar_element(other))
-        elif isinstance(other, PBWElement):
-            other = LocalizedElement.from_pbw(other)
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -489,11 +543,7 @@ class LocalizedElement:
 
     def equals(self, other) -> bool:
         """Ore-fraction equality by comparison over a common denominator."""
-        if isinstance(other, (int, Scalar)):
-            other = LocalizedElement.from_pbw(self.spec.scalar_element(other))
-        if isinstance(other, PBWElement):
-            other = LocalizedElement.from_pbw(other)
-        self._check(other)
+        other = self._operand(other)
         target = tuple(max(p, r) for p, r in zip(self.denom, other.denom))
         return self._with_denominator(target) == other._with_denominator(target)
 
@@ -514,14 +564,6 @@ class LocalizedElement:
         return format_localized(self)
 
     __repr__ = __str__
-
-
-def localized_multiply(s: LocalizedElement, t: LocalizedElement) -> LocalizedElement:
-    return s * t
-
-
-def localized_equal(s: LocalizedElement, t: LocalizedElement) -> bool:
-    return s.equals(t)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .exactla import (
     scalar_of_identity,
     sparse_kernel,
 )
-from .qweyl import AlgebraSpec, CheckOutcome, PBWElement
+from .qweyl import AlgebraSpec, CheckOutcome, PBWElement, exponent_vectors
 from .scalars import CyclotomicField, Scalar, make_field
 
 
@@ -53,17 +53,8 @@ def is_central(u: PBWElement, spec: AlgebraSpec) -> bool:
 
 def lcenter_monomials(n: int, l: int, bound: int):
     """Monomials x^a d^b with every exponent in {0, l, 2l, ...} and <= bound."""
-    steps = list(range(0, bound + 1, l))
-
-    def vecs(k):
-        if k == 0:
-            yield ()
-            return
-        for h in steps:
-            for rest in vecs(k - 1):
-                yield (h,) + rest
-
-    return sorted((a, b) for a in vecs(n) for b in vecs(n))
+    vecs = list(exponent_vectors(n, bound, step=l))
+    return [(a, b) for a in vecs for b in vecs]
 
 
 def centralizer_basis(spec: AlgebraSpec, exponent_bound: int) -> list[PBWElement]:
@@ -73,16 +64,8 @@ def centralizer_basis(spec: AlgebraSpec, exponent_bound: int) -> list[PBWElement
     if exponent_bound < 0:
         raise ParameterError("exponent bound must be nonnegative")
     n, f = spec.n, spec.field
-
-    def vecs(k):
-        if k == 0:
-            yield ()
-            return
-        for h in range(exponent_bound + 1):
-            for rest in vecs(k - 1):
-                yield (h,) + rest
-
-    monos = sorted((a, b) for a in vecs(n) for b in vecs(n))
+    vecs = list(exponent_vectors(n, exponent_bound))
+    monos = [(a, b) for a in vecs for b in vecs]
     index = {m: k for k, m in enumerate(monos)}
     gens = [spec.x(i) for i in range(1, n + 1)] + [spec.d(i) for i in range(1, n + 1)]
     # rows of the constraint system live in (generator, target monomial) space
@@ -168,16 +151,8 @@ def verify_lcenter_freeness(spec: AlgebraSpec, blocks=None) -> CheckOutcome:
             blocks.append((tuple(t), (0,) * n))
             blocks.append(((0,) * n, tuple(t)))
     out = CheckOutcome()
-
-    def residues(k):
-        if k == 0:
-            yield ()
-            return
-        for h in range(l):
-            for rest in residues(k - 1):
-                yield (h,) + rest
-
-    res = sorted((a, b) for a in residues(n) for b in residues(n))
+    residues = list(exponent_vectors(n, l - 1))
+    res = [(a, b) for a in residues for b in residues]
     index: dict = {}
     union = SparseEliminator(field)
     union_count = 0
@@ -394,10 +369,14 @@ def commutant_basis(rep: MatrixRep) -> list[dict[int, Scalar]]:
             for c in range(dim):
                 row: dict[int, Scalar] = {}
                 for k in range(dim):
-                    if not g[k][c].is_zero():
-                        row[r * dim + k] = row.get(r * dim + k, f.zero) + g[k][c]
-                    if not g[r][k].is_zero():
-                        row[k * dim + c] = row.get(k * dim + c, f.zero) - g[r][k]
+                    v = g[k][c]
+                    if not v.is_zero():
+                        prev = row.get(r * dim + k)
+                        row[r * dim + k] = v if prev is None else prev + v
+                    v = g[r][k]
+                    if not v.is_zero():
+                        prev = row.get(k * dim + c)
+                        row[k * dim + c] = -v if prev is None else prev - v
                 row = {kk: v for kk, v in row.items() if not v.is_zero()}
                 if row:
                     rows.append(row)

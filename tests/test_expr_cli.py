@@ -132,6 +132,30 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
     assert info.value.problems == [problem]
 
 
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (["l"], "3", "l: expected an integer"),
+        (["reps", 0, 0, "b"], 5, "reps[0][0]: b must be a list"),
+        (["bounds", "degree_bound"], True, "bounds.degree_bound: expected a nonnegative integer"),
+    ],
+    ids=["l-string", "b-int", "bound-bool"],
+)
+def test_config_type_errors_name_their_field(tmp_path, capsys, path, value, problem):
+    raw = json.loads((CONFIGS / "n1_l3.json").read_text())
+    owner = raw
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw)
+    assert info.value.problems == [problem]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert problem in capsys.readouterr().err
+
+
 def test_cli_eval_and_exit_codes(tmp_path, capsys):
     cfg = str(CONFIGS / "n1_l3.json")
     assert main(["eval", "d1*x1", "--config", cfg]) == 0

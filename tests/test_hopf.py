@@ -4,6 +4,7 @@ from conftest import random_spec
 from qweylab.hopf import (
     DoubleElement,
     antipode,
+    antipode_coeff,
     coproduct,
     left_regular_action,
     pairing,
@@ -12,7 +13,7 @@ from qweylab.hopf import (
     verify_double_presentation,
     verify_hopf_axioms,
 )
-from qweylab.qweyl import AlgebraSpec
+from qweylab.qweyl import AlgebraSpec, exponent_vectors
 from qweylab.scalars import make_field
 
 QQ_Q = make_field("rational_function_q")
@@ -134,3 +135,26 @@ def test_classical_degeneration():
     assert DoubleElement.d(spec, 1) * DoubleElement.x(spec, 2) == DoubleElement.x(
         spec, 2
     ) * DoubleElement.d(spec, 1)
+
+
+def _antipode_closed_form(spec, exp):
+    """S(x^a) = (-1)^|a| q^(sum_i m_ii a_i (a_i - 1) / 2), on either side."""
+    e = sum(spec.m[i][i] * a * (a - 1) // 2 for i, a in enumerate(exp))
+    c = spec.q_power(e)
+    return -c if sum(exp) % 2 else c
+
+
+def test_antipode_matches_its_closed_form():
+    m = ((1, 2, -1), (-2, 2, 3), (1, -3, -1))
+    spec = AlgebraSpec(3, m, False, QQ_Q)
+    for side in ("x", "d"):
+        for exp in exponent_vectors(3, 4):
+            assert antipode_coeff(spec, side, exp) == _antipode_closed_form(spec, exp)
+
+
+def test_antipode_of_a_high_power_needs_no_deep_recursion():
+    # a recursion of one frame per unit of exponent exceeds Python's limit here
+    spec = AlgebraSpec(2, ((2, 1), (-1, -1)), False, QQ_Q)
+    for exp in ((1500, 0), (0, 1500), (700, 800)):
+        for side in ("x", "d"):
+            assert antipode_coeff(spec, side, exp) == _antipode_closed_form(spec, exp)

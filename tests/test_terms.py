@@ -1,0 +1,126 @@
+"""The shared term-dict base of the five element classes and the one
+exponent-vector enumerator behind every monomial listing."""
+
+import pytest
+
+from qweylab.errors import ParameterError
+from qweylab.hopf import BraidedTensorElement, DoubleElement, SideElement
+from qweylab.moment import ReducedElement, ReductionDatum, TorusData, invariant_monomials
+from qweylab.qweyl import AlgebraSpec, PBWElement, exponent_vectors, graded_monomials
+from qweylab.rootofunity import lcenter_monomials
+from qweylab.scalars import make_field
+
+QQ_Q = make_field("rational_function_q")
+q = QQ_Q.q
+S1 = AlgebraSpec.single_parameter(1, QQ_Q)
+T11 = TorusData.from_rows([[1]])
+ETA2 = ReductionDatum(T11, (QQ_Q.from_int(2),))
+ETA3 = ReductionDatum(T11, (QQ_Q.from_int(3),))
+TERMS = {((0,), (1,)): q, ((1,), (0,)): QQ_Q.from_int(-2)}
+PAIR_TERMS = {((0,), (1,)): q, ((1,), (1,)): QQ_Q.from_int(3)}
+
+# (make(terms) -> element, make_other(terms) -> element of another algebra)
+CLASSES = {
+    "pbw": (lambda t: PBWElement(S1, t), lambda t: PBWElement(S1.unscaled_twin(), t)),
+    "side": (
+        lambda t: SideElement(S1, "x", {k[0]: c for k, c in t.items()}),
+        lambda t: SideElement(S1, "d", {k[0]: c for k, c in t.items()}),
+    ),
+    "tensor": (
+        lambda t: BraidedTensorElement(S1, "x", t),
+        lambda t: BraidedTensorElement(S1, "d", t),
+    ),
+    "double": (lambda t: DoubleElement(S1, t), lambda t: DoubleElement(S1.unscaled_twin(), t)),
+    "reduced": (
+        lambda t: ReducedElement(ETA2, S1, {k + ((0,),): c for k, c in t.items()}),
+        lambda t: ReducedElement(ETA3, S1, {k + ((0,),): c for k, c in t.items()}),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+def test_linear_structure_is_shared(kind):
+    make, _ = CLASSES[kind]
+    u = make(TERMS)
+    v = make(PAIR_TERMS)
+    assert make({((0,), (1,)): QQ_Q.zero}).is_zero()
+    assert (u - u).is_zero() and (u - u).terms == {}
+    assert -(-u) == u and u + v == v + u
+    assert (u + v) - v == u
+    assert u.scale(0).is_zero() and make({}).scale(q).is_zero()
+    assert u.scale(2) == u + u == u.scale(QQ_Q.from_int(2))
+    assert u.scale(q).terms == {k: c * q for k, c in u.terms.items()}
+    assert u.sorted_terms() == sorted(u.terms.items(), reverse=True)
+    assert u != v and not u.is_zero()
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSES))
+def test_adding_elements_of_two_algebras_is_an_error(kind):
+    make, make_other = CLASSES[kind]
+    u, w = make(TERMS), make_other(TERMS)
+    assert u != w
+    with pytest.raises(ParameterError):
+        u + w
+    with pytest.raises(ParameterError):
+        u - w
+
+
+def test_pbw_takes_scalar_operands():
+    u = PBWElement(S1, TERMS)
+    one = S1.one()
+    assert u + 1 == 1 + u == u + one
+    assert 1 - u == one - u and u - q == u - S1.scalar_element(q)
+    assert (u - u) == 0 and S1.scalar_element(q) == q
+
+
+def _recursive_vecs(k, budget):
+    """Reference enumerator: every length-k vector with entry sum <= budget,
+    lexicographically, by plain recursion."""
+    if k == 0:
+        yield ()
+        return
+    for h in range(budget + 1):
+        for rest in _recursive_vecs(k - 1, budget - h):
+            yield (h,) + rest
+
+
+def _recursive_monomials_up_to(n, bound):
+    for total in range(bound + 1):
+        for da in range(total + 1):
+            for a in _recursive_vecs(n, da):
+                if sum(a) != da:
+                    continue
+                for b in _recursive_vecs(n, total - da):
+                    if sum(b) == total - da:
+                        yield a, b
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_graded_monomials_keep_the_recursive_order(n):
+    for bound in range(5):
+        assert graded_monomials(n, bound) == list(_recursive_monomials_up_to(n, bound))
+
+
+def test_exponent_vectors_are_lexicographic():
+    assert list(exponent_vectors(2, 4, step=3)) == [(0, 0), (0, 3), (3, 0), (3, 3)]
+    assert list(exponent_vectors(3, 2, total=2)) == [
+        v for v in _recursive_vecs(3, 2) if sum(v) == 2
+    ]
+    for n in (1, 2, 3):
+        vecs = list(exponent_vectors(n, 3))
+        assert vecs == sorted(vecs) and len(vecs) == 4**n
+
+
+def test_monomial_listings_stay_sorted():
+    assert lcenter_monomials(2, 3, 4) == sorted(
+        (a, b)
+        for a in exponent_vectors(2, 4, step=3)
+        for b in exponent_vectors(2, 4, step=3)
+    )
+    torus = TorusData.from_rows([[1], [-1]])
+    want = sorted(
+        (a, b)
+        for a, b in _recursive_monomials_up_to(2, 3)
+        if torus.is_invariant_degree(tuple(p - r for p, r in zip(a, b)))
+    )
+    assert invariant_monomials(torus, 3) == want
