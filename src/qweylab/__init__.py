@@ -37,7 +37,6 @@ from .hopf import (
     DoubleElement,
     antipode,
     coproduct,
-    hopf_pairing,
     left_regular_action,
     verify_double_presentation,
     verify_hopf_axioms,

@@ -94,7 +94,7 @@ def _need_reps(config):
     _need_cyclotomic(config)
     _need_rescaled(config)
     _need_preset(config)
-    if not config.reps_raw:
+    if not config.rep_slots:
         raise Skip("no representations configured")
 
 
@@ -220,7 +220,7 @@ def check_moment_reduction(config: WorkbenchConfig) -> str:
         if fwd != bwd:
             raise AssertionError(f"elimination-order confluence failed on {k}")
     # associativity of the reduced product on invariant combinations
-    monos = invariant_monomials(config.torus, 3)
+    monos = invariant_monomials(config.torus, spec, 3)
     if monos:
         for k in range(cases):
             def rand_inv():
@@ -391,12 +391,7 @@ def check_cover_degree(config: WorkbenchConfig) -> str:
         base = [f.from_int(rng.randint(1, 9)) for _ in range(torus.n)]
         values = [r**l for r in base]
         twisted = [r * f.zeta_power(rng.randrange(l)) for r in base]
-        eta = []
-        for j in range(torus.d):
-            acc = f.one
-            for i in range(torus.n):
-                acc = acc * twisted[i] ** torus.a[i][j]
-            eta.append(acc)
+        eta = list(torus.character(twisted))
         sols = cover_fiber_points(
             values, torus, eta, l, enumeration_cap=config.bounds["enumeration_cap"]
         )

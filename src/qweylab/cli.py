@@ -11,9 +11,8 @@ from . import __version__
 from .checks import CHECKS, run_verification_suite
 from .config import ConfigError, load_config
 from .errors import QWeylError
-from .expr import format_localized, format_pbw, parse_expression
+from .expr import parse_expression
 from .moment import moment_ideal_reduce
-from .qweyl import LocalizedElement, PBWElement
 from .rootofunity import export_rep
 from .scalars import Scalar
 
@@ -53,16 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_value(value) -> str:
-    if isinstance(value, Scalar):
-        return str(value)
-    if isinstance(value, PBWElement):
-        return format_pbw(value)
-    if isinstance(value, LocalizedElement):
-        return format_localized(value)
-    return str(value)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -76,7 +65,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "eval":
             value = parse_expression(args.expression, config.spec)
-            print(_print_value(value))
+            print(value)
             return 0
         if args.command == "reduce":
             value = parse_expression(args.expression, config.spec)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import ExprError, ParameterError
+from .errors import ExprError, ParameterError, ZeroDivisorError
 from .expr import parse_scalar
 from .moment import ReductionDatum, TorusData
 from .qweyl import AlgebraSpec
 from .rootofunity import MatrixRep, build_irrep, build_irrep_nilpotent, build_irrep_rank1
-from .scalars import CyclotomicField, Field, make_field
+from .scalars import CyclotomicField, Field, Scalar, make_field
 
 DEFAULT_BOUNDS = {
     "degree_bound": 3,
@@ -31,8 +31,10 @@ class WorkbenchConfig:
     field: Field
     spec: AlgebraSpec
     torus: TorusData
-    eta_literals: list[str]
-    reps_raw: list
+    eta: tuple[Scalar, ...]
+    # per configured rep, its slots: None for a nilpotent slot, (lambda, b)
+    # for a diag slot
+    rep_slots: list
     bounds: dict
     seed: int
     raw: dict
@@ -41,8 +43,7 @@ class WorkbenchConfig:
     )
 
     def datum(self) -> ReductionDatum:
-        eta = tuple(parse_scalar(lit, self.field) for lit in self.eta_literals)
-        return ReductionDatum(self.torus, eta)
+        return ReductionDatum(self.torus, self.eta)
 
     def build_reps(self) -> list[MatrixRep]:
         """Build (and thereby fully verify) every configured representation.
@@ -51,30 +52,16 @@ class WorkbenchConfig:
         that raises keeps nothing, so every later call raises the same error.
         """
         if self._reps is None:
-            self._reps = [self._build_rep(slots_raw) for slots_raw in self.reps_raw]
+            self._reps = [self._build_rep(slots) for slots in self.rep_slots]
         return list(self._reps)
 
-    def _build_rep(self, slots_raw) -> MatrixRep:
-        f = self.field
-        if not isinstance(f, CyclotomicField):
-            raise ParameterError("representations need a cyclotomic field")
-        l = f.l
-        slots = []
-        for slot in slots_raw:
-            kind = slot.get("kind")
-            if kind == "nilpotent":
-                slots.append(build_irrep_nilpotent(l, f))
-                continue
-            lam = parse_scalar(str(slot["lambda"]), f)
-            if "b" in slot and slot["b"] is not None:
-                b = [parse_scalar(str(v), f) for v in slot["b"]]
-            else:
-                mu = parse_scalar(str(slot["mu"]), f)
-                b = [mu / (lam * f.zeta_power(m)) for m in range(l)]
-            slots.append(build_irrep_rank1(lam, b, l))
-        if len(slots) == 1:
-            return slots[0]
-        return build_irrep(slots, l)
+    def _build_rep(self, slots) -> MatrixRep:
+        l = self.field.l
+        built = [
+            build_irrep_nilpotent(l, self.field) if slot is None else build_irrep_rank1(*slot, l)
+            for slot in slots
+        ]
+        return built[0] if len(built) == 1 else build_irrep(built, l)
 
 
 class ConfigError(ParameterError):
@@ -85,6 +72,11 @@ class ConfigError(ParameterError):
         super().__init__("invalid config:\n  " + "\n  ".join(problems))
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; JSON true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer_rows_problems(key: str, rows) -> list[str]:
     """Problems of a value that must be a list of rows of JSON integers."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -93,8 +85,52 @@ def _integer_rows_problems(key: str, rows) -> list[str]:
         f"{key}[{i}][{j}]: expected an integer"
         for i, row in enumerate(rows)
         for j, c in enumerate(row)
-        if not isinstance(c, int) or isinstance(c, bool)
+        if not _is_int(c)
     ]
+
+
+def _parse_literal(value, field: Field, path: str, problems: list[str]) -> Scalar | None:
+    """The scalar a config literal denotes, or None with its problem recorded."""
+    try:
+        return parse_scalar(str(value), field)
+    except (ExprError, ZeroDivisorError) as exc:
+        problems.append(f"{path}: {exc}")
+        return None
+
+
+def _parse_slot(slot, field: CyclotomicField | None, path: str, problems: list[str]):
+    """A rep slot descriptor as None (nilpotent) or (lambda, b) (diag), with
+    its problems recorded.  Without a cyclotomic field only its keys are
+    checked.  The value returned after a problem is meaningless."""
+    if not isinstance(slot, dict) or slot.get("kind") not in ("diag", "nilpotent"):
+        problems.append(f"{path}: kind must be 'diag' or 'nilpotent'")
+        return None
+    if slot["kind"] == "nilpotent":
+        return None
+    blist = slot.get("b")
+    if "lambda" not in slot:
+        problems.append(f"{path}: missing lambda")
+    if blist is None and "mu" not in slot:
+        problems.append(f"{path}: need b or mu")
+    if field is None:
+        return None
+    lam = None
+    if "lambda" in slot:
+        lam = _parse_literal(slot["lambda"], field, f"{path}.lambda", problems)
+        if lam is not None and lam.is_zero():
+            problems.append(f"{path}.lambda: must be nonzero")
+            lam = None
+    if blist is None:
+        mu = _parse_literal(slot["mu"], field, f"{path}.mu", problems) if "mu" in slot else None
+        if lam is None or mu is None:
+            return None
+        return lam, [mu / (lam * field.zeta_power(m)) for m in range(field.l)]
+    if not isinstance(blist, list):
+        problems.append(f"{path}: b must be a list")
+        return None
+    if len(blist) != field.l:
+        problems.append(f"{path}: b must have length l")
+    return lam, [_parse_literal(v, field, f"{path}.b[{k}]", problems) for k, v in enumerate(blist)]
 
 
 def load_config(path: str) -> WorkbenchConfig:
@@ -124,7 +160,7 @@ def parse_config(raw: dict) -> WorkbenchConfig:
     kind = need("field", str)
     l = raw.get("l")
     field_obj = None
-    if l is not None and (not isinstance(l, int) or isinstance(l, bool)):
+    if l is not None and not _is_int(l):
         problems.append("l: expected an integer")
     elif kind is not None:
         try:
@@ -183,43 +219,31 @@ def parse_config(raw: dict) -> WorkbenchConfig:
     if not isinstance(eta_literals, list) or (d is not None and len(eta_literals) != d):
         problems.append("eta: expected a list of d scalar literals")
         eta_literals = [str(j + 2) for j in range(d or 0)]
+    eta = []
     if field_obj is not None:
         for idx, lit in enumerate(eta_literals):
-            try:
-                val = parse_scalar(str(lit), field_obj)
-                if val.is_zero():
-                    problems.append(f"eta[{idx}]: must be nonzero")
-            except ExprError as exc:
-                problems.append(f"eta[{idx}]: {exc}")
+            val = _parse_literal(lit, field_obj, f"eta[{idx}]", problems)
+            if val is not None and val.is_zero():
+                problems.append(f"eta[{idx}]: must be nonzero")
+            eta.append(val)
 
+    rep_slots = []
     reps_raw = raw.get("reps", [])
     if not isinstance(reps_raw, list):
         problems.append("reps: expected a list")
-        reps_raw = []
     else:
+        cyclotomic = field_obj if isinstance(field_obj, CyclotomicField) else None
         for ridx, slots in enumerate(reps_raw):
             if not isinstance(slots, list) or (n is not None and len(slots) != n):
                 problems.append(f"reps[{ridx}]: expected a list of n slot descriptors")
                 continue
-            for sidx, slot in enumerate(slots):
-                if not isinstance(slot, dict) or slot.get("kind") not in ("diag", "nilpotent"):
-                    problems.append(
-                        f"reps[{ridx}][{sidx}]: kind must be 'diag' or 'nilpotent'"
-                    )
-                elif slot["kind"] == "diag":
-                    if "lambda" not in slot:
-                        problems.append(f"reps[{ridx}][{sidx}]: missing lambda")
-                    if "b" not in slot and "mu" not in slot:
-                        problems.append(f"reps[{ridx}][{sidx}]: need b or mu")
-                    if field_obj is not None and isinstance(field_obj, CyclotomicField):
-                        blist = slot.get("b")
-                        if blist is not None and not isinstance(blist, list):
-                            problems.append(f"reps[{ridx}][{sidx}]: b must be a list")
-                        elif blist is not None and len(blist) != field_obj.l:
-                            problems.append(
-                                f"reps[{ridx}][{sidx}]: b must have length l"
-                            )
-        if reps_raw and field_obj is not None and not isinstance(field_obj, CyclotomicField):
+            rep_slots.append(
+                [
+                    _parse_slot(slot, cyclotomic, f"reps[{ridx}][{sidx}]", problems)
+                    for sidx, slot in enumerate(slots)
+                ]
+            )
+        if reps_raw and field_obj is not None and cyclotomic is None:
             problems.append("reps: need a cyclotomic field")
 
     bounds = dict(DEFAULT_BOUNDS)
@@ -230,19 +254,18 @@ def parse_config(raw: dict) -> WorkbenchConfig:
         for key, val in braw.items():
             if key not in DEFAULT_BOUNDS:
                 problems.append(f"bounds.{key}: unknown bound")
-            elif not isinstance(val, int) or isinstance(val, bool) or val < 0:
+            elif not _is_int(val) or val < 0:
                 problems.append(f"bounds.{key}: expected a nonnegative integer")
             else:
                 bounds[key] = val
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         problems.append("seed: expected an integer")
-        seed = 0
 
     # character data: validated and echoed in the report, used by no check
     chi = raw.get("chi", [])
-    if not isinstance(chi, list) or not all(isinstance(c, int) for c in chi):
+    if not isinstance(chi, list) or not all(_is_int(c) for c in chi):
         problems.append("chi: expected a list of integers")
 
     if problems:
@@ -251,8 +274,8 @@ def parse_config(raw: dict) -> WorkbenchConfig:
         field=field_obj,
         spec=spec,
         torus=torus,
-        eta_literals=[str(x) for x in eta_literals],
-        reps_raw=reps_raw,
+        eta=tuple(eta),
+        rep_slots=rep_slots,
         bounds=bounds,
         seed=seed,
         raw=raw,

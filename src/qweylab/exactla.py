@@ -8,7 +8,7 @@ index) since most systems here are shift-structured and very sparse.
 from __future__ import annotations
 
 from .errors import DomainError, ParameterError
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, binary_power
 
 Vec = list[Scalar]
 Mat = list[list[Scalar]]
@@ -54,15 +54,7 @@ def mat_eq(a: Mat, b: Mat) -> bool:
 
 
 def mat_pow(a: Mat, e: int, field: Field) -> Mat:
-    out = identity(len(a), field)
-    base = a
-    while e:
-        if e & 1:
-            out = mat_mul(out, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return out
+    return binary_power(a, e, identity(len(a), field), mat_mul)
 
 
 def mat_inv(a: Mat, field: Field) -> Mat:

@@ -34,6 +34,7 @@ from .qweyl import (
     TermElement,
     _bump,
     _merge_exponent,
+    _ordered_product,
     _zero_vec,
     exponent_vectors,
     graded_monomials,
@@ -217,22 +218,6 @@ def pairing(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec) -> Scalar:
     return f.zero if acc is None else acc
 
 
-def hopf_pairing(spec: AlgebraSpec, f, h) -> Scalar:
-    """Bilinear extension of the duality pairing to side elements."""
-    if isinstance(f, tuple):
-        f = side_monomial(spec, "d", f)
-    if isinstance(h, tuple):
-        h = side_monomial(spec, "x", h)
-    acc = None
-    for dexp, cf in f.terms.items():
-        for xexp, ch in h.terms.items():
-            p = pairing(spec, dexp, xexp)
-            if not p.is_zero():
-                v = cf * ch * p
-                acc = v if acc is None else acc + v
-    return spec.field.zero if acc is None else acc
-
-
 def left_regular_action(spec: AlgebraSpec, dexp: ExpVec, h: SideElement) -> SideElement:
     """act(f, h) = sum braid^(-1)(h_(1), h_(2)) <f, h_(2)> h_(1).
 
@@ -313,21 +298,8 @@ class DoubleElement(TermElement):
             return self.scale(other)
         if self.spec != other.spec:
             raise ParameterError("elements from different algebras")
-        spec = self.spec
-        out: dict[tuple[ExpVec, ExpVec], Scalar] = {}
-        for (a, b), c1 in self.terms.items():
-            for (c, d), c2 in other.terms.items():
-                c12 = c1 * c2
-                for (am, bm), ck in _smash_core(spec, b, c):
-                    e = -_merge_exponent(spec, a, am) - _merge_exponent(spec, bm, d)
-                    key = (
-                        tuple(p + r for p, r in zip(a, am)),
-                        tuple(p + r for p, r in zip(bm, d)),
-                    )
-                    v = c12 * ck * spec.q_power(e)
-                    prev = out.get(key)
-                    out[key] = v if prev is None else prev + v
-        return DoubleElement(spec, out)
+        terms = _ordered_product(self.spec, self.terms, other.terms, _smash_core, -1)
+        return DoubleElement(self.spec, terms)
 
     __rmul__ = TermElement.scale
 

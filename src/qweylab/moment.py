@@ -13,8 +13,9 @@ contributes the multiplier prod eta_j^(t_j)).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import DomainError, ParameterError
 from .exactla import column_hnf, hnf_reduce, require_full_column_rank
@@ -56,17 +57,26 @@ class TorusData:
         d = len(rows[0]) if rows else 0
         return TorusData(len(rows), d, rows)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.a[i][j] for i in range(self.n))
-
-    def weights_of(self, degree: ExpVec) -> tuple[int, ...]:
-        """A^t applied to a lattice degree."""
+    def comoment_weights(self, spec: AlgebraSpec, degree: ExpVec) -> tuple[int, ...]:
+        """A^t diag(M) applied to a lattice degree: conjugation by the j-th
+        comoment value scales an element of that degree by q^(entry j)."""
+        w = spec.weight(degree)
         return tuple(
-            sum(self.a[i][j] * degree[i] for i in range(self.n)) for j in range(self.d)
+            sum(self.a[i][j] * w[i] for i in range(self.n)) for j in range(self.d)
         )
 
-    def is_invariant_degree(self, degree: ExpVec) -> bool:
-        return all(w == 0 for w in self.weights_of(degree))
+    def is_invariant(self, spec: AlgebraSpec, degree: ExpVec) -> bool:
+        """True when elements of this degree commute with every comoment value."""
+        return not any(self.comoment_weights(spec, degree))
+
+    def character(self, t, mul=operator.mul, power=operator.pow) -> tuple:
+        """The subtorus point (prod_i t_i^(a_ij))_j of a torus point t, under
+        the given product and power; a factor with a_ij = 0 is left out.  No
+        column of A is zero (A has full column rank), so no product is empty."""
+        return tuple(
+            reduce(mul, (power(t[i], self.a[i][j]) for i in range(self.n) if self.a[i][j]))
+            for j in range(self.d)
+        )
 
 
 @dataclass(frozen=True)
@@ -115,13 +125,7 @@ def classical_moment_eval(p, w, torus: TorusData):
         if v.is_zero():
             raise DomainError(f"1 + p_{i+1} w_{i+1} vanishes: outside the open locus")
         t_point.append(v)
-    k_point = []
-    for j in range(torus.d):
-        acc = t_point[0].field.one
-        for i in range(torus.n):
-            acc = acc * t_point[i] ** torus.a[i][j]
-        k_point.append(acc)
-    return tuple(t_point), tuple(k_point)
+    return tuple(t_point), torus.character(t_point)
 
 
 def verify_moment_identity(torus: TorusData, spec: AlgebraSpec) -> CheckOutcome:
@@ -129,15 +133,14 @@ def verify_moment_identity(torus: TorusData, spec: AlgebraSpec) -> CheckOutcome:
     character: alpha_i g alpha_i^-1 = q_ii^(lambda_i) g, and the analogue for
     every subtorus coordinate through A."""
     out = CheckOutcome()
-    gens = [("x", i, spec.x(i)) for i in range(1, spec.n + 1)]
-    gens += [("d", i, spec.d(i)) for i in range(1, spec.n + 1)]
+    zero = _zero_vec(spec.n)
+    gens = [(f"x{i}", _bump(zero, i - 1, 1), spec.x(i)) for i in range(1, spec.n + 1)]
+    gens += [(f"d{i}", _bump(zero, i - 1, -1), spec.d(i)) for i in range(1, spec.n + 1)]
     for i in range(1, spec.n + 1):
         al = spec.alpha(i)
-        mii = spec.m[i - 1][i - 1]
-        for kind, j, g in gens:
-            lam = (1 if kind == "x" else -1) if i == j else 0
-            ok = al * g == g * al * spec.q_power(mii * lam)
-            out.record(ok, f"alpha{i} conjugates {kind}{j}")
+        for name, deg, g in gens:
+            ok = al * g == g * al * spec.q_power(spec.weight(deg)[i - 1])
+            out.record(ok, f"alpha{i} conjugates {name}")
         # degree-zero elements commute with alpha_i
         for j in range(1, spec.n + 1):
             out.record(
@@ -149,15 +152,11 @@ def verify_moment_identity(torus: TorusData, spec: AlgebraSpec) -> CheckOutcome:
         phi_inv = quantum_comoment(
             [-1 if k == j else 0 for k in range(torus.d)], torus, spec, "u"
         )
-        for kind, i, g in gens:
-            deg = [0] * spec.n
-            deg[i - 1] = 1 if kind == "x" else -1
-            e = sum(
-                torus.a[k][j] * spec.m[k][k] * deg[k] for k in range(spec.n)
-            )
+        for name, deg, g in gens:
+            e = torus.comoment_weights(spec, deg)[j]
             lhs = phi * g * phi_inv
             ok = lhs.equals(LocalizedElement.from_pbw(g * spec.q_power(e)))
-            out.record(ok, f"u{j+1} comoment conjugates {kind}{i}")
+            out.record(ok, f"u{j+1} comoment conjugates {name}")
     return out
 
 
@@ -246,10 +245,10 @@ class ReducedElement(TermElement):
             return _zero_vec(self.spec.n)
         return next(iter(degs)) if len(degs) == 1 else None
 
-    def is_invariant(self, torus: TorusData) -> bool:
-        """True when every term's grading lies in ker(A^t)."""
+    def is_invariant(self) -> bool:
+        """True when every term commutes with the comoment values of its datum."""
         return all(
-            torus.is_invariant_degree(tuple(p - r for p, r in zip(a, b)))
+            self.datum.torus.is_invariant(self.spec, tuple(p - r for p, r in zip(a, b)))
             for (a, b, _) in self.terms
         )
 
@@ -273,9 +272,7 @@ class ReducedElement(TermElement):
     __repr__ = __str__
 
 
-def moment_ideal_reduce(
-    u, datum: ReductionDatum, spec: AlgebraSpec | None = None, coord_order=None
-) -> ReducedElement:
+def moment_ideal_reduce(u, datum: ReductionDatum, coord_order=None) -> ReducedElement:
     """Canonical form of u modulo the left ideal generated by the comoment
     values minus eta.
 
@@ -312,14 +309,17 @@ def moment_ideal_reduce(
     return ReducedElement(datum, spec, out)
 
 
-def invariant_monomials(torus: TorusData, degree_bound: int):
-    """PBW monomials x^a d^b with |a|+|b| <= bound and grading in ker(A^t)."""
+def invariant_monomials(torus: TorusData, spec: AlgebraSpec, degree_bound: int):
+    """PBW monomials x^a d^b with |a|+|b| <= bound that commute with every
+    comoment value: their grading lies in ker(A^t diag(M))."""
     if degree_bound < 0:
         raise ParameterError("degree bound must be nonnegative")
+    if spec.n != torus.n:
+        raise ParameterError("algebra rank and torus rank differ")
     return sorted(
         (a, b)
         for a, b in graded_monomials(torus.n, degree_bound)
-        if torus.is_invariant_degree(tuple(p - r for p, r in zip(a, b)))
+        if torus.is_invariant(spec, tuple(p - r for p, r in zip(a, b)))
     )
 
 
@@ -328,7 +328,7 @@ def reduced_product(
 ) -> ReducedElement:
     """Multiply two invariant canonical representatives and re-reduce."""
     for w in (u, v):
-        if not w.is_invariant(datum.torus):
+        if not w.is_invariant():
             raise ParameterError("reduced_product needs invariant inputs")
     prod = u.to_localized() * v.to_localized()
     return moment_ideal_reduce(prod, datum)

@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import ParameterError
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, binary_power
 
 ExpVec = tuple[int, ...]
 Monomial = tuple[ExpVec, ExpVec]
@@ -126,6 +126,11 @@ class AlgebraSpec:
 
     def q_power(self, e: int) -> Scalar:
         return self.field.q_power(e)
+
+    def weight(self, degree: ExpVec) -> tuple[int, ...]:
+        """diag(M) applied to a lattice degree: conjugation by alpha_i scales
+        an element of that degree by q^(entry i)."""
+        return tuple(self.m[i][i] * degree[i] for i in range(self.n))
 
     def qij(self, i: int, j: int) -> Scalar:
         """q^(m_ij) for 1-based generator indices."""
@@ -280,6 +285,32 @@ def _merge_exponent(spec: AlgebraSpec, left: ExpVec, right: ExpVec) -> int:
     return e
 
 
+def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
+    """The product of two term dicts over ordered monomials (a, b), each the
+    x-part x^a times the d-part d^b.
+
+    ``core(spec, b1, a2)`` expands the middle d^b1 x^a2 as ordered terms
+    ((am, bm), c); merging x^a1 x^am and d^bm d^b2 then twists by
+    q^(sign * _merge_exponent).  The PBW engine passes its rewriting kernel
+    and ``spec.sign``; the Heisenberg double of :mod:`.hopf` passes its
+    smash-product core and -1.
+    """
+    out: dict[Monomial, Scalar] = {}
+    for (a1, b1), c1 in left.items():
+        for (a2, b2), c2 in right.items():
+            c12 = c1 * c2
+            for (am, bm), ck in core(spec, b1, a2):
+                e = sign * (_merge_exponent(spec, a1, am) + _merge_exponent(spec, bm, b2))
+                key = (
+                    tuple(p + r for p, r in zip(a1, am)),
+                    tuple(p + r for p, r in zip(bm, b2)),
+                )
+                c = c12 * ck * spec.q_power(e)
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+    return out
+
+
 class TermElement:
     """A finite linear combination of basis keys, kept in the dict ``terms``
     with the zero coefficients dropped.
@@ -382,21 +413,8 @@ class PBWElement(TermElement):
         if self.spec != other.spec:
             raise ParameterError("elements from different algebras")
         spec = self.spec
-        s = spec.sign
-        out: dict[Monomial, Scalar] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                c12 = c1 * c2
-                for (am, bm), ck in _reorder(spec, b1, a2):
-                    e = s * (_merge_exponent(spec, a1, am) + _merge_exponent(spec, bm, b2))
-                    key = (
-                        tuple(p + r for p, r in zip(a1, am)),
-                        tuple(p + r for p, r in zip(bm, b2)),
-                    )
-                    c = c12 * ck * spec.q_power(e)
-                    prev = out.get(key)
-                    out[key] = c if prev is None else prev + c
-        return PBWElement(spec, out)
+        terms = _ordered_product(spec, self.terms, other.terms, _reorder, spec.sign)
+        return PBWElement(spec, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -406,15 +424,7 @@ class PBWElement(TermElement):
     def __pow__(self, e: int):
         if e < 0:
             raise ParameterError("negative powers only exist for Euler operators")
-        out = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return binary_power(self, e, self.spec.one())
 
     def __hash__(self):
         return hash((self.spec, tuple(sorted(self.terms))))
@@ -456,8 +466,8 @@ def _sigma_scale(spec: AlgebraSpec, u: PBWElement, k: ExpVec) -> PBWElement:
     """Apply sigma^k, the diagonal twist with sigma_i(x_j) = q_ii^(delta_ij) x_j."""
     out = {}
     for (a, b), c in u.terms.items():
-        e = sum(k[i] * spec.m[i][i] * (a[i] - b[i]) for i in range(spec.n))
-        out[(a, b)] = c * spec.q_power(e)
+        w = spec.weight(tuple(p - r for p, r in zip(a, b)))
+        out[(a, b)] = c * spec.q_power(sum(ki * wi for ki, wi in zip(k, w)))
     return PBWElement(spec, out)
 
 
@@ -536,10 +546,7 @@ class LocalizedElement:
     def __pow__(self, e: int):
         if e < 0:
             raise ParameterError("negative powers only exist for Euler operators")
-        out = LocalizedElement.from_pbw(self.spec.one())
-        for _ in range(e):
-            out = out * self
-        return out
+        return binary_power(self, e, LocalizedElement.from_pbw(self.spec.one()))
 
     def equals(self, other) -> bool:
         """Ore-fraction equality by comparison over a common denominator."""

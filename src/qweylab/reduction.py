@@ -17,7 +17,6 @@ from .errors import DomainError, ParameterError, RelationError
 from .exactla import (
     Mat,
     SparseEliminator,
-    identity,
     mat_inv,
     mat_mul,
     mat_pow,
@@ -39,32 +38,26 @@ def moment_operators(rep: MatrixRep, torus: TorusData):
         raise ParameterError("torus rank and representation rank differ")
     f = rep.field
     alphas = rep.alpha_matrices()
-    alpha_invs: list[Mat | None] = [None] * rep.spec.n
-    ops = []
-    scalars = []
-    for j in range(torus.d):
-        op = identity(rep.dim, f)
-        scal = f.one
-        for i in range(rep.spec.n):
-            e = torus.a[i][j]
-            if e == 0:
-                continue
-            if e > 0:
-                op = mat_mul(op, mat_pow(alphas[i], e, f))
-            else:
-                if alpha_invs[i] is None:
-                    try:
-                        alpha_invs[i] = mat_inv(alphas[i], f)
-                    except DomainError:
-                        raise DomainError(
-                            f"Euler operator {i+1} is singular but column {j+1} "
-                            "of A needs its inverse (off the invertible locus)"
-                        )
-                op = mat_mul(op, mat_pow(alpha_invs[i], -e, f))
-            factor = f.one + rep.character.a[i] * rep.character.omega[i]
-            scal = scal * (factor**e if e > 0 else factor.inv() ** (-e))
-        ops.append(op)
-        scalars.append(scal)
+    alpha_invs: dict[int, Mat] = {}
+
+    def alpha_power(i: int, e: int) -> Mat:
+        if e > 0:
+            return mat_pow(alphas[i], e, f)
+        if i not in alpha_invs:
+            try:
+                alpha_invs[i] = mat_inv(alphas[i], f)
+            except DomainError:
+                raise DomainError(
+                    f"Euler operator {i+1} is singular but A needs its inverse "
+                    "(off the invertible locus)"
+                )
+        return mat_pow(alpha_invs[i], -e, f)
+
+    ops = list(torus.character(range(rep.spec.n), mat_mul, alpha_power))
+    # computed after the inverses above, so that a singular Euler operator
+    # raises its own DomainError rather than a division by zero here
+    scalars = list(torus.character(rep.character.azumaya_factors))
+    for j, (op, scal) in enumerate(zip(ops, scalars)):
         if scalar_of_identity(mat_pow(op, rep.l, f)) != scal:
             raise DomainError(
                 f"moment operator {j+1} does not have the predicted central power"
@@ -336,7 +329,7 @@ def cover_fiber_points(
     asserted to be l^(n-d).
     """
     alpha_l_values = list(alpha_l_values)
-    eta = list(eta)
+    eta = tuple(eta)
     if len(alpha_l_values) != torus.n or len(eta) != torus.d:
         raise ParameterError("value vector lengths must match the torus data")
     if any(e.is_zero() for e in eta):
@@ -372,19 +365,9 @@ def cover_fiber_points(
         for i in range(torus.n):
             ks[i] = rem % l
             rem //= l
-        t = [roots[i] * f.zeta_power(ks[i]) for i in range(torus.n)]
-        ok = True
-        for j in range(torus.d):
-            acc = f.one
-            for i in range(torus.n):
-                e = torus.a[i][j]
-                if e:
-                    acc = acc * (t[i] ** e)
-            if acc != eta[j]:
-                ok = False
-                break
-        if ok:
-            sols.append(tuple(t))
+        t = tuple(roots[i] * f.zeta_power(ks[i]) for i in range(torus.n))
+        if torus.character(t) == eta:
+            sols.append(t)
     if sols:
         expected = l ** (torus.n - torus.d)
         if len(sols) != expected:

@@ -32,6 +32,7 @@ may be shared freely between threads and cached by identity of their field.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -64,10 +65,6 @@ def _padd(a, b):
 
 def _pneg(a):
     return tuple(-c for c in a)
-
-
-def _psub(a, b):
-    return _padd(a, _pneg(b))
 
 
 def _is_monomial(a) -> bool:
@@ -104,12 +101,6 @@ def _pmul(a, b):
                 if cb:
                     out[i + j] += ca * cb
     return _trim(out)
-
-
-def _pscale(a, c: int):
-    if c == 0:
-        return _ZERO_POLY
-    return tuple(x * c for x in a)
 
 
 def _content(a) -> int:
@@ -187,8 +178,9 @@ def cyclotomic_polynomial(l: int) -> tuple[int, ...]:
     return poly
 
 
-def _poly_str(coeffs, var: str, fractional=False) -> str:
-    """Render a polynomial, highest degree first, e.g. ``q^2-q+1``."""
+def _poly_str(coeffs, var: str) -> str:
+    """Render a polynomial with integer or rational coefficients, highest
+    degree first, e.g. ``q^2-q+1``."""
     if not coeffs:
         return "0"
     parts = []
@@ -197,7 +189,7 @@ def _poly_str(coeffs, var: str, fractional=False) -> str:
         if not c:
             continue
         if k == 0:
-            mono = str(abs(c) if not fractional else abs(c))
+            mono = str(abs(c))
         else:
             head = var if k == 1 else f"{var}^{k}"
             mono = head if abs(c) == 1 else f"{abs(c)}*{head}"
@@ -206,6 +198,19 @@ def _poly_str(coeffs, var: str, fractional=False) -> str:
         else:
             parts.append(("+" if c > 0 else "-") + mono)
     return "".join(parts)
+
+
+def binary_power(base, e: int, one, mul=operator.mul):
+    """base^e for e >= 0 by square-and-multiply from ``one``, with the
+    product ``mul``; the last squaring, whose result is never used, is skipped."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +282,9 @@ class Scalar:
     def __pow__(self, e: int) -> Scalar:
         if not isinstance(e, int):
             return NotImplemented
-        base = self
         if e < 0:
-            base, e = base.inv(), -e
-        out = self.field.one
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+            return binary_power(self.inv(), -e, self.field.one)
+        return binary_power(self, e, self.field.one)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -677,22 +674,7 @@ class CyclotomicField(Field):
         return self._normal(nums, c)
 
     def format(self, v) -> str:
-        parts = []
-        coeffs = self.coefficients(v)
-        for k in range(self.degree - 1, -1, -1):
-            c = coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                mono = str(abs(c))
-            else:
-                head = "zeta" if k == 1 else f"zeta^{k}"
-                mono = head if abs(c) == 1 else f"{abs(c)}*{head}"
-            if not parts:
-                parts.append(mono if c > 0 else "-" + mono)
-            else:
-                parts.append(("+" if c > 0 else "-") + mono)
-        return "".join(parts) if parts else "0"
+        return _poly_str(_trim(self.coefficients(v)), "zeta")
 
     def __repr__(self):
         return f"CyclotomicField({self.l})"

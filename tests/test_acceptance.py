@@ -259,7 +259,7 @@ def test_criterion_11_reduction_sanity():
                 v, datum2
             ).scale(c)
         # associativity on 100 seeded invariant triples
-        monos = invariant_monomials(torus2, 3)
+        monos = invariant_monomials(torus2, spec2, 3)
         for _ in range(100):
             def rand_inv():
                 u = spec2.zero()

@@ -138,8 +138,30 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
         (["l"], "3", "l: expected an integer"),
         (["reps", 0, 0, "b"], 5, "reps[0][0]: b must be a list"),
         (["bounds", "degree_bound"], True, "bounds.degree_bound: expected a nonnegative integer"),
+        (["reps", 0, 0, "lambda"], "0", "reps[0][0].lambda: must be nonzero"),
+        (
+            ["reps", 0, 0, "b"],
+            ["1", "x1", "1"],
+            "reps[0][0].b[1]: generators are not allowed in a scalar literal (column 1)",
+        ),
+        (["reps", 0, 0, "mu"], "zeta^", "reps[0][0].mu: exponent must be an integer (column 6)"),
+        (["reps", 0, 0], {"kind": "diag", "lambda": "1", "b": None}, "reps[0][0]: need b or mu"),
+        (["eta", 0], "0^-1", "eta[0]: division by zero in the cyclotomic field"),
+        (["seed"], True, "seed: expected an integer"),
+        (["chi"], [True], "chi: expected a list of integers"),
     ],
-    ids=["l-string", "b-int", "bound-bool"],
+    ids=[
+        "l-string",
+        "b-int",
+        "bound-bool",
+        "lambda-zero",
+        "b-entry-generator",
+        "mu-bad-exponent",
+        "b-null-without-mu",
+        "eta-division-by-zero",
+        "seed-bool",
+        "chi-bool",
+    ],
 )
 def test_config_type_errors_name_their_field(tmp_path, capsys, path, value, problem):
     raw = json.loads((CONFIGS / "n1_l3.json").read_text())

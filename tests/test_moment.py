@@ -1,9 +1,14 @@
+import json
 import random
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import random_skew_matrix
+from qweylab.checks import run_verification_suite
+from qweylab.config import parse_config
 from qweylab.errors import DomainError, ParameterError
 from qweylab.moment import (
     ReductionDatum,
@@ -15,7 +20,7 @@ from qweylab.moment import (
     reduced_product,
     verify_moment_identity,
 )
-from qweylab.qweyl import AlgebraSpec, LocalizedElement
+from qweylab.qweyl import AlgebraSpec, LocalizedElement, graded_monomials
 from qweylab.scalars import make_field
 
 QQ = make_field("rational")
@@ -149,10 +154,10 @@ def test_reduce_confluence_coord_order():
 
 
 def test_invariant_monomials():
-    monos = invariant_monomials(T21, 2)
+    monos = invariant_monomials(T21, S2, 2)
     assert ((1, 0), (0, 1)) in monos  # x1 d2
     assert all(a != (1, 0) or b != (0, 0) for a, b in monos)  # x1 absent
-    m1 = invariant_monomials(T11, 4)
+    m1 = invariant_monomials(T11, S1, 4)
     assert m1 == [((a,), (a,)) for a in range(3)]
 
 
@@ -173,7 +178,7 @@ def test_reduced_product():
 def test_reduced_product_associative():
     rng = random.Random(9)
     datum = datum_for(T21, [3], QQ_Q)
-    monos = invariant_monomials(T21, 3)
+    monos = invariant_monomials(T21, S2, 3)
     for _ in range(25):
         def rand_invariant():
             u = S2.zero()
@@ -227,7 +232,7 @@ def test_invariant_count_independent_of_eta():
 
     for eta_val in (2, 5):
         datum = datum_for(T21, [eta_val], QQ_Q)
-        monos = invariant_monomials(T21, 3)
+        monos = invariant_monomials(T21, S2, 3)
         keys = {}
         elim = SparseEliminator(QQ_Q)
         dims = []
@@ -239,3 +244,72 @@ def test_invariant_count_independent_of_eta():
             elim.add(vec)
         dims.append(elim.rank)
     assert len(set(dims)) == 1
+
+
+VERIFY_QQ = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "verify_qq.json"
+
+
+def verify_qq_variant(diagonal, column=None):
+    """The benchmark's Q(q) config with another diagonal of M and, given a
+    column, d = 1 with that column as A."""
+    raw = json.loads(VERIFY_QQ.read_text())
+    for i, m in enumerate(diagonal):
+        raw["M"][i][i] = m
+    if column is not None:
+        raw["d"], raw["A"], raw["eta"] = 1, [[a] for a in column], raw["eta"][:1]
+    return parse_config(raw)
+
+
+@pytest.mark.parametrize(
+    "diagonal, column",
+    [
+        ((1, 1, 2), None),
+        ((1, 1, 2), (1, 1, 1)),
+        ((1, -1, 2), None),
+        ((1, 0, 1), None),
+        ((2, 1, 1), (1, 2, 1)),
+    ],
+)
+def test_moment_reduction_holds_for_non_uniform_diagonals(diagonal, column):
+    config = verify_qq_variant(diagonal, column)
+    report = run_verification_suite(config, only={"moment-reduction"}, verbose=True)
+    (record,) = report["checks"]
+    assert (record["status"], record["detail"]) == ("pass", "80 seeded elements")
+
+
+def test_unweighted_kernel_breaks_reduced_associativity():
+    config = verify_qq_variant((1, 1, 2))
+    spec, torus, datum = config.spec, config.torus, config.datum()
+    # the kernel of A^t, blind to the diagonal of M
+    unweighted = [
+        (a, b)
+        for a, b in graded_monomials(3, 3)
+        if not any(sum(torus.a[i][j] * (a[i] - b[i]) for i in range(3)) for j in range(2))
+    ]
+    x2d1d3, x1x3d2 = ((0, 1, 0), (1, 0, 1)), ((1, 0, 1), (0, 1, 0))
+    assert set(unweighted) - set(invariant_monomials(torus, spec, 3)) == {x2d1d3, x1x3d2}
+    u = moment_ideal_reduce(spec.monomial(*x2d1d3), datum)
+    v = moment_ideal_reduce(spec.monomial(*x1x3d2), datum)
+
+    def unguarded_product(s, t):
+        return moment_ideal_reduce(s.to_localized() * t.to_localized(), datum)
+
+    assert unguarded_product(unguarded_product(u, v), u) != unguarded_product(
+        u, unguarded_product(v, u)
+    )
+    assert not u.is_invariant() and not v.is_invariant()
+    with pytest.raises(ParameterError):
+        reduced_product(u, v, datum)
+
+
+def test_torus_character_is_the_product_of_powers():
+    torus = TorusData.from_rows([[2, -1], [-1, 0], [0, 3]])
+    t = (QQ.from_int(2), QQ.from_fraction(Fraction(-3, 5)), QQ.from_int(7))
+    want = []
+    for j in range(torus.d):
+        acc = QQ.one
+        for i in range(torus.n):
+            acc = acc * t[i] ** torus.a[i][j]
+        want.append(acc)
+    assert torus.character(t) == tuple(want)
+    assert want == [QQ.from_fraction(Fraction(-20, 3)), QQ.from_fraction(Fraction(343, 2))]

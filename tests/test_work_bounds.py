@@ -115,14 +115,17 @@ def test_weight_space_is_computed_once_per_point(monkeypatch):
 
 
 def test_failed_rep_build_fails_every_rep_check():
+    # valid as a config, but the slot's Euler operator is singular, so the
+    # tensor builder rejects it
     raw = json.loads(N2_L3.read_text())
-    raw["reps"][0][0]["lambda"] = "0"
+    raw["reps"][0][0] = {"kind": "diag", "lambda": "1", "b": ["0", "0", "0"]}
     report = run_verification_suite(parse_config(raw))
     by_id = {rec["check_id"]: rec for rec in report["checks"]}
     for cid in REP_CHECKS:
         assert by_id[cid]["status"] == "fail"
         assert by_id[cid]["detail"] == (
-            "ZeroDivisorError: division by zero in the cyclotomic field"
+            "DomainError: slot 1 has a singular Euler operator; it cannot carry "
+            "tensor twists (off the invertible locus)"
         )
     assert report["summary"]["fail"] == len(REP_CHECKS)
 
