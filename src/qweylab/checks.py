@@ -428,7 +428,11 @@ CHECKS = [
 
 
 def run_verification_suite(config: WorkbenchConfig, only=None, verbose=False) -> dict:
-    """Run the registry in order; returns the JSON-ready report dict."""
+    """Run the registry in order; returns the JSON-ready report dict.
+
+    A check passes, fails (an AssertionError or a QWeylError), is skipped, or
+    ends in an error (any other exception), which the summary counts as a
+    failure."""
     known = {cid for cid, _, _ in CHECKS}
     if only:
         unknown = [c for c in only if c not in known]
@@ -449,8 +453,12 @@ def run_verification_suite(config: WorkbenchConfig, only=None, verbose=False) ->
             status, detail = "fail", str(exc)
         except QWeylError as exc:
             status, detail = "fail", f"{type(exc).__name__}: {exc}"
+        except Exception as exc:
+            # a defect of the program, not a verdict on the law: recorded as
+            # an error, counted as a failure, and the run goes on
+            status, detail = "error", f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
-        counts[status] += 1
+        counts["fail" if status == "error" else status] += 1
         records.append(
             {
                 "check_id": check_id,

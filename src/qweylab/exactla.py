@@ -1,108 +1,219 @@
 """Exact linear algebra over the coefficient fields.
 
-Dense matrices are lists of lists of scalars.  Kernel/rank/span computations
-go through a sparse incremental eliminator (rows are dicts keyed by column
-index) since most systems here are shift-structured and very sparse.
+One sparse format serves every matrix and every linear system.  A `Mat` maps
+a row index to a `Row`, and a `Row` maps a column index to a nonzero scalar;
+zero rows and zero entries are never stored, and an absent row or entry
+reads back as zero (`m[r][c]`).  The products, powers, Kronecker products,
+inverses and matrix-vector products below touch stored entries only, so
+their cost follows the number of nonzeros, not the dimension.  Vectors are
+plain dicts in the same layout as a row.
+
+Kernels, ranks and spans go through `SparseEliminator`, an incremental
+row-echelon accumulator over the same row layout.
+
+`modular_rank` is the rank over F_p for one fixed prime p = 1 (mod l), with
+zeta sent to a fixed primitive l-th root of unity mod p.  Reduction mod p is
+a ring map, so the rank mod p never exceeds the exact rank: a full rank mod
+p, or a rank that meets a proven upper bound, certifies the exact rank.
+Callers use it only for those two outcomes and run exact elimination for
+every other one.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from math import isqrt
+
 from .errors import DomainError, ParameterError
-from .scalars import Field, Scalar, binary_power
+from .scalars import CyclotomicField, Field, Scalar, binary_power
 
-Vec = list[Scalar]
-Mat = list[list[Scalar]]
+Vec = dict[int, Scalar]
 
 
 # ---------------------------------------------------------------------------
-# Dense matrices
+# Sparse matrices
 # ---------------------------------------------------------------------------
+
+
+class Row(dict):
+    """One matrix row, column -> nonzero scalar; an absent column reads as zero."""
+
+    __slots__ = ("zero",)
+
+    def __init__(self, zero: Scalar, entries=()):
+        super().__init__(entries)
+        self.zero = zero
+
+    def __missing__(self, col):
+        return self.zero
+
+
+class Mat(dict):
+    """An nrows x ncols matrix over a field: row index -> `Row` of its nonzero
+    entries.  An absent row reads as an empty row."""
+
+    __slots__ = ("nrows", "ncols", "field")
+
+    def __init__(self, nrows: int, ncols: int, field: Field, rows=()):
+        super().__init__(rows)
+        self.nrows = nrows
+        self.ncols = ncols
+        self.field = field
+
+    def __missing__(self, r):
+        return Row(self.field.zero)
+
+
+def matrix(nrows: int, ncols: int, field: Field, entries) -> Mat:
+    """The matrix with the given {(row, col): scalar} entries; zeros are dropped."""
+    out = Mat(nrows, ncols, field)
+    for (r, c), v in entries.items():
+        if not v.is_zero():
+            row = out.get(r)
+            if row is None:
+                row = out[r] = Row(field.zero)
+            row[c] = v
+    return out
 
 
 def identity(n: int, field: Field) -> Mat:
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    one, zero = field.one, field.zero
+    return Mat(n, n, field, {i: Row(zero, {i: one}) for i in range(n)})
+
+
+def _add_into(acc: dict, row: dict, f: Scalar | None = None):
+    """acc += f * row (f = None means 1) in place, dropping cancelled entries.
+    f and the entries of row are nonzero, so a new entry needs no zero test."""
+    for c, v in row.items():
+        t = v if f is None else f * v
+        cur = acc.get(c)
+        if cur is None:
+            acc[c] = t
+        else:
+            s = cur + t
+            if s.is_zero():
+                del acc[c]
+            else:
+                acc[c] = s
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        ai = a[i]
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                if ai[k].is_zero() or b[k][j].is_zero():
-                    continue
-                term = ai[k] * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else ai[0].field.zero)
-        out.append(row)
+    if a.ncols != b.nrows:
+        raise ParameterError("matrix shapes do not match for a product")
+    zero = a.field.zero
+    out = Mat(a.nrows, b.ncols, a.field)
+    for i, arow in a.items():
+        acc = Row(zero)
+        for k, av in arow.items():
+            brow = b.get(k)
+            if brow is not None:
+                _add_into(acc, brow, av)
+        if acc:
+            out[i] = acc
     return out
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    zero = a.field.zero
+    out = Mat(a.nrows, a.ncols, a.field, {r: Row(zero, row) for r, row in a.items()})
+    for r, brow in b.items():
+        row = out.get(r)
+        if row is None:
+            out[r] = Row(zero, brow)
+        else:
+            _add_into(row, brow)
+            if not row:
+                del out[r]
+    return out
 
 
 def mat_scale(a: Mat, c: Scalar) -> Mat:
-    return [[x * c for x in row] for row in a]
+    zero = a.field.zero
+    out = Mat(a.nrows, a.ncols, a.field)
+    if not c.is_zero():
+        for r, row in a.items():
+            out[r] = Row(zero, {k: v * c for k, v in row.items()})
+    return out
 
 
 def mat_eq(a: Mat, b: Mat) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return a.nrows == b.nrows and a.ncols == b.ncols and a == b
 
 
-def mat_pow(a: Mat, e: int, field: Field) -> Mat:
-    return binary_power(a, e, identity(len(a), field), mat_mul)
+def mat_pow(a: Mat, e: int) -> Mat:
+    return binary_power(a, e, identity(a.nrows, a.field), mat_mul)
 
 
-def mat_inv(a: Mat, field: Field) -> Mat:
+def mat_inv(a: Mat) -> Mat:
     """Gauss-Jordan inverse; DomainError on singular input."""
-    n = len(a)
-    work = [list(row) + ident_row for row, ident_row in zip(a, identity(n, field))]
+    n, f = a.nrows, a.field
+    if a.ncols != n:
+        raise ParameterError("only a square matrix has an inverse")
+    # row r of the augmented matrix [a | Id], identity entries at columns n + r
+    work = [{**a.get(r, {}), n + r: f.one} for r in range(n)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
+        piv = next((r for r in range(col, n) if col in work[r]), None)
         if piv is None:
             raise DomainError("matrix is singular")
         work[col], work[piv] = work[piv], work[col]
         inv = work[col][col].inv()
-        work[col] = [x * inv for x in work[col]]
+        pivot_row = work[col] = {c: v * inv for c, v in work[col].items()}
         for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+            if r != col and col in work[r]:
+                _add_into(work[r], pivot_row, -work[r][col])
+    # the left half is now the identity; the right half is the inverse
+    inverse = Mat(n, n, f)
+    for r, row in enumerate(work):
+        inverse[r] = Row(f.zero, {c - n: v for c, v in row.items() if c >= n})
+    return inverse
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    ra, ca, rb, cb = len(a), len(a[0]), len(b), len(b[0])
-    out = []
-    for i in range(ra):
-        for k in range(rb):
-            row = []
-            for j in range(ca):
-                aij = a[i][j]
-                if aij.is_zero():
-                    row.extend([aij.field.zero] * cb)
-                else:
-                    row.extend([aij * b[k][m] for m in range(cb)])
-            out.append(row)
+    rb, cb = b.nrows, b.ncols
+    zero = a.field.zero
+    out = Mat(a.nrows * rb, a.ncols * cb, a.field)
+    for i, arow in a.items():
+        for k, brow in b.items():
+            out[i * rb + k] = Row(
+                zero,
+                {j * cb + m: av * bv for j, av in arow.items() for m, bv in brow.items()},
+            )
     return out
+
+
+def transpose(a: Mat) -> Mat:
+    entries = {(c, r): v for r, row in a.items() for c, v in row.items()}
+    return matrix(a.ncols, a.nrows, a.field, entries)
 
 
 def scalar_of_identity(a: Mat) -> Scalar | None:
     """The scalar c with a = c * Id, or None if a is not scalar."""
-    c = a[0][0]
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if a[i][j] != c:
-                    return None
-            elif not a[i][j].is_zero():
-                return None
+    if a.nrows != a.ncols:
+        return None
+    if not a:
+        return a.field.zero
+    c = a.get(0, {}).get(0)
+    if c is None:
+        return None
+    for r in range(a.nrows):
+        row = a.get(r)
+        if row is None or len(row) != 1 or row.get(r) != c:
+            return None
     return c
+
+
+def mat_vec(m: Mat, v: Vec) -> Vec:
+    out = {}
+    for r, row in m.items():
+        acc = None
+        for c, x in row.items():
+            y = v.get(c)
+            if y is not None:
+                term = x * y
+                acc = term if acc is None else acc + term
+        if acc is not None and not acc.is_zero():
+            out[r] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +244,8 @@ class SparseEliminator:
             row = self.rows.get(col)
             if row is None:
                 return vec
-            f = vec[col]
-            for c, v in row.items():
-                cur = vec.get(c)
-                nv = (cur - f * v) if cur is not None else -(f * v)
-                if nv.is_zero():
-                    vec.pop(c, None)
-                else:
-                    vec[c] = nv
+            # the pivot entry cancels, so col leaves vec
+            _add_into(vec, row, -vec[col])
         return vec
 
     def add(self, vec: dict[int, Scalar]) -> bool:
@@ -191,34 +296,83 @@ def sparse_kernel(rows, ncols: int, field: Field) -> list[dict[int, Scalar]]:
     return basis
 
 
-def matrix_kernel(m: Mat, field: Field) -> list[Vec]:
-    """Kernel basis of a dense matrix, as dense column vectors."""
-    ncols = len(m[0]) if m else 0
-    rows = []
-    for row in m:
-        d = {j: v for j, v in enumerate(row) if not v.is_zero()}
-        if d:
-            rows.append(d)
-    out = []
-    for vec in sparse_kernel(rows, ncols, field):
-        dense = [field.zero] * ncols
-        for c, v in vec.items():
-            dense[c] = v
-        out.append(dense)
-    return out
+def matrix_kernel(m: Mat) -> list[Vec]:
+    """Basis of the right kernel of m, as sparse column vectors."""
+    return sparse_kernel(m.values(), m.ncols, m.field)
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    out = []
-    for row in m:
-        acc = None
-        for x, y in zip(row, v):
-            if x.is_zero() or y.is_zero():
-                continue
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else v[0].field.zero)
-    return out
+# ---------------------------------------------------------------------------
+# Rank over F_p
+# ---------------------------------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    """Trial division, quick enough for the one p < 2^30 searched per order l."""
+    return n == 2 or (n > 2 and n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2)))
+
+
+@cache
+def modular_prime(l: int) -> tuple[int, int]:
+    """(p, r): the largest prime p < 2^30 with p = 1 (mod l), and the primitive
+    l-th root of unity r = g^((p-1)/l) mod p for the smallest g that gives
+    one.  Found at the first call for each l and kept."""
+    p = ((2**30 - 2) // l) * l + 1
+    while not _is_prime(p):
+        p -= l
+    factors = [s for s in range(2, l + 1) if l % s == 0 and _is_prime(s)]
+    g = 2
+    while True:
+        r = pow(g, (p - 1) // l, p)
+        if all(pow(r, l // s, p) != 1 for s in factors):
+            return p, r
+        g += 1
+
+
+def modular_rank(rows, field: Field) -> int | None:
+    """The rank over F_p of the given rows (dicts column -> scalar), for the
+    prime and root of `modular_prime(l)` of a cyclotomic field of order l.
+
+    None when some entry's denominator is divisible by p, or when the field
+    is not cyclotomic.  Otherwise the result never exceeds the exact rank.
+    """
+    if not isinstance(field, CyclotomicField):
+        return None
+    p, root = modular_prime(field.l)
+    powers = [pow(root, k, p) for k in range(field.degree)]
+    residues: dict = {}
+    pivots: dict[int, dict[int, int]] = {}  # pivot col -> row with 1 at pivot
+    for row in rows:
+        vec = {}
+        for c, s in row.items():
+            x = residues.get(s.v)
+            if x is None:
+                nums, den = s.v
+                if den % p == 0:
+                    return None
+                x = sum(a * b for a, b in zip(nums, powers)) * pow(den, -1, p) % p
+                residues[s.v] = x
+            if x:
+                vec[c] = x
+        while vec:
+            col = min(vec)
+            pivot_row = pivots.get(col)
+            if pivot_row is None:
+                inv = pow(vec[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in vec.items()}
+                break
+            f = vec[col]
+            for c, v in pivot_row.items():
+                # f and v are nonzero mod p, so an absent c never cancels
+                nv = (vec.get(c, 0) - f * v) % p
+                if nv:
+                    vec[c] = nv
+                else:
+                    del vec[c]
+    return len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# Integer matrices
+# ---------------------------------------------------------------------------
 
 
 def column_hnf(a: list[list[int]]):

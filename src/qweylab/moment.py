@@ -326,7 +326,13 @@ def invariant_monomials(torus: TorusData, spec: AlgebraSpec, degree_bound: int):
 def reduced_product(
     u: ReducedElement, v: ReducedElement, datum: ReductionDatum
 ) -> ReducedElement:
-    """Multiply two invariant canonical representatives and re-reduce."""
+    """Multiply two invariant canonical representatives and re-reduce.
+
+    Both must be reduced under this datum and over one spec."""
+    if u.datum != datum or v.datum != datum:
+        raise ParameterError("reduced_product needs elements reduced under its datum")
+    if u.spec != v.spec:
+        raise ParameterError("reduced_product needs elements over one spec")
     for w in (u, v):
         if not w.is_invariant():
             raise ParameterError("reduced_product needs invariant inputs")

@@ -17,9 +17,13 @@ from .errors import DomainError, ParameterError, RelationError
 from .exactla import (
     Mat,
     SparseEliminator,
+    identity,
+    mat_add,
+    mat_eq,
     mat_inv,
     mat_mul,
     mat_pow,
+    mat_scale,
     mat_vec,
     matrix_kernel,
     scalar_of_identity,
@@ -36,29 +40,28 @@ def moment_operators(rep: MatrixRep, torus: TorusData):
     check that each operator's l-th power is that scalar."""
     if torus.n != rep.spec.n:
         raise ParameterError("torus rank and representation rank differ")
-    f = rep.field
     alphas = rep.alpha_matrices()
     alpha_invs: dict[int, Mat] = {}
 
     def alpha_power(i: int, e: int) -> Mat:
         if e > 0:
-            return mat_pow(alphas[i], e, f)
+            return mat_pow(alphas[i], e)
         if i not in alpha_invs:
             try:
-                alpha_invs[i] = mat_inv(alphas[i], f)
+                alpha_invs[i] = mat_inv(alphas[i])
             except DomainError:
                 raise DomainError(
                     f"Euler operator {i+1} is singular but A needs its inverse "
                     "(off the invertible locus)"
                 )
-        return mat_pow(alpha_invs[i], -e, f)
+        return mat_pow(alpha_invs[i], -e)
 
     ops = list(torus.character(range(rep.spec.n), mat_mul, alpha_power))
     # computed after the inverses above, so that a singular Euler operator
     # raises its own DomainError rather than a division by zero here
     scalars = list(torus.character(rep.character.azumaya_factors))
     for j, (op, scal) in enumerate(zip(ops, scalars)):
-        if scalar_of_identity(mat_pow(op, rep.l, f)) != scal:
+        if scalar_of_identity(mat_pow(op, rep.l)) != scal:
             raise DomainError(
                 f"moment operator {j+1} does not have the predicted central power"
             )
@@ -75,7 +78,7 @@ def _rep_moment_operators(rep: MatrixRep, torus: TorusData):
 
 @dataclass
 class WeightSpaceResult:
-    basis: list  # exact column vectors spanning the joint eigenspace
+    basis: list  # sparse column vectors spanning the joint eigenspace
     eta: tuple[Scalar, ...]
     moment_ops: list
 
@@ -96,30 +99,29 @@ def weight_space(rep: MatrixRep, torus: TorusData, eta) -> WeightSpaceResult:
     return per_point[torus, eta]
 
 
+def _shifted(ops, eta) -> list[Mat]:
+    """The matrices op_j - eta_j Id."""
+    return [
+        mat_add(op, mat_scale(identity(op.nrows, op.field), -ej)) for op, ej in zip(ops, eta)
+    ]
+
+
 def _weight_space(rep: MatrixRep, torus: TorusData, eta) -> WeightSpaceResult:
     ops, _ = _rep_moment_operators(rep, torus)
-    f = rep.field
-    stacked = []
-    for op, ej in zip(ops, eta):
-        for r in range(rep.dim):
-            row = list(op[r])
-            row[r] = row[r] - ej
-            stacked.append(row)
-    if not stacked:
-        basis = [
-            [f.one if i == k else f.zero for i in range(rep.dim)]
-            for k in range(rep.dim)
-        ]
+    f, dim = rep.field, rep.dim
+    shifted = _shifted(ops, eta)
+    if shifted:
+        # the shifted operators stacked into one (d * dim) x dim matrix
+        stacked = Mat(len(shifted) * dim, dim, f)
+        for j, s in enumerate(shifted):
+            stacked.update((j * dim + r, row) for r, row in s.items())
+        basis = matrix_kernel(stacked)
     else:
-        basis = matrix_kernel(stacked, f)
-    out = WeightSpaceResult(basis, eta, ops)
-    for v in out.basis:
-        for op, ej in zip(ops, eta):
-            if mat_vec(op, v) != [ej * c for c in v]:
-                raise RelationError(
-                    "weight space basis vector is not a joint eigenvector"
-                )
-    return out
+        basis = [{k: f.one} for k in range(dim)]
+    for v in basis:
+        if any(mat_vec(s, v) for s in shifted):
+            raise RelationError("weight space basis vector is not a joint eigenvector")
+    return WeightSpaceResult(basis, eta, ops)
 
 
 def compatible_eta_grid(rep: MatrixRep, torus: TorusData):
@@ -223,15 +225,11 @@ def restriction_kernel_check(
     m = ws.dimension
     row_span = SparseEliminator(f)
     contained = True
-    for op, ej in zip(ws.moment_ops, ws.eta):
-        shifted = [list(row) for row in op]
-        for r in range(dim):
-            shifted[r][r] = shifted[r][r] - ej
-        for row in shifted:
-            row_span.add(dict(enumerate(row)))
-        for v in ws.basis:
-            if any(not c.is_zero() for c in mat_vec(shifted, v)):
-                contained = False
+    for shifted in _shifted(ws.moment_ops, ws.eta):
+        for row in shifted.values():
+            row_span.add(row)
+        if any(mat_vec(shifted, v) for v in ws.basis):
+            contained = False
     dim_ideal = dim * row_span.rank
     dim_expected = dim * (dim - m)
     return RestrictionKernelReport(
@@ -307,7 +305,7 @@ def verify_moment_operators_commute(rep: MatrixRep, torus: TorusData) -> CheckOu
     for j in range(len(ops)):
         for k in range(j + 1, len(ops)):
             out.record(
-                mat_mul(ops[j], ops[k]) == mat_mul(ops[k], ops[j]),
+                mat_eq(mat_mul(ops[j], ops[k]), mat_mul(ops[k], ops[j])),
                 f"moment operators {j+1},{k+1} commute",
             )
     return out

@@ -32,8 +32,11 @@ from .exactla import (
     mat_mul,
     mat_pow,
     mat_scale,
+    matrix,
+    modular_rank,
     scalar_of_identity,
     sparse_kernel,
+    transpose,
 )
 from .qweyl import AlgebraSpec, CheckOutcome, PBWElement, exponent_vectors
 from .scalars import CyclotomicField, Scalar, make_field
@@ -138,6 +141,10 @@ def verify_lcenter_freeness(spec: AlgebraSpec, blocks=None) -> CheckOutcome:
     For each l-center block monomial z, the products z * x^r d^s over all
     residues 0 <= r, s < l are expanded and checked to be linearly
     independent, and the union over the given blocks stays independent.
+
+    Each block is a subset of the union, so a full rank mod p of the union
+    (`modular_rank`) certifies every count at once; any other outcome runs
+    the exact elimination.
     """
     field = spec.field
     if not isinstance(field, CyclotomicField):
@@ -153,18 +160,27 @@ def verify_lcenter_freeness(spec: AlgebraSpec, blocks=None) -> CheckOutcome:
     out = CheckOutcome()
     residues = list(exponent_vectors(n, l - 1))
     res = [(a, b) for a in residues for b in residues]
-    index: dict = {}
-    union = SparseEliminator(field)
-    union_count = 0
-    for zt, zu in blocks:
-        block_elim = SparseEliminator(field)
-        count = 0
-        for a, b in res:
-            prod = spec.monomial(zt, zu) * spec.monomial(a, b)
-            vec = {index.setdefault(key, len(index)): c for key, c in prod.terms.items()}
-            grew = block_elim.add(dict(vec))
-            count += 1 if grew else 0
-            union_count += 1 if union.add(vec) else 0
+
+    def products():
+        """(block number, expanded product z * x^r d^s as a sparse vector)."""
+        index: dict = {}
+        for k, (zt, zu) in enumerate(blocks):
+            z = spec.monomial(zt, zu)
+            for a, b in res:
+                prod = z * spec.monomial(a, b)
+                yield k, {index.setdefault(key, len(index)): c for key, c in prod.terms.items()}
+
+    union_count = len(blocks) * len(res)
+    if modular_rank((vec for _, vec in products()), field) == union_count:
+        counts = [len(res)] * len(blocks)
+    else:
+        union = SparseEliminator(field)
+        per_block = [SparseEliminator(field) for _ in blocks]
+        for k, vec in products():
+            per_block[k].add(vec)
+            union.add(vec)
+        counts, union_count = [elim.rank for elim in per_block], union.rank
+    for (zt, zu), count in zip(blocks, counts):
         out.record(count == l ** (2 * n), f"block {zt},{zu} rank {count}")
     out.record(
         union_count == len(blocks) * l ** (2 * n),
@@ -246,17 +262,16 @@ def _verify_rep(spec: AlgebraSpec, l: int, xs, ys) -> CentralCharacter:
     for i in range(n):
         qii = spec.q_power(spec.m[i][i])
         lhs = mat_mul(ys[i], xs[i])
-        rhs = mat_scale(mat_mul(xs[i], ys[i]), qii)
-        rhs = [
-            [v + ((qii - 1) if r == c else f.zero) for c, v in enumerate(row)]
-            for r, row in enumerate(rhs)
-        ]
+        rhs = mat_add(
+            mat_scale(mat_mul(xs[i], ys[i]), qii),
+            mat_scale(identity(xs[i].nrows, f), qii - 1),
+        )
         if not mat_eq(lhs, rhs):
             failures.append(f"d{i+1} x{i+1} = q x{i+1} d{i+1} + (q-1)")
     a_vals, w_vals = [], []
     for i in range(n):
-        xa = scalar_of_identity(mat_pow(xs[i], l, f))
-        ya = scalar_of_identity(mat_pow(ys[i], l, f))
+        xa = scalar_of_identity(mat_pow(xs[i], l))
+        ya = scalar_of_identity(mat_pow(ys[i], l))
         if xa is None:
             failures.append(f"x{i+1}^{l} is not scalar")
         if ya is None:
@@ -281,11 +296,10 @@ def build_irrep_rank1(lam: Scalar, b, l: int) -> MatrixRep:
         raise ParameterError("b must have length l")
     spec = AlgebraSpec.single_parameter(1, field)
     lams = [lam * field.zeta_power(m) for m in range(l)]
-    xs = [[lams[r] if r == c else field.zero for c in range(l)] for r in range(l)]
-    ys = [[field.zero] * l for _ in range(l)]
-    for m in range(l):
-        ys[m][m] = -(lams[m].inv())
-        ys[m][(m + 1) % l] = b[m]
+    xs = matrix(l, l, field, {(m, m): lams[m] for m in range(l)})
+    entries = {(m, m): -(lams[m].inv()) for m in range(l)}
+    entries.update({(m, (m + 1) % l): b[m] for m in range(l)})
+    ys = matrix(l, l, field, entries)
     character = _verify_rep(spec, l, (xs,), (ys,))
     return MatrixRep(spec, l, l, (xs,), (ys,), character)
 
@@ -296,11 +310,8 @@ def build_irrep_nilpotent(l: int, field: CyclotomicField | None = None) -> Matri
     if field.l != l:
         raise ParameterError("field order and l differ")
     spec = AlgebraSpec.single_parameter(1, field)
-    xs = [[field.zero] * l for _ in range(l)]
-    ys = [[field.zero] * l for _ in range(l)]
-    for m in range(l - 1):
-        xs[m + 1][m] = field.one
-        ys[m][m + 1] = field.zeta_power(m + 1) - 1
+    xs = matrix(l, l, field, {(m + 1, m): field.one for m in range(l - 1)})
+    ys = matrix(l, l, field, {(m, m + 1): field.zeta_power(m + 1) - 1 for m in range(l - 1)})
     character = _verify_rep(spec, l, (xs,), (ys,))
     return MatrixRep(spec, l, l, (xs,), (ys,), character)
 
@@ -326,16 +337,16 @@ def build_irrep(slots, l: int) -> MatrixRep:
         al = rep.alpha_matrices()[0]
         alphas.append(al)
         try:
-            alpha_invs.append(mat_inv(al, field))
+            alpha_invs.append(mat_inv(al))
         except DomainError:
             raise DomainError(
                 f"slot {k+1} has a singular Euler operator; it cannot carry "
                 "tensor twists (off the invertible locus)"
             )
+    ident = identity(l, field)
     xs, ys = [], []
     for i in range(n):
-        xmat = [[field.one]]
-        ymat = [[field.one]]
+        xmat = ymat = identity(1, field)
         for j in range(n):
             if j < i:
                 xmat = kron(xmat, alphas[j])
@@ -344,7 +355,6 @@ def build_irrep(slots, l: int) -> MatrixRep:
                 xmat = kron(xmat, slots[i].xs[0])
                 ymat = kron(ymat, slots[i].ys[0])
             else:
-                ident = identity(l, field)
                 xmat = kron(xmat, ident)
                 ymat = kron(ymat, ident)
         xs.append(xmat)
@@ -353,34 +363,58 @@ def build_irrep(slots, l: int) -> MatrixRep:
     return MatrixRep(spec, l, dim, tuple(xs), tuple(ys), character)
 
 
+def _commutant_rows(rep: MatrixRep):
+    """The rows (M G - G M)[r][c] = 0, over every generator matrix G and every
+    entry (r, c), in the unknown M[r][k] at index r * dim + k; zero rows are
+    left out."""
+    dim = rep.dim
+    for g in rep.xs + rep.ys:
+        cols = transpose(g)
+        col_terms = [list(cols.get(c, {}).items()) for c in range(dim)]
+        # the terms -G[r][k] M[k][c] with k != r, keyed k * dim; the term at
+        # k = r shares the key r * dim + c with the term G[c][c] M[r][c]
+        row_terms = [
+            [(k * dim, -v) for k, v in g.get(r, {}).items() if k != r] for r in range(dim)
+        ]
+        for r in range(dim):
+            base = r * dim
+            g_rr = g.get(r, {}).get(r)
+            for c in range(dim):
+                row = {base + k: v for k, v in col_terms[c]}
+                for key, v in row_terms[r]:
+                    row[key + c] = v
+                if g_rr is not None:
+                    total = row.get(base + c)
+                    total = -g_rr if total is None else total - g_rr
+                    if total.is_zero():
+                        del row[base + c]
+                    else:
+                        row[base + c] = total
+                if row:
+                    yield row
+
+
 def commutant_basis(rep: MatrixRep) -> list[dict[int, Scalar]]:
     """Basis of the joint commutant of all generator matrices, as sparse
     vectors over the row-major entry index r * dim + c.  It is solved once
-    per rep, and every caller shares the returned list."""
+    per rep, and every caller shares the returned list.
+
+    The identity commutes with everything, so the commutant has dimension at
+    least 1 and the system has rank at most dim^2 - 1.  When its rank mod p
+    (`modular_rank`) reaches that bound, the exact rank does too, and the
+    basis is the identity, written as `sparse_kernel` writes it: the free
+    column dim^2 - 1 first, then the pivots in decreasing order.  Every other
+    outcome runs the exact elimination."""
     basis = rep.cache.get("commutant")
     if basis is not None:
         return basis
     f = rep.field
     dim = rep.dim
-    rows = []
-    for g in list(rep.xs) + list(rep.ys):
-        # constraint: (M G - G M)[r][c] = 0 for the unknown M (dim x dim)
-        for r in range(dim):
-            for c in range(dim):
-                row: dict[int, Scalar] = {}
-                for k in range(dim):
-                    v = g[k][c]
-                    if not v.is_zero():
-                        prev = row.get(r * dim + k)
-                        row[r * dim + k] = v if prev is None else prev + v
-                    v = g[r][k]
-                    if not v.is_zero():
-                        prev = row.get(k * dim + c)
-                        row[k * dim + c] = -v if prev is None else prev - v
-                row = {kk: v for kk, v in row.items() if not v.is_zero()}
-                if row:
-                    rows.append(row)
-    basis = rep.cache["commutant"] = sparse_kernel(rows, dim * dim, f)
+    if modular_rank(_commutant_rows(rep), f) == dim * dim - 1:
+        basis = [{t * (dim + 1): f.one for t in reversed(range(dim))}]
+    else:
+        basis = sparse_kernel(_commutant_rows(rep), dim * dim, f)
+    rep.cache["commutant"] = basis
     return basis
 
 
@@ -400,7 +434,7 @@ def verify_alpha_spectrum(rep: MatrixRep) -> CheckOutcome:
     # char poly check via exact determinant of (x - alpha) is equivalent to
     # alpha^l = target * Id plus distinctness of eigenvalues; verify both.
     out.record(
-        scalar_of_identity(mat_pow(al, l, f)) == target,
+        scalar_of_identity(mat_pow(al, l)) == target,
         "alpha^l equals 1 + a*omega",
     )
     if not target.is_zero():
@@ -410,12 +444,7 @@ def verify_alpha_spectrum(rep: MatrixRep) -> CheckOutcome:
         count = 0
         power = identity(rep.dim, f)
         for _ in range(l):
-            vec = {
-                r * rep.dim + c: power[r][c]
-                for r in range(rep.dim)
-                for c in range(rep.dim)
-                if not power[r][c].is_zero()
-            }
+            vec = {r * rep.dim + c: v for r, row in power.items() for c, v in row.items()}
             count += 1 if elim.add(vec) else 0
             power = mat_mul(power, al)
         out.record(count == l, "alpha powers independent up to degree l-1")
@@ -423,14 +452,14 @@ def verify_alpha_spectrum(rep: MatrixRep) -> CheckOutcome:
 
 
 def export_rep(rep: MatrixRep) -> dict:
-    """JSON-ready dump: row-major matrices, scalars as coefficient vectors
-    over the cyclotomic power basis."""
+    """JSON-ready dump: dense row-major matrices, scalars as coefficient
+    vectors over the cyclotomic power basis."""
 
     def scal(s: Scalar):
         return [str(c) for c in rep.field.coefficients(s.v)]
 
     def mat(m: Mat):
-        return [[scal(v) for v in row] for row in m]
+        return [[scal(m[r][c]) for c in range(m.ncols)] for r in range(m.nrows)]
 
     return {
         "l": rep.l,

@@ -269,6 +269,34 @@ def test_cli_offlocus_rep_fails_suite(tmp_path, capsys):
     _ = capsys.readouterr()
 
 
+def test_unexpected_exception_is_an_error_record(tmp_path, capsys, monkeypatch):
+    from qweylab import checks
+
+    def broken(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(
+        checks,
+        "CHECKS",
+        [
+            (cid, law, broken if cid == "power-identities" else fn)
+            for cid, law, fn in checks.CHECKS
+        ],
+    )
+    out_path = tmp_path / "report.json"
+    cfg = str(CONFIGS / "n1_l3.json")
+    only = "power-identities,delta-power"
+    assert main(["verify", "--config", cfg, "--only", only, "--out", str(out_path)]) == 1
+    report = json.loads(out_path.read_text())
+    records = [(rec["check_id"], rec["status"], rec["detail"]) for rec in report["checks"]]
+    assert records == [
+        ("power-identities", "error", "RuntimeError: boom"),
+        ("delta-power", "pass", ""),
+    ]
+    assert report["summary"] == {"pass": 1, "fail": 1, "skipped": 0, "total": 2, "ok": False}
+    assert "error   power-identities  [RuntimeError: boom]" in capsys.readouterr().out
+
+
 def test_cli_bundled_n2_config(tmp_path, capsys):
     cfg = str(CONFIGS / "n2_l3.json")
     out_path = tmp_path / "report.json"

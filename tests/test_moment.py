@@ -175,6 +175,19 @@ def test_reduced_product():
         reduced_product(moment_ideal_reduce(S2.x(1), datum), one, datum)
 
 
+def test_reduced_product_rejects_another_datum_or_spec():
+    at_2 = datum_for(T21, [2], QQ_Q)
+    x1d2 = moment_ideal_reduce(S2.x(1) * S2.d(2), at_2)
+    x2d1 = moment_ideal_reduce(S2.x(2) * S2.d(1), at_2)
+    with pytest.raises(ParameterError, match="datum"):
+        reduced_product(x1d2, x2d1, datum_for(T21, [5], QQ_Q))
+    # the same datum with elements of another spec over it
+    other = AlgebraSpec(2, ((1, 2), (-2, 1)), True, QQ_Q)
+    y2d1 = moment_ideal_reduce(other.x(2) * other.d(1), at_2)
+    with pytest.raises(ParameterError, match="spec"):
+        reduced_product(x1d2, y2d1, at_2)
+
+
 def test_reduced_product_associative():
     rng = random.Random(9)
     datum = datum_for(T21, [3], QQ_Q)

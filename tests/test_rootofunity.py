@@ -85,7 +85,7 @@ def test_rank1_builder():
     rep = rank1(Z3, 2, 3)
     assert rep.character.a[0] == Z3.from_int(8)
     # X^3 = lambda^3 Id by construction
-    assert scalar_of_identity(mat_pow(rep.xs[0], 3, Z3)) == Z3.from_int(8)
+    assert scalar_of_identity(mat_pow(rep.xs[0], 3)) == Z3.from_int(8)
     # omega comes out of Y^3 exactly; 1 + a*omega = mu^3
     aw = Z3.one + rep.character.a[0] * rep.character.omega[0]
     assert aw == Z3.from_int(27)
@@ -132,7 +132,7 @@ def test_nilpotent_builder():
     z = Z3.zeta
     assert rep.ys[0][0][1] == z - 1
     assert rep.ys[0][1][2] == z**2 - 1
-    assert scalar_of_identity(mat_pow(rep.xs[0], 3, Z3)) == Z3.zero
+    assert scalar_of_identity(mat_pow(rep.xs[0], 3)) == Z3.zero
     assert rep.character.a == (Z3.zero,)
     assert rep.character.omega == (Z3.zero,)
     assert commutant_dimension(rep) == 1

@@ -18,6 +18,7 @@ from qweylab.scalars import Scalar, make_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 N2_L3 = CONFIGS / "n2_l3.json"
+N3_L5 = Path(__file__).resolve().parent / "configs" / "n3_l5.json"
 Z3 = make_field("cyclotomic", 3)
 REP_CHECKS = [
     "rep-build",
@@ -40,10 +41,10 @@ def counting(monkeypatch, owner, name, log):
 
 
 def test_mat_pow_skips_the_last_squaring(monkeypatch):
-    a = [[Z3.one, Z3.zeta], [Z3.zero, Z3.from_int(2)]]
+    a = exactla.matrix(2, 2, Z3, {(0, 0): Z3.one, (0, 1): Z3.zeta, (1, 1): Z3.from_int(2)})
     calls = []
     counting(monkeypatch, exactla, "mat_mul", calls)
-    got = exactla.mat_pow(a, 5, Z3)
+    got = exactla.mat_pow(a, 5)
     assert len(calls) == 4
     want = a
     for _ in range(4):
@@ -68,8 +69,14 @@ def test_pow_skips_the_last_squaring(monkeypatch, make, cls):
 
 
 def test_verify_run_shares_reps_and_derived_data(monkeypatch):
-    builds, moment_ops, kernels = [], [], []
+    builds, moment_ops, kernels, ranks = [], [], [], []
     counting(monkeypatch, config, "build_irrep", builds)
+
+    def logged_rank(rows, field):
+        ranks.append(exactla.modular_rank(rows, field))
+        return ranks[-1]
+
+    monkeypatch.setattr(rootofunity, "modular_rank", logged_rank)
     counting(monkeypatch, reduction, "moment_operators", moment_ops)
     for module in (exactla, rootofunity):
         counting(monkeypatch, module, "sparse_kernel", kernels)
@@ -99,9 +106,23 @@ def test_verify_run_shares_reps_and_derived_data(monkeypatch):
     assert len(builds) == 2
     per_rep = Counter(id(args[0]) for args in moment_ops)
     assert len(per_rep) == 2 and set(per_rep.values()) == {1}
-    # each configured rep (dim 9) solves its 81-unknown commutant system once
-    assert sum(1 for args in kernels if args[1] == 81) == 2
+    # both configured reps (dim 9) lie on the locus: each 81-unknown commutant
+    # system is certified once by its rank 80 mod p, and none is solved exactly
+    assert ranks.count(80) == 2
+    assert not any(args[1] == 81 for args in kernels)
     assert max(reduced_endos_sizes, default=0) <= 81
+
+
+def test_n3_l5_reps_and_commutants_stay_sparse(monkeypatch):
+    # dense rep matrices and exact commutant kernels took 1,342,122 scalar
+    # multiplications here; sparse products and the commutant certified mod p
+    # take 31,884
+    calls = []
+    counting(monkeypatch, Scalar, "__mul__", calls)
+    reps = load_config(str(N3_L5)).build_reps()
+    assert [rep.dim for rep in reps] == [125, 125]
+    assert [rootofunity.commutant_dimension(rep) for rep in reps] == [1, 1]
+    assert len(calls) < 100_000
 
 
 def test_weight_space_is_computed_once_per_point(monkeypatch):
