@@ -184,14 +184,13 @@ def check_moment_identity(config: WorkbenchConfig) -> str:
     return _convert(verify_moment_identity(config.torus, config.spec))
 
 
-def check_moment_reduction(config: WorkbenchConfig) -> str:
-    _need_rescaled(config)
-    if config.torus.d == 0:
-        raise Skip("no subtorus configured")
-    spec = config.spec
-    datum = config.datum()
-    rng = _rng_for(config, "moment-reduction")
-    cases = max(10, config.bounds["random_cases"] // 5)
+def moment_reduction_cases(spec: AlgebraSpec, datum, rng: random.Random, cases: int):
+    """The seeded laws of the moment reduction under one datum.
+
+    On `cases` seeded fractions: idempotence, linearity, left-ideal absorption
+    and elimination-order confluence.  Then, on `cases` seeded triples of
+    invariant combinations, associativity of the reduced product.  Raises
+    AssertionError naming the first law that fails and its case."""
     for k in range(cases):
         u = LocalizedElement(
             _random_element(rng, spec, 3, 3),
@@ -220,7 +219,7 @@ def check_moment_reduction(config: WorkbenchConfig) -> str:
         if fwd != bwd:
             raise AssertionError(f"elimination-order confluence failed on {k}")
     # associativity of the reduced product on invariant combinations
-    monos = invariant_monomials(config.torus, spec, 3)
+    monos = invariant_monomials(datum.torus, spec, 3)
     if monos:
         for k in range(cases):
             def rand_inv():
@@ -235,6 +234,15 @@ def check_moment_reduction(config: WorkbenchConfig) -> str:
             rhs = reduced_product(u, reduced_product(v, w, datum), datum)
             if lhs != rhs:
                 raise AssertionError(f"reduced product associativity failed on {k}")
+
+
+def check_moment_reduction(config: WorkbenchConfig) -> str:
+    _need_rescaled(config)
+    if config.torus.d == 0:
+        raise Skip("no subtorus configured")
+    cases = max(10, config.bounds["random_cases"] // 5)
+    rng = _rng_for(config, "moment-reduction")
+    moment_reduction_cases(config.spec, config.datum(), rng, cases)
     return f"{cases} seeded elements"
 
 

@@ -8,14 +8,22 @@ products minus the target point eta rewrites every element into the canonical
 basis x^a d^b alpha^c with min(a_i, b_i) = 0 and the alpha exponent vector a
 canonical coset representative modulo the column lattice of A (column Hermite
 normal form picks the representative; each subtracted lattice vector A t
-contributes the multiplier prod eta_j^(t_j)).
+contributes the multiplier prod eta_j^(t_j)).  The Hermite normal form is
+computed once per torus (``TorusData.hnf``).
+
+Reduced elements multiply in that basis.  alpha^c q-commutes with every
+monomial, alpha^c w = sigma^c(w) alpha^c for every integer vector c, so the
+product of sum_c U_c alpha^c and sum_c V_c alpha^c is
+sum U_c1 sigma^c1(V_c2) alpha^(c1 + c2).  One reduction kernel takes each
+such PBW numerator with its alpha shift c1 + c2, as it takes a fraction
+N alpha^-k with the shift -k.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 from .errors import DomainError, ParameterError
 from .exactla import column_hnf, hnf_reduce, require_full_column_rank
@@ -29,6 +37,7 @@ from .qweyl import (
     _FILL_STEP,
     _bump,
     _integer_rows,
+    _sigma_scale,
     _zero_vec,
     graded_monomials,
 )
@@ -50,6 +59,13 @@ class TorusData:
             raise ParameterError("A must be an n x d integer matrix")
         if self.d:
             require_full_column_rank([list(r) for r in self.a], "embedding matrix A")
+
+    @cached_property
+    def hnf(self):
+        """Column Hermite normal form (H, U, pivots) of A, as ``column_hnf``
+        returns it but in tuples, since every reduction shares it."""
+        h, u, pivots = column_hnf([list(r) for r in self.a])
+        return tuple(map(tuple, h)), tuple(map(tuple, u)), tuple(pivots)
 
     @staticmethod
     def from_rows(rows) -> TorusData:
@@ -272,14 +288,43 @@ class ReducedElement(TermElement):
     __repr__ = __str__
 
 
+def _canonical_form(spec: AlgebraSpec, datum: ReductionDatum, parts, coord_order=None):
+    """Canonical form of the sum of numerator * alpha^shift over the
+    (numerator, shift) pairs in ``parts``, each numerator a PBWElement.
+
+    Mixed pairs x_i d_i are eliminated through alpha_i = 1 + x_i d_i; each
+    alpha exponent vector, shifted, is reduced modulo the column lattice of A,
+    and a subtracted lattice vector A t multiplies by eta^t.
+    """
+    h, uu, pivots = datum.torus.hnf
+    eta_powers: dict[tuple[int, ...], Scalar] = {}
+    one = spec.field.one.v
+    out: dict[AlphaKey, Scalar] = {}
+    for numerator, shift in parts:
+        for (a, b), coeff in numerator.terms.items():
+            for (aa, bb, cc), c2 in _alpha_form_terms(spec, a, b, coord_order).items():
+                red, t = hnf_reduce([k + s for k, s in zip(cc, shift)], h, uu, pivots)
+                mult = coeff if c2.v == one else coeff * c2
+                if any(t):
+                    et = eta_powers.get(t)
+                    if et is None:
+                        et = eta_powers[t] = reduce(
+                            operator.mul, (e**tj for e, tj in zip(datum.eta, t) if tj)
+                        )
+                    mult = mult * et
+                key = (aa, bb, red)
+                prev = out.get(key)
+                out[key] = mult if prev is None else prev + mult
+    return ReducedElement(datum, spec, out)
+
+
 def moment_ideal_reduce(u, datum: ReductionDatum, coord_order=None) -> ReducedElement:
     """Canonical form of u modulo the left ideal generated by the comoment
     values minus eta.
 
-    Accepts a PBWElement, LocalizedElement, or ReducedElement.  Mixed pairs
-    x_i d_i are eliminated through alpha_i = 1 + x_i d_i; the resulting alpha
-    exponent vectors are reduced modulo the column lattice of A, multiplying
-    by the matching eta powers.
+    Accepts a PBWElement, LocalizedElement, or ReducedElement; a fraction
+    N alpha^-k reduces as N with the alpha shift -k.  A ReducedElement goes
+    back through its fraction, so reducing it again is a real round trip.
     """
     if isinstance(u, ReducedElement):
         u = u.to_localized()
@@ -292,21 +337,8 @@ def moment_ideal_reduce(u, datum: ReductionDatum, coord_order=None) -> ReducedEl
     spec = u.spec
     if spec.n != datum.torus.n:
         raise ParameterError("algebra rank and torus rank differ")
-    h, uu, pivots = column_hnf([list(r) for r in datum.torus.a])
-    out: dict[AlphaKey, Scalar] = {}
-    denom = u.denom
-    for (a, b), coeff in u.numerator.terms.items():
-        for (aa, bb, cc), c2 in _alpha_form_terms(spec, a, b, coord_order).items():
-            c_shift = tuple(k - e for k, e in zip(cc, denom))
-            red, t = hnf_reduce(list(c_shift), h, uu, pivots)
-            mult = coeff * c2
-            for j, tj in enumerate(t):
-                if tj:
-                    mult = mult * datum.eta[j] ** tj
-            key = (aa, bb, red)
-            prev = out.get(key)
-            out[key] = mult if prev is None else prev + mult
-    return ReducedElement(datum, spec, out)
+    shift = tuple(-k for k in u.denom)
+    return _canonical_form(spec, datum, [(u.numerator, shift)], coord_order)
 
 
 def invariant_monomials(torus: TorusData, spec: AlgebraSpec, degree_bound: int):
@@ -323,12 +355,23 @@ def invariant_monomials(torus: TorusData, spec: AlgebraSpec, degree_bound: int):
     )
 
 
+def _alpha_parts(u: ReducedElement) -> dict[tuple[int, ...], PBWElement]:
+    """u as the sum of U_c alpha^c: its PBW numerator U_c for each alpha exponent c."""
+    parts: dict[tuple[int, ...], dict] = {}
+    for (a, b, c), coeff in u.terms.items():
+        parts.setdefault(c, {})[(a, b)] = coeff
+    return {c: PBWElement(u.spec, terms) for c, terms in parts.items()}
+
+
 def reduced_product(
     u: ReducedElement, v: ReducedElement, datum: ReductionDatum
 ) -> ReducedElement:
     """Multiply two invariant canonical representatives and re-reduce.
 
-    Both must be reduced under this datum and over one spec."""
+    Both must be reduced under this datum and over one spec.  The product is
+    taken in the alpha basis: alpha^c w = sigma^c(w) alpha^c for every integer
+    vector c, so u v = sum U_c1 sigma^c1(V_c2) alpha^(c1 + c2), and each
+    numerator is reduced with its alpha shift c1 + c2."""
     if u.datum != datum or v.datum != datum:
         raise ParameterError("reduced_product needs elements reduced under its datum")
     if u.spec != v.spec:
@@ -336,5 +379,14 @@ def reduced_product(
     for w in (u, v):
         if not w.is_invariant():
             raise ParameterError("reduced_product needs invariant inputs")
-    prod = u.to_localized() * v.to_localized()
-    return moment_ideal_reduce(prod, datum)
+    spec = u.spec
+    v_parts = _alpha_parts(v)
+    return _canonical_form(
+        spec,
+        datum,
+        (
+            (uc1 * _sigma_scale(spec, vc2, c1), tuple(p + r for p, r in zip(c1, c2)))
+            for c1, uc1 in _alpha_parts(u).items()
+            for c2, vc2 in v_parts.items()
+        ),
+    )

@@ -97,6 +97,12 @@ class AlgebraSpec:
                     raise ParameterError(
                         f"M must be skew-symmetric off the diagonal (rows {i+1},{j+1})"
                     )
+        # a spec keys every lru_cache of the PBW, hopf and moment layers, so
+        # its hash is taken once; equality stays the dataclass one
+        object.__setattr__(self, "_hash", hash((self.n, self.m, self.rescaled, self.field)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def single_parameter(n: int, field: Field, rescaled: bool = True) -> AlgebraSpec:
@@ -296,16 +302,23 @@ def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
     smash-product core and -1.
     """
     out: dict[Monomial, Scalar] = {}
+    # most coefficients met here are one (a monomial times a monomial, a
+    # trivially ordered middle, no twist), so products by one are skipped
+    one = spec.field.one.v
     for (a1, b1), c1 in left.items():
+        c1_one = c1.v == one
         for (a2, b2), c2 in right.items():
-            c12 = c1 * c2
+            c12 = c2 if c1_one else c1 if c2.v == one else c1 * c2
+            c12_one = c12.v == one
             for (am, bm), ck in core(spec, b1, a2):
                 e = sign * (_merge_exponent(spec, a1, am) + _merge_exponent(spec, bm, b2))
                 key = (
                     tuple(p + r for p, r in zip(a1, am)),
                     tuple(p + r for p, r in zip(bm, b2)),
                 )
-                c = c12 * ck * spec.q_power(e)
+                c = ck if c12_one else c12 if ck.v == one else c12 * ck
+                if e:
+                    c = c * spec.q_power(e)
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
     return out
@@ -464,10 +477,13 @@ def normal_form(factors, spec: AlgebraSpec) -> PBWElement:
 
 def _sigma_scale(spec: AlgebraSpec, u: PBWElement, k: ExpVec) -> PBWElement:
     """Apply sigma^k, the diagonal twist with sigma_i(x_j) = q_ii^(delta_ij) x_j."""
+    if not any(k):
+        return u
     out = {}
     for (a, b), c in u.terms.items():
         w = spec.weight(tuple(p - r for p, r in zip(a, b)))
-        out[(a, b)] = c * spec.q_power(sum(ki * wi for ki, wi in zip(k, w)))
+        e = sum(ki * wi for ki, wi in zip(k, w))
+        out[(a, b)] = c * spec.q_power(e) if e else c
     return PBWElement(spec, out)
 
 
@@ -524,6 +540,8 @@ class LocalizedElement:
 
     def _with_denominator(self, target) -> PBWElement:
         lift = tuple(t - k for t, k in zip(target, self.denom))
+        if not any(lift):
+            return self.numerator
         return self.numerator * self.spec.alpha_power(lift)
 
     def __add__(self, other):

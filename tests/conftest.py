@@ -1,5 +1,6 @@
 import random
 
+from qweylab.moment import moment_ideal_reduce
 from qweylab.qweyl import AlgebraSpec
 from qweylab.scalars import make_field
 
@@ -36,3 +37,9 @@ def random_element(rng: random.Random, spec, max_degree=3, max_terms=3):
             coeff = coeff * spec.field.q_power(rng.randint(-2, 2))
         out = out + spec.monomial(a, b, coeff)
     return out
+
+
+def round_trip_product(u, v, datum):
+    """The reduced product the long way, without its guards: both factors as
+    Ore fractions, their product, then the reduction."""
+    return moment_ideal_reduce(u.to_localized() * v.to_localized(), datum)

@@ -8,16 +8,15 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import random_element, random_skew_matrix
+from qweylab.checks import moment_reduction_cases
 from qweylab.hopf import DoubleElement, verify_double_presentation
 from qweylab.moment import (
     ReductionDatum,
     TorusData,
-    invariant_monomials,
     moment_ideal_reduce,
-    reduced_product,
     verify_moment_identity,
 )
-from qweylab.qweyl import AlgebraSpec, LocalizedElement, verify_power_identities
+from qweylab.qweyl import AlgebraSpec, verify_power_identities
 from qweylab.reduction import (
     compatible_eta_grid,
     cover_fiber_points,
@@ -241,37 +240,12 @@ def test_criterion_11_reduction_sanity():
             assert red.terms == {((0,), (0,), (0,)): eta - 1}
             red2 = moment_ideal_reduce(spec.x(1, 2) * spec.d(1, 2), datum)
             assert red2.terms == {((0,), (0,), (0,)): q**-1 * (eta - 1) * (eta - q)}
-        # idempotence / linearity on seeded localized elements
+        # the seeded laws of the moment-reduction check at this criterion's
+        # scale: 100 fractions, then 100 invariant triples
         rng = random.Random(1111)
         spec2 = AlgebraSpec.single_parameter(2, QQ_Q)
-        torus2 = TorusData.from_rows([[1], [1]])
-        datum2 = ReductionDatum(torus2, (QQ_Q.from_int(3),))
-        for _ in range(20):
-            u = LocalizedElement(
-                random_element(rng, spec2, 3, 3),
-                (rng.randint(0, 1), rng.randint(0, 1)),
-            )
-            v = LocalizedElement(random_element(rng, spec2, 3, 3), (0, 0))
-            ru = moment_ideal_reduce(u, datum2)
-            assert moment_ideal_reduce(ru, datum2) == ru
-            c = QQ_Q.from_int(rng.randint(-3, 3))
-            assert moment_ideal_reduce(u + v * c, datum2) == ru + moment_ideal_reduce(
-                v, datum2
-            ).scale(c)
-        # associativity on 100 seeded invariant triples
-        monos = invariant_monomials(torus2, spec2, 3)
-        for _ in range(100):
-            def rand_inv():
-                u = spec2.zero()
-                for _ in range(2):
-                    a, b = monos[rng.randrange(len(monos))]
-                    u = u + spec2.monomial(a, b, rng.randint(-2, 2))
-                return moment_ideal_reduce(u, datum2)
-
-            u, v, w = rand_inv(), rand_inv(), rand_inv()
-            lhs = reduced_product(reduced_product(u, v, datum2), w, datum2)
-            rhs = reduced_product(u, reduced_product(v, w, datum2), datum2)
-            assert lhs == rhs
+        datum2 = ReductionDatum(TorusData.from_rows([[1], [1]]), (QQ_Q.from_int(3),))
+        moment_reduction_cases(spec2, datum2, rng, 100)
 
 
 def test_criterion_12_engine_soundness():

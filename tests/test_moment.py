@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_skew_matrix
+from conftest import random_skew_matrix, round_trip_product
 from qweylab.checks import run_verification_suite
-from qweylab.config import parse_config
+from qweylab.config import load_config, parse_config
 from qweylab.errors import DomainError, ParameterError
 from qweylab.moment import (
     ReductionDatum,
@@ -259,6 +259,7 @@ def test_invariant_count_independent_of_eta():
     assert len(set(dims)) == 1
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 VERIFY_QQ = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "verify_qq.json"
 
 
@@ -273,16 +274,17 @@ def verify_qq_variant(diagonal, column=None):
     return parse_config(raw)
 
 
-@pytest.mark.parametrize(
-    "diagonal, column",
-    [
-        ((1, 1, 2), None),
-        ((1, 1, 2), (1, 1, 1)),
-        ((1, -1, 2), None),
-        ((1, 0, 1), None),
-        ((2, 1, 1), (1, 2, 1)),
-    ],
-)
+# (diagonal of M, column of A or None) of the non-uniform-diagonal variants
+NON_UNIFORM = [
+    ((1, 1, 2), None),
+    ((1, 1, 2), (1, 1, 1)),
+    ((1, -1, 2), None),
+    ((1, 0, 1), None),
+    ((2, 1, 1), (1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("diagonal, column", NON_UNIFORM)
 def test_moment_reduction_holds_for_non_uniform_diagonals(diagonal, column):
     config = verify_qq_variant(diagonal, column)
     report = run_verification_suite(config, only={"moment-reduction"}, verbose=True)
@@ -305,7 +307,7 @@ def test_unweighted_kernel_breaks_reduced_associativity():
     v = moment_ideal_reduce(spec.monomial(*x1x3d2), datum)
 
     def unguarded_product(s, t):
-        return moment_ideal_reduce(s.to_localized() * t.to_localized(), datum)
+        return round_trip_product(s, t, datum)
 
     assert unguarded_product(unguarded_product(u, v), u) != unguarded_product(
         u, unguarded_product(v, u)
@@ -326,3 +328,58 @@ def test_torus_character_is_the_product_of_powers():
         want.append(acc)
     assert torus.character(t) == tuple(want)
     assert want == [QQ.from_fraction(Fraction(-20, 3)), QQ.from_fraction(Fraction(343, 2))]
+
+
+def seeded_invariant(rng, spec, datum):
+    """The reduction of three invariant monomials, each over a seeded
+    denominator alpha^k (k in {0, 1}^n), so that alpha exponents of both
+    signs occur."""
+    monos = invariant_monomials(datum.torus, spec, 3)
+    u = LocalizedElement.from_pbw(spec.zero())
+    for _ in range(3):
+        a, b = monos[rng.randrange(len(monos))]
+        denom = tuple(rng.randint(0, 1) for _ in range(spec.n))
+        u = u + LocalizedElement(spec.monomial(a, b, rng.choice([-2, -1, 1, 2])), denom)
+    return moment_ideal_reduce(u, datum)
+
+
+REFERENCE_CONFIGS = {
+    "generic_q": lambda: load_config(str(CONFIGS / "generic_q.json")),
+    "n2_l3": lambda: load_config(str(CONFIGS / "n2_l3.json")),
+    "verify_qq": lambda: load_config(str(VERIFY_QQ)),
+    **{
+        f"verify_qq-diag{diagonal}-A{column}": (
+            lambda diagonal=diagonal, column=column: verify_qq_variant(diagonal, column)
+        )
+        for diagonal, column in NON_UNIFORM
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CONFIGS))
+def test_reduced_product_matches_the_fraction_round_trip(name):
+    config = REFERENCE_CONFIGS[name]()
+    spec, datum = config.spec, config.datum()
+    rng = random.Random(f"alpha-basis product:{name}")
+    elements = [seeded_invariant(rng, spec, datum) for _ in range(8)]
+    assert any(k < 0 for u in elements for (_, _, c) in u.terms for k in c)
+    products = []
+    for u, v in zip(elements, elements[1:] + elements[:1]):
+        products.append(reduced_product(u, v, datum))
+        assert products[-1] == round_trip_product(u, v, datum)
+    # two longer left factors: only two, as the round trip of longer factors
+    # meets large alpha exponents and is slow where A = (1, 2, 1)
+    for uv, w in zip(products[:2], elements[2:]):
+        assert reduced_product(uv, w, datum) == round_trip_product(uv, w, datum)
+    # the guards hold on this config too
+    u = elements[0]
+    other_eta = tuple(e * spec.field.from_int(2) for e in datum.eta)
+    with pytest.raises(ParameterError, match="datum"):
+        reduced_product(u, u, ReductionDatum(datum.torus, other_eta))
+    doubled = tuple(tuple(2 * m for m in row) for row in spec.m)
+    twin = AlgebraSpec(spec.n, doubled, True, spec.field)
+    with pytest.raises(ParameterError, match="spec"):
+        reduced_product(u, moment_ideal_reduce(twin.one(), datum), datum)
+    outside = moment_ideal_reduce(spec.x(1), datum)
+    with pytest.raises(ParameterError, match="invariant"):
+        reduced_product(u, outside, datum)

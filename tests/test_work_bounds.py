@@ -10,15 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from qweylab import checks, config, exactla, reduction, rootofunity, scalars
+from qweylab import checks, config, exactla, hopf, moment, qweyl, reduction, rootofunity, scalars
 from qweylab.checks import run_verification_suite
 from qweylab.config import load_config, parse_config
+from qweylab.moment import ReducedElement, invariant_monomials, moment_ideal_reduce, reduced_product
 from qweylab.qweyl import AlgebraSpec, PBWElement
 from qweylab.scalars import Scalar, make_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 N2_L3 = CONFIGS / "n2_l3.json"
 N3_L5 = Path(__file__).resolve().parent / "configs" / "n3_l5.json"
+VERIFY_QQ = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "verify_qq.json"
 Z3 = make_field("cyclotomic", 3)
 REP_CHECKS = [
     "rep-build",
@@ -159,3 +161,56 @@ def test_generic_q_suite_runs_no_polynomial_gcd(monkeypatch):
     report = run_verification_suite(load_config(str(CONFIGS / "generic_q.json")))
     assert report["summary"]["ok"] and report["summary"]["pass"] == 8
     assert calls == []
+
+
+def clear_layer_caches():
+    """Empty every lru_cache of the PBW, hopf and moment layers, so that a
+    count does not depend on what ran before it."""
+    for module in (qweyl, hopf, moment):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "check_id, bound",
+    # scalar multiplications from cold caches: 20,487 and 14,425 with the
+    # reduced product in the alpha basis and no products by one; 75,774 and
+    # 59,385 through Ore fractions
+    [("moment-reduction", 40_000), ("double-presentation", 20_000)],
+)
+def test_verify_qq_check_work(monkeypatch, check_id, bound):
+    cfg = load_config(str(VERIFY_QQ))
+    clear_layer_caches()
+    calls = []
+    counting(monkeypatch, Scalar, "__mul__", calls)
+    report = run_verification_suite(cfg, only={check_id})
+    assert report["summary"]["pass"] == 1
+    assert len(calls) < bound
+
+
+def test_product_of_monomials_multiplies_no_scalars(monkeypatch):
+    spec = load_config(str(VERIFY_QQ)).spec
+    words = [(spec.x(1), spec.d(2)), (spec.d(2), spec.x(1))]
+    want = [u * v for u, v in words]
+    calls = []
+    counting(monkeypatch, Scalar, "__mul__", calls)
+    assert [u * v for u, v in words] == want
+    assert calls == []
+    # d2 x1 = q_21 x1 d2: the cached reordering carries the twist
+    assert want[1] == want[0].scale(spec.q_power(spec.m[1][0]))
+
+
+def test_reduced_product_stays_in_the_alpha_basis(monkeypatch):
+    cfg = load_config(str(VERIFY_QQ))
+    spec, datum = cfg.spec, cfg.datum()
+    monos = invariant_monomials(datum.torus, spec, 3)
+    elements = [
+        moment_ideal_reduce(spec.monomial(*monos[i]) + spec.monomial(*monos[-1 - i]), datum)
+        for i in range(1, 6)
+    ]
+    fractions = []
+    counting(monkeypatch, ReducedElement, "to_localized", fractions)
+    for u, v in zip(elements, elements[1:]):
+        assert not reduced_product(u, v, datum).is_zero()
+    assert fractions == []
