@@ -22,6 +22,7 @@ from .qweyl import (
     AlgebraSpec,
     CheckOutcome,
     LocalizedElement,
+    PBWElement,
     verify_alpha_commutativity,
     verify_power_identities,
 )
@@ -54,7 +55,11 @@ def _rng_for(config: WorkbenchConfig, check_id: str) -> random.Random:
 
 
 def _random_element(rng, spec, max_degree=3, max_terms=3):
-    out = spec.zero()
+    """A seeded PBW element: up to max_terms monomials of degree up to
+    max_degree, each with an integer coefficient in [-3, 3]."""
+    # integer coefficients summed per key; a key whose sum is zero is dropped
+    # and, drawn again, goes to the end, as in a sum of monomial elements
+    coeffs: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         a = [0] * spec.n
         b = [0] * spec.n
@@ -63,8 +68,13 @@ def _random_element(rng, spec, max_degree=3, max_terms=3):
                 a[rng.randrange(spec.n)] += 1
             else:
                 b[rng.randrange(spec.n)] += 1
-        out = out + spec.monomial(a, b, rng.randint(-3, 3))
-    return out
+        key = (tuple(a), tuple(b))
+        c = coeffs.get(key, 0) + rng.randint(-3, 3)
+        if c:
+            coeffs[key] = c
+        else:
+            coeffs.pop(key, None)
+    return PBWElement(spec, {k: spec.field.from_int(c) for k, c in coeffs.items()})
 
 
 def _outcome_detail(out: CheckOutcome) -> str:
@@ -118,13 +128,13 @@ def check_engine_soundness(config: WorkbenchConfig) -> str:
         u = _random_element(rng, spec, 4, 3)
         v = _random_element(rng, spec, 4, 3)
         w = _random_element(rng, spec, 4, 3)
-        if (u * v) * w != u * (v * w):
+        uv = u * v
+        if uv * w != u * (v * w):
             raise AssertionError(f"associativity failed on seeded triple {k}")
         du, dv = u.grading_degree(), v.grading_degree()
         if du is not None and dv is not None:
-            prod = u * v
-            dp = prod.grading_degree()
-            if not prod.is_zero() and dp != tuple(p + r for p, r in zip(du, dv)):
+            dp = uv.grading_degree()
+            if not uv.is_zero() and dp != tuple(p + r for p, r in zip(du, dv)):
                 raise AssertionError(f"grading not multiplicative on triple {k}")
     # confluence: random words, random reassociation
     for k in range(cases // 2):

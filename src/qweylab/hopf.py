@@ -24,6 +24,7 @@ All of this fixes the unscaled presentation, which is what
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, mul
 
 from .errors import ParameterError
 from .qweyl import (
@@ -34,12 +35,13 @@ from .qweyl import (
     TermElement,
     _bump,
     _merge_exponent,
+    _merge_vectors,
     _ordered_product,
     _zero_vec,
     exponent_vectors,
     graded_monomials,
 )
-from .scalars import Scalar
+from .scalars import Scalar, mul_skip_one
 
 # Sides: "x" lives in the symmetric algebra on x-generators (degree +e_i),
 # "d" in the one on d-generators (degree -e_i).
@@ -76,11 +78,12 @@ class SideElement(TermElement):
     def __mul__(self, other: SideElement) -> SideElement:
         out: dict[ExpVec, Scalar] = {}
         spec = self.spec
+        twist = spec.field.twist
         for e1, c1 in self.terms.items():
+            as_left = _merge_vectors(spec, e1)[0]
             for e2, c2 in other.terms.items():
-                tw = spec.q_power(-_merge_exponent(spec, e1, e2))
-                key = tuple(p + r for p, r in zip(e1, e2))
-                c = c1 * c2 * tw
+                key = tuple(map(add, e1, e2))
+                c = twist(mul_skip_one(c1, c2), -sum(map(mul, as_left, e2)))
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
         return SideElement(spec, self.side, out)
@@ -120,11 +123,8 @@ class BraidedTensorElement(TermElement):
             for (c, d), c2 in other.terms.items():
                 e = braid_exponent(spec, _deg(side, b), _deg(side, c))
                 e -= _merge_exponent(spec, a, c) + _merge_exponent(spec, b, d)
-                key = (
-                    tuple(p + r for p, r in zip(a, c)),
-                    tuple(p + r for p, r in zip(b, d)),
-                )
-                v = c1 * c2 * spec.q_power(e)
+                key = (tuple(map(add, a, c)), tuple(map(add, b, d)))
+                v = spec.field.twist(mul_skip_one(c1, c2), e)
                 prev = out.get(key)
                 out[key] = v if prev is None else prev + v
         return BraidedTensorElement(spec, side, out)
@@ -213,7 +213,7 @@ def pairing(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec) -> Scalar:
         if inner.is_zero():
             continue
         e = braid_exponent(spec, _deg("d", rest), _deg("x", h1))
-        v = c * spec.q_power(e) * inner
+        v = f.twist(mul_skip_one(c, inner), e)
         acc = v if acc is None else acc + v
     return f.zero if acc is None else acc
 
@@ -233,7 +233,7 @@ def left_regular_action(spec: AlgebraSpec, dexp: ExpVec, h: SideElement) -> Side
             if p.is_zero():
                 continue
             e = -braid_exponent(spec, _deg("x", h2), _deg("x", h1))
-            v = c * cc * spec.q_power(e) * p
+            v = spec.field.twist(mul_skip_one(mul_skip_one(c, cc), p), e)
             prev = out.get(h1)
             out[h1] = v if prev is None else prev + v
     return SideElement(spec, "x", out)
@@ -252,7 +252,7 @@ def _smash_core(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec):
         e = braid_exponent(spec, _deg("d", f2), _deg("x", xexp))
         acted = left_regular_action(spec, f1, side_monomial(spec, "x", xexp))
         for aexp, ca in acted.terms.items():
-            v = c * ca * spec.q_power(e)
+            v = spec.field.twist(mul_skip_one(c, ca), e)
             key = (aexp, f2)
             prev = out.get(key)
             out[key] = v if prev is None else prev + v
@@ -302,9 +302,6 @@ class DoubleElement(TermElement):
         return DoubleElement(self.spec, terms)
 
     __rmul__ = TermElement.scale
-
-    def to_pbw(self, target: AlgebraSpec) -> PBWElement:
-        return PBWElement(target, dict(self.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +403,16 @@ def verify_double_presentation(spec: AlgebraSpec, degree_bound: int) -> CheckOut
                     (di * dj - (dj * di).scale(qij)).terms == {},
                     f"d{i} d{j} relation",
                 )
-    # agreement with the engine on all monomial pairs
-    monos = graded_monomials(n, degree_bound)
-    for a1, b1 in monos:
-        for a2, b2 in monos:
-            du = DoubleElement.monomial(spec, a1, b1)
-            dv = DoubleElement.monomial(spec, a2, b2)
-            prod = (du * dv).to_pbw(twin)
-            ref = twin.monomial(a1, b1) * twin.monomial(a2, b2)
-            if prod != ref:
-                out.record(False, f"pair {(a1, b1)} * {(a2, b2)}")
+    # agreement with the engine on all monomial pairs: each monomial is
+    # built once on both sides, and every pair is multiplied on both
+    monos = [
+        (mono, DoubleElement.monomial(spec, *mono), twin.monomial(*mono))
+        for mono in graded_monomials(n, degree_bound)
+    ]
+    for mono1, du, pu in monos:
+        for mono2, dv, pv in monos:
+            if (du * dv).terms != (pu * pv).terms:
+                out.record(False, f"pair {mono1} * {mono2}")
             else:
                 out.record(True, "")
     return out

@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from operator import add
 
 from .errors import DomainError, ParameterError
 from .exactla import column_hnf, hnf_reduce, require_full_column_rank
@@ -41,7 +42,7 @@ from .qweyl import (
     _zero_vec,
     graded_monomials,
 )
-from .scalars import Scalar
+from .scalars import Scalar, mul_skip_one
 
 
 @dataclass(frozen=True)
@@ -193,12 +194,12 @@ def _alpha_table(spec: AlgebraSpec, i: int, r: int, s: int):
     m = min(r, s)
     for t in range(_FILL_STEP, m - 1, _FILL_STEP):
         _alpha_table(spec, i, r - m + t, s - m + t)
-    qii_inv = spec.q_power(-spec.m[i][i] * (s - 1))
+    e = -spec.m[i][i] * (s - 1)
     below = _alpha_table(spec, i, r - 1, s - 1)
     out: dict[tuple[int, int, int], Scalar] = {}
     for (rr, ss, k), c in below:
         # x^r d^s = q^-(s-1) x^(r-1) d^(s-1) alpha - x^(r-1) d^(s-1)
-        key, v = (rr, ss, k + 1), c * qii_inv
+        key, v = (rr, ss, k + 1), f.twist(c, e)
         prev = out.get(key)
         out[key] = v if prev is None else prev + v
         key = (rr, ss, k)
@@ -207,15 +208,17 @@ def _alpha_table(spec: AlgebraSpec, i: int, r: int, s: int):
     return tuple((k, c) for k, c in out.items() if not c.is_zero())
 
 
-def _alpha_form_terms(spec: AlgebraSpec, a: ExpVec, b: ExpVec, coord_order=None):
-    """Expansion of x^a d^b over the basis x^a' d^b' alpha^c, min(a'_i,b'_i)=0.
+@lru_cache(maxsize=512)
+def _alpha_form_terms(spec: AlgebraSpec, a: ExpVec, b: ExpVec, order: tuple[int, ...]):
+    """Expansion of x^a d^b over the basis x^a' d^b' alpha^c, min(a'_i,b'_i)=0,
+    as a tuple of (key, coefficient) items.
 
-    The coordinate processing order is configurable to let tests confirm the
-    result is order-independent.
+    The coordinates are eliminated in the given order, which is part of the
+    cache key, so tests and the confluence law can confirm that the result
+    does not depend on it.
     """
     n = spec.n
     f = spec.field
-    order = list(range(n)) if coord_order is None else list(coord_order)
     terms: dict[AlphaKey, Scalar] = {(a, b, _zero_vec(n)): f.one}
     for i in order:
         nxt: dict[AlphaKey, Scalar] = {}
@@ -230,14 +233,16 @@ def _alpha_form_terms(spec: AlgebraSpec, a: ExpVec, b: ExpVec, coord_order=None)
             e = -sum(spec.m[i][j] * aa[j] * m for j in range(i + 1, n))
             e -= sum(spec.m[j][i] * bb[j] * m for j in range(i))
             e *= spec.sign
-            tw = coeff * spec.q_power(e)
-            for (rr, ss, k), c in _alpha_table(spec, i, aa[i], bb[i]):
-                key = (_bump(aa, i, rr - aa[i]), _bump(bb, i, ss - bb[i]), _bump(cc, i, k))
-                val = tw * c
+            tw = f.twist(coeff, e)
+            # every term of the table is x_i^(r-m) d_i^(s-m) alpha_i^k
+            a_left, b_left = _bump(aa, i, -m), _bump(bb, i, -m)
+            for (_, _, k), c in _alpha_table(spec, i, aa[i], bb[i]):
+                key = (a_left, b_left, _bump(cc, i, k))
+                val = mul_skip_one(tw, c)
                 prev = nxt.get(key)
                 nxt[key] = val if prev is None else prev + val
         terms = {k: v for k, v in nxt.items() if not v.is_zero()}
-    return terms
+    return tuple(terms.items())
 
 
 class ReducedElement(TermElement):
@@ -294,23 +299,33 @@ def _canonical_form(spec: AlgebraSpec, datum: ReductionDatum, parts, coord_order
 
     Mixed pairs x_i d_i are eliminated through alpha_i = 1 + x_i d_i; each
     alpha exponent vector, shifted, is reduced modulo the column lattice of A,
-    and a subtracted lattice vector A t multiplies by eta^t.
+    and a subtracted lattice vector A t multiplies by eta^t.  Each shifted
+    vector is reduced once per call, with its multiplier eta^t.
     """
     h, uu, pivots = datum.torus.hnf
+    order = tuple(range(spec.n)) if coord_order is None else tuple(coord_order)
+    # shifted alpha exponents -> (reduced exponents, eta^t or None for t = 0)
+    reduced: dict[tuple[int, ...], tuple] = {}
     eta_powers: dict[tuple[int, ...], Scalar] = {}
-    one = spec.field.one.v
     out: dict[AlphaKey, Scalar] = {}
     for numerator, shift in parts:
         for (a, b), coeff in numerator.terms.items():
-            for (aa, bb, cc), c2 in _alpha_form_terms(spec, a, b, coord_order).items():
-                red, t = hnf_reduce([k + s for k, s in zip(cc, shift)], h, uu, pivots)
-                mult = coeff if c2.v == one else coeff * c2
-                if any(t):
-                    et = eta_powers.get(t)
-                    if et is None:
-                        et = eta_powers[t] = reduce(
-                            operator.mul, (e**tj for e, tj in zip(datum.eta, t) if tj)
-                        )
+            for (aa, bb, cc), c2 in _alpha_form_terms(spec, a, b, order):
+                shifted = tuple(map(add, cc, shift))
+                hit = reduced.get(shifted)
+                if hit is None:
+                    red, t = hnf_reduce(shifted, h, uu, pivots)
+                    et = None
+                    if any(t):
+                        et = eta_powers.get(t)
+                        if et is None:
+                            et = eta_powers[t] = reduce(
+                                operator.mul, (e**tj for e, tj in zip(datum.eta, t) if tj)
+                            )
+                    hit = reduced[shifted] = (red, et)
+                red, et = hit
+                mult = mul_skip_one(coeff, c2)
+                if et is not None:
                     mult = mult * et
                 key = (aa, bb, red)
                 prev = out.get(key)
@@ -332,8 +347,6 @@ def moment_ideal_reduce(u, datum: ReductionDatum, coord_order=None) -> ReducedEl
         u = LocalizedElement.from_pbw(u)
     if not isinstance(u, LocalizedElement):
         raise ParameterError("reduce takes a PBW, localized, or reduced element")
-    if coord_order is not None:
-        coord_order = list(coord_order)
     spec = u.spec
     if spec.n != datum.torus.n:
         raise ParameterError("algebra rank and torus rank differ")

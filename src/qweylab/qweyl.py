@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import product
+from operator import add, mul
 
 from .errors import ParameterError
-from .scalars import Field, Scalar, binary_power
+from .scalars import Field, Scalar, binary_power, mul_skip_one
 
 ExpVec = tuple[int, ...]
 Monomial = tuple[ExpVec, ExpVec]
@@ -219,13 +220,9 @@ def _one_var_table(spec: AlgebraSpec, i: int, s: int, r: int):
         return (f.one,)
     for t in range(_FILL_STEP, s - 1, _FILL_STEP):
         _one_var_table(spec, i, t, r)
-    mii = spec.m[i][i]
-    if spec.rescaled:
-        mu_pow = lambda t: spec.q_power(mii * t)
-        gamma = spec.q_power(mii) - 1
-    else:
-        mu_pow = lambda t: spec.q_power(-mii * t)
-        gamma = f.one
+    # mu = q^(sign * m_ii); gamma = mu - 1 rescaled, 1 unscaled
+    mu = spec.sign * spec.m[i][i]
+    gamma = spec.q_power(mu) - 1 if spec.rescaled else f.one
     prev = _one_var_table(spec, i, s - 1, r)
     # d * (x^(r-k) d^(s-1-k)) = mu^(r-k) x^(r-k) d^(s-k)
     #                          + gamma [r-k]_mu x^(r-k-1) d^(s-1-k)
@@ -234,14 +231,14 @@ def _one_var_table(spec: AlgebraSpec, i: int, s: int, r: int):
     for k, c in enumerate(prev):
         if c.is_zero():
             continue
-        v = c * mu_pow(r - k)
+        v = f.twist(c, mu * (r - k))
         out[k] = v if out[k] is None else out[k] + v
         if r - k >= 1 and k + 1 <= kmax:
             qint = None
             for t in range(r - k):
-                p = mu_pow(t)
+                p = spec.q_power(mu * t)
                 qint = p if qint is None else qint + p
-            v = c * gamma * qint
+            v = mul_skip_one(mul_skip_one(c, gamma), qint)
             out[k + 1] = v if out[k + 1] is None else out[k + 1] + v
     return tuple(f.zero if c is None else c for c in out)
 
@@ -266,29 +263,32 @@ def _reorder(spec: AlgebraSpec, b: ExpVec, a: ExpVec):
             continue
         # surviving x_i^(ai-k) continues left through d_j^bj for j < i
         e2 = s * sum(b[j] * (ai - k) * spec.m[j][i] for j in range(i))
-        coeff = ck * spec.q_power(e1 + e2)
+        coeff = f.twist(ck, e1 + e2)
         b2 = _bump(b, i, -k)
         for (a3, b3), c3 in _reorder(spec, b2, rest):
             key = (_bump(a3, i, ai - k), b3)
-            c = coeff * c3
+            c = mul_skip_one(coeff, c3)
             prev = out.get(key)
             out[key] = c if prev is None else prev + c
     return tuple((key, c) for key, c in out.items() if not c.is_zero())
+
+
+@lru_cache(maxsize=1024)
+def _merge_vectors(spec: AlgebraSpec, vec: ExpVec) -> tuple[ExpVec, ExpVec]:
+    """The vectors (as_left, as_right) of an exponent vector with
+    _merge_exponent(spec, vec, w) = as_left . w and
+    _merge_exponent(spec, w, vec) = w . as_right for every w."""
+    m, n = spec.m, spec.n
+    as_left = tuple(sum(m[i][j] * vec[j] for j in range(i + 1, n)) for i in range(n))
+    as_right = tuple(sum(m[i][j] * vec[i] for i in range(j)) for j in range(n))
+    return as_left, as_right
 
 
 def _merge_exponent(spec: AlgebraSpec, left: ExpVec, right: ExpVec) -> int:
     """Unsigned twist exponent sum_{i<j} m_ij left_j right_i of merging
     x^left x^right into x^(left+right).  The PBW engine scales it by
     ``spec.sign``; the braided symmetric algebras of :mod:`.hopf` negate it."""
-    e = 0
-    m = spec.m
-    for i in range(spec.n):
-        ri = right[i]
-        if ri:
-            for j in range(i + 1, spec.n):
-                if left[j]:
-                    e += m[i][j] * left[j] * ri
-    return e
+    return sum(map(mul, _merge_vectors(spec, left)[0], right))
 
 
 def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
@@ -300,25 +300,33 @@ def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
     q^(sign * _merge_exponent).  The PBW engine passes its rewriting kernel
     and ``spec.sign``; the Heisenberg double of :mod:`.hopf` passes its
     smash-product core and -1.
+
+    The merge exponent is bilinear, so it is read as two dot products, with
+    the vectors of ``_merge_vectors`` taken once per left and per right
+    term.  The twist q^e goes through ``Field.twist``, which over Q(q) shifts
+    the normal form instead of multiplying.
     """
     out: dict[Monomial, Scalar] = {}
     # most coefficients met here are one (a monomial times a monomial, a
     # trivially ordered middle, no twist), so products by one are skipped
     one = spec.field.one.v
+    twist = spec.field.twist
+    rights = [
+        (a2, b2, c2, c2.v == one, _merge_vectors(spec, b2)[1])
+        for (a2, b2), c2 in right.items()
+    ]
     for (a1, b1), c1 in left.items():
         c1_one = c1.v == one
-        for (a2, b2), c2 in right.items():
-            c12 = c2 if c1_one else c1 if c2.v == one else c1 * c2
+        as_left = _merge_vectors(spec, a1)[0]
+        for a2, b2, c2, c2_one, as_right in rights:
+            c12 = c2 if c1_one else c1 if c2_one else c1 * c2
             c12_one = c12.v == one
             for (am, bm), ck in core(spec, b1, a2):
-                e = sign * (_merge_exponent(spec, a1, am) + _merge_exponent(spec, bm, b2))
-                key = (
-                    tuple(p + r for p, r in zip(a1, am)),
-                    tuple(p + r for p, r in zip(bm, b2)),
-                )
+                e = sign * (sum(map(mul, as_left, am)) + sum(map(mul, bm, as_right)))
+                key = (tuple(map(add, a1, am)), tuple(map(add, bm, b2)))
                 c = ck if c12_one else c12 if ck.v == one else c12 * ck
                 if e:
-                    c = c * spec.q_power(e)
+                    c = twist(c, e)
                 prev = out.get(key)
                 out[key] = c if prev is None else prev + c
     return out
@@ -480,10 +488,10 @@ def _sigma_scale(spec: AlgebraSpec, u: PBWElement, k: ExpVec) -> PBWElement:
     if not any(k):
         return u
     out = {}
+    twist = spec.field.twist
     for (a, b), c in u.terms.items():
         w = spec.weight(tuple(p - r for p, r in zip(a, b)))
-        e = sum(ki * wi for ki, wi in zip(k, w))
-        out[(a, b)] = c * spec.q_power(e) if e else c
+        out[(a, b)] = twist(c, sum(ki * wi for ki, wi in zip(k, w)))
     return PBWElement(spec, out)
 
 

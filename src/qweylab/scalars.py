@@ -14,7 +14,10 @@ Supported fields:
   the contents, and a product of two of them multiplies the leads and adds
   the exponents.  Every other denominator is reduced through the
   polynomial gcd (pseudo-remainder Euclid).  Both paths give the same
-  normal form.
+  normal form.  A twist c*q^e (``Field.twist``) needs neither: num/den is
+  reduced, so the only common factor of num*q^e and den is a power of q,
+  and the twist cancels it from the denominator and shifts the numerator
+  by the rest (mirrored for e < 0).
 * ``cyclotomic`` -- the field generated over the rationals by a primitive
   root of unity ``zeta`` of odd order ``l > 1``.  A value is a pair
   ``(nums, den)``: ``phi(l)`` integer numerators over the basis
@@ -308,6 +311,12 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def mul_skip_one(a: Scalar, b: Scalar) -> Scalar:
+    """a * b, returning the other factor when one of them is one."""
+    one = a.field.one.v
+    return b if a.v == one else a if b.v == one else a * b
+
+
 # ---------------------------------------------------------------------------
 # Fields
 # ---------------------------------------------------------------------------
@@ -347,6 +356,10 @@ class Field:
     def q_power(self, e: int) -> Scalar:
         return self.q ** e
 
+    def twist(self, c: Scalar, e: int) -> Scalar:
+        """c * q^e, the scaling every rewrite and braiding twist applies."""
+        return c * self.q_power(e) if e else c
+
     def format(self, v) -> str:  # pragma: no cover
         raise NotImplementedError
 
@@ -371,6 +384,9 @@ class RationalField(Field):
     def q_power(self, e: int) -> Scalar:
         return self.one
 
+    def twist(self, c: Scalar, e: int) -> Scalar:
+        return c
+
     def _add(self, a, b):
         return a + b
 
@@ -393,7 +409,10 @@ class RationalField(Field):
 
 
 class RationalFunctionField(Field):
-    """Rational functions in q with exact, structurally-normalized storage."""
+    """Rational functions in q with exact, structurally-normalized storage.
+
+    ``twist(c, e)`` = c*q^e shifts the normal form of c: no polynomial
+    product and no gcd (see the module docstring)."""
 
     kind = "rational_function_q"
 
@@ -416,6 +435,17 @@ class RationalFunctionField(Field):
                 s = Scalar(self, (_ONE_POLY, _trim([0] * (-e) + [1])))
             self._qpow_cache[e] = s
         return s
+
+    def twist(self, c: Scalar, e: int) -> Scalar:
+        num, den = c.v
+        if not e or not num:
+            return c
+        # gcd(num*q^e, den) = q^min(e, val(den)) for reduced num/den
+        if e > 0:
+            k = min(e, _valuation(den))
+            return Scalar(self, ((0,) * (e - k) + num, den[k:]))
+        k = min(-e, _valuation(num))
+        return Scalar(self, (num[k:], (0,) * (-e - k) + den))
 
     def from_int(self, n: int) -> Scalar:
         return Scalar(self, ((int(n),) if n else _ZERO_POLY, _ONE_POLY))

@@ -1,10 +1,36 @@
+import json
 import random
+from pathlib import Path
 
+from qweylab.config import parse_config
 from qweylab.moment import moment_ideal_reduce
 from qweylab.qweyl import AlgebraSpec
 from qweylab.scalars import make_field
 
 QQ_Q = make_field("rational_function_q")
+# read only: the benchmark owns this file
+VERIFY_QQ = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "verify_qq.json"
+
+
+def verify_qq_variant(diagonal, column=None):
+    """The benchmark's Q(q) config with another diagonal of M and, given a
+    column, d = 1 with that column as A."""
+    raw = json.loads(VERIFY_QQ.read_text())
+    for i, m in enumerate(diagonal):
+        raw["M"][i][i] = m
+    if column is not None:
+        raw["d"], raw["A"], raw["eta"] = 1, [[a] for a in column], raw["eta"][:1]
+    return parse_config(raw)
+
+
+# (diagonal of M, column of A or None) of the non-uniform-diagonal variants
+NON_UNIFORM = [
+    ((1, 1, 2), None),
+    ((1, 1, 2), (1, 1, 1)),
+    ((1, -1, 2), None),
+    ((1, 0, 1), None),
+    ((2, 1, 1), (1, 2, 1)),
+]
 
 
 def random_skew_matrix(rng: random.Random, n: int, lo=-2, hi=2):

@@ -1,5 +1,6 @@
 """The verbose reports of the bundled configs and of the benchmark's verify
-configs, pinned byte for byte apart from the `elapsed` timings.
+configs, and the moment checks of the non-uniform-diagonal variants of the
+Q(q) config, pinned byte for byte apart from the `elapsed` timings.
 
 Regenerate the files under `golden/` only for a change that is meant to
 alter a verdict or a detail string.
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import NON_UNIFORM, verify_qq_variant
 from qweylab.checks import run_verification_suite
 from qweylab.config import load_config
 
@@ -26,8 +28,28 @@ BENCH_CONFIGS = TESTS.parent / "perfbench" / "configs"
     ids=lambda path: path.stem,
 )
 def test_verbose_report_matches_golden(path):
-    report = run_verification_suite(load_config(str(path)), verbose=True)
+    assert_matches_golden(run_verification_suite(load_config(str(path)), verbose=True), path.stem)
+
+
+def variant_name(diagonal, column):
+    name = "verify_qq_diag_" + "_".join(map(str, diagonal))
+    return name if column is None else name + "_A_" + "_".join(map(str, column))
+
+
+@pytest.mark.parametrize(
+    "diagonal, column", NON_UNIFORM, ids=[variant_name(*v) for v in NON_UNIFORM]
+)
+def test_non_uniform_moment_checks_match_golden(diagonal, column):
+    report = run_verification_suite(
+        verify_qq_variant(diagonal, column),
+        only={"moment-identity", "moment-reduction"},
+        verbose=True,
+    )
+    assert_matches_golden(report, variant_name(diagonal, column))
+
+
+def assert_matches_golden(report, name):
     for rec in report["checks"]:
         del rec["elapsed"]
-    want = json.loads((TESTS / "golden" / f"{path.stem}.json").read_text())
+    want = json.loads((TESTS / "golden" / f"{name}.json").read_text())
     assert json.loads(json.dumps(report)) == want

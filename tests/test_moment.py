@@ -1,4 +1,3 @@
-import json
 import random
 import re
 from fractions import Fraction
@@ -6,9 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_skew_matrix, round_trip_product
+from conftest import (
+    NON_UNIFORM,
+    VERIFY_QQ,
+    random_skew_matrix,
+    round_trip_product,
+    verify_qq_variant,
+)
 from qweylab.checks import run_verification_suite
-from qweylab.config import load_config, parse_config
+from qweylab.config import load_config
 from qweylab.errors import DomainError, ParameterError
 from qweylab.moment import (
     ReductionDatum,
@@ -260,28 +265,6 @@ def test_invariant_count_independent_of_eta():
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-VERIFY_QQ = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "verify_qq.json"
-
-
-def verify_qq_variant(diagonal, column=None):
-    """The benchmark's Q(q) config with another diagonal of M and, given a
-    column, d = 1 with that column as A."""
-    raw = json.loads(VERIFY_QQ.read_text())
-    for i, m in enumerate(diagonal):
-        raw["M"][i][i] = m
-    if column is not None:
-        raw["d"], raw["A"], raw["eta"] = 1, [[a] for a in column], raw["eta"][:1]
-    return parse_config(raw)
-
-
-# (diagonal of M, column of A or None) of the non-uniform-diagonal variants
-NON_UNIFORM = [
-    ((1, 1, 2), None),
-    ((1, 1, 2), (1, 1, 1)),
-    ((1, -1, 2), None),
-    ((1, 0, 1), None),
-    ((2, 1, 1), (1, 2, 1)),
-]
 
 
 @pytest.mark.parametrize("diagonal, column", NON_UNIFORM)

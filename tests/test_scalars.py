@@ -286,3 +286,33 @@ def test_cyclotomic_arithmetic_builds_no_fraction(monkeypatch):
         if not x.is_zero():
             assert x * x.inv() == F.one
     assert (xs[0] * 3 + 1).inv() * (xs[0] * 3 + 1) == 1
+
+
+def test_rational_function_twist_is_the_product_by_a_q_power():
+    rng = random.Random("twist:rational_function_q")
+    values = [QQ_Q.zero, QQ_Q.one, QQ_Q.q_power(-3)]
+    values += [QQ_Q.scalar(RationalFunctionField._normalize(num, den))
+               for num, den in _monomial_denominator_cases()[:60]]
+    values += [_random_scalar(rng, QQ_Q) for _ in range(200)]
+    multi_term = [s for s in values if len([c for c in s.v[1] if c]) > 1]
+    assert multi_term and any(s.v[1][0] == 0 for s in values) and any(
+        s.v[0][:1] == (0,) for s in values
+    )
+    for s in values:
+        for e in range(-8, 9):
+            assert QQ_Q.twist(s, e).v == (s * QQ_Q.q_power(e)).v, (s, e)
+
+
+@pytest.mark.parametrize("l", (3, 5, 7))
+def test_cyclotomic_twist_is_the_product_by_a_q_power(l):
+    F, xs = _seeded_cyclotomic(l, 10)
+    for s in xs + [F.zero, F.one]:
+        for e in range(-3 * l, 3 * l + 1):
+            assert F.twist(s, e).v == (s * F.q_power(e)).v, (s, e)
+
+
+def test_rational_twist_is_the_product_by_a_q_power():
+    rng = random.Random("twist:rational")
+    for s in [QQ.zero] + [_random_scalar(rng, QQ) for _ in range(20)]:
+        for e in range(-8, 9):
+            assert QQ.twist(s, e).v == (s * QQ.q_power(e)).v

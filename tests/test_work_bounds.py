@@ -214,3 +214,57 @@ def test_reduced_product_stays_in_the_alpha_basis(monkeypatch):
     for u, v in zip(elements, elements[1:]):
         assert not reduced_product(u, v, datum).is_zero()
     assert fractions == []
+
+
+# Scalar.__mul__ calls per verify_qq check from cold caches before twists
+# went through Field.twist; the combined count of products and twists must
+# stay below them.  Counts now (products + twists): engine-soundness
+# 13,692 + 6,073, hopf-axioms 4,556 + 1,911, double-presentation 597 +
+# 10,760, moment-reduction 11,810 + 2,294.
+PRODUCTS_BEFORE_TWISTS = {
+    "engine-soundness": 20_602,
+    "euler-commutativity": 21,
+    "power-identities": 384,
+    "hopf-axioms": 8_362,
+    "double-presentation": 14_425,
+    "classical-limit": 59,
+    "moment-identity": 206,
+    "moment-reduction": 20_487,
+}
+
+
+@pytest.mark.parametrize("check_id", list(PRODUCTS_BEFORE_TWISTS))
+def test_verify_qq_products_and_twists(monkeypatch, check_id):
+    cfg = load_config(str(VERIFY_QQ))
+    clear_layer_caches()
+    calls = []
+    counting(monkeypatch, Scalar, "__mul__", calls)
+    counting(monkeypatch, scalars.RationalFunctionField, "twist", calls)
+    report = run_verification_suite(cfg, only={check_id})
+    assert report["summary"]["pass"] == 1
+    assert len(calls) < PRODUCTS_BEFORE_TWISTS[check_id]
+
+
+def test_moment_reduction_expands_each_alpha_form_once():
+    # 3,759 expansions without the cache, of 338 distinct (spec, a, b, order)
+    cfg = load_config(str(VERIFY_QQ))
+    clear_layer_caches()
+    report = run_verification_suite(cfg, only={"moment-reduction"})
+    assert report["summary"]["pass"] == 1
+    assert moment._alpha_form_terms.cache_info().misses <= 400
+
+
+@pytest.mark.parametrize("module, name", [(qweyl, "_merge_vectors"), (moment, "_alpha_form_terms")])
+def test_product_kernel_caches_are_bounded(module, name):
+    assert getattr(module, name).cache_info().maxsize is not None
+
+
+def test_double_presentation_multiplies_every_pair_on_both_sides(monkeypatch):
+    spec = load_config(str(VERIFY_QQ)).spec
+    doubles, engine = [], []
+    counting(monkeypatch, hopf.DoubleElement, "__mul__", doubles)
+    counting(monkeypatch, PBWElement, "__mul__", engine)
+    assert hopf.verify_double_presentation(spec, 2).passed
+    pairs = len(qweyl.graded_monomials(spec.n, 2)) ** 2
+    assert len(engine) == pairs and len(doubles) >= pairs
+    assert {args[0].spec for args in engine} == {spec.unscaled_twin()}
