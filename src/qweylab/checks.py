@@ -12,6 +12,7 @@ from .config import WorkbenchConfig
 from .errors import QWeylError
 from .hopf import DoubleElement, verify_double_presentation, verify_hopf_axioms
 from .moment import (
+    TorusData,
     invariant_monomials,
     moment_ideal_reduce,
     quantum_comoment,
@@ -290,9 +291,6 @@ def check_rep_build(config: WorkbenchConfig) -> str:
 
 def check_rep_irreducibility(config: WorkbenchConfig) -> str:
     _need_reps(config)
-    f = config.field
-    l = f.l
-    rng = _rng_for(config, "rep-irreducibility")
     for rep in config.build_reps():
         cdim = commutant_dimension(rep)
         if azumaya_membership(rep.character):
@@ -300,8 +298,20 @@ def check_rep_irreducibility(config: WorkbenchConfig) -> str:
                 raise AssertionError(f"commutant dimension {cdim} on the locus")
         elif cdim <= 1:
             raise AssertionError("zero-character rep with trivial commutant")
-    # seeded dichotomy on rank-1 builders
-    for k in range(10):
+    rank1_dichotomy_cases(config.field, _rng_for(config, "rep-irreducibility"), 10)
+    return "configured reps plus 10 seeded rank-1 dichotomies"
+
+
+def rank1_dichotomy_cases(f: CyclotomicField, rng: random.Random, cases: int):
+    """The seeded commutant dichotomy on rank-1 builders.
+
+    Each case draws lambda and mu in 1..9: the rep with b_m = mu / (lambda
+    zeta^m) lies on the matrix-algebra locus, has commutant dimension 1 and
+    the alpha spectrum of its character; the same lambda with every b_m zero
+    lies off the locus and has a larger commutant.  Raises AssertionError
+    naming the first case that fails."""
+    l = f.l
+    for k in range(cases):
         lam = f.from_int(rng.randint(1, 9))
         mu = f.from_int(rng.randint(1, 9))
         b = [mu / (lam * f.zeta_power(m)) for m in range(l)]
@@ -309,12 +319,13 @@ def check_rep_irreducibility(config: WorkbenchConfig) -> str:
         if commutant_dimension(rep) != 1 or not azumaya_membership(rep.character):
             raise AssertionError(f"seeded locus rep {k} not irreducible")
         broken = build_irrep_rank1(lam, [f.zero] * l, l)
+        if azumaya_membership(broken.character):
+            raise AssertionError(f"seeded off-locus rep {k} lies on the locus")
         if commutant_dimension(broken) <= 1:
             raise AssertionError(f"seeded off-locus rep {k} has trivial commutant")
         spectrum = verify_alpha_spectrum(rep)
         if not spectrum.passed:
             raise AssertionError(_outcome_detail(spectrum))
-    return "configured reps plus 10 seeded rank-1 dichotomies"
 
 
 def check_fiber_weights(config: WorkbenchConfig) -> str:
@@ -398,30 +409,38 @@ def check_cover_degree(config: WorkbenchConfig) -> str:
     _need_cyclotomic(config)
     if config.torus.d == 0:
         raise Skip("no subtorus configured")
-    f = config.field
-    l = f.l
     torus = config.torus
-    if l**torus.n > config.bounds["enumeration_cap"]:
+    l = config.field.l
+    cap = config.bounds["enumeration_cap"]
+    if l**torus.n > cap:
         raise Skip("enumeration cap exceeded")
-    rng = _rng_for(config, "cover-degree")
+    cover_degree_cases(config.field, torus, _rng_for(config, "cover-degree"), 10, cap)
+    return f"10 seeded instances, {l ** (torus.n - torus.d)} points each"
+
+
+def cover_degree_cases(
+    f: CyclotomicField, torus: TorusData, rng: random.Random, cases: int, enumeration_cap: int
+):
+    """The seeded point counts of the root cover over one torus.
+
+    Each case draws base values r_i in 1..9 and a twist of each by a power of
+    zeta: over the l-th powers r_i^l, the fiber at the character of the
+    twisted point has l^(n-d) points, and the fiber at that character with its
+    first entry times 7 has none.  Raises AssertionError naming the first case
+    that fails."""
+    l = f.l
     expected = l ** (torus.n - torus.d)
-    for k in range(10):
+    for k in range(cases):
         base = [f.from_int(rng.randint(1, 9)) for _ in range(torus.n)]
         values = [r**l for r in base]
         twisted = [r * f.zeta_power(rng.randrange(l)) for r in base]
         eta = list(torus.character(twisted))
-        sols = cover_fiber_points(
-            values, torus, eta, l, enumeration_cap=config.bounds["enumeration_cap"]
-        )
+        sols = cover_fiber_points(values, torus, eta, l, enumeration_cap=enumeration_cap)
         if len(sols) != expected:
             raise AssertionError(f"instance {k}: {len(sols)} points, expected {expected}")
         bad_eta = [eta[0] * f.from_int(7)] + eta[1:]
-        sols_bad = cover_fiber_points(
-            values, torus, bad_eta, l, enumeration_cap=config.bounds["enumeration_cap"]
-        )
-        if sols_bad:
+        if cover_fiber_points(values, torus, bad_eta, l, enumeration_cap=enumeration_cap):
             raise AssertionError(f"instance {k}: incompatible eta admits points")
-    return f"10 seeded instances, {expected} points each"
 
 
 CHECKS = [

@@ -4,6 +4,7 @@ ideal, build representations, and run the verification suite."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -17,7 +18,10 @@ from .rootofunity import export_rep
 from .scalars import Scalar
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="qweylab",
         description="exact q-Weyl algebra workbench",

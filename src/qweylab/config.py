@@ -9,7 +9,8 @@ collects every problem (with a field path) before aborting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
+from functools import lru_cache
 
 from .errors import ExprError, ParameterError, ZeroDivisorError
 from .expr import parse_scalar
@@ -65,11 +66,17 @@ class WorkbenchConfig:
 
 
 class ConfigError(ParameterError):
-    """Raised with the full list of validation problems."""
+    """Raised with the full list of validation problems.  A file that cannot
+    be read as a JSON object is one problem, reported on one line with the
+    file's path."""
 
-    def __init__(self, problems: list[str]):
+    def __init__(self, problems: list[str], path=None):
         self.problems = problems
-        super().__init__("invalid config:\n  " + "\n  ".join(problems))
+        if path is None:
+            message = "invalid config:\n  " + "\n  ".join(problems)
+        else:
+            message = f"invalid config {path}: " + "; ".join(problems)
+        super().__init__(message)
 
 
 def _is_int(value) -> bool:
@@ -134,9 +141,43 @@ def _parse_slot(slot, field: CyclotomicField | None, path: str, problems: list[s
 
 
 def load_config(path: str) -> WorkbenchConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    return parse_config(raw)
+    """The config in the file at path, read on every call.
+
+    Validation and object resolution run once per distinct file text (see
+    `_config_of_text`), so an edited file is parsed again.  Each call returns
+    a config of its own: its `raw`, `bounds` and `rep_slots` are new objects,
+    and its reps are built on first use; only the immutable field, spec,
+    torus, eta and slot scalars are shared between calls."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigError([exc.strerror or type(exc).__name__], path) from None
+    except UnicodeDecodeError:
+        raise ConfigError(["not UTF-8 text"], path) from None
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"invalid JSON: {exc}"], path) from None
+    if not isinstance(raw, dict):
+        raise ConfigError(["the top level must be a JSON object"], path)
+    shared = _config_of_text(text)
+    return replace(
+        shared,
+        raw=raw,
+        bounds=dict(shared.bounds),
+        rep_slots=[
+            [slot if slot is None else (slot[0], list(slot[1])) for slot in slots]
+            for slots in shared.rep_slots
+        ],
+    )
+
+
+@lru_cache(maxsize=16)
+def _config_of_text(text: str) -> WorkbenchConfig:
+    """The config a file text holds, which `load_config` has checked to be a
+    JSON object.  Shared by every load of that text, so never handed out."""
+    return parse_config(json.loads(text))
 
 
 def parse_config(raw: dict) -> WorkbenchConfig:

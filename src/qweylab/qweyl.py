@@ -99,11 +99,26 @@ class AlgebraSpec:
                         f"M must be skew-symmetric off the diagonal (rows {i+1},{j+1})"
                     )
         # a spec keys every lru_cache of the PBW, hopf and moment layers, so
-        # its hash is taken once; equality stays the dataclass one
+        # its hash is taken once
         object.__setattr__(self, "_hash", hash((self.n, self.m, self.rescaled, self.field)))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        # the dataclass equality, but identity first: the element products
+        # guard every product by comparing their specs, and those are
+        # nearly always one shared object
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m, self.rescaled, self.field) == (
+            other.n,
+            other.m,
+            other.rescaled,
+            other.field,
+        )
 
     @staticmethod
     def single_parameter(n: int, field: Field, rescaled: bool = True) -> AlgebraSpec:
@@ -129,7 +144,13 @@ class AlgebraSpec:
         return 1 if self.rescaled else -1
 
     def unscaled_twin(self) -> AlgebraSpec:
-        return AlgebraSpec(self.n, self.m, False, self.field)
+        """The spec with the unscaled normalization: one object per spec, so
+        the caches it keys meet it by identity."""
+        twin = self.__dict__.get("_twin")
+        if twin is None:
+            twin = AlgebraSpec(self.n, self.m, False, self.field) if self.rescaled else self
+            object.__setattr__(self, "_twin", twin)
+        return twin
 
     def q_power(self, e: int) -> Scalar:
         return self.field.q_power(e)

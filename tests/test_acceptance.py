@@ -8,7 +8,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import random_element, random_skew_matrix
-from qweylab.checks import moment_reduction_cases
+from qweylab.checks import cover_degree_cases, moment_reduction_cases, rank1_dichotomy_cases
+from qweylab.config import DEFAULT_BOUNDS
 from qweylab.hopf import DoubleElement, verify_double_presentation
 from qweylab.moment import (
     ReductionDatum,
@@ -19,17 +20,14 @@ from qweylab.moment import (
 from qweylab.qweyl import AlgebraSpec, verify_power_identities
 from qweylab.reduction import (
     compatible_eta_grid,
-    cover_fiber_points,
     reduced_endomorphism_algebra,
     restriction_kernel_check,
     weight_space,
 )
 from qweylab.rootofunity import (
-    azumaya_membership,
     build_irrep,
     build_irrep_rank1,
     centralizer_basis,
-    commutant_dimension,
     lcenter_monomials,
     verify_delta_power,
     verify_lcenter_freeness,
@@ -122,22 +120,11 @@ def test_criterion_5_center_truncation():
 
 def test_criterion_6_azumaya_dichotomy():
     with criterion(6, "commutant dichotomy across the matrix-algebra locus"):
+        # the seeded rank-1 loop of the rep-irreducibility check, 10 cases
+        # per order
         rng = random.Random(606)
         for l in (3, 5):
-            field = make_field("cyclotomic", l)
-            for _ in range(10):
-                lam, mu = rng.randint(1, 9), rng.randint(1, 9)
-                rep = seeded_rank1(field, lam, mu)
-                aw = field.one + rep.character.a[0] * rep.character.omega[0]
-                assert not aw.is_zero()
-                assert azumaya_membership(rep.character)
-                assert commutant_dimension(rep) == 1
-                # same data with the coordinate's cyclic entries zeroed
-                broken = build_irrep_rank1(
-                    field.from_fraction(Fraction(lam)), [field.zero] * l, l
-                )
-                assert not azumaya_membership(broken.character)
-                assert commutant_dimension(broken) > 1
+            rank1_dichotomy_cases(make_field("cyclotomic", l), rng, 10)
 
 
 def test_criterion_7_rank_freeness():
@@ -185,30 +172,32 @@ def test_criterion_8_fiber_reduction():
 
 def test_criterion_9_cover_degree():
     with criterion(9, "cover point counts match the expected degree"):
+        # the seeded loop of the cover-degree check, 10 instances per layout
         rng = random.Random(909)
         z3 = make_field("cyclotomic", 3)
-        l = 3
         layouts = [
             TorusData.from_rows([[1], [1]]),
             TorusData.from_rows([[1], [1], [1]]),
             TorusData.from_rows([[1, 0], [0, 1], [1, 1]]),
         ]
         for torus in layouts:
-            expected = l ** (torus.n - torus.d)
+            cover_degree_cases(z3, torus, rng, 10, DEFAULT_BOUNDS["enumeration_cap"])
+        # the loop reads eta through torus.character; check that against the
+        # product prod_i t_i^(a_ij) written out here
+        ref_rng = random.Random(919)
+        for torus in layouts:
             for _ in range(10):
-                base = [z3.from_int(rng.randint(1, 9)) for _ in range(torus.n)]
-                twisted = [r * z3.zeta_power(rng.randrange(l)) for r in base]
-                values = [r**l for r in base]
+                t = [
+                    z3.from_int(ref_rng.randint(1, 9)) * z3.zeta_power(ref_rng.randrange(3))
+                    for _ in range(torus.n)
+                ]
                 eta = []
                 for j in range(torus.d):
                     acc = z3.one
                     for i in range(torus.n):
-                        acc = acc * twisted[i] ** torus.a[i][j]
+                        acc = acc * t[i] ** torus.a[i][j]
                     eta.append(acc)
-                sols = cover_fiber_points(values, torus, eta, l)
-                assert len(sols) == expected
-                bad = [eta[0] * z3.from_int(5)] + eta[1:]
-                assert cover_fiber_points(values, torus, bad, l) == []
+                assert list(torus.character(t)) == eta
 
 
 def test_criterion_10_moment_identity():

@@ -1,0 +1,146 @@
+"""Repeated `qweylab.cli.main` calls in one process, as a session serves
+requests: the argument parser is built once, each config text is parsed
+once, and every call answers exactly as a fresh process would."""
+
+import argparse
+import io
+import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from qweylab import cli, config
+from qweylab.config import load_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GENERIC_Q = CONFIGS / "generic_q.json"
+N2_L3 = CONFIGS / "n2_l3.json"
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def clear_request_caches():
+    cli._build_parser.cache_clear()
+    config._config_of_text.cache_clear()
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    inits = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    cli._build_parser()
+    per_build = len(inits)
+    cli._build_parser.cache_clear()
+    inits.clear()
+    for expression in ("x1", "d1*x1", "x1^2", "a1", "q*x2"):
+        assert run(["eval", expression, "--config", str(GENERIC_Q)])[0] == 0
+    assert per_build > 0
+    assert len(inits) == per_build
+
+
+def seeded_requests(rng: random.Random, count: int, bad_config: str) -> list[list[str]]:
+    """[command, expression, config] triples over generic_q and n2_l3: seeded
+    words in x, d and a with small exponents and coefficients, their sums and
+    squares, plus a negative power of x1, a parse error and a bad config."""
+    coefficients = {
+        str(GENERIC_Q): ["", "3*", "-2*", "q^2*", "(q-1)*", "1/q*"],
+        str(N2_L3): ["", "3*", "-2*", "zeta*", "(zeta+1)*"],
+    }
+    atoms = ["x1", "x2", "d1", "d2", "a1", "a2"]
+
+    def word():
+        return "*".join(
+            f"{rng.choice(atoms)}^{rng.randint(1, 3)}" for _ in range(rng.randint(1, 3))
+        )
+
+    requests = []
+    for _ in range(count):
+        cfg = rng.choice(sorted(coefficients))
+        expression = rng.choice(coefficients[cfg]) + word()
+        shape = rng.random()
+        if shape < 0.25:
+            expression = f"{expression} + {word()}"
+        elif shape < 0.4:
+            expression = f"({expression} + {word()})^2"
+        requests.append([rng.choice(["eval", "reduce"]), expression, cfg])
+    specials = [
+        ["eval", "x1^-1", str(GENERIC_Q)],
+        ["reduce", "x1^-1", str(N2_L3)],
+        ["reduce", "a1^-1*x1*d2", str(N2_L3)],
+        ["eval", "x1 +", str(GENERIC_Q)],
+        ["eval", "x1", bad_config],
+        ["reduce", "d1*x1", bad_config],
+    ]
+    for request in specials:
+        requests.insert(rng.randrange(len(requests) + 1), request)
+    return requests
+
+
+def test_warm_session_answers_as_cold_calls(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": "cyclotomic", "l": 2, "n": 1}))
+    requests = seeded_requests(random.Random(1010), 54, str(bad))
+    argvs = [[command, "--config", cfg, "--", expression] for command, expression, cfg in requests]
+    clear_request_caches()
+    warm = [run(argv) for argv in argvs]
+    cold = []
+    for argv in argvs:
+        clear_request_caches()
+        cold.append(run(argv))
+    assert warm == cold
+    codes = [code for code, _, _ in warm]
+    assert len(codes) == 60 and codes.count(2) == 5 and codes.count(0) == 55
+    assert sum("invalid config" in err for _, _, err in warm) == 2
+
+
+def test_edited_config_file_is_parsed_again(tmp_path):
+    path = tmp_path / "cfg.json"
+    raw = json.loads(GENERIC_Q.read_text())
+    path.write_text(json.dumps(raw))
+    assert run(["eval", "d1*x1", "--config", str(path)]) == (0, "q*x1*d1 + (q-1)\n", "")
+    raw["M"] = [[2, 1], [-1, 1]]
+    path.write_text(json.dumps(raw))
+    assert run(["eval", "d1*x1", "--config", str(path)]) == (0, "q^2*x1*d1 + (q^2-1)\n", "")
+
+
+def test_each_load_parses_a_text_once_and_returns_an_independent_config(monkeypatch):
+    parses = []
+    original = config.parse_config
+
+    def counted(raw):
+        parses.append(raw)
+        return original(raw)
+
+    monkeypatch.setattr(config, "parse_config", counted)
+    config._config_of_text.cache_clear()
+    first = load_config(str(N2_L3))
+    first_reps = first.build_reps()
+    first.bounds["random_cases"] = 1
+    first.raw["seed"] = -1
+    first.raw["reps"].pop()
+    first.rep_slots[0][0][1][0] = None
+    first.rep_slots.pop()
+    second = load_config(str(N2_L3))
+    assert len(parses) == 1
+    assert second.spec is first.spec
+    fresh = original(json.loads(N2_L3.read_text()))
+    assert second.raw == fresh.raw
+    assert second.bounds == fresh.bounds
+    assert second.rep_slots == fresh.rep_slots
+    # the reps are built again, from the unmutated slots
+    second_reps = second.build_reps()
+    assert [rep.dim for rep in second_reps] == [9, 9]
+    assert not any(a is b for a, b in zip(first_reps, second_reps))
+

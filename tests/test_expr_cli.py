@@ -178,6 +178,25 @@ def test_config_type_errors_name_their_field(tmp_path, capsys, path, value, prob
     assert problem in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"field": ', "invalid JSON: Expecting value: line 1 column 11 (char 10)"),
+        (None, "No such file or directory"),
+        ("[1, 2]", "the top level must be a JSON object"),
+    ],
+    ids=["invalid-json", "missing-file", "top-level-list"],
+)
+def test_config_file_faults_exit_2_naming_the_file(tmp_path, capsys, text, problem):
+    cfg = tmp_path / "bad.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["eval", "x1", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid config {cfg}: {problem}\n"
+
+
 def test_cli_eval_and_exit_codes(tmp_path, capsys):
     cfg = str(CONFIGS / "n1_l3.json")
     assert main(["eval", "d1*x1", "--config", cfg]) == 0

@@ -28,6 +28,16 @@ def test_spec_validation():
     AlgebraSpec(2, ((1, 1), (-1, -4)), True, QQ_Q)  # diagonal unconstrained
 
 
+def test_unscaled_twin_is_one_object_per_spec():
+    spec = AlgebraSpec.single_parameter(2, QQ_Q)
+    twin = spec.unscaled_twin()
+    assert twin is spec.unscaled_twin()
+    assert twin == U2 and twin != spec
+    assert twin.unscaled_twin() is twin
+    # equality stays structural: an equal spec built apart meets it in a cache
+    assert AlgebraSpec.single_parameter(2, QQ_Q).unscaled_twin() == twin
+
+
 @pytest.mark.parametrize(
     "rows, entry",
     [([[1.5, 1], [-1, 1]], "M[0][0]"), ([[1, True], [-1, 1]], "M[0][1]")],

@@ -245,6 +245,26 @@ def test_verify_qq_products_and_twists(monkeypatch, check_id):
     assert len(calls) < PRODUCTS_BEFORE_TWISTS[check_id]
 
 
+def test_verify_qq_run_compares_specs_by_identity(monkeypatch):
+    # 14,112 field-by-field AlgebraSpec comparisons of two distinct objects
+    # while every unscaled_twin() call built a new spec; the rest of the
+    # 33,702 __eq__ calls compared a spec with itself
+    cfg = load_config(str(VERIFY_QQ))
+    clear_layer_caches()
+    calls = []
+    original = AlgebraSpec.__eq__
+
+    def eq(self, other):
+        if self is not other:
+            calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(AlgebraSpec, "__eq__", eq)
+    report = run_verification_suite(cfg)
+    assert report["summary"]["ok"] and report["summary"]["pass"] == 8
+    assert len(calls) < 1_000
+
+
 def test_moment_reduction_expands_each_alpha_form_once():
     # 3,759 expansions without the cache, of 338 distinct (spec, a, b, order)
     cfg = load_config(str(VERIFY_QQ))
@@ -254,7 +274,10 @@ def test_moment_reduction_expands_each_alpha_form_once():
     assert moment._alpha_form_terms.cache_info().misses <= 400
 
 
-@pytest.mark.parametrize("module, name", [(qweyl, "_merge_vectors"), (moment, "_alpha_form_terms")])
+@pytest.mark.parametrize(
+    "module, name",
+    [(qweyl, "_merge_vectors"), (moment, "_alpha_form_terms"), (config, "_config_of_text")],
+)
 def test_product_kernel_caches_are_bounded(module, name):
     assert getattr(module, name).cache_info().maxsize is not None
 
