@@ -66,16 +66,18 @@ class WorkbenchConfig:
 
 
 class ConfigError(ParameterError):
-    """Raised with the full list of validation problems.  A file that cannot
-    be read as a JSON object is one problem, reported on one line with the
-    file's path."""
+    """Raised with the full list of validation problems, one indented line
+    each, after the config file's path when there is one.  A file that
+    cannot be read as a JSON object is one problem, reported on one line
+    with the file's path (``unreadable``)."""
 
-    def __init__(self, problems: list[str], path=None):
+    def __init__(self, problems: list[str], path=None, unreadable: bool = False):
         self.problems = problems
-        if path is None:
-            message = "invalid config:\n  " + "\n  ".join(problems)
+        where = "" if path is None else f" {path}"
+        if unreadable:
+            message = f"invalid config{where}: " + "; ".join(problems)
         else:
-            message = f"invalid config {path}: " + "; ".join(problems)
+            message = f"invalid config{where}:\n  " + "\n  ".join(problems)
         super().__init__(message)
 
 
@@ -152,16 +154,19 @@ def load_config(path: str) -> WorkbenchConfig:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise ConfigError([exc.strerror or type(exc).__name__], path) from None
+        raise ConfigError([exc.strerror or type(exc).__name__], path, unreadable=True) from None
     except UnicodeDecodeError:
-        raise ConfigError(["not UTF-8 text"], path) from None
+        raise ConfigError(["not UTF-8 text"], path, unreadable=True) from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError([f"invalid JSON: {exc}"], path) from None
+        raise ConfigError([f"invalid JSON: {exc}"], path, unreadable=True) from None
     if not isinstance(raw, dict):
-        raise ConfigError(["the top level must be a JSON object"], path)
-    shared = _config_of_text(text)
+        raise ConfigError(["the top level must be a JSON object"], path, unreadable=True)
+    try:
+        shared = _config_of_text(text)
+    except ConfigError as exc:
+        raise ConfigError(exc.problems, path) from None
     return replace(
         shared,
         raw=raw,

@@ -9,23 +9,17 @@ their cost follows the number of nonzeros, not the dimension.  Vectors are
 plain dicts in the same layout as a row.
 
 Kernels, ranks and spans go through `SparseEliminator`, an incremental
-row-echelon accumulator over the same row layout.
-
-`modular_rank` is the rank over F_p for one fixed prime p = 1 (mod l), with
-zeta sent to a fixed primitive l-th root of unity mod p.  Reduction mod p is
-a ring map, so the rank mod p never exceeds the exact rank: a full rank mod
-p, or a rank that meets a proven upper bound, certifies the exact rank.
-Callers use it only for those two outcomes and run exact elimination for
-every other one.
+row-echelon accumulator over the same row layout.  `sparse_kernel` makes a
+system small before it eliminates it: it drops the unknowns that
+single-unknown rows force to zero, then eliminates each connected component
+of the rest on its own.  Both steps keep the kernel and its basis exactly,
+so every answer is the one that one elimination of the whole system gives.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from math import isqrt
-
 from .errors import DomainError, ParameterError
-from .scalars import CyclotomicField, Field, Scalar, binary_power
+from .scalars import Field, Scalar, binary_power
 
 Vec = dict[int, Scalar]
 
@@ -266,108 +260,95 @@ def sparse_kernel(rows, ncols: int, field: Field) -> list[dict[int, Scalar]]:
     """Basis of the right kernel of the given constraint rows.
 
     Rows are dicts column -> scalar; returns kernel vectors in the same
-    format, one per free column, deterministically ordered by free column.
+    format, one per free column, ordered by free column.  Each vector is the
+    unique kernel vector with a one at its free column and zeros at every
+    other free column; its keys are the free column, then the nonzero
+    pivots in decreasing order.
+
+    The system is split before it is eliminated, and neither step changes
+    the kernel or the free columns:
+
+    * a row with a single unknown forces that unknown to zero, which is then
+      a pivot whose value is zero; it is dropped from every row, and this
+      repeats until no single-unknown row is left;
+    * the remaining rows fall into connected components (rows that share an
+      unknown are connected), and one `SparseEliminator` per component
+      reduces its rows.  A component's pivots are those of the whole system
+      on its columns, so back-substitution within it gives the same vectors.
     """
-    elim = SparseEliminator(field)
+    rows = [{c: v for c, v in row.items() if not v.is_zero()} for row in rows]
+    by_col: dict[int, list[int]] = {}
+    for k, row in enumerate(rows):
+        for c in row:
+            by_col.setdefault(c, []).append(k)
+    seen = set(by_col)
+    # forced zeros
+    queue = [k for k, row in enumerate(rows) if len(row) == 1]
+    while queue:
+        row = rows[queue.pop()]
+        if len(row) != 1:
+            continue  # emptied since it was queued
+        (col,) = row
+        for k in by_col.pop(col):
+            other = rows[k]
+            del other[col]
+            if len(other) == 1:
+                queue.append(k)
+    # components, by union-find over the columns
+    parent = {c: c for c in by_col}
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
     for row in rows:
-        elim.add(row)
-    pivots = sorted(elim.rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        # back-substitute in decreasing pivot order
-        vec = {free: field.one}
-        for p in reversed(pivots):
-            row = elim.rows[p]
-            acc = None
-            for c, v in row.items():
-                if c == p:
-                    continue
-                xv = vec.get(c)
-                if xv is None:
-                    continue
-                term = v * xv
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                vec[p] = -acc
-        basis.append(vec)
-    return basis
+        if row:
+            it = iter(row)
+            first = root(next(it))
+            for c in it:
+                rc = root(c)
+                if rc != first:
+                    parent[rc] = first
+    components: dict[int, list[dict[int, Scalar]]] = {}
+    for row in rows:
+        if row:
+            components.setdefault(root(next(iter(row))), []).append(row)
+    basis = {}
+    for block in components.values():
+        elim = SparseEliminator(field)
+        for row in block:
+            elim.add(row)
+        pivots = sorted(elim.rows, reverse=True)
+        cols = {c for row in block for c in row}
+        for free in sorted(cols.difference(elim.rows)):
+            # back-substitute in decreasing pivot order
+            vec = {free: field.one}
+            for p in pivots:
+                acc = None
+                for c, v in elim.rows[p].items():
+                    if c == p:
+                        continue
+                    xv = vec.get(c)
+                    if xv is None:
+                        continue
+                    term = v * xv
+                    acc = term if acc is None else acc + term
+                if acc is not None and not acc.is_zero():
+                    vec[p] = -acc
+            basis[free] = vec
+    # a column in no row is free and unconstrained
+    return [
+        basis.get(free) or {free: field.one}
+        for free in range(ncols)
+        if free in basis or free not in seen
+    ]
 
 
 def matrix_kernel(m: Mat) -> list[Vec]:
     """Basis of the right kernel of m, as sparse column vectors."""
     return sparse_kernel(m.values(), m.ncols, m.field)
-
-
-# ---------------------------------------------------------------------------
-# Rank over F_p
-# ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    """Trial division, quick enough for the one p < 2^30 searched per order l."""
-    return n == 2 or (n > 2 and n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2)))
-
-
-@cache
-def modular_prime(l: int) -> tuple[int, int]:
-    """(p, r): the largest prime p < 2^30 with p = 1 (mod l), and the primitive
-    l-th root of unity r = g^((p-1)/l) mod p for the smallest g that gives
-    one.  Found at the first call for each l and kept."""
-    p = ((2**30 - 2) // l) * l + 1
-    while not _is_prime(p):
-        p -= l
-    factors = [s for s in range(2, l + 1) if l % s == 0 and _is_prime(s)]
-    g = 2
-    while True:
-        r = pow(g, (p - 1) // l, p)
-        if all(pow(r, l // s, p) != 1 for s in factors):
-            return p, r
-        g += 1
-
-
-def modular_rank(rows, field: Field) -> int | None:
-    """The rank over F_p of the given rows (dicts column -> scalar), for the
-    prime and root of `modular_prime(l)` of a cyclotomic field of order l.
-
-    None when some entry's denominator is divisible by p, or when the field
-    is not cyclotomic.  Otherwise the result never exceeds the exact rank.
-    """
-    if not isinstance(field, CyclotomicField):
-        return None
-    p, root = modular_prime(field.l)
-    powers = [pow(root, k, p) for k in range(field.degree)]
-    residues: dict = {}
-    pivots: dict[int, dict[int, int]] = {}  # pivot col -> row with 1 at pivot
-    for row in rows:
-        vec = {}
-        for c, s in row.items():
-            x = residues.get(s.v)
-            if x is None:
-                nums, den = s.v
-                if den % p == 0:
-                    return None
-                x = sum(a * b for a, b in zip(nums, powers)) * pow(den, -1, p) % p
-                residues[s.v] = x
-            if x:
-                vec[c] = x
-        while vec:
-            col = min(vec)
-            pivot_row = pivots.get(col)
-            if pivot_row is None:
-                inv = pow(vec[col], -1, p)
-                pivots[col] = {c: v * inv % p for c, v in vec.items()}
-                break
-            f = vec[col]
-            for c, v in pivot_row.items():
-                # f and v are nonzero mod p, so an absent c never cancels
-                nv = (vec.get(c, 0) - f * v) % p
-                if nv:
-                    vec[c] = nv
-                else:
-                    del vec[c]
-    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +359,7 @@ def modular_rank(rows, field: Field) -> int | None:
 def column_hnf(a: list[list[int]]):
     """Column-style Hermite normal form of an integer matrix.
 
-    Returns (H, U, pivots) with H = A U, U unimodular, pivots the list of
+    Returns (H, U, pivots) with H = A U, U invertible over the integers, pivots the list of
     (row, col) pivot positions; pivot entries are positive and the other
     entries on a pivot row are reduced to [0, pivot).
     """
@@ -443,7 +424,7 @@ def hnf_reduce(c: list[int], h, u, pivots):
     """Canonical coset representative of c modulo the column lattice of H.
 
     Returns (reduced vector, t) with reduced = c - A t written through the
-    unimodular transform (H = A U), so the multiplier exponents t refer to
+    integer transform (H = A U), so the multiplier exponents t refer to
     the original columns of A.
     """
     c = list(c)

@@ -274,16 +274,18 @@ class ReducedElement(TermElement):
         )
 
     def to_localized(self) -> LocalizedElement:
-        out = None
-        for (a, b, c), coeff in self.terms.items():
-            num = self.spec.monomial(a, b, coeff) * self.spec.alpha_power(
-                tuple(max(k, 0) for k in c)
-            )
-            part = LocalizedElement(num, tuple(max(-k, 0) for k in c))
-            out = part if out is None else out + part
-        if out is None:
-            return LocalizedElement.from_pbw(self.spec.zero())
-        return out
+        """The Ore fraction N alpha^-D, with D the largest denominator of the
+        terms and N the sum of U_c alpha^(c + D) over the alpha exponents c
+        (`_alpha_parts`): each part is already lifted to the common
+        denominator, as a sum of fractions would lift it."""
+        spec = self.spec
+        denom = [0] * spec.n
+        for _, _, c in self.terms:
+            denom = [max(d, -k) for d, k in zip(denom, c)]
+        num = spec.zero()
+        for c, part in _alpha_parts(self).items():
+            num = num + part * spec.alpha_power(tuple(k + d for k, d in zip(c, denom)))
+        return LocalizedElement(num, denom)
 
     def __str__(self):
         from .expr import _format_terms

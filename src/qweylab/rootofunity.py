@@ -14,6 +14,14 @@ Representation conventions (single-parameter preset, rescaled):
   twists (alpha-hat = I + XY) on the earlier factors, the orientation fixed
   by the engine's cross relations.  Every built representation has all of
   its defining relations verified exactly before it is returned.
+
+Each exact system here is made small before it is eliminated, by steps that
+keep the exact answer: commutator rows of the centralizer in closed form
+(`generator_products`), split by `sparse_kernel` into forced zeros and
+connected components; commutant unknowns restricted to the weight classes of
+diagonal matrices the builders record (`commutant_basis`); and the ranks of
+the one-term rows of `verify_lcenter_freeness` read as counts of distinct
+keys.
 """
 
 from __future__ import annotations
@@ -33,12 +41,11 @@ from .exactla import (
     mat_pow,
     mat_scale,
     matrix,
-    modular_rank,
     scalar_of_identity,
     sparse_kernel,
     transpose,
 )
-from .qweyl import AlgebraSpec, CheckOutcome, PBWElement, exponent_vectors
+from .qweyl import AlgebraSpec, CheckOutcome, PBWElement, exponent_vectors, generator_products
 from .scalars import CyclotomicField, Scalar, make_field
 
 
@@ -63,22 +70,42 @@ def lcenter_monomials(n: int, l: int, bound: int):
 def centralizer_basis(spec: AlgebraSpec, exponent_bound: int) -> list[PBWElement]:
     """Basis of the centralizer of the generators inside the span of the
     monomials with all exponents <= exponent_bound, by exact kernel
-    computation of the commutator system."""
+    computation of the commutator system.
+
+    The commutators [g, m] of each generator with each monomial come in
+    closed form from `generator_products`.  Every relation is homogeneous
+    for the grading deg(x^a d^b) = a - b, so rows of different grades share
+    no unknown, and the components that `sparse_kernel` eliminates lie in
+    one grade each, after its forced zeros have settled most unknowns."""
     if exponent_bound < 0:
         raise ParameterError("exponent bound must be nonnegative")
     n, f = spec.n, spec.field
     vecs = list(exponent_vectors(n, exponent_bound))
     monos = [(a, b) for a in vecs for b in vecs]
-    index = {m: k for k, m in enumerate(monos)}
-    gens = [spec.x(i) for i in range(1, n + 1)] + [spec.d(i) for i in range(1, n + 1)]
-    # rows of the constraint system live in (generator, target monomial) space
+    # the coefficients are twisted q-powers and q-integers, so few distinct
+    # values occur: each difference is computed once
+    differences: dict = {}
+
+    def minus(u: Scalar, w: Scalar) -> Scalar:
+        key = (u.v, w.v)
+        out = differences.get(key)
+        if out is None:
+            out = differences[key] = u - w
+        return out
+
+    # rows of the constraint system live in (generator, target monomial)
+    # space; g m and m g share their first key, and no other
     rows: dict[tuple[int, tuple], dict[int, Scalar]] = {}
     for col, (a, b) in enumerate(monos):
-        m = spec.monomial(a, b)
-        for gi, g in enumerate(gens):
-            comm = g * m - m * g
-            for key, c in comm.terms.items():
+        for gi, (left, right) in enumerate(generator_products(spec, a, b)):
+            (key, c), *left_rest = left
+            (_, c_right), *right_rest = right
+            if c.v != c_right.v:
+                rows.setdefault((gi, key), {})[col] = minus(c, c_right)
+            for key, c in left_rest:
                 rows.setdefault((gi, key), {})[col] = c
+            for key, c in right_rest:
+                rows.setdefault((gi, key), {})[col] = minus(f.zero, c)
     basis_vecs = sparse_kernel(list(rows.values()), len(monos), f)
     out = []
     for vec in basis_vecs:
@@ -135,6 +162,18 @@ def verify_delta_power(spec: AlgebraSpec) -> CheckOutcome:
     return out
 
 
+def _distinct_key_ranks(products, nblocks: int):
+    """(rank per block, rank of the union) of the rows (block number,
+    element) when every row has exactly one term, counted as distinct keys;
+    None as soon as a row has another number of terms."""
+    keys = [set() for _ in range(nblocks)]
+    for k, prod in products:
+        if len(prod.terms) != 1:
+            return None
+        keys[k].update(prod.terms)
+    return [len(block) for block in keys], len(set().union(*keys))
+
+
 def verify_lcenter_freeness(spec: AlgebraSpec, blocks=None) -> CheckOutcome:
     """Linear independence of the l^(2n) residue monomials over the l-center.
 
@@ -142,9 +181,11 @@ def verify_lcenter_freeness(spec: AlgebraSpec, blocks=None) -> CheckOutcome:
     residues 0 <= r, s < l are expanded and checked to be linearly
     independent, and the union over the given blocks stays independent.
 
-    Each block is a subset of the union, so a full rank mod p of the union
-    (`modular_rank`) certifies every count at once; any other outcome runs
-    the exact elimination.
+    Each product is one term, since z is a monomial in central l-th powers.
+    A one-term row is a nonzero multiple of one basis vector, so the rank of
+    one-term rows is the number of distinct keys among them: that count is
+    read per block and for the union.  If some product has another number
+    of terms, the ranks come from exact elimination instead.
     """
     field = spec.field
     if not isinstance(field, CyclotomicField):
@@ -159,27 +200,26 @@ def verify_lcenter_freeness(spec: AlgebraSpec, blocks=None) -> CheckOutcome:
             blocks.append(((0,) * n, tuple(t)))
     out = CheckOutcome()
     residues = list(exponent_vectors(n, l - 1))
-    res = [(a, b) for a in residues for b in residues]
+    res = [spec.monomial(a, b) for a in residues for b in residues]
 
     def products():
-        """(block number, expanded product z * x^r d^s as a sparse vector)."""
-        index: dict = {}
+        """(block number, expanded product z * x^r d^s), block by block."""
         for k, (zt, zu) in enumerate(blocks):
             z = spec.monomial(zt, zu)
-            for a, b in res:
-                prod = z * spec.monomial(a, b)
-                yield k, {index.setdefault(key, len(index)): c for key, c in prod.terms.items()}
+            for r in res:
+                yield k, z * r
 
-    union_count = len(blocks) * len(res)
-    if modular_rank((vec for _, vec in products()), field) == union_count:
-        counts = [len(res)] * len(blocks)
-    else:
+    ranks = _distinct_key_ranks(products(), len(blocks))
+    if ranks is None:
+        index: dict = {}
         union = SparseEliminator(field)
         per_block = [SparseEliminator(field) for _ in blocks]
-        for k, vec in products():
+        for k, prod in products():
+            vec = {index.setdefault(key, len(index)): c for key, c in prod.terms.items()}
             per_block[k].add(vec)
             union.add(vec)
-        counts, union_count = [elim.rank for elim in per_block], union.rank
+        ranks = [elim.rank for elim in per_block], union.rank
+    counts, union_count = ranks
     for (zt, zu), count in zip(blocks, counts):
         out.record(count == l ** (2 * n), f"block {zt},{zu} rank {count}")
     out.record(
@@ -225,7 +265,9 @@ class MatrixRep:
     ys: tuple
     character: CentralCharacter
     # data derived from the matrices, computed at most once per rep: the
-    # Euler matrices, the commutant basis, the moment operators of each torus
+    # Euler matrices, the commutant basis, the moment operators of each torus;
+    # and, from the builders, "diagonals": diagonal matrices that lie in the
+    # algebra the generator matrices generate
     cache: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -301,7 +343,7 @@ def build_irrep_rank1(lam: Scalar, b, l: int) -> MatrixRep:
     entries.update({(m, (m + 1) % l): b[m] for m in range(l)})
     ys = matrix(l, l, field, entries)
     character = _verify_rep(spec, l, (xs,), (ys,))
-    return MatrixRep(spec, l, l, (xs,), (ys,), character)
+    return MatrixRep(spec, l, l, (xs,), (ys,), character, {"diagonals": [xs]})
 
 
 def build_irrep_nilpotent(l: int, field: CyclotomicField | None = None) -> MatrixRep:
@@ -313,7 +355,10 @@ def build_irrep_nilpotent(l: int, field: CyclotomicField | None = None) -> Matri
     xs = matrix(l, l, field, {(m + 1, m): field.one for m in range(l - 1)})
     ys = matrix(l, l, field, {(m, m + 1): field.zeta_power(m + 1) - 1 for m in range(l - 1)})
     character = _verify_rep(spec, l, (xs,), (ys,))
-    return MatrixRep(spec, l, l, (xs,), (ys,), character)
+    rep = MatrixRep(spec, l, l, (xs,), (ys,), character)
+    # the Euler operator I + XY is diagonal here
+    rep.cache["diagonals"] = rep.alpha_matrices()
+    return rep
 
 
 def build_irrep(slots, l: int) -> MatrixRep:
@@ -360,7 +405,18 @@ def build_irrep(slots, l: int) -> MatrixRep:
         xs.append(xmat)
         ys.append(ymat)
     character = _verify_rep(spec, l, tuple(xs), tuple(ys))
-    return MatrixRep(spec, l, dim, tuple(xs), tuple(ys), character)
+    # With alpha_<i the product of the Euler matrices I + x_j y_j (j < i),
+    # which are invertible, I (x) X_i (x) I = alpha_<i^-1 x_i and
+    # I (x) Y_i (x) I = alpha_<i y_i.  So the lift I (x) D (x) I of every
+    # element D of a slot's algebra lies in the algebra of this rep.
+    diagonals = [
+        kron(kron(identity(l**k, field), diag), identity(l ** (n - 1 - k), field))
+        for k, rep in enumerate(slots)
+        for diag in rep.cache.get("diagonals", ())
+    ]
+    return MatrixRep(
+        spec, l, dim, tuple(xs), tuple(ys), character, {"diagonals": diagonals}
+    )
 
 
 def _commutant_rows(rep: MatrixRep):
@@ -394,26 +450,76 @@ def _commutant_rows(rep: MatrixRep):
                     yield row
 
 
+def _diagonal_entries(mat: Mat):
+    """The diagonal of a diagonal matrix, or None when it has an entry off
+    the diagonal."""
+    if any(len(row) != 1 or r not in row for r, row in mat.items()):
+        return None
+    zero = mat.field.zero
+    return [mat.get(r, {}).get(r, zero) for r in range(mat.nrows)]
+
+
+def _commutant_by_weight(rep: MatrixRep, weights) -> list[dict[int, Scalar]]:
+    """The commutant basis when weights[r] is the joint eigenvalue of basis
+    vector r under diagonal matrices of the rep's algebra.
+
+    A matrix C that commutes with a diagonal D satisfies (d_r - d_c) C[r][c]
+    = 0, and C commutes with D whenever it commutes with the generators.  So
+    the rows C[r][c] = 0 for weights[r] != weights[c] lie in the row space of
+    the full system, and `sparse_kernel` would force those unknowns to zero.
+    The system is written over the other unknowns only, numbered in
+    row-major order, which gives the kernel of the full system with the
+    same values and key order."""
+    dim = rep.dim
+    classes: dict = {}
+    for r, w in enumerate(weights):
+        classes.setdefault(w, []).append(r)
+    same = [classes[w] for w in weights]
+    unknowns = [r * dim + c for r in range(dim) for c in same[r]]
+    index = {key: k for k, key in enumerate(unknowns)}
+    rows = []
+    for g in rep.xs + rep.ys:
+        system: dict[tuple[int, int], dict[int, Scalar]] = {}
+
+        def put(r, c, col, v):
+            row = system.setdefault((r, c), {})
+            prev = row.get(col)
+            row[col] = v if prev is None else prev + v
+
+        for r in range(dim):
+            # (M G)[r][c] = sum_k M[r][k] G[k][c]
+            for k in same[r]:
+                col = index[r * dim + k]
+                for c, v in g.get(k, {}).items():
+                    put(r, c, col, v)
+            # -(G M)[r][c] = -sum_k G[r][k] M[k][c]
+            for k, v in g.get(r, {}).items():
+                for c in same[k]:
+                    put(r, c, index[k * dim + c], -v)
+        rows.extend(system.values())
+    kernel = sparse_kernel(rows, len(unknowns), rep.field)
+    return [{unknowns[k]: v for k, v in vec.items()} for vec in kernel]
+
+
 def commutant_basis(rep: MatrixRep) -> list[dict[int, Scalar]]:
     """Basis of the joint commutant of all generator matrices, as sparse
-    vectors over the row-major entry index r * dim + c.  It is solved once
-    per rep, and every caller shares the returned list.
+    vectors over the row-major entry index r * dim + c, with the values and
+    key order of `sparse_kernel` on the full dim^2-unknown system.  It is
+    solved once per rep, and every caller shares the returned list.
 
-    The identity commutes with everything, so the commutant has dimension at
-    least 1 and the system has rank at most dim^2 - 1.  When its rank mod p
-    (`modular_rank`) reaches that bound, the exact rank does too, and the
-    basis is the identity, written as `sparse_kernel` writes it: the free
-    column dim^2 - 1 first, then the pivots in decreasing order.  Every other
-    outcome runs the exact elimination."""
+    When the builder recorded diagonal matrices of the rep's algebra, the
+    basis vectors are split by their joint eigenvalues and only the unknowns
+    within one weight class are solved for (`_commutant_by_weight`).  A rep
+    without them, or with a recorded matrix that is not diagonal, solves the
+    full system."""
     basis = rep.cache.get("commutant")
     if basis is not None:
         return basis
-    f = rep.field
-    dim = rep.dim
-    if modular_rank(_commutant_rows(rep), f) == dim * dim - 1:
-        basis = [{t * (dim + 1): f.one for t in reversed(range(dim))}]
+    spectra = [_diagonal_entries(d) for d in rep.cache.get("diagonals", ())]
+    if spectra and None not in spectra:
+        basis = _commutant_by_weight(rep, list(zip(*spectra)))
     else:
-        basis = sparse_kernel(_commutant_rows(rep), dim * dim, f)
+        basis = sparse_kernel(_commutant_rows(rep), rep.dim * rep.dim, rep.field)
     rep.cache["commutant"] = basis
     return basis
 

@@ -598,6 +598,7 @@ class CyclotomicField(Field):
         self._zeta_pows = [self.one.v]
         for _ in range(l - 1):
             self._zeta_pows.append(self._mul(self._zeta_pows[-1], (t, 1)))
+        self._zeta_exponent = {v: k for k, v in enumerate(self._zeta_pows)}
         # the Galois automorphisms sigma_k: zeta -> zeta^k other than the
         # identity, as integer matrices; row j is sigma_k(zeta^j)
         self._conjugations = [
@@ -648,6 +649,15 @@ class CyclotomicField(Field):
 
     def q_power(self, e: int) -> Scalar:
         return self.zeta_power(e)
+
+    def twist(self, c: Scalar, e: int) -> Scalar:
+        """c * zeta^e; the twist of a power of zeta is a table entry."""
+        if not e:
+            return c
+        k = self._zeta_exponent.get(c.v)
+        if k is not None:
+            return self.zeta_power(k + e)
+        return c * self.zeta_power(e)
 
     def _add(self, a, b):
         an, ad = a

@@ -3,8 +3,8 @@ import random
 from pathlib import Path
 
 from qweylab.config import parse_config
-from qweylab.moment import moment_ideal_reduce
-from qweylab.qweyl import AlgebraSpec
+from qweylab.moment import invariant_monomials, moment_ideal_reduce
+from qweylab.qweyl import AlgebraSpec, LocalizedElement
 from qweylab.scalars import make_field
 
 QQ_Q = make_field("rational_function_q")
@@ -69,3 +69,16 @@ def round_trip_product(u, v, datum):
     """The reduced product the long way, without its guards: both factors as
     Ore fractions, their product, then the reduction."""
     return moment_ideal_reduce(u.to_localized() * v.to_localized(), datum)
+
+
+def seeded_invariant(rng, spec, datum):
+    """The reduction of three invariant monomials, each over a seeded
+    denominator alpha^k (k in {0, 1}^n), so that alpha exponents of both
+    signs occur."""
+    monos = invariant_monomials(datum.torus, spec, 3)
+    u = LocalizedElement.from_pbw(spec.zero())
+    for _ in range(3):
+        a, b = monos[rng.randrange(len(monos))]
+        denom = tuple(rng.randint(0, 1) for _ in range(spec.n))
+        u = u + LocalizedElement(spec.monomial(a, b, rng.choice([-2, -1, 1, 2])), denom)
+    return moment_ideal_reduce(u, datum)

@@ -9,6 +9,8 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from qweylab import cli, config
 from qweylab.config import load_config
 
@@ -144,3 +146,29 @@ def test_each_load_parses_a_text_once_and_returns_an_independent_config(monkeypa
     assert [rep.dim for rep in second_reps] == [9, 9]
     assert not any(a is b for a, b in zip(first_reps, second_reps))
 
+
+
+def test_validation_errors_name_their_config_file(tmp_path):
+    # two bad configs served in one session, each with one problem and then
+    # again, cached and after the good config: stderr names the file
+    l_bad, n_bad = tmp_path / "l_bad.json", tmp_path / "n_bad.json"
+    l_bad.write_text(json.dumps({"field": "cyclotomic", "l": 2, "n": 1}))
+    raw = json.loads(N2_L3.read_text())
+    raw["n"] = 0
+    n_bad.write_text(json.dumps(raw))
+    clear_request_caches()
+    answers = [
+        run(["eval", "x1", "--config", str(path)]) for path in (l_bad, N2_L3, n_bad, l_bad)
+    ]
+    assert [code for code, _, _ in answers] == [2, 0, 2, 2]
+    l_error = (
+        f"invalid config {l_bad}:\n"
+        "  field/l: cyclotomic order l must be odd and > 1\n"
+    )
+    assert answers[0] == (2, "", l_error)
+    assert answers[3] == answers[0]
+    assert answers[2][2].startswith(f"invalid config {n_bad}:\n  n: must be >= 1\n")
+    # a raw dict has no file to name
+    with pytest.raises(config.ConfigError) as info:
+        config.parse_config({"field": "cyclotomic", "l": 2, "n": 1})
+    assert str(info.value) == "invalid config:\n  field/l: cyclotomic order l must be odd and > 1"

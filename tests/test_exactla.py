@@ -1,5 +1,6 @@
-"""The sparse matrix kernels against dense references, and the certified
-modular rank against exact elimination."""
+"""The sparse matrix kernels against dense references, the split kernel
+against one elimination of the whole system, and the commutant and freeness
+shortcuts against the full systems they replace."""
 
 import random
 from fractions import Fraction
@@ -19,15 +20,16 @@ from qweylab.exactla import (
     mat_pow,
     mat_vec,
     matrix,
-    modular_prime,
-    modular_rank,
     sparse_kernel,
 )
-from qweylab.qweyl import AlgebraSpec
+from qweylab.qweyl import AlgebraSpec, PBWElement
 from qweylab.rootofunity import build_irrep_rank1, commutant_basis, verify_lcenter_freeness
-from qweylab.scalars import make_field
+from qweylab.scalars import CyclotomicField, make_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+TEST_CONFIGS = Path(__file__).resolve().parent / "configs"
+# read only: the benchmark owns this file
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 FIELDS = {l: make_field("cyclotomic", l) for l in (3, 5, 7)}
 
 # ---------------------------------------------------------------------------
@@ -198,63 +200,144 @@ def test_absent_entries_read_as_zero():
 
 
 # ---------------------------------------------------------------------------
-# modular_rank
+# sparse_kernel against one elimination of the whole system
 # ---------------------------------------------------------------------------
 
 
-def exact_rank(rows, field):
+def unsplit_kernel(rows, ncols, field):
+    """The kernel as one elimination of the whole system finds it: one vector
+    per free column, back-substituted in decreasing pivot order."""
     elim = SparseEliminator(field)
     for row in rows:
         elim.add(row)
-    return elim.rank
+    pivots = sorted(elim.rows, reverse=True)
+    basis = []
+    for free in range(ncols):
+        if free in elim.rows:
+            continue
+        vec = {free: field.one}
+        for p in pivots:
+            acc = None
+            for c, v in elim.rows[p].items():
+                if c != p and c in vec:
+                    term = v * vec[c]
+                    acc = term if acc is None else acc + term
+            if acc is not None and not acc.is_zero():
+                vec[p] = -acc
+        basis.append(vec)
+    return basis
 
 
-def seeded_system(rng, field, nrows, ncols):
-    """Random sparse rows, about a third of them combinations of earlier ones."""
+SYSTEM_FIELDS = {
+    "Q": make_field("rational"),
+    "Qq": make_field("rational_function_q"),
+    **{f"Qzeta{l}": f for l, f in FIELDS.items()},
+}
+
+
+def seeded_scalar(rng, field):
+    """A seeded scalar, zero now and then."""
+    if isinstance(field, CyclotomicField):
+        return random_scalar(rng, field)
+    c = field.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return c * field.q_power(rng.randint(-2, 2)) + field.from_int(rng.randint(0, 1))
+
+
+def nonzero_scalar(rng, field):
+    while True:
+        c = seeded_scalar(rng, field)
+        if not c.is_zero():
+            return c
+
+
+def seeded_system(rng, field, nrows, cols):
+    """Random sparse rows over the given columns, about a third of them
+    combinations of earlier ones."""
     rows = []
     for _ in range(nrows):
         if rows and rng.random() < 0.35:
             acc = {}
             for row in rng.sample(rows, min(len(rows), 2)):
-                c = random_scalar(rng, field)
+                c = seeded_scalar(rng, field)
                 for col, v in row.items():
                     acc[col] = acc.get(col, field.zero) + c * v
             rows.append({col: v for col, v in acc.items() if not v.is_zero()})
         else:
-            cols = rng.sample(range(ncols), rng.randint(1, min(4, ncols)))
-            rows.append({c: random_scalar(rng, field) for c in cols})
-    return [{c: v for c, v in row.items() if not v.is_zero()} for row in rows]
+            picked = rng.sample(cols, rng.randint(1, min(4, len(cols))))
+            rows.append({c: nonzero_scalar(rng, field) for c in picked})
+    return rows
 
 
-@pytest.mark.parametrize("l", [3, 5, 7])
-@pytest.mark.parametrize("seed", range(5))
-def test_modular_rank_never_exceeds_the_exact_rank(l, seed):
-    f = FIELDS[l]
-    rng = random.Random(f"rank:{l}:{seed}")
-    rows = seeded_system(rng, f, rng.randint(3, 14), rng.randint(3, 10))
-    got = modular_rank(rows, f)
-    assert got is not None and got <= exact_rank(rows, f)
+def structured_system(rng, field, ncols):
+    """Seeded rows on two disjoint blocks of interleaved columns, a chain of
+    forced zeros on a third, an empty row, a stored zero entry and duplicate
+    rows, in seeded order."""
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    first, second, chain = (sorted(cols[k::3]) for k in range(3))
+    rows = seeded_system(rng, field, rng.randint(2, 6), first)
+    rows += seeded_system(rng, field, rng.randint(2, 6), second)
+    # the first row forces chain[0] to zero, and then each pair row the next
+    rows.append({chain[0]: nonzero_scalar(rng, field)})
+    for p, q in zip(chain, chain[1:]):
+        rows.append({p: nonzero_scalar(rng, field), q: nonzero_scalar(rng, field)})
+    rows.append({})
+    # a stored zero entry: this row has one unknown, second[0]
+    rows.append({first[0]: field.zero, second[0]: nonzero_scalar(rng, field)})
+    rows += [dict(row) for row in rng.sample(rows, 2)]
+    rng.shuffle(rows)
+    return rows
 
 
-@pytest.mark.parametrize("l", [3, 5, 7])
-def test_modular_prime_is_fixed_and_fits(l):
-    p, root = modular_prime(l)
-    assert modular_prime(l) == (p, root)
-    assert p % l == 1 and p < 2**30
-    assert pow(root, l, p) == 1 and all(pow(root, k, p) != 1 for k in range(1, l))
-    # zeta maps to a root of the cyclotomic polynomial
-    phi = FIELDS[l].modulus
-    assert sum(c * pow(root, k, p) for k, c in enumerate(phi)) % p == 0
+def kernel_items(basis):
+    return [list(vec.items()) for vec in basis]
 
 
-def test_modular_rank_can_be_lower_and_declines_on_denominators():
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", list(SYSTEM_FIELDS))
+def test_sparse_kernel_matches_the_unsplit_elimination(name, seed):
+    field = SYSTEM_FIELDS[name]
+    rng = random.Random(f"split:{name}:{seed}")
+    ncols = rng.randint(6, 18)
+    if seed % 2:
+        rows = structured_system(rng, field, ncols)
+    else:
+        rows = seeded_system(rng, field, rng.randint(3, 14), list(range(ncols)))
+    given = [dict(row) for row in rows]
+    got = sparse_kernel(rows, ncols, field)
+    assert kernel_items(got) == kernel_items(unsplit_kernel(rows, ncols, field))
+    assert rows == given
+
+
+def test_sparse_kernel_splits_forced_zeros_and_components(monkeypatch):
     f = FIELDS[5]
-    p, _ = modular_prime(5)
-    # p vanishes mod p: rank 0 mod p against exact rank 1
-    assert modular_rank([{0: f.from_int(p)}], f) == 0
-    assert exact_rank([{0: f.from_int(p)}], f) == 1
-    assert modular_rank([{0: f.one}, {1: f.from_fraction(Fraction(1, 3 * p))}], f) is None
-    assert modular_rank([{0: f.one}], make_field("rational")) is None
+    two, three = f.from_int(2), f.zeta
+    rows = [
+        {0: two, 1: three},  # component {0, 1}
+        {2: two},  # forces 2, so the next row forces 3
+        {2: three, 3: two},
+        {4: three, 6: two},  # component {4, 6}; column 5 appears in no row
+    ]
+    want = unsplit_kernel(rows, 7, f)
+    eliminated = []
+    original = SparseEliminator.add
+
+    def add(elim, vec):
+        eliminated.append((id(elim), tuple(vec)))
+        return original(elim, vec)
+
+    monkeypatch.setattr(SparseEliminator, "add", add)
+    got = sparse_kernel(rows, 7, f)
+    assert kernel_items(got) == kernel_items(want)
+    assert [sorted(vec) for vec in got] == [[0, 1], [5], [4, 6]]
+    # one eliminator per component, and no row of a forced unknown
+    assert len({elim for elim, _ in eliminated}) == 2
+    assert sorted(cols for _, cols in eliminated) == [(0, 1), (4, 6)]
+
+
+# ---------------------------------------------------------------------------
+# Commutants by weight against the full system
+# ---------------------------------------------------------------------------
 
 
 def commutant_reference_rows(rep):
@@ -275,52 +358,86 @@ def commutant_reference_rows(rep):
     return rows
 
 
-def kernel_items(basis):
-    return [list(vec.items()) for vec in basis]
+def solved_sizes(monkeypatch):
+    """The unknown counts of the systems commutant_basis solves, as a list
+    that fills as it runs."""
+    sizes = []
+    original = rootofunity.sparse_kernel
+
+    def sized(rows, ncols, field):
+        sizes.append(ncols)
+        return original(rows, ncols, field)
+
+    monkeypatch.setattr(rootofunity, "sparse_kernel", sized)
+    return sizes
 
 
-def assert_commutant_is_exact(rep):
-    """commutant_basis equals the exact kernel, values and key order; returns
-    whether the rank mod p certified it."""
-    rows = commutant_reference_rows(rep)
-    n2 = rep.dim * rep.dim
-    assert [sorted(r.items()) for r in rootofunity._commutant_rows(rep)] == [
-        sorted(r.items()) for r in rows
-    ]
-    want = sparse_kernel(rows, n2, rep.field)
+def assert_commutant_is_exact(rep, reference_rows=True):
+    """commutant_basis equals the kernel of the full dim^2-unknown system,
+    values and key order.  The full rows are pinned to the dense scan on
+    reps small enough for it."""
+    rows = list(rootofunity._commutant_rows(rep))
+    if reference_rows:
+        assert [sorted(r.items()) for r in rows] == [
+            sorted(r.items()) for r in commutant_reference_rows(rep)
+        ]
+    want = sparse_kernel(rows, rep.dim * rep.dim, rep.field)
     assert kernel_items(commutant_basis(rep)) == kernel_items(want)
-    return modular_rank(rows, rep.field) == n2 - 1
 
 
-@pytest.mark.parametrize("name", ["n1_l3", "n2_l3"])
-def test_commutant_basis_matches_the_exact_kernel_on_configured_reps(name):
-    reps = load_config(str(CONFIGS / f"{name}.json")).build_reps()
-    assert all(assert_commutant_is_exact(rep) for rep in reps)
+CONFIGURED = [CONFIGS / "n1_l3.json", CONFIGS / "n2_l3.json", BENCH_CONFIGS / "verify_l5.json"]
+
+
+@pytest.mark.parametrize("path", CONFIGURED, ids=lambda path: path.stem)
+def test_commutant_basis_matches_the_exact_kernel_on_configured_reps(monkeypatch, path):
+    sizes = solved_sizes(monkeypatch)
+    reps = load_config(str(path)).build_reps()
+    for rep in reps:
+        assert_commutant_is_exact(rep)
+    # every builder records diagonal elements with a simple joint spectrum
+    assert sizes == [rep.dim for rep in reps]
 
 
 @pytest.mark.parametrize("l", [3, 5])
-def test_commutant_basis_matches_the_exact_kernel_on_seeded_rank1_reps(l):
+def test_commutant_basis_matches_the_exact_kernel_on_seeded_rank1_reps(monkeypatch, l):
     f = FIELDS[l]
     rng = random.Random(f"commutant:{l}")
-    certified = []
+    sizes = solved_sizes(monkeypatch)
+    dims = []
     for _ in range(10):
         lam = f.from_int(rng.randint(1, 9))
         mu = f.from_int(rng.randint(1, 9))
         on_locus = build_irrep_rank1(lam, [mu / (lam * f.zeta_power(m)) for m in range(l)], l)
         off_locus = build_irrep_rank1(lam, [f.zero] * l, l)
-        certified += [assert_commutant_is_exact(on_locus), assert_commutant_is_exact(off_locus)]
-    # the locus reps are certified mod p, the split ones run the exact path
-    assert certified == [True, False] * 10
+        for rep in (on_locus, off_locus):
+            assert_commutant_is_exact(rep)
+            dims.append(len(commutant_basis(rep)))
+    assert dims == [1, l] * 10
+    assert sizes == [l] * 20
 
 
-def test_denominator_divisible_by_p_falls_back_to_the_exact_kernel():
-    f = FIELDS[5]
-    p, _ = modular_prime(5)
-    lam = f.from_fraction(Fraction(1, p))
-    rep = build_irrep_rank1(lam, [f.from_int(2) / (lam * f.zeta_power(m)) for m in range(5)], 5)
-    assert modular_rank(rootofunity._commutant_rows(rep), f) is None
-    assert not assert_commutant_is_exact(rep)
-    assert len(commutant_basis(rep)) == 1
+def test_commutant_basis_matches_the_exact_kernel_on_n3_l5_reps(monkeypatch):
+    sizes = solved_sizes(monkeypatch)
+    reps = load_config(str(TEST_CONFIGS / "n3_l5.json")).build_reps()
+    for rep in reps:
+        assert_commutant_is_exact(rep, reference_rows=False)
+    assert sizes == [125, 125]
+
+
+@pytest.mark.parametrize("recorded", ["none", "not diagonal"])
+def test_commutant_basis_solves_the_full_system_without_diagonal_elements(
+    monkeypatch, recorded
+):
+    rep = load_config(str(CONFIGS / "n2_l3.json")).build_reps()[0]
+    monkeypatch.setitem(rep.cache, "diagonals", [] if recorded == "none" else [rep.ys[0]])
+    sizes = solved_sizes(monkeypatch)
+    assert_commutant_is_exact(rep)
+    assert sizes == [81] and len(commutant_basis(rep)) == 1
+
+
+# ---------------------------------------------------------------------------
+# lcenter-freeness: one-term rows counted, or eliminated
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -333,14 +450,34 @@ def test_denominator_divisible_by_p_falls_back_to_the_exact_kernel():
         (2, 3, [((3, 0), (0, 0)), ((0, 0), (0, 3)), ((3, 0), (0, 0))]),
     ],
 )
-def test_freeness_outcome_without_modular_rank(monkeypatch, n, l, blocks):
+def test_freeness_one_term_count_matches_elimination(monkeypatch, n, l, blocks):
     spec = AlgebraSpec.single_parameter(n, FIELDS[l])
-    certified = verify_lcenter_freeness(spec, blocks)
-    monkeypatch.setattr(rootofunity, "modular_rank", lambda rows, field: None)
-    exact = verify_lcenter_freeness(spec, blocks)
-    assert (certified.passed, certified.cases, certified.failures) == (
-        exact.passed,
-        exact.cases,
-        exact.failures,
+    adds = []
+    original_add = SparseEliminator.add
+
+    def add(elim, vec):
+        adds.append(vec)
+        return original_add(elim, vec)
+
+    monkeypatch.setattr(SparseEliminator, "add", add)
+    counted = verify_lcenter_freeness(spec, blocks)
+    assert adds == []
+    # z * x^r d^s becomes z * x^r d^s + z for every residue but r = s = 0,
+    # whose product is z: a unitriangular change of the rows of each block,
+    # which keeps every rank and gives two-term products
+    unit = spec.one().terms
+    original_mul = PBWElement.__mul__
+
+    def two_term(self, other):
+        out = original_mul(self, other)
+        return out if other.terms == unit else out + self
+
+    monkeypatch.setattr(PBWElement, "__mul__", two_term)
+    eliminated = verify_lcenter_freeness(spec, blocks)
+    assert adds
+    assert (counted.passed, counted.cases, counted.failures) == (
+        eliminated.passed,
+        eliminated.cases,
+        eliminated.failures,
     )
-    assert certified.passed == (blocks is None)
+    assert counted.passed == (blocks is None)

@@ -10,6 +10,7 @@ from conftest import (
     VERIFY_QQ,
     random_skew_matrix,
     round_trip_product,
+    seeded_invariant,
     verify_qq_variant,
 )
 from qweylab.checks import run_verification_suite
@@ -313,17 +314,40 @@ def test_torus_character_is_the_product_of_powers():
     assert want == [QQ.from_fraction(Fraction(-20, 3)), QQ.from_fraction(Fraction(343, 2))]
 
 
-def seeded_invariant(rng, spec, datum):
-    """The reduction of three invariant monomials, each over a seeded
-    denominator alpha^k (k in {0, 1}^n), so that alpha exponents of both
-    signs occur."""
-    monos = invariant_monomials(datum.torus, spec, 3)
-    u = LocalizedElement.from_pbw(spec.zero())
-    for _ in range(3):
-        a, b = monos[rng.randrange(len(monos))]
-        denom = tuple(rng.randint(0, 1) for _ in range(spec.n))
-        u = u + LocalizedElement(spec.monomial(a, b, rng.choice([-2, -1, 1, 2])), denom)
-    return moment_ideal_reduce(u, datum)
+def alpha_power_by_units(spec, c):
+    """alpha_1^c1 .. alpha_n^cn by one product per unit of exponent."""
+    out = spec.one()
+    for i, k in enumerate(c):
+        for _ in range(k):
+            out = out * spec.alpha(i + 1)
+    return out
+
+
+def localized_by_sum_of_fractions(u):
+    """The Ore fraction of a reduced element as the sum of its terms, each
+    x^a d^b alpha^max(c, 0) over alpha^max(-c, 0)."""
+    out = LocalizedElement.from_pbw(u.spec.zero())
+    for (a, b, c), coeff in u.terms.items():
+        num = u.spec.monomial(a, b, coeff) * alpha_power_by_units(u.spec, [max(k, 0) for k in c])
+        out = out + LocalizedElement(num, tuple(max(-k, 0) for k in c))
+    return out
+
+
+@pytest.mark.parametrize("name", ["generic_q", "n2_l3", "verify_qq-diag(2, 1, 1)-A(1, 2, 1)"])
+def test_alpha_powers_and_fractions_match_products_by_units(name):
+    config = REFERENCE_CONFIGS[name]()
+    spec, datum = config.spec, config.datum()
+    rng = random.Random(f"alpha powers:{name}")
+    for _ in range(6):
+        c = tuple(rng.randint(0, 4) for _ in range(spec.n))
+        assert spec.alpha_power(c) == alpha_power_by_units(spec, c)
+    assert spec.alpha_power((0,) * spec.n) == spec.one()
+    with pytest.raises(ParameterError):
+        spec.alpha_power((-1,) + (0,) * (spec.n - 1))
+    for _ in range(4):
+        u = seeded_invariant(rng, spec, datum)
+        got, want = u.to_localized(), localized_by_sum_of_fractions(u)
+        assert (got.numerator, got.denom) == (want.numerator, want.denom)
 
 
 REFERENCE_CONFIGS = {

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qweylab.config import load_config
 from qweylab.errors import DomainError, ParameterError
-from qweylab.exactla import mat_pow, scalar_of_identity
+from qweylab.exactla import identity, mat_mul, mat_pow, scalar_of_identity
 from qweylab.qweyl import AlgebraSpec
 from qweylab.rootofunity import (
     azumaya_membership,
@@ -181,3 +183,24 @@ def test_export_rep_roundtrip_shape():
     assert dump["dim"] == 3 and dump["n"] == 1 and dump["l"] == 3
     assert dump["x"][0][1][0] == ["1", "0"]
     assert dump["character"]["a"] == [["0", "0"]]
+
+
+@pytest.mark.parametrize("name", ["configs/n2_l3.json", "tests/configs/n3_l5.json"])
+def test_recorded_diagonal_elements_are_slot_operators(name):
+    # the commutant by weight rests on these being elements of the rep's
+    # algebra: alpha_i in a nilpotent slot, alpha_<i^-1 x_i in a diag slot
+    path = Path(__file__).resolve().parent.parent / name
+    config = load_config(str(path))
+    for slots, rep in zip(config.rep_slots, config.build_reps()):
+        alphas = rep.alpha_matrices()
+        diagonals = rep.cache["diagonals"]
+        assert len(diagonals) == rep.spec.n
+        for i, (slot, diag) in enumerate(zip(slots, diagonals)):
+            assert all(set(row) == {r} for r, row in diag.items())
+            if slot is None:
+                assert diag == alphas[i]
+            else:
+                before = identity(rep.dim, rep.field)
+                for alpha in alphas[:i]:
+                    before = mat_mul(before, alpha)
+                assert mat_mul(before, diag) == rep.xs[i]

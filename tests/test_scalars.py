@@ -306,7 +306,9 @@ def test_rational_function_twist_is_the_product_by_a_q_power():
 @pytest.mark.parametrize("l", (3, 5, 7))
 def test_cyclotomic_twist_is_the_product_by_a_q_power(l):
     F, xs = _seeded_cyclotomic(l, 10)
-    for s in xs + [F.zero, F.one]:
+    # the powers of zeta take a table entry, the others a product
+    powers = [F.zeta_power(k) for k in range(l)] + [-F.one]
+    for s in xs + powers + [F.zero]:
         for e in range(-3 * l, 3 * l + 1):
             assert F.twist(s, e).v == (s * F.q_power(e)).v, (s, e)
 

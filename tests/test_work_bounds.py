@@ -5,12 +5,14 @@ on any machine, however fast.
 """
 
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from qweylab import checks, config, exactla, hopf, moment, qweyl, reduction, rootofunity, scalars
+from conftest import seeded_invariant, verify_qq_variant
 from qweylab.checks import run_verification_suite
 from qweylab.config import load_config, parse_config
 from qweylab.moment import ReducedElement, invariant_monomials, moment_ideal_reduce, reduced_product
@@ -20,6 +22,7 @@ from qweylab.scalars import Scalar, make_field
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 N2_L3 = CONFIGS / "n2_l3.json"
 N3_L5 = Path(__file__).resolve().parent / "configs" / "n3_l5.json"
+N4_L3 = Path(__file__).resolve().parent / "configs" / "n4_l3.json"
 VERIFY_QQ = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "verify_qq.json"
 Z3 = make_field("cyclotomic", 3)
 REP_CHECKS = [
@@ -70,18 +73,26 @@ def test_pow_skips_the_last_squaring(monkeypatch, make, cls):
     assert len(calls) == 4
 
 
+def eliminated_blocks(monkeypatch):
+    """The unknowns of the rows added to each SparseEliminator, as a dict
+    eliminator -> set of columns that fills as the code runs."""
+    blocks = {}
+    original = exactla.SparseEliminator.add
+
+    def add(elim, vec):
+        blocks.setdefault(elim, set()).update(vec)
+        return original(elim, vec)
+
+    monkeypatch.setattr(exactla.SparseEliminator, "add", add)
+    return blocks
+
+
 def test_verify_run_shares_reps_and_derived_data(monkeypatch):
-    builds, moment_ops, kernels, ranks = [], [], [], []
+    builds, moment_ops, kernels, root_kernels = [], [], [], []
     counting(monkeypatch, config, "build_irrep", builds)
-
-    def logged_rank(rows, field):
-        ranks.append(exactla.modular_rank(rows, field))
-        return ranks[-1]
-
-    monkeypatch.setattr(rootofunity, "modular_rank", logged_rank)
     counting(monkeypatch, reduction, "moment_operators", moment_ops)
-    for module in (exactla, rootofunity):
-        counting(monkeypatch, module, "sparse_kernel", kernels)
+    counting(monkeypatch, exactla, "sparse_kernel", kernels)
+    counting(monkeypatch, rootofunity, "sparse_kernel", root_kernels)
     # the sizes of the kernels solved inside fiber-reduced-endos
     reduced_endos_sizes = []
 
@@ -108,23 +119,63 @@ def test_verify_run_shares_reps_and_derived_data(monkeypatch):
     assert len(builds) == 2
     per_rep = Counter(id(args[0]) for args in moment_ops)
     assert len(per_rep) == 2 and set(per_rep.values()) == {1}
-    # both configured reps (dim 9) lie on the locus: each 81-unknown commutant
-    # system is certified once by its rank 80 mod p, and none is solved exactly
-    assert ranks.count(80) == 2
-    assert not any(args[1] == 81 for args in kernels)
-    assert max(reduced_endos_sizes, default=0) <= 81
+    # the 256-unknown centralizer system, then the commutants: both
+    # configured reps (dim 9) and the 20 seeded rank-1 reps (dim 3) are split
+    # by weight, so each system has dim unknowns, not dim^2
+    assert [args[1] for args in root_kernels] == [256, 9, 9] + [3] * 20
+    # the weight spaces, one per (rep, eta)
+    assert [args[1] for args in kernels] == [9] * 6
+    # fiber-reduced-endos reads the commutants that rep-irreducibility solved
+    assert reduced_endos_sizes == []
 
 
 def test_n3_l5_reps_and_commutants_stay_sparse(monkeypatch):
     # dense rep matrices and exact commutant kernels took 1,342,122 scalar
-    # multiplications here; sparse products and the commutant certified mod p
-    # take 31,884
-    calls = []
+    # multiplications here; sparse products and the exact commutants by
+    # weight take 46,992
+    calls, kernels = [], []
     counting(monkeypatch, Scalar, "__mul__", calls)
+    counting(monkeypatch, rootofunity, "sparse_kernel", kernels)
+    blocks = eliminated_blocks(monkeypatch)
     reps = load_config(str(N3_L5)).build_reps()
     assert [rep.dim for rep in reps] == [125, 125]
     assert [rootofunity.commutant_dimension(rep) for rep in reps] == [1, 1]
     assert len(calls) < 100_000
+    # each commutant system has one unknown per weight, dim = 125 of them
+    assert [args[1] for args in kernels] == [125, 125]
+    assert max(len(cols) for cols in blocks.values()) <= 125
+
+
+@pytest.mark.parametrize("path", [N3_L5, N4_L3], ids=lambda path: path.stem)
+def test_center_truncation_acts_by_generators_and_solves_small_blocks(monkeypatch, path):
+    # one kernel over (B+1)^(2n) unknowns once: 65,536 on n4_l3, where the
+    # check took about 42 s; its generator products went through the
+    # general engine
+    products = []
+    inside = []
+    original = qweyl._ordered_product
+
+    def product(*args):
+        if inside:
+            products.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qweyl, "_ordered_product", product)
+    centralizer = rootofunity.centralizer_basis
+
+    def marked(spec, bound):
+        inside.append(True)
+        try:
+            return centralizer(spec, bound)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(rootofunity, "centralizer_basis", marked)
+    blocks = eliminated_blocks(monkeypatch)
+    report = run_verification_suite(load_config(str(path)), only={"center-truncation"})
+    assert report["summary"]["ok"] and report["summary"]["pass"] == 1
+    assert products == []
+    assert max((len(cols) for cols in blocks.values()), default=0) <= 256
 
 
 def test_weight_space_is_computed_once_per_point(monkeypatch):
@@ -276,7 +327,13 @@ def test_moment_reduction_expands_each_alpha_form_once():
 
 @pytest.mark.parametrize(
     "module, name",
-    [(qweyl, "_merge_vectors"), (moment, "_alpha_form_terms"), (config, "_config_of_text")],
+    [
+        (qweyl, "_merge_vectors"),
+        (qweyl, "_shorter_terms"),
+        (qweyl, "_alpha_power"),
+        (moment, "_alpha_form_terms"),
+        (config, "_config_of_text"),
+    ],
 )
 def test_product_kernel_caches_are_bounded(module, name):
     assert getattr(module, name).cache_info().maxsize is not None
@@ -291,3 +348,43 @@ def test_double_presentation_multiplies_every_pair_on_both_sides(monkeypatch):
     pairs = len(qweyl.graded_monomials(spec.n, 2)) ** 2
     assert len(engine) == pairs and len(doubles) >= pairs
     assert {args[0].spec for args in engine} == {spec.unscaled_twin()}
+
+
+def test_fraction_round_trip_builds_alpha_powers_by_squaring(monkeypatch):
+    # The Ore fractions of 16 round trips on the (2,1,1)/(1,2,1) variant:
+    # 1,045 PBW products when each alpha power took one product per unit of
+    # exponent and every part was lifted to a common denominator by another
+    # such power, 682 of them inside alpha_power.  Now 253: one product per
+    # alpha part of each fraction, and 64 inside alpha_power.  The reduction
+    # of a round trip makes no PBW product, and its fraction product one.
+    cfg = verify_qq_variant((2, 1, 1), (1, 2, 1))
+    spec, datum = cfg.spec, cfg.datum()
+    rng = random.Random("alpha-basis product:verify_qq-diag(2, 1, 1)-A(1, 2, 1)")
+    elements = [seeded_invariant(rng, spec, datum) for _ in range(8)]
+    rotated = elements[1:] + elements[:1]
+    products = [reduced_product(u, v, datum) for u, v in zip(elements, rotated)]
+    pairs = list(zip(elements, rotated)) + list(zip(products, elements[2:] + elements[:2]))
+    clear_layer_caches()
+    calls, in_alpha_power = [], []
+    original = PBWElement.__mul__
+
+    def mul(self, other):
+        calls.append(bool(in_alpha_power))
+        return original(self, other)
+
+    alpha_power = AlgebraSpec.alpha_power
+
+    def marked(self, c):
+        in_alpha_power.append(True)
+        try:
+            return alpha_power(self, c)
+        finally:
+            in_alpha_power.pop()
+
+    monkeypatch.setattr(PBWElement, "__mul__", mul)
+    monkeypatch.setattr(AlgebraSpec, "alpha_power", marked)
+    for u, v in pairs:
+        u.to_localized()
+        v.to_localized()
+    assert calls.count(True) <= 68
+    assert len(calls) <= 270
