@@ -43,7 +43,6 @@ from .exactla import (
     matrix,
     scalar_of_identity,
     sparse_kernel,
-    transpose,
 )
 from .qweyl import AlgebraSpec, CheckOutcome, PBWElement, exponent_vectors, generator_products
 from .scalars import CyclotomicField, Scalar, make_field
@@ -419,37 +418,6 @@ def build_irrep(slots, l: int) -> MatrixRep:
     )
 
 
-def _commutant_rows(rep: MatrixRep):
-    """The rows (M G - G M)[r][c] = 0, over every generator matrix G and every
-    entry (r, c), in the unknown M[r][k] at index r * dim + k; zero rows are
-    left out."""
-    dim = rep.dim
-    for g in rep.xs + rep.ys:
-        cols = transpose(g)
-        col_terms = [list(cols.get(c, {}).items()) for c in range(dim)]
-        # the terms -G[r][k] M[k][c] with k != r, keyed k * dim; the term at
-        # k = r shares the key r * dim + c with the term G[c][c] M[r][c]
-        row_terms = [
-            [(k * dim, -v) for k, v in g.get(r, {}).items() if k != r] for r in range(dim)
-        ]
-        for r in range(dim):
-            base = r * dim
-            g_rr = g.get(r, {}).get(r)
-            for c in range(dim):
-                row = {base + k: v for k, v in col_terms[c]}
-                for key, v in row_terms[r]:
-                    row[key + c] = v
-                if g_rr is not None:
-                    total = row.get(base + c)
-                    total = -g_rr if total is None else total - g_rr
-                    if total.is_zero():
-                        del row[base + c]
-                    else:
-                        row[base + c] = total
-                if row:
-                    yield row
-
-
 def _diagonal_entries(mat: Mat):
     """The diagonal of a diagonal matrix, or None when it has an entry off
     the diagonal."""
@@ -461,15 +429,16 @@ def _diagonal_entries(mat: Mat):
 
 def _commutant_by_weight(rep: MatrixRep, weights) -> list[dict[int, Scalar]]:
     """The commutant basis when weights[r] is the joint eigenvalue of basis
-    vector r under diagonal matrices of the rep's algebra.
+    vector r under diagonal matrices of the rep's algebra; with one weight
+    for every r, this solves the full system.
 
     A matrix C that commutes with a diagonal D satisfies (d_r - d_c) C[r][c]
     = 0, and C commutes with D whenever it commutes with the generators.  So
     the rows C[r][c] = 0 for weights[r] != weights[c] lie in the row space of
     the full system, and `sparse_kernel` would force those unknowns to zero.
-    The system is written over the other unknowns only, numbered in
-    row-major order, which gives the kernel of the full system with the
-    same values and key order."""
+    The rows (M G - G M)[r][c] = 0 are written over the other unknowns only,
+    numbered in row-major order, which gives the kernel of the full system
+    with the same values and key order."""
     dim = rep.dim
     classes: dict = {}
     for r, w in enumerate(weights):
@@ -511,16 +480,16 @@ def commutant_basis(rep: MatrixRep) -> list[dict[int, Scalar]]:
     basis vectors are split by their joint eigenvalues and only the unknowns
     within one weight class are solved for (`_commutant_by_weight`).  A rep
     without them, or with a recorded matrix that is not diagonal, solves the
-    full system."""
+    full system, as one weight class."""
     basis = rep.cache.get("commutant")
     if basis is not None:
         return basis
     spectra = [_diagonal_entries(d) for d in rep.cache.get("diagonals", ())]
-    if spectra and None not in spectra:
-        basis = _commutant_by_weight(rep, list(zip(*spectra)))
-    else:
-        basis = sparse_kernel(_commutant_rows(rep), rep.dim * rep.dim, rep.field)
-    rep.cache["commutant"] = basis
+    if None in spectra:
+        spectra = []
+    # without a spectrum every basis vector has the weight (): one class
+    weights = list(zip(*spectra)) or [()] * rep.dim
+    basis = rep.cache["commutant"] = _commutant_by_weight(rep, weights)
     return basis
 
 

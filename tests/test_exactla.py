@@ -15,6 +15,7 @@ from qweylab.exactla import (
     SparseEliminator,
     identity,
     kron,
+    mat_add,
     mat_inv,
     mat_mul,
     mat_pow,
@@ -341,20 +342,31 @@ def test_sparse_kernel_splits_forced_zeros_and_components(monkeypatch):
 
 
 def commutant_reference_rows(rep):
-    """The commutant system as the dense rows were once scanned."""
-    dim, rows = rep.dim, []
+    """The full commutant system: row (G, r, c) of M G - G M = 0 in the
+    unknown M[r][k] at index r * dim + k, built entry by entry from the
+    stored entries of each generator matrix G."""
+    dim = rep.dim
+    rows = []
     for g in list(rep.xs) + list(rep.ys):
-        for r in range(dim):
-            for c in range(dim):
-                row = {}
-                for k in range(dim):
-                    if not g[k][c].is_zero():
-                        row[r * dim + k] = row.get(r * dim + k, rep.field.zero) + g[k][c]
-                    if not g[r][k].is_zero():
-                        row[k * dim + c] = row.get(k * dim + c, rep.field.zero) - g[r][k]
-                row = {key: v for key, v in row.items() if not v.is_zero()}
-                if row:
-                    rows.append(row)
+        system = {}
+
+        def put(r, c, key, v):
+            row = system.setdefault((r, c), {})
+            prev = row.get(key)
+            row[key] = v if prev is None else prev + v
+
+        for k, g_row in g.items():
+            for c, v in g_row.items():
+                # G[k][c] meets M[r][k] in row (r, c), and M[c][c2] in row (k, c2)
+                for r in range(dim):
+                    put(r, c, r * dim + k, v)
+                minus_v = -v
+                for c2 in range(dim):
+                    put(k, c2, c * dim + c2, minus_v)
+        for row in system.values():
+            row = {key: v for key, v in row.items() if not v.is_zero()}
+            if row:
+                rows.append(row)
     return rows
 
 
@@ -372,16 +384,10 @@ def solved_sizes(monkeypatch):
     return sizes
 
 
-def assert_commutant_is_exact(rep, reference_rows=True):
+def assert_commutant_is_exact(rep):
     """commutant_basis equals the kernel of the full dim^2-unknown system,
-    values and key order.  The full rows are pinned to the dense scan on
-    reps small enough for it."""
-    rows = list(rootofunity._commutant_rows(rep))
-    if reference_rows:
-        assert [sorted(r.items()) for r in rows] == [
-            sorted(r.items()) for r in commutant_reference_rows(rep)
-        ]
-    want = sparse_kernel(rows, rep.dim * rep.dim, rep.field)
+    values and key order."""
+    want = sparse_kernel(commutant_reference_rows(rep), rep.dim * rep.dim, rep.field)
     assert kernel_items(commutant_basis(rep)) == kernel_items(want)
 
 
@@ -420,19 +426,63 @@ def test_commutant_basis_matches_the_exact_kernel_on_n3_l5_reps(monkeypatch):
     sizes = solved_sizes(monkeypatch)
     reps = load_config(str(TEST_CONFIGS / "n3_l5.json")).build_reps()
     for rep in reps:
-        assert_commutant_is_exact(rep, reference_rows=False)
+        assert_commutant_is_exact(rep)
     assert sizes == [125, 125]
 
 
-@pytest.mark.parametrize("recorded", ["none", "not diagonal"])
-def test_commutant_basis_solves_the_full_system_without_diagonal_elements(
-    monkeypatch, recorded
-):
+@pytest.mark.parametrize(
+    "recorded, unknowns",
+    # no diagonal element, or one that is not diagonal: the full system; the
+    # identity: one weight class; the first slot's X: classes of size l = 3
+    [("none", 81), ("not diagonal", 81), ("identity", 81), ("first slot", 27)],
+)
+def test_commutant_basis_with_other_recorded_elements(monkeypatch, recorded, unknowns):
     rep = load_config(str(CONFIGS / "n2_l3.json")).build_reps()[0]
-    monkeypatch.setitem(rep.cache, "diagonals", [] if recorded == "none" else [rep.ys[0]])
+    diagonals = {
+        "none": [],
+        "not diagonal": [rep.ys[0]],
+        "identity": [identity(rep.dim, rep.field)],
+        "first slot": rep.cache["diagonals"][:1],
+    }[recorded]
+    monkeypatch.setitem(rep.cache, "diagonals", diagonals)
     sizes = solved_sizes(monkeypatch)
     assert_commutant_is_exact(rep)
-    assert sizes == [81] and len(commutant_basis(rep)) == 1
+    assert sizes == [unknowns] and len(commutant_basis(rep)) == 1
+
+
+def direct_sum(m, copies):
+    """The block-diagonal matrix with the given number of copies of m."""
+    n = m.nrows
+    return matrix(
+        n * copies,
+        n * copies,
+        m.field,
+        {
+            (t * n + r, t * n + c): v
+            for t in range(copies)
+            for r, row in m.items()
+            for c, v in row.items()
+        },
+    )
+
+
+@pytest.mark.parametrize("recorded, unknowns", [("X", 12), ("not diagonal", 36)])
+def test_commutant_basis_of_a_direct_sum(monkeypatch, recorded, unknowns):
+    # two copies of an irreducible rep: the commutant is M_2 (x) Id, of
+    # dimension 4, with entries between the copies, which share the weights
+    # of X.  A non-diagonal matrix whose diagonal tells the copies apart
+    # must not split them.
+    f = FIELDS[3]
+    one = build_irrep_rank1(f.one, [f.from_int(2) / f.zeta_power(m) for m in range(3)], 3)
+    xs, ys = direct_sum(one.xs[0], 2), direct_sum(one.ys[0], 2)
+    shifted = matrix(6, 6, f, {(0, 1): f.one, **{(r, r): f.from_int(r // 3) for r in range(6)}})
+    diagonals = [xs] if recorded == "X" else [mat_add(xs, shifted)]
+    rep = rootofunity.MatrixRep(
+        one.spec, 3, 6, (xs,), (ys,), one.character, {"diagonals": diagonals}
+    )
+    sizes = solved_sizes(monkeypatch)
+    assert_commutant_is_exact(rep)
+    assert sizes == [unknowns] and len(commutant_basis(rep)) == 4
 
 
 # ---------------------------------------------------------------------------
