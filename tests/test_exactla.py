@@ -4,6 +4,7 @@ shortcuts against the full systems they replace."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,63 @@ def test_sparse_kernel_splits_forced_zeros_and_components(monkeypatch):
     assert sorted(cols for _, cols in eliminated) == [(0, 1), (4, 6)]
 
 
+def prime_and_root(l):
+    """The least prime p > 2^20 with p = 1 (mod l), for l prime, and a
+    primitive l-th root of unity mod p."""
+    p = (2**20 // l + 1) * l + 1
+    while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += l
+    g = 2
+    while pow(g, (p - 1) // l, p) == 1:
+        g += 1
+    return p, pow(g, (p - 1) // l, p)
+
+
+def rank_mod_p(rows, field):
+    """The rank over F_p of rows over Q(zeta_l), zeta sent to a root of unity
+    mod p: the image of an exact system under a ring map, so never above its
+    rank."""
+    p, root = prime_and_root(field.l)
+    powers = [pow(root, k, p) for k in range(field.degree)]
+    pivots = {}  # pivot col -> row with 1 at the pivot
+    for row in rows:
+        vec = {}
+        for c, s in row.items():
+            nums, den = s.v
+            x = sum(a * b for a, b in zip(nums, powers)) * pow(den, -1, p) % p
+            if x:
+                vec[c] = x
+        while vec:
+            col = min(vec)
+            pivot_row = pivots.get(col)
+            if pivot_row is None:
+                inv = pow(vec[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in vec.items()}
+                break
+            f = vec[col]
+            for c, v in pivot_row.items():
+                nv = (vec.get(c, 0) - f * v) % p
+                if nv:
+                    vec[c] = nv
+                else:
+                    vec.pop(c, None)
+    return len(pivots)
+
+
+@pytest.mark.parametrize("l", [3, 5, 7])
+@pytest.mark.parametrize("seed", range(5))
+def test_modular_rank_never_exceeds_the_exact_rank(l, seed):
+    # the rank that the split kernel implies equals that of one elimination,
+    # and an independent reduction mod p never finds more
+    f = FIELDS[l]
+    rng = random.Random(f"rank:{l}:{seed}")
+    ncols = rng.randint(3, 10)
+    rows = seeded_system(rng, f, rng.randint(3, 14), list(range(ncols)))
+    rank = ncols - len(sparse_kernel(rows, ncols, f))
+    assert rank == ncols - len(unsplit_kernel(rows, ncols, f))
+    assert rank_mod_p(rows, f) <= rank
+
+
 # ---------------------------------------------------------------------------
 # Commutants by weight against the full system
 # ---------------------------------------------------------------------------
@@ -500,7 +558,7 @@ def test_commutant_basis_of_a_direct_sum(monkeypatch, recorded, unknowns):
         (2, 3, [((3, 0), (0, 0)), ((0, 0), (0, 3)), ((3, 0), (0, 0))]),
     ],
 )
-def test_freeness_one_term_count_matches_elimination(monkeypatch, n, l, blocks):
+def test_freeness_outcome_without_modular_rank(monkeypatch, n, l, blocks):
     spec = AlgebraSpec.single_parameter(n, FIELDS[l])
     adds = []
     original_add = SparseEliminator.add
