@@ -33,7 +33,6 @@ from .qweyl import (
     verify_power_identities,
 )
 from .hopf import (
-    BraidedTensorElement,
     DoubleElement,
     antipode,
     coproduct,

@@ -175,11 +175,6 @@ def kron(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def transpose(a: Mat) -> Mat:
-    entries = {(c, r): v for r, row in a.items() for c, v in row.items()}
-    return matrix(a.ncols, a.nrows, a.field, entries)
-
-
 def scalar_of_identity(a: Mat) -> Scalar | None:
     """The scalar c with a = c * Id, or None if a is not scalar."""
     if a.nrows != a.ncols:

@@ -3,9 +3,15 @@ Heisenberg double.
 
 The two algebras are the braided symmetric algebras on the x-generators and
 on the d-generators, with braiding ``v (x) w -> q^(deg v . M . deg w) w (x) v``
-where deg(x_i) = e_i and deg(d_i) = -e_i.  The structure maps are computed,
-never hard-coded:
+where deg(x_i) = e_i and deg(d_i) = -e_i.  The braiding exponent is
+bilinear, so two d-degrees braid as their x-degrees do: both sides are one
+braided symmetric algebra on exponent vectors, and the sign matters only
+where a d-degree meets an x-degree, in the pairing and the smash product.
+The structure maps are computed, never hard-coded:
 
+* the products of the algebra and of its braided tensor square go through
+  the product kernel ``_ordered_product`` of the PBW engine, with the
+  braiding as its core;
 * the coproduct is primitive on generators and extended multiplicatively
   inside the braided tensor square;
 * the antipode negates generators and extends braided-anti-multiplicatively;
@@ -24,32 +30,21 @@ All of this fixes the unscaled presentation, which is what
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, mul
 
 from .errors import ParameterError
 from .qweyl import (
     AlgebraSpec,
     CheckOutcome,
     ExpVec,
-    PBWElement,
     TermElement,
     _bump,
     _merge_exponent,
-    _merge_vectors,
     _ordered_product,
     _zero_vec,
     exponent_vectors,
     graded_monomials,
 )
 from .scalars import Scalar, mul_skip_one
-
-# Sides: "x" lives in the symmetric algebra on x-generators (degree +e_i),
-# "d" in the one on d-generators (degree -e_i).
-
-
-def _deg(side: str, exp: ExpVec) -> ExpVec:
-    return exp if side == "x" else tuple(-e for e in exp)
-
 
 def braid_exponent(spec: AlgebraSpec, dv: ExpVec, dw: ExpVec) -> int:
     m = spec.m
@@ -59,11 +54,21 @@ def braid_exponent(spec: AlgebraSpec, dv: ExpVec, dw: ExpVec) -> int:
     )
 
 
-class SideElement(TermElement):
-    """Element of one braided symmetric algebra (terms: exponent -> scalar).
+def _braid_core(spec: AlgebraSpec, b: ExpVec, c: ExpVec):
+    """The braiding b (x) c -> q^braid(b, c) c (x) b.  As the core of
+    `_ordered_product` with sign -1, over keys (left leg, right leg), it
+    multiplies in the braided tensor square: (a (x) b)(c (x) d) =
+    q^braid(b, c) ac (x) bd, where merging a c and b d twists by
+    q^(-_merge_exponent), the relations that come from the braiding."""
+    return (((c, b), spec.q_power(braid_exponent(spec, b, c))),)
 
-    Merging x^left x^right inside one factor twists by q^(-_merge_exponent):
-    the relations come from the braiding, on either side."""
+
+class SideElement(TermElement):
+    """Element of the braided symmetric algebra (terms: exponent -> scalar);
+    ``side`` keeps the x- and the d-algebra apart, which multiply alike.
+
+    It multiplies as its embedding u -> u (x) 1 into the braided tensor
+    square, so only the merge twists act."""
 
     __slots__ = ("spec", "side")
 
@@ -75,18 +80,20 @@ class SideElement(TermElement):
     def _meta(self):
         return (self.spec, self.side)
 
-    def __mul__(self, other: SideElement) -> SideElement:
-        out: dict[ExpVec, Scalar] = {}
-        spec = self.spec
-        twist = spec.field.twist
-        for e1, c1 in self.terms.items():
-            as_left = _merge_vectors(spec, e1)[0]
-            for e2, c2 in other.terms.items():
-                key = tuple(map(add, e1, e2))
-                c = twist(mul_skip_one(c1, c2), -sum(map(mul, as_left, e2)))
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-        return SideElement(spec, self.side, out)
+    def __mul__(self, other):
+        if isinstance(other, (int, Scalar)):
+            return self.scale(other)
+        if not self._same_algebra(other):
+            return NotImplemented
+        unit = _zero_vec(self.spec.n)
+        terms = _ordered_product(
+            self.spec,
+            {(e, unit): c for e, c in self.terms.items()},
+            {(e, unit): c for e, c in other.terms.items()},
+            _braid_core,
+            -1,
+        )
+        return SideElement(self.spec, self.side, {e: c for (e, _), c in terms.items()})
 
     def __hash__(self):
         return hash((self.spec, self.side, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
@@ -101,55 +108,32 @@ def side_one(spec: AlgebraSpec, side: str) -> SideElement:
     return side_monomial(spec, side, _zero_vec(spec.n))
 
 
-class BraidedTensorElement(TermElement):
-    """Element of the braided tensor square of one side."""
-
-    __slots__ = ("spec", "side")
-
-    def __init__(self, spec, side, terms: dict[tuple[ExpVec, ExpVec], Scalar]):
-        self.spec = spec
-        self.side = side
-        super().__init__(terms)
-
-    def _meta(self):
-        return (self.spec, self.side)
-
-    def __mul__(self, other):
-        """(a (x) b)(c (x) d) = braid(b, c) ac (x) bd, bilinearly."""
-        spec = self.spec
-        side = self.side
-        out: dict[tuple[ExpVec, ExpVec], Scalar] = {}
-        for (a, b), c1 in self.terms.items():
-            for (c, d), c2 in other.terms.items():
-                e = braid_exponent(spec, _deg(side, b), _deg(side, c))
-                e -= _merge_exponent(spec, a, c) + _merge_exponent(spec, b, d)
-                key = (tuple(map(add, a, c)), tuple(map(add, b, d)))
-                v = spec.field.twist(mul_skip_one(c1, c2), e)
-                prev = out.get(key)
-                out[key] = v if prev is None else prev + v
-        return BraidedTensorElement(spec, side, out)
-
-
 @lru_cache(maxsize=None)
-def coproduct(spec: AlgebraSpec, side: str, exp: ExpVec) -> BraidedTensorElement:
-    """Multiplicative extension of the primitive coproduct on a monomial."""
-    n = spec.n
-    zero = _zero_vec(n)
-    out = BraidedTensorElement(spec, side, {(zero, zero): spec.field.one})
-    for i in range(n):
-        if not exp[i]:
-            continue
-        gen = BraidedTensorElement(
-            spec,
-            side,
-            {
-                (_bump(zero, i, 1), zero): spec.field.one,
-                (zero, _bump(zero, i, 1)): spec.field.one,
-            },
-        )
-        for _ in range(exp[i]):
-            out = out * gen
-    return out
+def coproduct(spec: AlgebraSpec, exp: ExpVec):
+    """Multiplicative extension of the primitive coproduct on a monomial: the
+    product of g (x) 1 + 1 (x) g over the generator factors g of x^exp in
+    order, in the braided tensor square, as a tuple of ((h1, h2), c) terms."""
+    f = spec.field
+    zero = _zero_vec(spec.n)
+    terms = {(zero, zero): f.one}
+    for i, e in enumerate(exp):
+        g = _bump(zero, i, 1)
+        gen = {(g, zero): f.one, (zero, g): f.one}
+        for _ in range(e):
+            terms = _ordered_product(spec, terms, gen, _braid_core, -1)
+            terms = {k: c for k, c in terms.items() if not c.is_zero()}
+    return tuple(terms.items())
+
+
+def _peeled(exp: ExpVec):
+    """The steps (u, g, rest) of splitting the leading generator g off the
+    monomial u = g rest, from u = exp down to the unit monomial."""
+    rest = exp
+    for i, e in enumerate(exp):
+        g = _bump(_zero_vec(len(exp)), i, 1)
+        for _ in range(e):
+            u, rest = rest, _bump(rest, i, -1)
+            yield u, g, rest
 
 
 def counit(exp: ExpVec) -> bool:
@@ -158,7 +142,7 @@ def counit(exp: ExpVec) -> bool:
 
 
 @lru_cache(maxsize=None)
-def antipode_coeff(spec: AlgebraSpec, side: str, exp: ExpVec) -> Scalar:
+def antipode_coeff(spec: AlgebraSpec, exp: ExpVec) -> Scalar:
     """S(monomial) = coeff * same monomial; braided anti-multiplicative.
 
     Peel the leading generator g off u = g u': S(g u') = braid(deg g, deg u')
@@ -166,25 +150,16 @@ def antipode_coeff(spec: AlgebraSpec, side: str, exp: ExpVec) -> Scalar:
     to its canonical place in u' g adds the merge twist.  The loop runs that
     recursion down to the unit monomial.
     """
-    n = spec.n
-    e = 0
-    rest = exp
-    for _ in range(sum(exp)):
-        i = next(k for k in range(n) if rest[k])
-        g = _bump(_zero_vec(n), i, 1)
-        rest = _bump(rest, i, -1)
-        e += braid_exponent(spec, _deg(side, g), _deg(side, rest))
-        e -= _merge_exponent(spec, rest, g)
+    e = sum(
+        braid_exponent(spec, g, rest) - _merge_exponent(spec, rest, g)
+        for _, g, rest in _peeled(exp)
+    )
     c = spec.q_power(e)
     return -c if sum(exp) % 2 else c
 
 
 def antipode(u: SideElement) -> SideElement:
-    return SideElement(
-        u.spec,
-        u.side,
-        {k: c * antipode_coeff(u.spec, u.side, k) for k, c in u.terms.items()},
-    )
+    return u._like({k: c * antipode_coeff(u.spec, k) for k, c in u.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -192,30 +167,23 @@ def pairing(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec) -> Scalar:
     """<d^dexp, x^xexp>, by the product-versus-coproduct recursion.
 
     The pairing preserves the lattice multidegree, so it vanishes unless the
-    exponent vectors agree; on matching monomials the value is forced by
-    splitting the leading generator off the d-side.
+    exponent vectors agree.  On matching monomials d^a and x^a, splitting
+    the leading generator d_i off d^a pairs it with the first leg of
+    Delta(x^a) and d^(a - e_i) with the second, so only the leg
+    x_i (x) x^(a - e_i) contributes: its coefficient, twisted by braiding
+    d^(a - e_i) past x_i.  The loop runs that recursion down to the unit
+    monomial, one coproduct coefficient and one twist per generator.
     """
     f = spec.field
-    total = sum(dexp)
-    if total == 0:
-        return f.one if counit(xexp) else f.zero
-    if total == 1:
-        return f.one if xexp == dexp else f.zero
     if dexp != xexp:
         return f.zero
-    i = next(k for k in range(spec.n) if dexp[k])
-    rest = _bump(dexp, i, -1)
-    acc = None
-    for (h1, h2), c in coproduct(spec, "x", xexp).terms.items():
-        if sum(h1) != 1 or h1[i] != 1:
-            continue
-        inner = pairing(spec, rest, h2)
-        if inner.is_zero():
-            continue
-        e = braid_exponent(spec, _deg("d", rest), _deg("x", h1))
-        v = f.twist(mul_skip_one(c, inner), e)
-        acc = v if acc is None else acc + v
-    return f.zero if acc is None else acc
+    acc = f.one
+    for u, g, rest in _peeled(xexp):
+        c = dict(coproduct(spec, u)).get((g, rest))
+        if c is None:
+            return f.zero
+        acc = f.twist(mul_skip_one(acc, c), -braid_exponent(spec, rest, g))
+    return acc
 
 
 def left_regular_action(spec: AlgebraSpec, dexp: ExpVec, h: SideElement) -> SideElement:
@@ -228,11 +196,11 @@ def left_regular_action(spec: AlgebraSpec, dexp: ExpVec, h: SideElement) -> Side
     """
     out: dict[ExpVec, Scalar] = {}
     for hexp, c in h.terms.items():
-        for (h1, h2), cc in coproduct(spec, "x", hexp).terms.items():
+        for (h1, h2), cc in coproduct(spec, hexp):
             p = pairing(spec, dexp, h2)
             if p.is_zero():
                 continue
-            e = -braid_exponent(spec, _deg("x", h2), _deg("x", h1))
+            e = -braid_exponent(spec, h2, h1)
             v = spec.field.twist(mul_skip_one(mul_skip_one(c, cc), p), e)
             prev = out.get(h1)
             out[h1] = v if prev is None else prev + v
@@ -248,8 +216,8 @@ def left_regular_action(spec: AlgebraSpec, dexp: ExpVec, h: SideElement) -> Side
 def _smash_core(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec):
     """(1 (x) d^dexp)(x^xexp (x) 1) expanded as ((x-exp, d-exp) -> scalar)."""
     out: dict[tuple[ExpVec, ExpVec], Scalar] = {}
-    for (f1, f2), c in coproduct(spec, "d", dexp).terms.items():
-        e = braid_exponent(spec, _deg("d", f2), _deg("x", xexp))
+    for (f1, f2), c in coproduct(spec, dexp):
+        e = -braid_exponent(spec, f2, xexp)
         acted = left_regular_action(spec, f1, side_monomial(spec, "x", xexp))
         for aexp, ca in acted.terms.items():
             v = spec.field.twist(mul_skip_one(c, ca), e)
@@ -296,17 +264,28 @@ class DoubleElement(TermElement):
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
-        if self.spec != other.spec:
-            raise ParameterError("elements from different algebras")
+        if not self._same_algebra(other):
+            return NotImplemented
         terms = _ordered_product(self.spec, self.terms, other.terms, _smash_core, -1)
         return DoubleElement(self.spec, terms)
-
-    __rmul__ = TermElement.scale
 
 
 # ---------------------------------------------------------------------------
 # Structure checks
 # ---------------------------------------------------------------------------
+
+
+def _coproduct_on_leg(spec: AlgebraSpec, delta, leg: int):
+    """(Delta (x) id) Delta for leg 0 and (id (x) Delta) Delta for leg 1 of a
+    coproduct, as a dict over triples of legs without zero values."""
+    out = {}
+    for legs, c in delta:
+        for split, cc in coproduct(spec, legs[leg]):
+            key = legs[:leg] + split + legs[leg + 1 :]
+            val = c * cc
+            prev = out.get(key)
+            out[key] = val if prev is None else prev + val
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def verify_hopf_axioms(spec: AlgebraSpec, degree_bound: int) -> CheckOutcome:
@@ -317,28 +296,12 @@ def verify_hopf_axioms(spec: AlgebraSpec, degree_bound: int) -> CheckOutcome:
     exps = [e for t in range(degree_bound + 1) for e in exponent_vectors(n, t, total=t)]
     for side in ("x", "d"):
         for exp in exps:
-            delta = coproduct(spec, side, exp)
-            # coassociativity via exponent bookkeeping on triple legs
-            left = {}
-            for (u, v), c in delta.terms.items():
-                for (u1, u2), cc in coproduct(spec, side, u).terms.items():
-                    key = (u1, u2, v)
-                    val = c * cc
-                    prev = left.get(key)
-                    left[key] = val if prev is None else prev + val
-            right = {}
-            for (u, v), c in delta.terms.items():
-                for (v1, v2), cc in coproduct(spec, side, v).terms.items():
-                    key = (u, v1, v2)
-                    val = c * cc
-                    prev = right.get(key)
-                    right[key] = val if prev is None else prev + val
-            left = {k: v for k, v in left.items() if not v.is_zero()}
-            right = {k: v for k, v in right.items() if not v.is_zero()}
-            out.record(left == right, f"coassociativity {side}^{exp}")
+            delta = coproduct(spec, exp)
+            coassociative = _coproduct_on_leg(spec, delta, 0) == _coproduct_on_leg(spec, delta, 1)
+            out.record(coassociative, f"coassociativity {side}^{exp}")
             # counit laws
-            from_left = {v: c for (u, v), c in delta.terms.items() if counit(u)}
-            from_right = {u: c for (u, v), c in delta.terms.items() if counit(v)}
+            from_left = {v: c for (u, v), c in delta if counit(u)}
+            from_right = {u: c for (u, v), c in delta if counit(v)}
             out.record(
                 from_left == {exp: f.one} and from_right == {exp: f.one},
                 f"counit {side}^{exp}",
@@ -346,7 +309,7 @@ def verify_hopf_axioms(spec: AlgebraSpec, degree_bound: int) -> CheckOutcome:
             # antipode axiom: m (S (x) id) Delta = eta eps = m (id (x) S) Delta
             acc1 = SideElement(spec, side, {})
             acc2 = SideElement(spec, side, {})
-            for (u, v), c in delta.terms.items():
+            for (u, v), c in delta:
                 su = antipode(side_monomial(spec, side, u)).scale(c)
                 acc1 = acc1 + (su * side_monomial(spec, side, v))
                 sv = antipode(side_monomial(spec, side, v))

@@ -333,8 +333,9 @@ def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
     ``core(spec, b1, a2)`` expands the middle d^b1 x^a2 as ordered terms
     ((am, bm), c); merging x^a1 x^am and d^bm d^b2 then twists by
     q^(sign * _merge_exponent).  The PBW engine passes its rewriting kernel
-    and ``spec.sign``; the Heisenberg double of :mod:`.hopf` passes its
-    smash-product core and -1.
+    and ``spec.sign``; :mod:`.hopf` passes -1 with the braiding as core for
+    its braided tensor square, and with its smash-product core for the
+    Heisenberg double.
 
     The merge exponent is bilinear, so it is read as two dot products, with
     the vectors of ``_merge_vectors`` taken once per left and per right
@@ -454,18 +455,24 @@ class TermElement:
         can convert it (PBWElement takes scalars)."""
         return other
 
+    def _same_algebra(self, other) -> bool:
+        """Whether other is an element of this class, so that the two add or
+        multiply; an element of this class from another algebra raises."""
+        if type(other) is not type(self):
+            return False
+        if other._meta() != self._meta():
+            raise ParameterError("elements from different algebras")
+        return True
+
     def __add__(self, other):
         other = self._operand(other)
-        if type(other) is not type(self):
+        if not self._same_algebra(other):
             return NotImplemented
-        meta = self._meta()
-        if other._meta() != meta:
-            raise ParameterError("elements from different algebras")
         out = dict(self.terms)
         for k, c in other.terms.items():
             prev = out.get(k)
             out[k] = c if prev is None else prev + c
-        return type(self)(*meta, out)
+        return type(self)(*self._meta(), out)
 
     __radd__ = __add__
 
@@ -486,6 +493,11 @@ class TermElement:
             return self._like({})
         # the coefficient fields have no zero divisors
         return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Scalar)):
+            return self.scale(other)
+        return NotImplemented
 
     def __eq__(self, other):
         other = self._operand(other)
@@ -523,18 +535,11 @@ class PBWElement(TermElement):
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
-        if not isinstance(other, PBWElement):
+        if not self._same_algebra(other):
             return NotImplemented
-        if self.spec != other.spec:
-            raise ParameterError("elements from different algebras")
         spec = self.spec
         terms = _ordered_product(spec, self.terms, other.terms, _reorder, spec.sign)
         return PBWElement(spec, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, e: int):
         if e < 0:

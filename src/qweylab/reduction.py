@@ -245,14 +245,10 @@ def restriction_kernel_check(
 class ReducedAlgebraResult:
     dimension: int
     weight_dim: int
-    commutant_dim: int
     iso_verified: bool
-    witness: list | None = None
 
 
-def reduced_endomorphism_algebra(
-    rep: MatrixRep, torus: TorusData, eta, keep_witness: bool = False
-) -> ReducedAlgebraResult:
+def reduced_endomorphism_algebra(rep: MatrixRep, torus: TorusData, eta) -> ReducedAlgebraResult:
     """Endomorphisms of Hom(V_eta, V) commuting with postcomposition by the
     representation, compared with the image of End(V_eta).
 
@@ -280,22 +276,10 @@ def reduced_endomorphism_algebra(
     for vec in basis:
         span.add(vec)
     identity_commutes = span.contains({t * dim + t: f.one for t in range(dim)})
-    witness = None
-    if keep_witness:
-        # the support of each basis image, indexed as in the full commutation
-        # system on V^m: entry (row, col) of Theta is unknown row * dim * m + col
-        nW = dim * m
-        witness = [
-            [(qq * dim + t) * nW + p * dim + t for t in range(dim)]
-            for p in range(m)
-            for qq in range(m)
-        ]
     return ReducedAlgebraResult(
         dimension=cdim,
         weight_dim=m,
-        commutant_dim=cdim,
         iso_verified=identity_commutes and cdim == m * m,
-        witness=witness,
     )
 
 

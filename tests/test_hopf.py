@@ -1,8 +1,10 @@
 import random
 
-from conftest import random_spec
+from conftest import VERIFY_QQ, random_spec
+from qweylab.config import load_config
 from qweylab.hopf import (
     DoubleElement,
+    SideElement,
     antipode,
     antipode_coeff,
     coproduct,
@@ -24,15 +26,15 @@ one = QQ_Q.one
 
 
 def test_coproduct_examples():
-    d = coproduct(S1, "x", (1,))
-    assert d.terms == {((1,), (0,)): one, ((0,), (1,)): one}
-    d2 = coproduct(S1, "x", (2,))
-    assert d2.terms == {
+    d = coproduct(S1, (1,))
+    assert dict(d) == {((1,), (0,)): one, ((0,), (1,)): one}
+    d2 = coproduct(S1, (2,))
+    assert dict(d2) == {
         ((2,), (0,)): one,
         ((1,), (1,)): one + q,
         ((0,), (2,)): one,
     }
-    assert coproduct(S1, "x", (0,)).terms == {((0,), (0,)): one}
+    assert coproduct(S1, (0,)) == ((((0,), (0,)), one),)
 
 
 def test_antipode_examples():
@@ -147,14 +149,127 @@ def _antipode_closed_form(spec, exp):
 def test_antipode_matches_its_closed_form():
     m = ((1, 2, -1), (-2, 2, 3), (1, -3, -1))
     spec = AlgebraSpec(3, m, False, QQ_Q)
-    for side in ("x", "d"):
-        for exp in exponent_vectors(3, 4):
-            assert antipode_coeff(spec, side, exp) == _antipode_closed_form(spec, exp)
+    for exp in exponent_vectors(3, 4):
+        assert antipode_coeff(spec, exp) == _antipode_closed_form(spec, exp)
+        for side in ("x", "d"):
+            u = antipode(side_monomial(spec, side, exp))
+            assert u.terms == {exp: _antipode_closed_form(spec, exp)}
 
 
 def test_antipode_of_a_high_power_needs_no_deep_recursion():
     # a recursion of one frame per unit of exponent exceeds Python's limit here
     spec = AlgebraSpec(2, ((2, 1), (-1, -1)), False, QQ_Q)
     for exp in ((1500, 0), (0, 1500), (700, 800)):
-        for side in ("x", "d"):
-            assert antipode_coeff(spec, side, exp) == _antipode_closed_form(spec, exp)
+        assert antipode_coeff(spec, exp) == _antipode_closed_form(spec, exp)
+
+
+# Test-owned copies of the constructions the Hopf layer used before its
+# products went through `_ordered_product`: the hand-written product loop of
+# the braided tensor square of one side, the coproduct as repeated products
+# with one generator, and the pairing recursion over every coproduct term.
+
+
+def _ref_braid(spec, dv, dw):
+    return sum(dv[i] * spec.m[i][j] * dw[j] for i in range(spec.n) for j in range(spec.n))
+
+
+def _ref_merge(spec, left, right):
+    n = spec.n
+    return sum(spec.m[i][j] * left[j] * right[i] for i in range(n) for j in range(i + 1, n))
+
+
+def _ref_tensor_product(spec, side, left, right):
+    """(a (x) b)(c (x) d) = braid(deg b, deg c) ac (x) bd, bilinearly, with
+    deg negated on the d-side and the merge twists q^(-_merge_exponent)."""
+    sign = 1 if side == "x" else -1
+    out = {}
+    for (a, b), c1 in left.items():
+        for (c, d), c2 in right.items():
+            e = _ref_braid(spec, [sign * v for v in b], [sign * v for v in c])
+            e -= _ref_merge(spec, a, c) + _ref_merge(spec, b, d)
+            key = (tuple(p + r for p, r in zip(a, c)), tuple(p + r for p, r in zip(b, d)))
+            v = spec.field.twist(c1 * c2, e)
+            out[key] = out[key] + v if key in out else v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _ref_coproduct(spec, side, exp):
+    one, zero = spec.field.one, (0,) * spec.n
+    out = {(zero, zero): one}
+    for i in range(spec.n):
+        g = tuple(int(k == i) for k in range(spec.n))
+        for _ in range(exp[i]):
+            out = _ref_tensor_product(spec, side, out, {(g, zero): one, (zero, g): one})
+    return out
+
+
+def _ref_pairing(spec, dexp, xexp):
+    f = spec.field
+    total = sum(dexp)
+    if total == 0:
+        return f.one if not any(xexp) else f.zero
+    if total == 1:
+        return f.one if xexp == dexp else f.zero
+    if dexp != xexp:
+        return f.zero
+    i = next(k for k in range(spec.n) if dexp[k])
+    rest = tuple(v - (k == i) for k, v in enumerate(dexp))
+    acc = f.zero
+    for (h1, h2), c in _ref_coproduct(spec, "x", xexp).items():
+        if sum(h1) == 1 and h1[i] == 1:
+            e = _ref_braid(spec, [-v for v in rest], h1)
+            acc = acc + f.twist(c * _ref_pairing(spec, rest, h2), e)
+    return acc
+
+
+REF_FIELDS = [make_field("rational"), QQ_Q, make_field("cyclotomic", 5)]
+
+
+def test_coproduct_and_pairing_match_the_old_constructions():
+    rng = random.Random(12)
+    for field in REF_FIELDS:
+        for n in (1, 2, 3):
+            for rescaled in (False, True):
+                spec = random_spec(rng, n, field, rescaled)
+                exps = list(exponent_vectors(n, 4))
+                for exp in (e for e in exps if sum(e) <= 4):
+                    delta = dict(coproduct(spec, exp))
+                    for side in ("x", "d"):
+                        assert delta == _ref_coproduct(spec, side, exp), (spec, exp, side)
+                    for dexp in exps:
+                        if sum(dexp) == sum(exp):
+                            want = _ref_pairing(spec, dexp, exp)
+                            assert pairing(spec, dexp, exp) == want, (spec, dexp, exp)
+
+
+def test_side_products_match_the_old_product_loop():
+    # x^e1 x^e2 = q^(-_merge_exponent(e1, e2)) x^(e1 + e2) on either side
+    rng = random.Random(13)
+    for field in REF_FIELDS:
+        for n in (1, 2, 3):
+            spec = random_spec(rng, n, field, rescaled=False)
+            for _ in range(10):
+                u, v = (
+                    {tuple(rng.randint(0, 2) for _ in range(n)): field.from_int(rng.randint(1, 3))
+                     for _ in range(2)}
+                    for _ in range(2)
+                )
+                want = {}
+                for e1, c1 in u.items():
+                    for e2, c2 in v.items():
+                        key = tuple(p + r for p, r in zip(e1, e2))
+                        c = field.twist(c1 * c2, -_ref_merge(spec, e1, e2))
+                        want[key] = want[key] + c if key in want else c
+                want = {k: c for k, c in want.items() if not c.is_zero()}
+                for side in ("x", "d"):
+                    assert (SideElement(spec, side, u) * SideElement(spec, side, v)).terms == want
+
+
+def test_hopf_axioms_build_one_coproduct_per_monomial():
+    spec = load_config(str(VERIFY_QQ)).spec.unscaled_twin()
+    for cached in (coproduct, antipode_coeff, pairing):
+        cached.cache_clear()
+    bound = 4
+    assert verify_hopf_axioms(spec, bound).passed
+    monomials = sum(1 for e in exponent_vectors(spec.n, bound) if sum(e) <= bound)
+    assert coproduct.cache_info().misses == monomials

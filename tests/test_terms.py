@@ -1,10 +1,10 @@
-"""The shared term-dict base of the five element classes and the one
+"""The shared term-dict base of the four element classes and the one
 exponent-vector enumerator behind every monomial listing."""
 
 import pytest
 
 from qweylab.errors import ParameterError
-from qweylab.hopf import BraidedTensorElement, DoubleElement, SideElement
+from qweylab.hopf import DoubleElement, SideElement
 from qweylab.moment import ReducedElement, ReductionDatum, TorusData, invariant_monomials
 from qweylab.qweyl import AlgebraSpec, PBWElement, exponent_vectors, graded_monomials
 from qweylab.rootofunity import lcenter_monomials
@@ -25,10 +25,6 @@ CLASSES = {
     "side": (
         lambda t: SideElement(S1, "x", {k[0]: c for k, c in t.items()}),
         lambda t: SideElement(S1, "d", {k[0]: c for k, c in t.items()}),
-    ),
-    "tensor": (
-        lambda t: BraidedTensorElement(S1, "x", t),
-        lambda t: BraidedTensorElement(S1, "d", t),
     ),
     "double": (lambda t: DoubleElement(S1, t), lambda t: DoubleElement(S1.unscaled_twin(), t)),
     "reduced": (
@@ -63,6 +59,38 @@ def test_adding_elements_of_two_algebras_is_an_error(kind):
         u + w
     with pytest.raises(ParameterError):
         u - w
+
+
+# the classes with a product, and an element of each of another class
+PRODUCTS = ["pbw", "side", "double"]
+
+
+@pytest.mark.parametrize("kind", PRODUCTS)
+def test_multiplying_elements_of_two_algebras_is_an_error(kind):
+    make, make_other = CLASSES[kind]
+    u, w = make(TERMS), make_other(TERMS)
+    with pytest.raises(ParameterError):
+        u * w
+    with pytest.raises(ParameterError):
+        w * u
+    # another spec of the same side
+    if kind == "side":
+        rank2 = SideElement(AlgebraSpec.single_parameter(2, QQ_Q), "x", {(0, 1): q})
+        with pytest.raises(ParameterError):
+            u * rank2
+
+
+@pytest.mark.parametrize("kind", PRODUCTS)
+def test_products_scale_by_scalars_and_refuse_other_classes(kind):
+    make, _ = CLASSES[kind]
+    u = make(TERMS)
+    assert u * 2 == 2 * u == u.scale(2)
+    assert u * q == q * u == u.scale(q)
+    for other_kind in PRODUCTS:
+        if other_kind != kind:
+            w = CLASSES[other_kind][0](TERMS)
+            with pytest.raises(TypeError):
+                u * w
 
 
 def test_pbw_takes_scalar_operands():
