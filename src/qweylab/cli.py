@@ -21,7 +21,8 @@ from .scalars import Scalar
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing does not change
-    it, so every `main` call shares it."""
+    it, so every `main` call shares it.  Its `subcommands` maps each
+    subcommand to that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="qweylab",
         description="exact q-Weyl algebra workbench",
@@ -53,12 +54,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="canonical form modulo the moment ideal")
     p_reduce.add_argument("expression")
     p_reduce.add_argument("--config", required=True)
+    parser.subcommands = sub.choices
     return parser
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """``parser.parse_args(argv)``.  An argv that starts with a subcommand goes
+    straight to that subcommand's parser, as the full parser would pass it on:
+    the rest of argv, whose leftovers the top parser reports."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     try:
         if args.command == "verify" and args.list_checks:
             for check_id, law, _ in CHECKS:

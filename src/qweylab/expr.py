@@ -10,17 +10,24 @@ an integer exponent.  Negative exponents are allowed only on ``a`` symbols
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ExprError
 from .qweyl import AlgebraSpec, LocalizedElement, PBWElement
-from .scalars import Field, Scalar
+from .scalars import Field, Scalar, decimal_str
 
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*^()/")
+# ASCII digits and names only: str.isdigit and str.isalnum also accept
+# superscripts, which int() rejects, and other scripts' digits, which int()
+# reads as if they were ASCII.
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz" "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NAME_CHARS = _LETTERS | _DIGITS | {"_"}
 
 
 class _Token:
@@ -41,23 +48,29 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         col = i + 1
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", int(text[i:j]), col))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("name", text[i:j], col))
-            i = j
-            continue
         if c in _OPS:
             out.append(_Token("op", c, col))
             i += 1
+            continue
+        if c in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past the interpreter's int-to-str digit limit
+                raise ExprError(
+                    f"integer literal longer than {sys.get_int_max_str_digits()} digits", col
+                ) from None
+            out.append(_Token("int", value, col))
+            i = j
+            continue
+        if c in _LETTERS:
+            j = i + 1
+            while j < n and text[j] in _NAME_CHARS:
+                j += 1
+            out.append(_Token("name", text[i:j], col))
+            i = j
             continue
         raise ExprError(f"unexpected character {c!r}", col)
     out.append(_Token("end", None, n + 1))
@@ -134,21 +147,33 @@ class _Parser:
         base, kind, col = self.parse_atom()
         tok = self.peek()
         if not (tok.kind == "op" and tok.value == "^"):
-            return base
+            return self.generator(*base) if kind == "generator" else base
         self.advance()
         exp = self.parse_exponent()
-        if kind == "alpha":
-            index = base  # parse_atom returns the index for bare alpha symbols
-            if exp >= 0:
-                return self.spec.alpha(index) ** exp
-            den = [0] * self.spec.n
-            den[index - 1] = -exp
-            return LocalizedElement(self.spec.one(), tuple(den))
-        if exp >= 0:
-            return base**exp
-        if kind == "scalar":
+        if kind == "generator":
+            head, index = base
+            if head == "a":
+                powers = [0] * self.spec.n
+                powers[index - 1] = abs(exp)
+                if exp >= 0:
+                    return self.spec.alpha_power(powers)
+                return LocalizedElement(self.spec.one(), tuple(powers))
+            if exp < 0:
+                raise ExprError("negative powers are allowed only on a-symbols", col)
+            # x_i x_i merges with exponent 0, so x_i^e is one monomial
+            return self.generator(head, index, exp)
+        if exp >= 0 or kind == "scalar":
             return base**exp
         raise ExprError("negative powers are allowed only on a-symbols", col)
+
+    def generator(self, head: str, index: int, power: int = 1):
+        """The element of a generator atom: x_i or d_i to the given power, or
+        a bare a_i."""
+        if head == "x":
+            return self.spec.x(index, power)
+        if head == "d":
+            return self.spec.d(index, power)
+        return self.spec.alpha(index)
 
     def parse_exponent(self) -> int:
         sign = 1
@@ -162,10 +187,11 @@ class _Parser:
         return sign * tok.value
 
     def parse_atom(self):
-        """Returns (value, kind, col); kind in {'scalar','element','alpha'}.
+        """Returns (value, kind, col); kind in {'scalar','element','generator'}.
 
-        For a bare a-symbol the returned value is its generator index; the
-        caller converts it (this keeps negative powers exact, not inverted).
+        For a generator the value is its (head, index): the caller builds the
+        power it is raised to, so a power of x_i or d_i is one monomial, and a
+        negative power of a_i stays exact, not inverted.
         """
         tok = self.advance()
         if tok.kind == "int":
@@ -209,14 +235,7 @@ class _Parser:
             i = int(tail)
             if not 1 <= i <= self.spec.n:
                 raise ExprError(f"generator index out of range 1..{self.spec.n}", tok.col)
-            if head == "x":
-                return self.spec.x(i), "element", tok.col
-            if head == "d":
-                return self.spec.d(i), "element", tok.col
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.value == "^":
-                return i, "alpha", tok.col
-            return self.spec.alpha(i), "element", tok.col
+            return (head, i), "generator", tok.col
         raise ExprError(f"unknown symbol {name!r}", tok.col)
 
 
@@ -231,10 +250,7 @@ def _add(u, v):
 def parse_expression(text: str, spec: AlgebraSpec):
     """Parse an expression over the given algebra; returns a Scalar,
     PBWElement, or LocalizedElement."""
-    value = _Parser(text, spec.field, spec).parse()
-    if isinstance(value, int):  # bare alpha index cannot reach here
-        raise ExprError("incomplete expression")
-    return value
+    return _Parser(text, spec.field, spec).parse()
 
 
 def parse_scalar(text: str, field: Field) -> Scalar:
@@ -267,7 +283,7 @@ def _monomial_str(a, b, c=None) -> str:
             if e == 0:
                 continue
             head = f"{sym}{i + 1}"
-            parts.append(head if e == 1 else f"{head}^{e}")
+            parts.append(head if e == 1 else f"{head}^{decimal_str(e)}")
     return "*".join(parts)
 
 

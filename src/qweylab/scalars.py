@@ -36,6 +36,7 @@ may be shared freely between threads and cached by identity of their field.
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -181,6 +182,18 @@ def cyclotomic_polynomial(l: int) -> tuple[int, ...]:
     return poly
 
 
+def decimal_str(x) -> str:
+    """str(x) of an int or a Fraction.  A number longer than the interpreter's
+    int-to-str digit limit is a DomainError, not str's ValueError."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DomainError(
+            f"a number in the result has more than {sys.get_int_max_str_digits()} "
+            "digits, too many to print"
+        ) from None
+
+
 def _poly_str(coeffs, var: str) -> str:
     """Render a polynomial with integer or rational coefficients, highest
     degree first, e.g. ``q^2-q+1``."""
@@ -192,10 +205,10 @@ def _poly_str(coeffs, var: str) -> str:
         if not c:
             continue
         if k == 0:
-            mono = str(abs(c))
+            mono = decimal_str(abs(c))
         else:
             head = var if k == 1 else f"{var}^{k}"
-            mono = head if abs(c) == 1 else f"{abs(c)}*{head}"
+            mono = head if abs(c) == 1 else f"{decimal_str(abs(c))}*{head}"
         if not parts:
             parts.append(mono if c > 0 else "-" + mono)
         else:
@@ -402,7 +415,7 @@ class RationalField(Field):
         return 1 / a
 
     def format(self, v) -> str:
-        return str(v)
+        return decimal_str(v)
 
     def __repr__(self):
         return "RationalField()"

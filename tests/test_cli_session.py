@@ -172,3 +172,214 @@ def test_validation_errors_name_their_config_file(tmp_path):
     with pytest.raises(config.ConfigError) as info:
         config.parse_config({"field": "cyclotomic", "l": 2, "n": 1})
     assert str(info.value) == "invalid config:\n  field/l: cyclotomic order l must be odd and > 1"
+
+
+G, N1 = "configs/generic_q.json", "configs/n1_l3.json"
+# (argv, exit code, stdout, stderr) of one main call from the repository
+# root, at 80 columns, as the full argparse parser gives them.  An exit
+# through argparse's SystemExit is written "SystemExit(code)".
+EDGE_ARGV = [
+    (
+        [],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab [-h] [--version] {eval,verify,rep,reduce} ...\n"
+            "qweylab: error: the following arguments are required: command\n"
+        ),
+    ),
+    (
+        ["--version"],
+        "SystemExit(0)",
+        "qweylab 0.1.0\n",
+        "",
+    ),
+    (
+        ["-h"],
+        "SystemExit(0)",
+        (
+            "usage: qweylab [-h] [--version] {eval,verify,rep,reduce} ...\n"
+            "\n"
+            "exact q-Weyl algebra workbench\n"
+            "\n"
+            "positional arguments:\n"
+            "  {eval,verify,rep,reduce}\n"
+            "    eval                normal-order an expression\n"
+            "    verify              run the verification suite\n"
+            "    rep                 representation commands\n"
+            "    reduce              canonical form modulo the moment ideal\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --version             show program's version number and exit\n"
+        ),
+        "",
+    ),
+    (
+        ["eval", "-h"],
+        "SystemExit(0)",
+        (
+            "usage: qweylab eval [-h] --config CONFIG expression\n"
+            "\n"
+            "positional arguments:\n"
+            "  expression\n"
+            "\n"
+            "options:\n"
+            "  -h, --help       show this help message and exit\n"
+            "  --config CONFIG\n"
+        ),
+        "",
+    ),
+    (
+        ["eval"],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab eval [-h] --config CONFIG expression\n"
+            "qweylab eval: error: the following arguments are required: expression, --config\n"
+        ),
+    ),
+    (
+        ["eval", "x1"],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab eval [-h] --config CONFIG expression\n"
+            "qweylab eval: error: the following arguments are required: --config\n"
+        ),
+    ),
+    (
+        ["eval", "x1", "--conf", G],
+        0,
+        "x1\n",
+        "",
+    ),
+    (
+        ["eval", f"--config={G}", "d1*x1"],
+        0,
+        "q*x1*d1 + (q-1)\n",
+        "",
+    ),
+    (
+        ["eval", "x1", "x2", "--config", G],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab [-h] [--version] {eval,verify,rep,reduce} ...\n"
+            "qweylab: error: unrecognized arguments: x2\n"
+        ),
+    ),
+    (
+        ["evaluate", "x1", "--config", G],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab [-h] [--version] {eval,verify,rep,reduce} ...\n"
+            "qweylab: error: argument command: invalid choice: 'evaluate' (choose from 'eval', 'verify', 'rep', 'reduce')\n"
+        ),
+    ),
+    (
+        ["eval", "x1", "--config", G, "--fast"],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab [-h] [--version] {eval,verify,rep,reduce} ...\n"
+            "qweylab: error: unrecognized arguments: --fast\n"
+        ),
+    ),
+    (
+        ["eval", "x1", "--config", G, "--version"],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab [-h] [--version] {eval,verify,rep,reduce} ...\n"
+            "qweylab: error: unrecognized arguments: --version\n"
+        ),
+    ),
+    (
+        ["reduce", "--config", N1, "--", "-x1^2*d1^2"],
+        0,
+        "(2*zeta+3)\n",
+        "",
+    ),
+    (
+        ["verify"],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab [-h] [--version] {eval,verify,rep,reduce} ...\n"
+            "qweylab: error: --config is required\n"
+        ),
+    ),
+    (
+        ["verify", "--list-checks"],
+        0,
+        (
+            "engine-soundness: pbw-product-associativity-confluence-grading\n"
+            "euler-commutativity: euler-operators-commute\n"
+            "power-identities: euler-power-identities\n"
+            "hopf-axioms: braided-hopf-structure-axioms\n"
+            "double-presentation: smash-product-matches-presentation\n"
+            "classical-limit: trivial-braiding-gives-weyl-algebra\n"
+            "moment-identity: comoment-conjugation-grading\n"
+            "moment-reduction: moment-ideal-canonical-form\n"
+            "delta-power: euler-product-lth-power-closed-form\n"
+            "center-truncation: bounded-centralizer-is-lth-power-span\n"
+            "lcenter-freeness: residue-monomials-free-over-lth-powers\n"
+            "rep-build: representation-relations-hold\n"
+            "rep-irreducibility: commutant-detects-matrix-algebra-locus\n"
+            "fiber-weights: weight-space-dimension-law\n"
+            "fiber-restriction: restriction-kernel-equals-moment-ideal\n"
+            "fiber-reduced-endos: reduced-algebra-is-weight-endomorphisms\n"
+            "cover-degree: root-cover-point-count\n"
+        ),
+        "",
+    ),
+    (
+        ["rep"],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab rep [-h] {build} ...\n"
+            "qweylab rep: error: the following arguments are required: rep_command\n"
+        ),
+    ),
+    (
+        ["rep", "build", "--config", N1],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab rep build [-h] --config CONFIG --out OUT\n"
+            "qweylab rep build: error: the following arguments are required: --out\n"
+        ),
+    ),
+    (
+        ["rep", "build", "--config", N1, "--out", "reps.json", "extra"],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab [-h] [--version] {eval,verify,rep,reduce} ...\n"
+            "qweylab: error: unrecognized arguments: extra\n"
+        ),
+    ),
+]
+
+
+def run_exiting(argv):
+    """run(argv), with argparse's SystemExit recorded as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", EDGE_ARGV, ids=[" ".join(case[0]) or "no-args" for case in EDGE_ARGV]
+)
+def test_edge_argv_answer_as_the_full_parser(monkeypatch, argv, code, out, err):
+    monkeypatch.chdir(CONFIGS.parent)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_exiting(argv) == (code, out, err)

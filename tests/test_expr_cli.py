@@ -8,7 +8,7 @@ import pytest
 
 from qweylab.config import ConfigError, parse_config
 from qweylab.cli import main
-from qweylab.errors import ExprError
+from qweylab.errors import DomainError, ExprError
 from qweylab.expr import format_localized, format_pbw, parse_expression, parse_scalar
 from qweylab.qweyl import AlgebraSpec, LocalizedElement
 from qweylab.scalars import make_field
@@ -58,6 +58,74 @@ def test_parse_errors():
     except ExprError as exc:
         err = exc
     assert err is not None and err.column == 6
+
+
+@pytest.mark.parametrize("rescaled", [True, False], ids=["rescaled", "unscaled"])
+@pytest.mark.parametrize(
+    "field",
+    [make_field("rational"), QQ_Q, Z3, make_field("cyclotomic", 5)],
+    ids=["Q", "Q(q)", "Q(zeta_3)", "Q(zeta_5)"],
+)
+def test_generator_powers_are_the_pbw_powers(field, rescaled):
+    # x_i^e and d_i^e are read as one monomial and a_i^e from the alpha-power
+    # cache: the same terms, in the same key order, as PBW powering
+    spec = AlgebraSpec.from_rows([[2, 1], [-1, 1]], field, rescaled)
+    for i in (1, 2):
+        for e in range(13):
+            for head, base in (("x", spec.x(i)), ("d", spec.d(i)), ("a", spec.alpha(i))):
+                got = parse_expression(f"{head}{i}^{e}", spec)
+                want = base**e
+                assert list(got.terms.items()) == list(want.terms.items()), (head, i, e)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("x1^\u00b2", 4), ("x1\u00b2", 3), ("\u0663*x1", 1), ("x\u0661", 2), ("x1 + \uff11", 6)],
+)
+def test_only_ascii_digits_and_names(text, column):
+    # superscripts and other scripts' digits were read as digits: x1^2 in
+    # superscript ended in a ValueError, Arabic-Indic 3 and 1 read as 3 and 1
+    with pytest.raises(ExprError) as info:
+        parse_expression(text, S1)
+    assert info.value.column == column
+    assert str(info.value).startswith(f"unexpected character {text[column - 1]!r}")
+
+
+def test_integer_literal_past_the_digit_limit_is_an_expr_error():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ExprError) as info:
+        parse_expression("x1 + " + "7" * (limit + 1), S1)
+    assert info.value.column == 6
+    assert str(info.value) == f"integer literal longer than {limit} digits (column 6)"
+    assert parse_expression("7" * limit, S1) == S1.scalar_element(int("7" * limit))
+
+
+@pytest.mark.parametrize(
+    "field", [make_field("rational"), QQ_Q, Z3], ids=["Q", "Q(q)", "Q(zeta_3)"]
+)
+def test_numbers_too_long_to_print_are_a_domain_error(field):
+    limit = sys.get_int_max_str_digits()
+    big = field.from_int(10**limit)
+    for value in (big, big * field.from_fraction(Fraction(1, 3)), big.inv()):
+        with pytest.raises(DomainError, match=f"more than {limit} digits"):
+            str(value)
+    spec = AlgebraSpec.single_parameter(1, field)
+    with pytest.raises(DomainError):
+        format_pbw(spec.x(1, 10**limit))
+    assert str(field.from_int(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
+
+
+def test_cli_errors_on_long_numbers_and_non_ascii_digits(capsys):
+    cfg = str(CONFIGS / "generic_q.json")
+    limit = sys.get_int_max_str_digits()
+    cases = [
+        ("2^20000", f"error: a number in the result has more than {limit} digits, too many to print\n"),
+        ("7" * 5000, f"error: integer literal longer than {limit} digits (column 1)\n"),
+        ("x1\u00b2", "error: unexpected character '\u00b2' (column 3)\n"),
+    ]
+    for text, err in cases:
+        assert main(["eval", "--config", cfg, "--", text]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 def test_parse_scalar():

@@ -15,6 +15,7 @@ from conftest import seeded_invariant, verify_qq_variant
 from qweylab import checks, config, exactla, hopf, moment, qweyl, reduction, rootofunity, scalars
 from qweylab.checks import run_verification_suite
 from qweylab.config import load_config, parse_config
+from qweylab.expr import parse_expression
 from qweylab.moment import ReducedElement, invariant_monomials, moment_ideal_reduce, reduced_product
 from qweylab.qweyl import AlgebraSpec, PBWElement
 from qweylab.scalars import Scalar, make_field
@@ -251,6 +252,23 @@ def test_product_of_monomials_multiplies_no_scalars(monkeypatch):
     assert calls == []
     # d2 x1 = q_21 x1 d2: the cached reordering carries the twist
     assert want[1] == want[0].scale(spec.q_power(spec.m[1][0]))
+
+
+def test_generator_powers_parse_without_pbw_powers(monkeypatch):
+    spec = load_config(str(VERIFY_QQ)).spec
+    products, powers = [], []
+    counting(monkeypatch, qweyl, "_ordered_product", products)
+    counting(monkeypatch, PBWElement, "__pow__", powers)
+    # x1^7 and d2^5 are one monomial each: only their product is formed
+    assert parse_expression("x1^7*d2^5", spec) == spec.monomial((7, 0, 0), (0, 5, 0))
+    assert len(products) == 1 and powers == []
+    # a1^3 is read from the alpha-power cache, built once
+    qweyl._alpha_power.cache_clear()
+    first = parse_expression("a1^3", spec)
+    assert products and powers == []
+    products.clear()
+    assert parse_expression("a1^3", spec) is first
+    assert products == []
 
 
 def test_reduced_product_stays_in_the_alpha_basis(monkeypatch):
