@@ -48,7 +48,7 @@ from .scalars import CyclotomicField
 
 
 class Skip(Exception):
-    """Raised by a check to mark itself not applicable to this config."""
+    """Marks a check not applicable to this config."""
 
 
 def _rng_for(config: WorkbenchConfig, check_id: str) -> random.Random:
@@ -86,39 +86,15 @@ def _outcome_detail(out: CheckOutcome) -> str:
     return f"{len(out.failures)} failures of {out.cases}: {shown}{more}"
 
 
-def _need_cyclotomic(config):
-    if not isinstance(config.field, CyclotomicField):
-        raise Skip("needs a cyclotomic field")
-
-
-def _need_rescaled(config):
-    if not config.spec.rescaled:
-        raise Skip("needs the rescaled normalization")
-
-
-def _need_preset(config):
-    if not config.spec.is_single_parameter:
-        raise Skip("needs the single-parameter preset")
-
-
-def _need_reps(config):
-    _need_cyclotomic(config)
-    _need_rescaled(config)
-    _need_preset(config)
-    if not config.rep_slots:
-        raise Skip("no representations configured")
-
-
-# ---------------------------------------------------------------------------
-# Checks.  Each returns a detail string on success and raises AssertionError
-# (with detail) on failure; CheckOutcome-based ones convert uniformly.
-# ---------------------------------------------------------------------------
-
-
-def _convert(out: CheckOutcome) -> str:
-    if not out.passed:
-        raise AssertionError(_outcome_detail(out))
-    return _outcome_detail(out)
+# The requirements a check may name, in the order they are tested: each maps
+# to its test of the config and the reason a check that needs it is skipped.
+NEEDS = {
+    "cyclotomic": (lambda c: isinstance(c.field, CyclotomicField), "needs a cyclotomic field"),
+    "rescaled": (lambda c: c.spec.rescaled, "needs the rescaled normalization"),
+    "preset": (lambda c: c.spec.is_single_parameter, "needs the single-parameter preset"),
+    "reps": (lambda c: c.rep_slots, "no representations configured"),
+    "subtorus": (lambda c: c.torus.d != 0, "no subtorus configured"),
+}
 
 
 def check_engine_soundness(config: WorkbenchConfig) -> str:
@@ -158,27 +134,6 @@ def check_engine_soundness(config: WorkbenchConfig) -> str:
     return f"{cases} triples, {cases // 2} reassociations"
 
 
-def check_euler_commutativity(config: WorkbenchConfig) -> str:
-    _need_rescaled(config)
-    return _convert(verify_alpha_commutativity(config.spec))
-
-
-def check_power_identities(config: WorkbenchConfig) -> str:
-    _need_rescaled(config)
-    return _convert(verify_power_identities(config.spec, 6))
-
-
-def check_hopf_axioms(config: WorkbenchConfig) -> str:
-    bound = min(config.bounds["degree_bound"] + 1, 4)
-    return _convert(verify_hopf_axioms(config.spec.unscaled_twin(), bound))
-
-
-def check_double_presentation(config: WorkbenchConfig) -> str:
-    return _convert(
-        verify_double_presentation(config.spec, config.bounds["degree_bound"])
-    )
-
-
 def check_classical_limit(config: WorkbenchConfig) -> str:
     n = config.spec.n
     zero_m = tuple(tuple(0 for _ in range(n)) for _ in range(n))
@@ -188,11 +143,6 @@ def check_classical_limit(config: WorkbenchConfig) -> str:
         if di * xi != xi * di + DoubleElement.one(spec0):
             raise AssertionError(f"classical relation failed at coordinate {i}")
     return f"{n} coordinates"
-
-
-def check_moment_identity(config: WorkbenchConfig) -> str:
-    _need_rescaled(config)
-    return _convert(verify_moment_identity(config.torus, config.spec))
 
 
 def moment_reduction_cases(spec: AlgebraSpec, datum, rng: random.Random, cases: int):
@@ -248,39 +198,13 @@ def moment_reduction_cases(spec: AlgebraSpec, datum, rng: random.Random, cases: 
 
 
 def check_moment_reduction(config: WorkbenchConfig) -> str:
-    _need_rescaled(config)
-    if config.torus.d == 0:
-        raise Skip("no subtorus configured")
     cases = max(10, config.bounds["random_cases"] // 5)
     rng = _rng_for(config, "moment-reduction")
     moment_reduction_cases(config.spec, config.datum(), rng, cases)
     return f"{cases} seeded elements"
 
 
-def check_delta_power(config: WorkbenchConfig) -> str:
-    _need_cyclotomic(config)
-    _need_rescaled(config)
-    _need_preset(config)
-    return _convert(verify_delta_power(config.spec))
-
-
-def check_center_truncation(config: WorkbenchConfig) -> str:
-    _need_cyclotomic(config)
-    _need_rescaled(config)
-    _need_preset(config)
-    bound = config.bounds["exponent_bound"]
-    return _convert(verify_centralizer_is_lcenter(config.spec, bound))
-
-
-def check_lcenter_freeness(config: WorkbenchConfig) -> str:
-    _need_cyclotomic(config)
-    _need_rescaled(config)
-    _need_preset(config)
-    return _convert(verify_lcenter_freeness(config.spec))
-
-
 def check_rep_build(config: WorkbenchConfig) -> str:
-    _need_reps(config)
     reps = config.build_reps()  # builders verify all relations exactly
     details = []
     for rep in reps:
@@ -290,7 +214,6 @@ def check_rep_build(config: WorkbenchConfig) -> str:
 
 
 def check_rep_irreducibility(config: WorkbenchConfig) -> str:
-    _need_reps(config)
     for rep in config.build_reps():
         cdim = commutant_dimension(rep)
         if azumaya_membership(rep.character):
@@ -329,16 +252,13 @@ def rank1_dichotomy_cases(f: CyclotomicField, rng: random.Random, cases: int):
 
 
 def check_fiber_weights(config: WorkbenchConfig) -> str:
-    _need_reps(config)
-    if config.torus.d == 0:
-        raise Skip("no subtorus configured")
-    l = config.field.l
+    expected = config.field.l ** (config.torus.n - config.torus.d)
     details = []
     for rep in config.build_reps():
         grid = compatible_eta_grid(rep, config.torus)
-        if not grid:
+        on_locus = azumaya_membership(rep.character)
+        if not grid and on_locus:
             raise Skip("character values have no rational-root eta grid")
-        expected = l ** (config.torus.n - config.torus.d)
         total = 0
         for eta in grid:
             ws = weight_space(rep, config.torus, eta)
@@ -347,7 +267,7 @@ def check_fiber_weights(config: WorkbenchConfig) -> str:
                     f"weight space dimension {ws.dimension}, expected 0 or {expected}"
                 )
             total += ws.dimension
-        if azumaya_membership(rep.character) and total != rep.dim:
+        if on_locus and total != rep.dim:
             raise AssertionError(
                 f"weight decomposition covers {total} of {rep.dim} dimensions"
             )
@@ -358,57 +278,48 @@ def check_fiber_weights(config: WorkbenchConfig) -> str:
     return "; ".join(details)
 
 
-def check_fiber_restriction(config: WorkbenchConfig) -> str:
-    _need_reps(config)
-    if config.torus.d == 0:
-        raise Skip("no subtorus configured")
-    count = 0
+def _locus_fibers(config: WorkbenchConfig):
+    """The (rep, eta) pairs, in order, of each configured rep on the
+    matrix-algebra locus and each compatible eta whose weight space is
+    nonempty; raises Skip after the last rep when there were none."""
+    found = False
     for rep in config.build_reps():
         if not azumaya_membership(rep.character):
             continue
         for eta in compatible_eta_grid(rep, config.torus):
-            report = restriction_kernel_check(rep, config.torus, eta)
-            if report.weight_dim == 0:
-                continue
-            if not report.passed:
-                raise AssertionError(
-                    f"ideal dimension {report.dim_ideal} != {report.dim_expected}"
-                )
-            count += 1
-    if count == 0:
+            if weight_space(rep, config.torus, eta).dimension:
+                found = True
+                yield rep, eta
+    if not found:
         raise Skip("no nonempty weight spaces reachable")
+
+
+def check_fiber_restriction(config: WorkbenchConfig) -> str:
+    count = 0
+    for rep, eta in _locus_fibers(config):
+        report = restriction_kernel_check(rep, config.torus, eta)
+        if not report.passed:
+            raise AssertionError(
+                f"ideal dimension {report.dim_ideal} != {report.dim_expected}"
+            )
+        count += 1
     return f"{count} (rep, eta) pairs"
 
 
 def check_fiber_reduced_endos(config: WorkbenchConfig) -> str:
-    _need_reps(config)
-    if config.torus.d == 0:
-        raise Skip("no subtorus configured")
-    l = config.field.l
-    expected = l ** (2 * (config.torus.n - config.torus.d))
+    expected = config.field.l ** (2 * (config.torus.n - config.torus.d))
     count = 0
-    for rep in config.build_reps():
-        if not azumaya_membership(rep.character):
-            continue
-        for eta in compatible_eta_grid(rep, config.torus):
-            ws = weight_space(rep, config.torus, eta)
-            if ws.dimension == 0:
-                continue
-            out = reduced_endomorphism_algebra(rep, config.torus, eta)
-            if not out.iso_verified or out.dimension != expected:
-                raise AssertionError(
-                    f"reduced algebra dim {out.dimension}, iso={out.iso_verified}"
-                )
-            count += 1
-    if count == 0:
-        raise Skip("no nonempty weight spaces reachable")
+    for rep, eta in _locus_fibers(config):
+        out = reduced_endomorphism_algebra(rep, config.torus, eta)
+        if not out.iso_verified or out.dimension != expected:
+            raise AssertionError(
+                f"reduced algebra dim {out.dimension}, iso={out.iso_verified}"
+            )
+        count += 1
     return f"{count} (rep, eta) pairs, dim {expected} each"
 
 
 def check_cover_degree(config: WorkbenchConfig) -> str:
-    _need_cyclotomic(config)
-    if config.torus.d == 0:
-        raise Skip("no subtorus configured")
     torus = config.torus
     l = config.field.l
     cap = config.bounds["enumeration_cap"]
@@ -443,46 +354,72 @@ def cover_degree_cases(
             raise AssertionError(f"instance {k}: incompatible eta admits points")
 
 
+# (id, law, needs, run): run(config) is called once every requirement named
+# in needs holds, and returns the pass detail or a CheckOutcome.
 CHECKS = [
-    ("engine-soundness", "pbw-product-associativity-confluence-grading", check_engine_soundness),
-    ("euler-commutativity", "euler-operators-commute", check_euler_commutativity),
-    ("power-identities", "euler-power-identities", check_power_identities),
-    ("hopf-axioms", "braided-hopf-structure-axioms", check_hopf_axioms),
-    ("double-presentation", "smash-product-matches-presentation", check_double_presentation),
-    ("classical-limit", "trivial-braiding-gives-weyl-algebra", check_classical_limit),
-    ("moment-identity", "comoment-conjugation-grading", check_moment_identity),
-    ("moment-reduction", "moment-ideal-canonical-form", check_moment_reduction),
-    ("delta-power", "euler-product-lth-power-closed-form", check_delta_power),
-    ("center-truncation", "bounded-centralizer-is-lth-power-span", check_center_truncation),
-    ("lcenter-freeness", "residue-monomials-free-over-lth-powers", check_lcenter_freeness),
-    ("rep-build", "representation-relations-hold", check_rep_build),
-    ("rep-irreducibility", "commutant-detects-matrix-algebra-locus", check_rep_irreducibility),
-    ("fiber-weights", "weight-space-dimension-law", check_fiber_weights),
-    ("fiber-restriction", "restriction-kernel-equals-moment-ideal", check_fiber_restriction),
-    ("fiber-reduced-endos", "reduced-algebra-is-weight-endomorphisms", check_fiber_reduced_endos),
-    ("cover-degree", "root-cover-point-count", check_cover_degree),
+    ("engine-soundness", "pbw-product-associativity-confluence-grading", (),
+     check_engine_soundness),
+    ("euler-commutativity", "euler-operators-commute", ("rescaled",),
+     lambda c: verify_alpha_commutativity(c.spec)),
+    ("power-identities", "euler-power-identities", ("rescaled",),
+     lambda c: verify_power_identities(c.spec, 6)),
+    ("hopf-axioms", "braided-hopf-structure-axioms", (),
+     lambda c: verify_hopf_axioms(c.spec.unscaled_twin(), min(c.bounds["degree_bound"] + 1, 4))),
+    ("double-presentation", "smash-product-matches-presentation", (),
+     lambda c: verify_double_presentation(c.spec, c.bounds["degree_bound"])),
+    ("classical-limit", "trivial-braiding-gives-weyl-algebra", (), check_classical_limit),
+    ("moment-identity", "comoment-conjugation-grading", ("rescaled",),
+     lambda c: verify_moment_identity(c.torus, c.spec)),
+    ("moment-reduction", "moment-ideal-canonical-form", ("rescaled", "subtorus"),
+     check_moment_reduction),
+    ("delta-power", "euler-product-lth-power-closed-form",
+     ("cyclotomic", "rescaled", "preset"), lambda c: verify_delta_power(c.spec)),
+    ("center-truncation", "bounded-centralizer-is-lth-power-span",
+     ("cyclotomic", "rescaled", "preset"),
+     lambda c: verify_centralizer_is_lcenter(c.spec, c.bounds["exponent_bound"])),
+    ("lcenter-freeness", "residue-monomials-free-over-lth-powers",
+     ("cyclotomic", "rescaled", "preset"), lambda c: verify_lcenter_freeness(c.spec)),
+    ("rep-build", "representation-relations-hold",
+     ("cyclotomic", "rescaled", "preset", "reps"), check_rep_build),
+    ("rep-irreducibility", "commutant-detects-matrix-algebra-locus",
+     ("cyclotomic", "rescaled", "preset", "reps"), check_rep_irreducibility),
+    ("fiber-weights", "weight-space-dimension-law",
+     ("cyclotomic", "rescaled", "preset", "reps", "subtorus"), check_fiber_weights),
+    ("fiber-restriction", "restriction-kernel-equals-moment-ideal",
+     ("cyclotomic", "rescaled", "preset", "reps", "subtorus"), check_fiber_restriction),
+    ("fiber-reduced-endos", "reduced-algebra-is-weight-endomorphisms",
+     ("cyclotomic", "rescaled", "preset", "reps", "subtorus"), check_fiber_reduced_endos),
+    ("cover-degree", "root-cover-point-count", ("cyclotomic", "subtorus"), check_cover_degree),
 ]
 
 
 def run_verification_suite(config: WorkbenchConfig, only=None, verbose=False) -> dict:
     """Run the registry in order; returns the JSON-ready report dict.
 
-    A check passes, fails (an AssertionError or a QWeylError), is skipped, or
-    ends in an error (any other exception), which the summary counts as a
-    failure."""
-    known = {cid for cid, _, _ in CHECKS}
+    A check is skipped with the reason of its first unmet requirement, in
+    NEEDS order, or by its own Skip.  Otherwise it passes, fails (an
+    AssertionError, a QWeylError or a failed CheckOutcome), or ends in an
+    error (any other exception), which the summary counts as a failure."""
+    known = {cid for cid, _, _, _ in CHECKS}
     if only:
         unknown = [c for c in only if c not in known]
         if unknown:
             raise QWeylError(f"unknown check ids: {', '.join(unknown)}")
     records = []
     counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for check_id, law, fn in CHECKS:
+    for check_id, law, needs, run in CHECKS:
         if only and check_id not in only:
             continue
         start = time.perf_counter()
         try:
-            detail = fn(config)
+            for name, (holds, reason) in NEEDS.items():
+                if name in needs and not holds(config):
+                    raise Skip(reason)
+            detail = run(config)
+            if isinstance(detail, CheckOutcome):
+                if not detail.passed:
+                    raise AssertionError(_outcome_detail(detail))
+                detail = _outcome_detail(detail)
             status = "pass"
         except Skip as skip:
             status, detail = "skipped", str(skip)
@@ -505,7 +442,7 @@ def run_verification_suite(config: WorkbenchConfig, only=None, verbose=False) ->
                 "elapsed": round(elapsed, 4),
             }
         )
-    report = {
+    return {
         "tool": {"name": "qweylab", "version": __version__},
         "config": config.raw,
         "checks": records,
@@ -517,4 +454,3 @@ def run_verification_suite(config: WorkbenchConfig, only=None, verbose=False) ->
             "ok": counts["fail"] == 0,
         },
     }
-    return report

@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     args = _parse_args(parser, argv)
     try:
         if args.command == "verify" and args.list_checks:
-            for check_id, law, _ in CHECKS:
+            for check_id, law, _, _ in CHECKS:
                 print(f"{check_id}: {law}")
             return 0
         if getattr(args, "config", None) is None:

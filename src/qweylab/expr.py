@@ -116,7 +116,7 @@ class _Parser:
             if tok.kind == "op" and tok.value in "+-":
                 self.advance()
                 rhs = self.parse_product()
-                value = _add(value, rhs) if tok.value == "+" else _add(value, -rhs)
+                value = value + rhs if tok.value == "+" else value + (-rhs)
             else:
                 return value
 
@@ -237,14 +237,6 @@ class _Parser:
                 raise ExprError(f"generator index out of range 1..{self.spec.n}", tok.col)
             return (head, i), "generator", tok.col
         raise ExprError(f"unknown symbol {name!r}", tok.col)
-
-
-def _add(u, v):
-    if isinstance(u, Scalar) and not isinstance(v, Scalar):
-        u, v = v, u
-    if isinstance(v, LocalizedElement) and not isinstance(u, LocalizedElement):
-        return v + u
-    return u + v
 
 
 def parse_expression(text: str, spec: AlgebraSpec):

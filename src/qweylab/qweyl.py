@@ -193,19 +193,15 @@ class AlgebraSpec:
         return PBWElement(self, {(a, b): coeff})
 
     def x(self, i: int, power: int = 1) -> PBWElement:
-        self._check_index(i)
-        return self.monomial(_bump(_zero_vec(self.n), i - 1, power), _zero_vec(self.n))
+        return self.zero()._like({(self._exponent(i, power), _zero_vec(self.n)): self.field.one})
 
     def d(self, i: int, power: int = 1) -> PBWElement:
-        self._check_index(i)
-        return self.monomial(_zero_vec(self.n), _bump(_zero_vec(self.n), i - 1, power))
+        return self.zero()._like({(_zero_vec(self.n), self._exponent(i, power)): self.field.one})
 
     def alpha(self, i: int) -> PBWElement:
         """The Euler operator 1 + x_i d_i."""
-        self._check_index(i)
-        return self.one() + self.monomial(
-            _bump(_zero_vec(self.n), i - 1, 1), _bump(_zero_vec(self.n), i - 1, 1)
-        )
+        e = self._exponent(i, 1)
+        return self.one() + self.monomial(e, e)
 
     def alpha_power(self, c) -> PBWElement:
         """Product alpha_1^c1 .. alpha_n^cn for nonnegative exponents (cached,
@@ -215,9 +211,13 @@ class AlgebraSpec:
             raise ParameterError("alpha_power takes n nonnegative exponents")
         return _alpha_power(self, c)
 
-    def _check_index(self, i: int):
+    def _exponent(self, i: int, power: int) -> ExpVec:
+        """The exponent vector of the generator power x_i^power or d_i^power."""
         if not 1 <= i <= self.n:
             raise ParameterError(f"generator index {i} out of range 1..{self.n}")
+        if power < 0:
+            raise ParameterError("exponents must be nonnegative")
+        return _bump(_zero_vec(self.n), i - 1, power)
 
 
 @lru_cache(maxsize=256)

@@ -128,14 +128,15 @@ def compatible_eta_grid(rep: MatrixRep, torus: TorusData):
     """All l^d candidate eta vectors with eta_j^l = prod (1+a_i w_i)^(a_ij).
 
     Base roots are extracted rationally; builder-reachable characters with
-    rational seeds always land in this case.  Returns [] when some value has
-    no l-th root in the field.
+    rational seeds always land in this case.  Returns [] when some value is
+    zero (eta must be a torus point, and a moment operator whose l-th power
+    is zero has no nonzero eigenvalue) or has no l-th root in the field.
     """
     f: CyclotomicField = rep.field
     _, scalars = _rep_moment_operators(rep, torus)
     base = []
     for s in scalars:
-        root = lth_root_in_field(s, f)
+        root = None if s.is_zero() else lth_root_in_field(s, f)
         if root is None:
             return []
         base.append(root)

@@ -107,6 +107,58 @@ def test_warm_session_answers_as_cold_calls(tmp_path):
     assert sum("invalid config" in err for _, _, err in warm) == 2
 
 
+# Sums and differences with a scalar, PBW or localized (a_i^-k) operand on
+# either side: expression -> eval and reduce outputs on generic_q, then on
+# n2_l3.  Python's reflected operators let the PBW or localized operand add.
+MIXED_SUMS = {
+    "3 + x1": ("x1 + 3", "x1 + 3", "x1 + 3", "x1 + 3"),
+    "x1 + 3": ("x1 + 3", "x1 + 3", "x1 + 3", "x1 + 3"),
+    "3 - x1": ("-x1 + 3", "-x1 + 3", "-x1 + 3", "-x1 + 3"),
+    "x1 - 3": ("x1 - 3", "x1 - 3", "x1 - 3", "x1 - 3"),
+    "2 + a1^-1": ("(2*x1*d1 + 3)*a1^-1", "2 + a1^-1", "(2*x1*d1 + 3)*a1^-1", "2 + a1^-1"),
+    "a1^-1 + 2": ("(2*x1*d1 + 3)*a1^-1", "2 + a1^-1", "(2*x1*d1 + 3)*a1^-1", "2 + a1^-1"),
+    "2 - a1^-1": ("(2*x1*d1 + 1)*a1^-1", "2 - a1^-1", "(2*x1*d1 + 1)*a1^-1", "2 - a1^-1"),
+    "a1^-1 - x1": (
+        "(-x1^2*d1 - x1 + 1)*a1^-1",
+        "-x1 + a1^-1",
+        "(-x1^2*d1 - x1 + 1)*a1^-1",
+        "-x1 + a1^-1",
+    ),
+    "x1 + a2^-1": (
+        "(x1*x2*d2 + x1 + 1)*a2^-1",
+        "x1 + 1/q^3*a1",
+        "(x1*x2*d2 + x1 + 1)*a2^-1",
+        "x1 + 1/3*a1",
+    ),
+    "x1*d1 - a2^-2 + 5": (
+        "(q^3*x1*x2^2*d1*d2^2 + (q^2+q)*x1*x2*d1*d2 + x1*d1"
+        " + 5*q*x2^2*d2^2 + (5*q+5)*x2*d2 + 4)*a2^-2",
+        "-1/q^6*a1^2 + a1 + 4",
+        "(x1*x2^2*d1*d2^2 - x1*x2*d1*d2 + x1*d1 + 5*zeta*x2^2*d2^2 + (5*zeta+5)*x2*d2 + 4)*a2^-2",
+        "-1/9*a1^2 + a1 + 4",
+    ),
+    "1 - a1^-1 - a2^-1": (
+        "(q*x1*x2*d1*d2 - 1)*a1^-1*a2^-1",
+        "-1/q^3*a1 + 1 - a1^-1",
+        "(zeta*x1*x2*d1*d2 - 1)*a1^-1*a2^-1",
+        "-1/3*a1 + 1 - a1^-1",
+    ),
+    "(a1^-1 + x2) - (3 + a1^-1)": (
+        "(q*x1*x2*d1 - 3*x1*d1 + x2 - 3)*a1^-1",
+        "x2 - 3",
+        "(zeta*x1*x2*d1 - 3*x1*d1 + x2 - 3)*a1^-1",
+        "x2 - 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("expression", list(MIXED_SUMS))
+def test_mixed_sums_and_differences(expression):
+    calls = [(command, cfg) for cfg in (GENERIC_Q, N2_L3) for command in ("eval", "reduce")]
+    for (command, cfg), output in zip(calls, MIXED_SUMS[expression]):
+        assert run([command, expression, "--config", str(cfg)]) == (0, output + "\n", "")
+
+
 def test_edited_config_file_is_parsed_again(tmp_path):
     path = tmp_path / "cfg.json"
     raw = json.loads(GENERIC_Q.read_text())

@@ -366,8 +366,8 @@ def test_unexpected_exception_is_an_error_record(tmp_path, capsys, monkeypatch):
         checks,
         "CHECKS",
         [
-            (cid, law, broken if cid == "power-identities" else fn)
-            for cid, law, fn in checks.CHECKS
+            (cid, law, needs, broken if cid == "power-identities" else run)
+            for cid, law, needs, run in checks.CHECKS
         ],
     )
     out_path = tmp_path / "report.json"

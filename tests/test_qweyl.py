@@ -31,6 +31,22 @@ def test_spec_validation():
     AlgebraSpec(2, ((1, 1), (-1, -4)), True, QQ_Q)  # diagonal unconstrained
 
 
+def test_generator_powers_are_monomials_with_coefficient_one():
+    for spec in (S2, U2):
+        for i in (1, 2):
+            for e in range(4):
+                unit = tuple(e if k == i - 1 else 0 for k in range(2))
+                assert spec.x(i, e).terms == spec.monomial(unit, (0, 0)).terms
+                assert spec.d(i, e).terms == spec.monomial((0, 0), unit).terms
+                assert spec.x(i, e) == spec.x(i) ** e
+                assert spec.d(i, e) == spec.d(i) ** e
+        for gen in (spec.x, spec.d):
+            with pytest.raises(ParameterError, match="^exponents must be nonnegative$"):
+                gen(1, -1)
+            with pytest.raises(ParameterError, match=r"^generator index 3 out of range 1\.\.2$"):
+                gen(3, -1)
+
+
 def test_unscaled_twin_is_one_object_per_spec():
     spec = AlgebraSpec.single_parameter(2, QQ_Q)
     twin = spec.unscaled_twin()

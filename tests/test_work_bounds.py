@@ -111,8 +111,8 @@ def test_verify_run_shares_reps_and_derived_data(monkeypatch):
         checks,
         "CHECKS",
         [
-            (cid, law, marked(fn) if cid == "fiber-reduced-endos" else fn)
-            for cid, law, fn in checks.CHECKS
+            (cid, law, needs, marked(run) if cid == "fiber-reduced-endos" else run)
+            for cid, law, needs, run in checks.CHECKS
         ],
     )
     report = run_verification_suite(load_config(str(N2_L3)))
