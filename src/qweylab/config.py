@@ -51,7 +51,13 @@ class WorkbenchConfig:
 
         The reps are built once per config and shared by later calls.  A build
         that raises keeps nothing, so every later call raises the same error.
+        The builders follow the rescaled single-parameter conventions, so a
+        config of another algebra is a ParameterError naming its field.
         """
+        if not self.spec.rescaled:
+            raise ParameterError("normalization: representations need the rescaled normalization")
+        if not self.spec.is_single_parameter:
+            raise ParameterError("M: representations need the single-parameter preset")
         if self._reps is None:
             self._reps = [self._build_rep(slots) for slots in self.rep_slots]
         return list(self._reps)

@@ -341,11 +341,6 @@ def sparse_kernel(rows, ncols: int, field: Field) -> list[dict[int, Scalar]]:
     ]
 
 
-def matrix_kernel(m: Mat) -> list[Vec]:
-    """Basis of the right kernel of m, as sparse column vectors."""
-    return sparse_kernel(m.values(), m.ncols, m.field)
-
-
 # ---------------------------------------------------------------------------
 # Integer matrices
 # ---------------------------------------------------------------------------
@@ -434,15 +429,3 @@ def hnf_reduce(c: list[int], h, u, pivots):
     t = [sum(u[i][j] * s[j] for j in range(d)) for i in range(d)]
     return tuple(c), tuple(t)
 
-
-def int_matrix_rank(a: list[list[int]]) -> int:
-    if not a or not a[0]:
-        return 0
-    _, _, pivots = column_hnf(a)
-    return len(pivots)
-
-
-def require_full_column_rank(a: list[list[int]], what: str):
-    d = len(a[0]) if a else 0
-    if int_matrix_rank(a) != d:
-        raise ParameterError(f"{what} must have full column rank")

@@ -284,7 +284,7 @@ def _format_terms(items) -> str:
         return "0"
     rendered = []
     for key, coeff in items:
-        mono = _monomial_str(*key) if isinstance(key, tuple) else key
+        mono = _monomial_str(*key)
         cs = str(coeff)
         if not mono:
             sign, body = _split_sign(cs)

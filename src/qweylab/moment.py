@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import add
 
 from .errors import DomainError, ParameterError
-from .exactla import column_hnf, hnf_reduce, require_full_column_rank
+from .exactla import column_hnf, hnf_reduce
 from .qweyl import (
     AlgebraSpec,
     CheckOutcome,
@@ -58,13 +58,14 @@ class TorusData:
             raise ParameterError("need 0 <= d <= n with n >= 1")
         if len(self.a) != self.n or any(len(row) != self.d for row in self.a):
             raise ParameterError("A must be an n x d integer matrix")
-        if self.d:
-            require_full_column_rank([list(r) for r in self.a], "embedding matrix A")
+        if len(self.hnf[2]) != self.d:
+            raise ParameterError("embedding matrix A must have full column rank")
 
     @cached_property
     def hnf(self):
         """Column Hermite normal form (H, U, pivots) of A, as ``column_hnf``
-        returns it but in tuples, since every reduction shares it."""
+        returns it but in tuples, since every reduction shares it.  A has
+        full column rank exactly when it has d pivots."""
         h, u, pivots = column_hnf([list(r) for r in self.a])
         return tuple(map(tuple, h)), tuple(map(tuple, u)), tuple(pivots)
 

@@ -25,11 +25,11 @@ from .exactla import (
     mat_pow,
     mat_scale,
     mat_vec,
-    matrix_kernel,
     scalar_of_identity,
+    sparse_kernel,
 )
 from .moment import TorusData
-from .qweyl import CheckOutcome
+from .qweyl import CheckOutcome, exponent_vectors
 from .rootofunity import MatrixRep, commutant_basis
 from .scalars import CyclotomicField, Scalar
 
@@ -108,16 +108,9 @@ def _shifted(ops, eta) -> list[Mat]:
 
 def _weight_space(rep: MatrixRep, torus: TorusData, eta) -> WeightSpaceResult:
     ops, _ = _rep_moment_operators(rep, torus)
-    f, dim = rep.field, rep.dim
     shifted = _shifted(ops, eta)
-    if shifted:
-        # the shifted operators stacked into one (d * dim) x dim matrix
-        stacked = Mat(len(shifted) * dim, dim, f)
-        for j, s in enumerate(shifted):
-            stacked.update((j * dim + r, row) for r, row in s.items())
-        basis = matrix_kernel(stacked)
-    else:
-        basis = [{k: f.one} for k in range(dim)]
+    # with d = 0 there are no rows, and every column is free
+    basis = sparse_kernel((row for s in shifted for row in s.values()), rep.dim, rep.field)
     for v in basis:
         if any(mat_vec(s, v) for s in shifted):
             raise RelationError("weight space basis vector is not a joint eigenvector")
@@ -140,10 +133,16 @@ def compatible_eta_grid(rep: MatrixRep, torus: TorusData):
         if root is None:
             return []
         base.append(root)
-    grids: list[tuple[Scalar, ...]] = [()]
-    for j in range(torus.d):
-        grids = [g + (base[j] * f.zeta_power(k),) for g in grids for k in range(f.l)]
-    return grids
+    return _root_choices(base, f)
+
+
+def _root_choices(roots, f: CyclotomicField) -> list[tuple[Scalar, ...]]:
+    """Every vector (roots_i zeta^(k_i))_i, in lexicographic order of k."""
+    choices = [[r * f.zeta_power(k) for k in range(f.l)] for r in roots]
+    return [
+        tuple(c[k] for c, k in zip(choices, ks))
+        for ks in exponent_vectors(len(roots), f.l - 1)
+    ]
 
 
 def lth_root_in_field(value: Scalar, f: CyclotomicField) -> Scalar | None:
@@ -155,20 +154,12 @@ def lth_root_in_field(value: Scalar, f: CyclotomicField) -> Scalar | None:
     one would enlarge the degree), and the primitive root itself is not an
     l-th power, so nothing is missed by restricting to this case.
     """
-    if value.is_zero():
-        return f.zero
-    frac = _as_rational(value, f)
-    if frac is None:
-        return None
-    root = _rational_lth_root(frac, f.l)
-    return None if root is None else f.from_fraction(root)
-
-
-def _as_rational(value: Scalar, f: CyclotomicField) -> Fraction | None:
     v = f.coefficients(value.v)
     if any(v[1:]):
         return None
-    return v[0]
+    p = _int_lth_root(v[0].numerator, f.l)
+    q = _int_lth_root(v[0].denominator, f.l)
+    return None if p is None or q is None else f.from_fraction(Fraction(p, q))
 
 
 def _int_lth_root(m: int, l: int) -> int | None:
@@ -186,14 +177,6 @@ def _int_lth_root(m: int, l: int) -> int | None:
         else:
             hi = mid - 1
     return lo if lo**l == m else None
-
-
-def _rational_lth_root(x: Fraction, l: int) -> Fraction | None:
-    p = _int_lth_root(x.numerator, l)
-    q = _int_lth_root(x.denominator, l)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
 
 
 @dataclass
@@ -296,20 +279,13 @@ def verify_moment_operators_commute(rep: MatrixRep, torus: TorusData) -> CheckOu
     return out
 
 
-def cover_fiber_points(
-    alpha_l_values,
-    torus: TorusData,
-    eta,
-    l: int,
-    roots=None,
-    enumeration_cap: int = 20000,
-):
+def cover_fiber_points(alpha_l_values, torus: TorusData, eta, enumeration_cap: int):
     """All torus points T with T_i^l = alpha_l_values[i] and
-    prod_i T_i^(a_ij) = eta_j, by brute force over the l^n root choices.
+    prod_i T_i^(a_ij) = eta_j, by brute force over the l^n root choices,
+    where l is the order of the values' cyclotomic field.
 
-    Explicit root witnesses may be supplied; otherwise rational l-th roots
-    are extracted.  When at least one solution exists, the solution count is
-    asserted to be l^(n-d).
+    The roots are extracted rationally.  When at least one solution exists,
+    the solution count is asserted to be l^(n-d).
     """
     alpha_l_values = list(alpha_l_values)
     eta = tuple(eta)
@@ -318,39 +294,22 @@ def cover_fiber_points(
     if any(e.is_zero() for e in eta):
         raise ParameterError("eta entries must be nonzero")
     f = alpha_l_values[0].field
-    if not isinstance(f, CyclotomicField) or f.l != l:
-        raise ParameterError("values must live in the cyclotomic field of order l")
+    if not isinstance(f, CyclotomicField):
+        raise ParameterError("values must live in a cyclotomic field")
+    l = f.l
     if any(v.is_zero() for v in alpha_l_values):
         return []
     if l**torus.n > enumeration_cap:
         raise ParameterError(
             f"l^n = {l**torus.n} exceeds the enumeration cap {enumeration_cap}"
         )
-    if roots is None:
-        roots = []
-        for i, v in enumerate(alpha_l_values):
-            r = lth_root_in_field(v, f)
-            if r is None:
-                raise DomainError(
-                    f"no l-th root found for coordinate {i+1}; pass explicit roots"
-                )
-            roots.append(r)
-    else:
-        roots = list(roots)
-        for i, (r, v) in enumerate(zip(roots, alpha_l_values)):
-            if r**l != v:
-                raise ParameterError(f"root witness {i+1} does not match its value")
-    sols = []
-    ks = [0] * torus.n
-    total = l**torus.n
-    for idx in range(total):
-        rem = idx
-        for i in range(torus.n):
-            ks[i] = rem % l
-            rem //= l
-        t = tuple(roots[i] * f.zeta_power(ks[i]) for i in range(torus.n))
-        if torus.character(t) == eta:
-            sols.append(t)
+    roots = []
+    for i, v in enumerate(alpha_l_values):
+        r = lth_root_in_field(v, f)
+        if r is None:
+            raise DomainError(f"no l-th root found for coordinate {i+1}")
+        roots.append(r)
+    sols = [t for t in _root_choices(roots, f) if torus.character(t) == eta]
     if sols:
         expected = l ** (torus.n - torus.d)
         if len(sols) != expected:

@@ -737,23 +737,15 @@ _RATIONAL = RationalField()
 _RATFUNC = RationalFunctionField()
 _CYC_CACHE: dict[int, CyclotomicField] = {}
 
-_KIND_ALIASES = {
-    "rational": "rational",
-    "rationalfunctioninq": "rational_function_q",
-    "rational_function_q": "rational_function_q",
-    "cyclotomic": "cyclotomic",
-}
-
 
 def make_field(kind: str, l: int | None = None) -> Field:
     """Return the field descriptor for the given kind (and order l)."""
-    canon = _KIND_ALIASES.get(kind.replace("-", "_").lower())
-    if canon is None:
-        raise ParameterError(f"unknown field kind {kind!r}")
-    if canon == "rational":
+    if kind == "rational":
         return _RATIONAL
-    if canon == "rational_function_q":
+    if kind == "rational_function_q":
         return _RATFUNC
+    if kind != "cyclotomic":
+        raise ParameterError(f"unknown field kind {kind!r}")
     if l is None:
         raise ParameterError("cyclotomic field needs the order l")
     if l not in _CYC_CACHE:

@@ -268,3 +268,22 @@ def test_off_locus_reps_have_an_empty_eta_grid():
     ]
     assert len(grids) == 7 and grids[-1] == []
     assert not any(value.is_zero() for grid in grids for eta in grid for value in eta)
+
+
+def test_fiber_weights_skips_only_when_no_rep_has_an_eta_grid():
+    raw = json.loads((CONFIGS / "n1_l3.json").read_text())
+    # on the locus, but its moment scalar has no rational l-th root
+    no_root = [{"kind": "diag", "lambda": "1", "b": ["1", "1", "2"]}]
+    off_locus = [{"kind": "diag", "lambda": "1", "b": ["0", "0", "0"]}]
+    cases = [
+        (raw["reps"] + [no_root],
+         ("pass", "3 eta values, total 3; 3 eta values, total 3; no rational-root eta grid")),
+        ([off_locus, no_root], ("pass", "0 eta values, total 0; no rational-root eta grid")),
+        ([no_root], ("skipped", "character values have no rational-root eta grid")),
+        ([no_root, no_root], ("skipped", "character values have no rational-root eta grid")),
+    ]
+    for reps, record in cases:
+        report = run_verification_suite(
+            parse_config(dict(raw, reps=reps)), only={"fiber-weights"}, verbose=True
+        )
+        assert [(rec["status"], rec["detail"]) for rec in report["checks"]] == [record]

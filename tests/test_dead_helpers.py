@@ -1,4 +1,5 @@
-"""Every module-level function or class of the package has a use.
+"""Every module-level function or class of the package has a use, and the
+decisions made in one place stay there.
 
 A private name is one that starts with a single underscore.  A use is a load
 of the name, or an attribute access by that name, anywhere in the package
@@ -91,3 +92,33 @@ def test_guard_flags_an_unused_public_definition(tmp_path):
         "def never_loaded():\n    return 0\n"
     )
     assert unused_public_definitions(tmp_path) == ["mod.never_loaded", "mod.recursive_only"]
+
+
+def test_one_enumerator_and_one_hnf_per_torus():
+    # exponent_vectors (qweyl) is the one enumerator over itertools.product
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    importers = sorted(
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "itertools" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "itertools")
+    )
+    assert importers == ["qweyl"]
+    # the column HNF of A is computed in TorusData.hnf only, which also
+    # decides the rank of A
+    calls = [
+        (module, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "column_hnf" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    (torus,) = [
+        node for node in trees["moment"].body
+        if isinstance(node, ast.ClassDef) and node.name == "TorusData"
+    ]
+    (hnf,) = [node for node in torus.body if getattr(node, "name", None) == "hnf"]
+    assert len(calls) == 1
+    module, line = calls[0]
+    assert module == "moment" and hnf.lineno <= line <= hnf.end_lineno

@@ -217,6 +217,7 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
         (["eta", 0], "0^-1", "eta[0]: division by zero in the cyclotomic field"),
         (["seed"], True, "seed: expected an integer"),
         (["chi"], [True], "chi: expected a list of integers"),
+        (["field"], "rationalfunctioninq", "field/l: unknown field kind 'rationalfunctioninq'"),
     ],
     ids=[
         "l-string",
@@ -229,6 +230,7 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
         "eta-division-by-zero",
         "seed-bool",
         "chi-bool",
+        "field-alias",
     ],
 )
 def test_config_type_errors_name_their_field(tmp_path, capsys, path, value, problem):
@@ -263,6 +265,41 @@ def test_config_file_faults_exit_2_naming_the_file(tmp_path, capsys, text, probl
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"invalid config {cfg}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, need, problem, summary",
+    [
+        ("normalization", "unscaled", "rescaled",
+         "normalization: representations need the rescaled normalization", (5, 12)),
+        ("M", [[2, 1], [-1, 1]], "preset",
+         "M: representations need the single-parameter preset", (9, 8)),
+    ],
+    ids=["unscaled", "non-preset-M"],
+)
+def test_rep_build_refuses_configs_of_other_algebras(
+    tmp_path, capsys, key, value, need, problem, summary
+):
+    from qweylab.checks import CHECKS, NEEDS
+
+    raw = json.loads((CONFIGS / "n2_l3.json").read_text())
+    raw[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out_path = tmp_path / "reps.json"
+    assert main(["rep", "build", "--config", str(cfg), "--out", str(out_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
+    assert not out_path.exists()
+    # verify skips every rep check on these configs before any rep is built
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert [(rec["check_id"], rec["status"], rec["detail"]) for rec in report["checks"]] == [
+        (cid, "skipped", NEEDS[need][1]) if need in needs else (cid, "pass", "")
+        for cid, _, needs, _ in CHECKS
+    ]
+    assert (report["summary"]["pass"], report["summary"]["skipped"]) == summary
+    _ = capsys.readouterr()
 
 
 def test_cli_eval_and_exit_codes(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -13,8 +14,9 @@ from conftest import (
     seeded_invariant,
     verify_qq_variant,
 )
+from qweylab import exactla, moment
 from qweylab.checks import run_verification_suite
-from qweylab.config import load_config
+from qweylab.config import ConfigError, load_config, parse_config
 from qweylab.errors import DomainError, ParameterError
 from qweylab.moment import (
     ReductionDatum,
@@ -50,6 +52,32 @@ def test_torus_validation():
     with pytest.raises(ParameterError):
         TorusData(1, 2, ((1, 0),))
     TorusData.from_rows([[2, 0], [0, 3], [1, 1]])
+
+
+def test_full_column_rank_is_read_from_the_one_hnf(monkeypatch):
+    calls = []
+    column_hnf = moment.column_hnf
+
+    def counted(a):
+        calls.append(a)
+        return column_hnf(a)
+
+    for owner in (exactla, moment):
+        monkeypatch.setattr(owner, "column_hnf", counted)
+    torus = TorusData.from_rows([[1], [2]])
+    assert len(calls) == 1
+    for u in (S2.x(1) * S2.d(2), S2.d(1) * S2.x(2) ** 2, S2.alpha(1) * S2.alpha(2)):
+        moment_ideal_reduce(u, datum_for(torus, [2]))
+    assert len(calls) == 1
+    raw = json.loads((CONFIGS / "n2_l3.json").read_text())
+    parse_config(raw)
+    assert len(calls) == 2
+    message = "embedding matrix A must have full column rank"
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        TorusData.from_rows([[1, 1], [1, 1]])
+    with pytest.raises(ConfigError) as info:
+        parse_config(dict(raw, d=2, A=[[1, 1], [1, 1]], eta=["2", "3"]))
+    assert info.value.problems == [f"A: {message}"]
 
 
 @pytest.mark.parametrize("rows, entry", [([[0.7], [1]], "A[0][0]"), ([[1], [False]], "A[1][0]")])

@@ -1,3 +1,7 @@
+import functools
+import itertools
+import operator
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,7 +9,7 @@ import pytest
 
 from qweylab import reduction
 from qweylab.config import load_config
-from qweylab.errors import DomainError, ParameterError, RelationError
+from qweylab.errors import DomainError, RelationError
 from qweylab.exactla import (
     SparseEliminator,
     mat_pow,
@@ -30,6 +34,7 @@ Z3 = make_field("cyclotomic", 3)
 T11 = TorusData.from_rows([[1]])
 T21 = TorusData.from_rows([[1], [1]])
 N2_L3 = Path(__file__).resolve().parent.parent / "configs" / "n2_l3.json"
+N3_L5 = Path(__file__).resolve().parent / "configs" / "n3_l5.json"
 
 
 def rank1(field, lam_num, mu_num):
@@ -256,7 +261,7 @@ def test_weight_space_self_check_raises(monkeypatch):
     rep = rank1(Z3, 1, 2)
     grid = compatible_eta_grid(rep, T11)
     wrong = weight_space(rep, T11, grid[1]).basis
-    monkeypatch.setattr(reduction, "matrix_kernel", lambda m: wrong)
+    monkeypatch.setattr(reduction, "sparse_kernel", lambda rows, ncols, field: wrong)
     with pytest.raises(RelationError):
         weight_space(rep, T11, grid[0])
 
@@ -283,7 +288,7 @@ def test_cover_count_matches_weight_dimension():
     ]
     for eta in compatible_eta_grid(rep, T21):
         ws = weight_space(rep, T21, eta)
-        sols = cover_fiber_points(values, T21, eta, 3)
+        sols = cover_fiber_points(values, T21, eta, 10000)
         assert len(sols) == ws.dimension == 3
 
 
@@ -299,7 +304,7 @@ def test_lth_root():
 
 def test_cover_fiber_points_example():
     vals = [Z3.one, Z3.one]
-    sols = cover_fiber_points(vals, T21, [Z3.one], 3)
+    sols = cover_fiber_points(vals, T21, [Z3.one], 10000)
     assert len(sols) == 3
     for t in sols:
         assert t[0] * t[1] == Z3.one
@@ -308,27 +313,77 @@ def test_cover_fiber_points_example():
 
 def test_cover_fiber_points_incompatible():
     vals = [Z3.one, Z3.one]
-    sols = cover_fiber_points(vals, T21, [Z3.from_int(2)], 3)
+    sols = cover_fiber_points(vals, T21, [Z3.from_int(2)], 10000)
     assert sols == []
 
 
 def test_cover_fiber_points_square_invertible():
     t22 = TorusData.from_rows([[1, 0], [0, 1]])
     vals = [Z3.from_int(8), Z3.from_int(27)]
-    sols = cover_fiber_points(vals, t22, [Z3.from_int(2), Z3.from_int(3)], 3)
+    sols = cover_fiber_points(vals, t22, [Z3.from_int(2), Z3.from_int(3)], 10000)
     assert len(sols) == 1
     assert sols[0] == (Z3.from_int(2), Z3.from_int(3))
 
 
-def test_cover_fiber_points_witnesses():
-    z = Z3.zeta
-    vals = [z**3 * 8, Z3.from_int(1)]
-    sols = cover_fiber_points(vals, T21, [Z3.from_int(2) * z], 3, roots=[Z3.from_int(2), z])
-    assert len(sols) == 3
-    with pytest.raises(ParameterError):
-        cover_fiber_points(vals, T21, [Z3.one], 3, roots=[Z3.from_int(3), z])
-
-
 def test_cover_fiber_points_needs_root():
     with pytest.raises(DomainError):
-        cover_fiber_points([Z3.from_int(2), Z3.one], T21, [Z3.one], 3)
+        cover_fiber_points([Z3.from_int(2), Z3.one], T21, [Z3.one], 10000)
+
+
+def zeta_multiples(roots, f):
+    """Every (roots_i zeta^(k_i))_i, over itertools.product of the powers."""
+    return [
+        tuple(r * f.zeta_power(k) for r, k in zip(roots, ks))
+        for ks in itertools.product(range(f.l), repeat=len(roots))
+    ]
+
+
+def written_out_character(t, torus):
+    return tuple(
+        functools.reduce(operator.mul, [t[i] ** torus.a[i][j] for i in range(torus.n)])
+        for j in range(torus.d)
+    )
+
+
+def enumeration_case(name):
+    """A rep and a torus: T11 and T21 at l = 3, a d = 2 torus at l = 3, and
+    the torus and diag rep of tests/configs/n3_l5.json."""
+    z3_reps = [rank1(Z3, 1, 2), rank1(Z3, 2, 3), rank1(Z3, 3, 5)]
+    if name == "n3_l5":
+        config = load_config(str(N3_L5))
+        return config.build_reps()[0], config.torus
+    return {
+        "T11": (z3_reps[0], T11),
+        "T21": (build_irrep(z3_reps[:2], 3), T21),
+        "T32": (build_irrep(z3_reps, 3), TorusData.from_rows([[1, 0], [0, 1], [1, 1]])),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["T11", "T21", "T32", "n3_l5"])
+def test_enumerations_match_a_brute_force_over_zeta_powers(name):
+    rep, torus = enumeration_case(name)
+    f = rep.field
+    # the eta grid: the zeta-multiples of the rational roots of the moment
+    # scalars, in lexicographic order of the powers
+    _, scalars = moment_operators(rep, torus)
+    base = [lth_root_in_field(s, f) for s in scalars]
+    grid = compatible_eta_grid(rep, torus)
+    assert grid == zeta_multiples(base, f)
+    assert len(set(grid)) == f.l**torus.d
+    assert all(eta[j] ** f.l == scalars[j] for eta in grid for j in range(torus.d))
+    # the cover fibers over seeded l-th powers, at a compatible eta and at
+    # one that is not
+    rng = random.Random(f"cover brute force:{name}")
+    for _ in range(3):
+        roots = [f.from_int(rng.randint(1, 9)) for _ in range(torus.n)]
+        values = [r**f.l for r in roots]
+        twisted = [r * f.zeta_power(rng.randrange(f.l)) for r in roots]
+        eta = written_out_character(twisted, torus)
+        bad_eta = (eta[0] * 7,) + eta[1:]
+        for target, count in ((eta, f.l ** (torus.n - torus.d)), (bad_eta, 0)):
+            brute = {
+                t for t in zeta_multiples(roots, f) if written_out_character(t, torus) == target
+            }
+            sols = cover_fiber_points(values, torus, target, 10000)
+            assert len(sols) == len(brute) == count
+            assert set(sols) == brute

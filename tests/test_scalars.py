@@ -32,9 +32,11 @@ def test_make_field_validation():
         make_field("cyclotomic", 2)
     with pytest.raises(ParameterError):
         make_field("cyclotomic", 1)
-    with pytest.raises(ParameterError):
-        make_field("noise")
-    assert make_field("RationalFunctionInQ") is QQ_Q
+    for kind in ("noise", "RationalFunctionInQ", "rationalfunctioninq", "Rational-Function-Q",
+                 "CYCLOTOMIC"):
+        with pytest.raises(ParameterError, match="unknown field kind"):
+            make_field(kind, 3)
+    assert make_field("rational_function_q") is QQ_Q
     assert make_field("cyclotomic", 3) is Z3
     assert Z3.modulus == (1, 1, 1)
     assert Z3.l == 3

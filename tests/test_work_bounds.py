@@ -92,7 +92,7 @@ def test_verify_run_shares_reps_and_derived_data(monkeypatch):
     builds, moment_ops, kernels, root_kernels = [], [], [], []
     counting(monkeypatch, config, "build_irrep", builds)
     counting(monkeypatch, reduction, "moment_operators", moment_ops)
-    counting(monkeypatch, exactla, "sparse_kernel", kernels)
+    counting(monkeypatch, reduction, "sparse_kernel", kernels)
     counting(monkeypatch, rootofunity, "sparse_kernel", root_kernels)
     # the sizes of the kernels solved inside fiber-reduced-endos
     reduced_endos_sizes = []
@@ -182,7 +182,7 @@ def test_center_truncation_acts_by_generators_and_solves_small_blocks(monkeypatc
 
 def test_weight_space_is_computed_once_per_point(monkeypatch):
     kernels = []
-    counting(monkeypatch, reduction, "matrix_kernel", kernels)
+    counting(monkeypatch, reduction, "sparse_kernel", kernels)
     report = run_verification_suite(load_config(str(N2_L3)))
     assert report["summary"]["ok"]
     # two reps, three eta values each; fiber-weights, fiber-restriction and
