@@ -175,9 +175,9 @@ def moment_reduction_cases(spec: AlgebraSpec, datum, rng: random.Random, cases: 
         ) - datum.eta[j]
         if not moment_ideal_reduce(u * gen, datum).is_zero():
             raise AssertionError(f"left-ideal absorption failed on element {k}")
-        fwd = moment_ideal_reduce(u, datum, coord_order=range(spec.n))
+        # ru is the reduction in the default order, range(n)
         bwd = moment_ideal_reduce(u, datum, coord_order=reversed(range(spec.n)))
-        if fwd != bwd:
+        if ru != bwd:
             raise AssertionError(f"elimination-order confluence failed on {k}")
     # associativity of the reduced product on invariant combinations
     monos = invariant_monomials(datum.torus, spec, 3)

@@ -103,7 +103,11 @@ def main(argv=None) -> int:
             print(f"wrote {len(dump)} representation(s) to {args.out}")
             return 0
         if args.command == "verify":
-            only = set(args.only.split(",")) if args.only else None
+            only = None
+            if args.only is not None:
+                only = set(args.only.split(","))
+                if "" in only:
+                    raise QWeylError("--only: empty check id")
             report = run_verification_suite(config, only=only, verbose=args.verbose)
             for rec in report["checks"]:
                 line = f"{rec['status']:<7s} {rec['check_id']}"

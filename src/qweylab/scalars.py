@@ -4,20 +4,19 @@ Supported fields:
 
 * ``rational`` -- plain rationals, backed by :class:`fractions.Fraction`.
 * ``rational_function_q`` -- univariate rational functions in the formal
-  deformation parameter ``q``.  Values are stored as reduced fractions of
-  integer-coefficient polynomials: numerator and denominator share no
-  polynomial factor, the pair of integer contents is coprime, and the
-  denominator has a positive leading coefficient.  Equality is therefore
-  structural.  Most denominators met in practice are one-term, c*q^k (q
-  powers and integers); their only divisors are the +-c'*q^j, so such a
-  value is reduced by stripping a common power of q and the integer gcd of
-  the contents, and a product of two of them multiplies the leads and adds
-  the exponents.  Every other denominator is reduced through the
-  polynomial gcd (pseudo-remainder Euclid).  Both paths give the same
-  normal form.  A twist c*q^e (``Field.twist``) needs neither: num/den is
-  reduced, so the only common factor of num*q^e and den is a power of q,
-  and the twist cancels it from the denominator and shifts the numerator
-  by the rest (mirrored for e < 0).
+  deformation parameter ``q``.  A value is a triple ``(k, num, den)``
+  meaning q^k * num / den: ``k`` is the q-adic valuation, an integer, and
+  num and den are integer-coefficient polynomials with nonzero constant
+  terms that share no polynomial factor, with coprime integer contents and
+  a positive leading coefficient of den.  Zero is ``(0, (), (1,))``.  The
+  normal form is unique, so equality is structural.  A twist c*q^e
+  (``Field.twist``) adds e to k.  A product needs no polynomial gcd where
+  a numerator meets a one-term denominator (an integer, once the q-power is
+  in k), which covers the values met in practice; otherwise the common
+  factors across the two values are cancelled through the polynomial gcd
+  (pseudo-remainder Euclid).  A sum pads the numerator of the higher
+  valuation by the difference of the two valuations, and no power of q is
+  ever written out as zero padding of its own.
 * ``cyclotomic`` -- the field generated over the rationals by a primitive
   root of unity ``zeta`` of odd order ``l > 1``.  A value is a pair
   ``(nums, den)``: ``phi(l)`` integer numerators over the basis
@@ -71,11 +70,6 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
-def _is_monomial(a) -> bool:
-    """True when the trimmed polynomial a has exactly one term, c*q^k."""
-    return a.count(0) == len(a) - 1
-
-
 def _valuation(a) -> int:
     """The exponent of the lowest term of a nonzero polynomial."""
     for i, c in enumerate(a):
@@ -83,28 +77,23 @@ def _valuation(a) -> int:
             return i
 
 
-def _pshift(a, k: int, c: int):
-    """c * q^k * a for a nonzero integer c."""
-    if c != 1:
-        a = tuple(x * c for x in a)
-    return (0,) * k + a if k else a
-
-
 def _pmul(a, b):
-    if not a or not b:
-        return _ZERO_POLY
-    # a one-term factor c*q^k is a shift plus a scale
-    if _is_monomial(b):
-        return _pshift(a, len(b) - 1, b[-1])
-    if _is_monomial(a):
-        return _pshift(b, len(a) - 1, a[-1])
+    """The product of two nonzero polynomials, whose leads multiply to a
+    nonzero lead; a one-term factor is a scale."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        if len(b) == 1:
+            return (c * b[0],)
+        return b if c == 1 else tuple([x * c for x in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 if cb:
                     out[i + j] += ca * cb
-    return _trim(out)
+    return tuple(out)
 
 
 def _content(a) -> int:
@@ -173,6 +162,14 @@ def _pdiv_exact(a, b):
     return _trim(out)
 
 
+def _cancel(a, b):
+    """a and b divided by their polynomial gcd."""
+    g = _pgcd(a, b)
+    if g == _ONE_POLY:
+        return a, b
+    return _pdiv_exact(a, g), _pdiv_exact(b, g)
+
+
 def cyclotomic_polynomial(l: int) -> tuple[int, ...]:
     """Coefficients of the l-th cyclotomic polynomial, low degree first."""
     poly = _trim([-1] + [0] * (l - 1) + [1])  # q^l - 1
@@ -194,9 +191,9 @@ def decimal_str(x) -> str:
         ) from None
 
 
-def _poly_str(coeffs, var: str) -> str:
-    """Render a polynomial with integer or rational coefficients, highest
-    degree first, e.g. ``q^2-q+1``."""
+def _poly_str(coeffs, var: str, shift: int = 0) -> str:
+    """Render var^shift times a polynomial with integer or rational
+    coefficients, highest degree first, e.g. ``q^2-q+1``."""
     if not coeffs:
         return "0"
     parts = []
@@ -204,10 +201,11 @@ def _poly_str(coeffs, var: str) -> str:
         c = coeffs[k]
         if not c:
             continue
-        if k == 0:
+        e = k + shift
+        if e == 0:
             mono = decimal_str(abs(c))
         else:
-            head = var if k == 1 else f"{var}^{k}"
+            head = var if e == 1 else f"{var}^{e}"
             mono = head if abs(c) == 1 else f"{decimal_str(abs(c))}*{head}"
         if not parts:
             parts.append(mono if c > 0 else "-" + mono)
@@ -422,136 +420,126 @@ class RationalField(Field):
 
 
 class RationalFunctionField(Field):
-    """Rational functions in q with exact, structurally-normalized storage.
+    """Rational functions in q, stored as (k, num, den) = q^k * num / den in
+    the normal form of the module docstring.
 
-    ``twist(c, e)`` = c*q^e shifts the normal form of c: no polynomial
-    product and no gcd (see the module docstring)."""
+    ``twist(c, e)`` = c*q^e adds e to the valuation k."""
 
     kind = "rational_function_q"
 
     def __init__(self):
-        self.zero = Scalar(self, (_ZERO_POLY, _ONE_POLY))
-        self.one = Scalar(self, (_ONE_POLY, _ONE_POLY))
-        self._q = Scalar(self, ((0, 1), _ONE_POLY))
-        self._qpow_cache: dict[int, Scalar] = {}
+        self.zero = Scalar(self, (0, _ZERO_POLY, _ONE_POLY))
+        self.one = Scalar(self, (0, _ONE_POLY, _ONE_POLY))
+        self._q = self.q_power(1)
 
     @property
     def q(self) -> Scalar:
         return self._q
 
     def q_power(self, e: int) -> Scalar:
-        s = self._qpow_cache.get(e)
-        if s is None:
-            if e >= 0:
-                s = Scalar(self, (_trim([0] * e + [1]), _ONE_POLY))
-            else:
-                s = Scalar(self, (_ONE_POLY, _trim([0] * (-e) + [1])))
-            self._qpow_cache[e] = s
-        return s
+        return Scalar(self, (e, _ONE_POLY, _ONE_POLY))
 
     def twist(self, c: Scalar, e: int) -> Scalar:
-        num, den = c.v
+        k, num, den = c.v
         if not e or not num:
             return c
-        # gcd(num*q^e, den) = q^min(e, val(den)) for reduced num/den
-        if e > 0:
-            k = min(e, _valuation(den))
-            return Scalar(self, ((0,) * (e - k) + num, den[k:]))
-        k = min(-e, _valuation(num))
-        return Scalar(self, (num[k:], (0,) * (-e - k) + den))
+        return Scalar(self, (k + e, num, den))
 
     def from_int(self, n: int) -> Scalar:
-        return Scalar(self, ((int(n),) if n else _ZERO_POLY, _ONE_POLY))
+        return Scalar(self, (0, (int(n),), _ONE_POLY) if n else self.zero.v)
 
     def from_fraction(self, f: Fraction) -> Scalar:
         f = Fraction(f)
-        num = _trim([f.numerator])
-        den = (f.denominator,)
-        return Scalar(self, (num, den))
+        if not f:
+            return self.zero
+        return Scalar(self, (0, (f.numerator,), (f.denominator,)))
 
     def from_polys(self, num, den=_ONE_POLY) -> Scalar:
-        return Scalar(self, self._normalize(_trim(num), _trim(den)))
+        return Scalar(self, self._normalize(0, _trim(num), _trim(den)))
 
     @staticmethod
-    def _normalize(num, den):
+    def _normalize(k: int, num, den, coprime: bool = False):
+        """The normal form of q^k * num / den for trimmed polynomials num and
+        den; ``coprime`` says that num and den share no polynomial factor of
+        positive degree, so only the q-powers and the contents are left."""
         if not den:
             raise ZeroDivisorError("zero denominator in q-rational function")
         if not num:
-            return (_ZERO_POLY, _ONE_POLY)
-        if den == _ONE_POLY:
-            return (num, den)
-        if _is_monomial(den):
-            return RationalFunctionField._normalize_monomial(num, len(den) - 1, den[-1])
-        return RationalFunctionField._normalize_euclid(num, den)
-
-    @staticmethod
-    def _normalize_monomial(num, k: int, c: int):
-        """The normal form of num / (c*q^k) for nonzero num and c."""
-        # the divisors of c*q^k in Z[q] are the +-c'*q^j, so the gcd of num
-        # and c*q^k is q^min(val(num), k) * gcd(content(num), c)
-        v = min(_valuation(num), k)
+            return (0, _ZERO_POLY, _ONE_POLY)
+        v = _valuation(num)
         if v:
-            num = num[v:]
-        g = gcd(c, *num)
-        if c < 0:
-            g = -g
-        if g != 1:
-            num = tuple(x // g for x in num)
-        return (num, (0,) * (k - v) + (c // g,))
-
-    @staticmethod
-    def _normalize_euclid(num, den):
-        """Reduce num/den through the polynomial gcd (num, den nonzero)."""
-        # strip common powers of q
-        v = min(_valuation(num), _valuation(den))
+            num, k = num[v:], k + v
+        v = _valuation(den)
         if v:
-            num, den = num[v:], den[v:]
-        g = _pgcd(num, den)
-        if g != _ONE_POLY:
-            num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
-        cn, cd = _content(num), abs(_content(den))
-        c = gcd(cn, cd)
-        if c > 1:
-            num = tuple(x // c for x in num)
-            den = tuple(x // c for x in den)
+            den, k = den[v:], k - v
+        if len(den) == 1:
+            # a one-term denominator c divides num only by a factor of c
+            c = den[0]
+            if c == 1:
+                return (k, num, den)
+            g = gcd(c, *num)
+            if c < 0:
+                g = -g
+            if g != 1:
+                num, den = tuple(x // g for x in num), (c // g,)
+            return (k, num, den)
+        if not coprime and len(num) > 1:
+            num, den = _cancel(num, den)
+        c = gcd(_content(num), _content(den))
         if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        return (num, den)
+            c = -c
+        if c != 1:
+            num, den = tuple(x // c for x in num), tuple(x // c for x in den)
+        return (k, num, den)
 
     def _add(self, a, b):
-        n1, d1 = a
-        n2, d2 = b
+        k1, n1, d1 = a
+        k2, n2, d2 = b
+        if not n1:
+            return b
+        if not n2:
+            return a
+        # write both numerators from the lower valuation
+        if k1 > k2:
+            n1 = (0,) * (k1 - k2) + n1
+        elif k2 > k1:
+            n2 = (0,) * (k2 - k1) + n2
+        k = min(k1, k2)
         if d1 == d2:
-            return self._normalize(_padd(n1, n2), d1)
-        return self._normalize(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+            return self._normalize(k, _padd(n1, n2), d1)
+        return self._normalize(k, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
     def _neg(self, a):
-        return (_pneg(a[0]), a[1])
+        k, num, den = a
+        return (k, _pneg(num), den)
 
     def _mul(self, a, b):
-        n1, d1 = a
-        n2, d2 = b
-        num = _pmul(n1, n2)
-        if d1 == _ONE_POLY and d2 == _ONE_POLY:
-            return (num, _ONE_POLY)
-        if not num:
+        k1, n1, d1 = a
+        k2, n2, d2 = b
+        if not n1 or not n2:
             return self.zero.v
-        if _is_monomial(d1) and _is_monomial(d2):
-            # (c1*q^k1)(c2*q^k2) = c1*c2*q^(k1+k2)
-            return self._normalize_monomial(num, len(d1) + len(d2) - 2, d1[-1] * d2[-1])
-        return self._normalize(num, _pmul(d1, d2))
+        if d1 == _ONE_POLY and d2 == _ONE_POLY:
+            return (k1 + k2, _pmul(n1, n2), _ONE_POLY)
+        # n1/d1 and n2/d2 are reduced, so the only polynomial factors to
+        # cancel are those of n1 with d2 and of n2 with d1; a one-term side
+        # has none
+        if len(n1) > 1 and len(d2) > 1:
+            n1, d2 = _cancel(n1, d2)
+        if len(n2) > 1 and len(d1) > 1:
+            n2, d1 = _cancel(n2, d1)
+        return self._normalize(k1 + k2, _pmul(n1, n2), _pmul(d1, d2), coprime=True)
 
     def _inv(self, a):
-        n, d = a
+        k, n, d = a
         if not n:
             raise ZeroDivisorError("division by zero in Q(q)")
         if n[-1] < 0:
             n, d = _pneg(n), _pneg(d)
-        return (d, n)
+        return (-k, d, n)
 
     def evaluate(self, s: Scalar, at: Scalar) -> Scalar:
         """Evaluate a value of this field at a point of another field."""
-        num, den = s.v
+        k, num, den = s.v
         f = at.field
 
         def horner(poly):
@@ -560,22 +548,29 @@ class RationalFunctionField(Field):
                 acc = acc * at + f.from_int(c)
             return acc
 
-        d = horner(den)
+        n, d = horner(num), horner(den)
+        if k > 0:
+            n = n * at**k
+        elif k < 0:
+            d = d * at**-k
         if d.is_zero():
             raise DomainError("denominator vanishes at the evaluation point")
-        return horner(num) / d
+        return n / d
 
     def format(self, v) -> str:
-        num, den = v
-        ns = _poly_str(num, "q")
-        if den == _ONE_POLY:
+        k, num, den = v
+        # q^k goes to the numerator for k > 0 and to the denominator for k < 0
+        ns = _poly_str(num, "q", max(k, 0))
+        if den == _ONE_POLY and k >= 0:
             return ns
-        ds = _poly_str(den, "q")
-        if len([c for c in num if c]) > 1:
+        ds = _poly_str(den, "q", max(-k, 0))
+        # num and den have nonzero first and last terms, so a length above
+        # one means two terms or more
+        if len(num) > 1:
             ns = f"({ns})"
         # a one-term denominator with a coefficient, k*q^m, needs parentheses
         # too: n/k*q^m reads back as (n/k)*q^m
-        if len([c for c in den if c]) > 1 or "*" in ds:
+        if len(den) > 1 or "*" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -322,6 +323,26 @@ def test_cli_eval_deep_power(capsys):
     assert capsys.readouterr().out == out
 
 
+def test_cli_eval_large_q_powers_keep_their_exponent(capsys):
+    # a q-power is a valuation, not a padded tuple of its exponent's length
+    cfg = str(CONFIGS / "generic_q.json")
+    for text, want in [
+        ("q^100000000*x1", "q^100000000*x1"),
+        ("q^-100000000*x1", "1/q^100000000*x1"),
+    ]:
+        assert main(["eval", "--config", cfg, "--", text]) == 0
+        assert capsys.readouterr().out == want + "\n"
+    # the parser and the config are cached by the calls above
+    tracemalloc.start()
+    try:
+        assert main(["eval", "--config", cfg, "--", "q^1000000*x1"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "q^1000000*x1\n"
+    assert peak < 256 * 1024
+
+
 def test_cli_reduce_deep_power_under_low_recursion_limit(capsys):
     # x1^e d1^e = prod_(j<e) (zeta^-j alpha1 - 1), and alpha1 = eta = 2 on
     # n1_l3, so it reduces to ((2-1)(2 zeta^2-1)(2 zeta-1))^(e/3) = 7^(e/3).
@@ -353,6 +374,17 @@ def test_cli_verify_report(tmp_path, capsys):
     ids = [rec["check_id"] for rec in report["checks"]]
     assert ids == ["power-identities", "delta-power"]
     _ = capsys.readouterr()
+
+
+@pytest.mark.parametrize("only", ["", "engine-soundness,,", ",power-identities"])
+def test_cli_verify_rejects_an_empty_check_id(tmp_path, capsys, only):
+    out_path = tmp_path / "report.json"
+    cfg = str(CONFIGS / "n1_l3.json")
+    assert main(["verify", "--config", cfg, "--only", only, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --only: empty check id\n"
+    assert not out_path.exists()
 
 
 def test_cli_verify_determinism(tmp_path):

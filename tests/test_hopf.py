@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from conftest import VERIFY_QQ, random_spec
+from qweylab import hopf
 from qweylab.config import load_config
 from qweylab.hopf import (
     DoubleElement,
@@ -15,7 +18,7 @@ from qweylab.hopf import (
     verify_double_presentation,
     verify_hopf_axioms,
 )
-from qweylab.qweyl import AlgebraSpec, exponent_vectors
+from qweylab.qweyl import AlgebraSpec, exponent_vectors, graded_monomials
 from qweylab.scalars import make_field
 
 QQ_Q = make_field("rational_function_q")
@@ -122,6 +125,81 @@ def test_double_presentation_at_root_of_unity():
         spec = AlgebraSpec.single_parameter(n, z3, rescaled=False)
         out = verify_double_presentation(spec, 3)
         assert out.passed, out.failures[:5]
+
+
+def all_pairs_sweep(spec, bound):
+    """The reference for the pair part of `verify_double_presentation`:
+    every pair of basis monomials multiplied in the double and in the
+    unscaled engine, as [((mono1, mono2), products agree)] in check order."""
+    twin = spec.unscaled_twin()
+    built = [
+        (mono, DoubleElement.monomial(spec, *mono), twin.monomial(*mono))
+        for mono in graded_monomials(spec.n, bound)
+    ]
+    return [
+        ((m1, m2), (du * dv).terms == (pu * pv).terms)
+        for m1, du, pu in built
+        for m2, dv, pv in built
+    ]
+
+
+def check_verdicts(spec, bound):
+    """The per-pair verdicts of the check, read from its failure labels, in
+    the sweep's order; the check records one case per pair after the
+    closed-form relations."""
+    out = verify_double_presentation(spec, bound)
+    monos = graded_monomials(spec.n, bound)
+    failed = set(out.failures)
+    n = spec.n
+    assert out.cases == n * n + 2 * n * (n - 1) + len(monos) ** 2
+    return [((m1, m2), f"pair {m1} * {m2}" not in failed) for m1 in monos for m2 in monos]
+
+
+def _z3_spec():
+    return AlgebraSpec.single_parameter(2, make_field("cyclotomic", 3), rescaled=False)
+
+
+@pytest.mark.parametrize(
+    "make_spec, bound",
+    [
+        (lambda: load_config(str(VERIFY_QQ)).spec, 3),
+        (lambda: S1, 4),
+        (lambda: random_spec(random.Random(17), 3, rescaled=False), 2),
+        (_z3_spec, 3),
+    ],
+    ids=["verify_qq", "S1", "random_skew_n3", "z3_n2"],
+)
+def test_double_presentation_cores_match_the_all_pairs_sweep(make_spec, bound):
+    spec = make_spec()
+    assert check_verdicts(spec, bound) == all_pairs_sweep(spec, bound)
+
+
+def test_a_corrupted_core_fails_the_same_pairs_in_check_and_sweep(monkeypatch):
+    spec = load_config(str(VERIFY_QQ)).spec
+    bound, target = 3, ((1, 1, 0), (0, 2, 0))
+    original = hopf._smash_core
+
+    def corrupted(spec_, dexp, xexp):
+        terms = original(spec_, dexp, xexp)
+        if (dexp, xexp) != target:
+            return terms
+        (key, c), *rest = terms
+        return ((key, c + 1), *rest)
+
+    monkeypatch.setattr(hopf, "_smash_core", corrupted)
+    sweep = all_pairs_sweep(spec, bound)
+    assert check_verdicts(spec, bound) == sweep
+    failed = {pair for pair, ok in sweep if not ok}
+    # the pairs whose d-part of the left and x-part of the right meet at the
+    # corrupted core, and only those
+    assert failed == {
+        (m1, m2) for (m1, m2), _ in sweep if (m1[1], m2[0]) == target
+    }
+    # 4 monomials x^a1 d^(1,1,0) and 4 monomials x^(0,2,0) d^b2 at bound 3
+    assert len(failed) == 4 * 4
+    # the closed-form relations read generator cores only, so they still hold
+    out = verify_double_presentation(spec, bound)
+    assert not any("relation" in label for label in out.failures)
 
 
 def test_classical_degeneration():

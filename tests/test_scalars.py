@@ -127,7 +127,9 @@ def test_rational_function_normalization():
     assert str(a) == "q+1"
     b = (2 * q + 2) / 4
     assert str(b) == "(q+1)/2"
-    assert ((q - 1) * (q + 1)).v == ((-1, 0, 1), (1,))
+    # (k, num, den) is q^k num / den, with the q-power kept as k
+    assert ((q - 1) * (q + 1)).v == (0, (-1, 0, 1), (1,))
+    assert (q**3 * (q - 1) / (2 * q**5)).v == (-2, (-1, 1), (2,))
 
 
 def _monomial_denominator_cases():
@@ -152,25 +154,90 @@ def _monomial_denominator_cases():
     return cases
 
 
+def _polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_monomial_denominator_matches_euclid():
+    # a one-term denominator is reduced by an integer gcd; the same value
+    # with a common factor 1 + q on both sides goes through the polynomial
+    # gcd, and both give the same normal form
     shapes = set()
     for num, den in _monomial_denominator_cases():
-        got = RationalFunctionField._normalize(num, den)
-        assert got == RationalFunctionField._normalize_euclid(num, den), (num, den)
-        k, c = len(den) - 1, den[-1]
+        got = RationalFunctionField._normalize(0, num, den)
+        padded = RationalFunctionField._normalize(
+            0, tuple(_polymul(num, (1, 1))), tuple(_polymul(den, (1, 1)))
+        )
+        assert got == padded, (num, den)
+        k, n, d = got
+        assert len(d) == 1 and d[0] > 0 and gcd(d[0], *n) == 1 and n[0] and n[-1]
+        # q^k n / d == num / den
+        lhs = _polymul((0,) * max(k, 0) + n, den)
+        rhs = _polymul((0,) * max(-k, 0) + d, num)
+        assert lhs + [0] * (len(rhs) - len(lhs)) == rhs + [0] * (len(lhs) - len(rhs))
+        kd, c = len(den) - 1, den[-1]
         val = next(i for i, x in enumerate(num) if x)
         content = gcd(*num)
         shapes.add(("c<0", c < 0))
         shapes.add(("shared factor", gcd(content, c) > 1))
-        shapes.add(("val vs k", (val > k) - (val < k)))
-        shapes.add(("k=0, c>1", k == 0 and c > 1))
+        shapes.add(("val vs k", (val > kd) - (val < kd)))
+        shapes.add(("k=0, c>1", kd == 0 and c > 1))
         v = QQ_Q.scalar(got)
         assert parse_scalar(str(v), QQ_Q) == v
     # every shape named above occurs, both ways where it can
     assert len(shapes) == 9
     for den in ((0, 0, -3), (4,), (0, 7)):
-        assert RationalFunctionField._normalize((), den) == QQ_Q.zero.v
+        assert RationalFunctionField._normalize(0, (), den) == QQ_Q.zero.v
         assert QQ_Q.from_polys((), den) == QQ_Q.zero
+
+
+def test_equal_values_share_one_valuation_form():
+    q = QQ_Q.q
+    # (q^3 + 2q^2) / (4q) = q (q + 2) / 4, built six ways
+    built = [
+        QQ_Q.from_polys((0, 0, 2, 1), (0, 4)),
+        QQ_Q.from_polys((0, 0, 2, 1, 0, 0), (0, 4, 0)),
+        QQ_Q.from_polys((0, 2, 1), (4,)),
+        QQ_Q.twist(QQ_Q.from_polys((2, 1), (4,)), 1),
+        (q + 2) * q**3 / (4 * q**2),
+    ]
+    # a sum that cancels its lowest term: (1 + q^2 + q^3) + (-1 + q)(1 + q)
+    # is q^2 (2 + q)
+    cancelled = (1 + q**2 + q**3) + (q - 1) * (q + 1)
+    built.append(QQ_Q.twist(cancelled, -1) / 4)
+    assert {s.v for s in built} == {(1, (2, 1), (4,))}
+    assert len({hash(s) for s in built}) == 1
+    # q^-2 (1 + q) / (1 - q): the sign moves to the numerator
+    built = [
+        QQ_Q.from_polys((1, 1), (0, 0, 1, -1)),
+        QQ_Q.twist((1 + q) / (1 - q), -2),
+        (q**-1 + 1) * q**-1 / (1 - q),
+        (1 + q) * (q**2 - q**3).inv(),
+    ]
+    assert {s.v for s in built} == {(-2, (-1, -1), (-1, 1))}
+    # a cancelled sum is zero, with valuation 0
+    assert (q**5 * (1 + q) - q**6 - q**5).v == QQ_Q.zero.v == (0, (), (1,))
+    assert QQ_Q.twist(QQ_Q.zero, 7) is QQ_Q.zero
+
+
+def test_printed_values_read_back():
+    rng = random.Random("print:rational_function_q")
+    values = []
+    for _ in range(300):
+        num = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]
+        den = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+        if not any(den):
+            den = [rng.choice((-3, 1, 2))]
+        s = QQ_Q.twist(QQ_Q.from_polys(tuple(num), tuple(den)), rng.randint(-6, 6))
+        values.append(s)
+        assert parse_scalar(str(s), QQ_Q) == s, s
+    shapes = {(s.v[0] > 0) - (s.v[0] < 0) for s in values if s}
+    assert shapes == {-1, 0, 1}
+    assert {len(s.v[2]) > 1 for s in values} == {False, True}
 
 
 def test_specialization_homomorphism():
@@ -293,13 +360,12 @@ def test_cyclotomic_arithmetic_builds_no_fraction(monkeypatch):
 def test_rational_function_twist_is_the_product_by_a_q_power():
     rng = random.Random("twist:rational_function_q")
     values = [QQ_Q.zero, QQ_Q.one, QQ_Q.q_power(-3)]
-    values += [QQ_Q.scalar(RationalFunctionField._normalize(num, den))
+    values += [QQ_Q.scalar(RationalFunctionField._normalize(0, num, den))
                for num, den in _monomial_denominator_cases()[:60]]
     values += [_random_scalar(rng, QQ_Q) for _ in range(200)]
-    multi_term = [s for s in values if len([c for c in s.v[1] if c]) > 1]
-    assert multi_term and any(s.v[1][0] == 0 for s in values) and any(
-        s.v[0][:1] == (0,) for s in values
-    )
+    # polynomial denominators, and negative and positive valuations
+    assert any(len(s.v[2]) > 1 for s in values)
+    assert any(s.v[0] < 0 for s in values) and any(s.v[0] > 0 for s in values)
     for s in values:
         for e in range(-8, 9):
             assert QQ_Q.twist(s, e).v == (s * QQ_Q.q_power(e)).v, (s, e)

@@ -289,8 +289,8 @@ def test_reduced_product_stays_in_the_alpha_basis(monkeypatch):
 # Scalar.__mul__ calls per verify_qq check from cold caches before twists
 # went through Field.twist; the combined count of products and twists must
 # stay below them.  Counts now (products + twists): engine-soundness
-# 13,692 + 6,073, hopf-axioms 4,556 + 1,911, double-presentation 597 +
-# 10,760, moment-reduction 11,810 + 2,294.
+# 13,692 + 6,073, hopf-axioms 4,625 + 365, double-presentation 607 +
+# 2,329, moment-reduction 11,478 + 2,292.
 PRODUCTS_BEFORE_TWISTS = {
     "engine-soundness": 20_602,
     "euler-commutativity": 21,
@@ -358,15 +358,29 @@ def test_product_kernel_caches_are_bounded(module, name):
     assert getattr(module, name).cache_info().maxsize is not None
 
 
-def test_double_presentation_multiplies_every_pair_on_both_sides(monkeypatch):
+def test_double_presentation_reads_each_core_once(monkeypatch):
+    # the pairs are decided at their commutation cores: 14,112 element
+    # products (7,056 pairs on both sides) became 400 core comparisons
     spec = load_config(str(VERIFY_QQ)).spec
-    doubles, engine = [], []
+    n, bound = spec.n, 3
+    doubles, engine, smash, reorder = [], [], [], []
     counting(monkeypatch, hopf.DoubleElement, "__mul__", doubles)
     counting(monkeypatch, PBWElement, "__mul__", engine)
-    assert hopf.verify_double_presentation(spec, 2).passed
-    pairs = len(qweyl.graded_monomials(spec.n, 2)) ** 2
-    assert len(engine) == pairs and len(doubles) >= pairs
-    assert {args[0].spec for args in engine} == {spec.unscaled_twin()}
+    counting(monkeypatch, hopf, "_smash_core", smash)
+    counting(monkeypatch, hopf, "_reorder", reorder)
+    assert hopf.verify_double_presentation(spec, bound).passed
+    # only the closed-form relations multiply elements: d_i x_j, x_j d_i,
+    # and for i != j also x_i x_j, x_j x_i, d_i d_j, d_j d_i
+    assert len(doubles) == 2 * n * n + 4 * n * (n - 1) and engine == []
+    cores = [args[1:] for args in reorder]
+    exps = [v for t in range(bound + 1) for v in qweyl.exponent_vectors(n, t, total=t)]
+    assert len(cores) == len(set(cores)) == len(exps) ** 2 == 400
+    assert set(cores) == {(b, a) for b in exps for a in exps}
+    # each relation product reads one core, the pair part one per (b, a)
+    assert len(smash) == len(doubles) + len(cores)
+    assert set(cores) <= {args[1:] for args in smash}
+    # the engine's cores come from the unscaled twin of the rescaled spec
+    assert spec.rescaled and {args[0] for args in reorder} == {spec.unscaled_twin()}
 
 
 def test_fraction_round_trip_builds_alpha_powers_by_squaring(monkeypatch):
