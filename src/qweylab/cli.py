@@ -73,6 +73,17 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     return args
 
 
+def _write_json(path: str, data) -> None:
+    """Write data to path as indented JSON.  A path that cannot be opened
+    raises QWeylError and leaves no file."""
+    text = json.dumps(data, indent=1)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise QWeylError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = _parse_args(parser, argv)
@@ -98,8 +109,7 @@ def main(argv=None) -> int:
         if args.command == "rep":
             reps = config.build_reps()
             dump = [export_rep(rep) for rep in reps]
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(dump, handle, indent=1)
+            _write_json(args.out, dump)
             print(f"wrote {len(dump)} representation(s) to {args.out}")
             return 0
         if args.command == "verify":
@@ -120,8 +130,7 @@ def main(argv=None) -> int:
                 f"{summary['skipped']} skipped"
             )
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    json.dump(report, handle, indent=1)
+                _write_json(args.out, report)
             return 0 if summary["ok"] else 1
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

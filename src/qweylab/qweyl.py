@@ -368,65 +368,6 @@ def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
     return out
 
 
-@lru_cache(maxsize=1024)
-def _shorter_terms(spec: AlgebraSpec, vec: ExpVec, gen: str):
-    """Per variable i, the shorter term of moving one generator past a
-    monomial, or None where it vanishes: for gen "x" the coefficient of
-    d^(vec - e_i) in d^vec x_i, for gen "d" that of x^(vec - e_i) in
-    d_i x^vec.  It is the q-integer entry of `_one_var_table`, twisted past
-    the other variables on the side it crosses; it depends on vec only."""
-    left, right = _merge_vectors(spec, vec)
-    out = []
-    for i in range(spec.n):
-        if gen == "x":
-            table, e = _one_var_table(spec, i, vec[i], 1), -left[i]
-        else:
-            table, e = _one_var_table(spec, i, 1, vec[i]), -right[i]
-        c = table[1] if len(table) > 1 else None
-        out.append(None if c is None or c.is_zero() else spec.field.twist(c, spec.sign * e))
-    return tuple(out)
-
-
-def generator_products(spec: AlgebraSpec, a: ExpVec, b: ExpVec):
-    """The products of the monomial x^a d^b with each generator, as a list
-    of (g * x^a d^b, x^a d^b * g) over g = x_1 .. x_n, d_1 .. d_n.  Each
-    product is a tuple of ((a', b'), coefficient) terms with no zero
-    coefficient, equal term for term to the general product.  Both products
-    start with the term of key (a + e_i, b) for x_i and (a, b + e_i) for
-    d_i, and share no other key.
-
-    A merge is one twisted term: x_i x^a d^b and x^a d^b d_i.  A reorder has
-    at most two terms: d^b x_i and d_i x^a move one generator past a
-    monomial, which is the `_one_var_table` entry of its own variable with a
-    twist for the others, plus a shorter term, the q-integer entry of the
-    table, when the own exponent is positive (`_shorter_terms`).  Since M
-    is skew off the diagonal, every twist exponent is an entry of the merge
-    vectors of a and b (`_merge_vectors`).
-    """
-    n, s, f = spec.n, spec.sign, spec.field
-    twist, one = f.twist, f.one
-    left_a, right_a = _merge_vectors(spec, a)
-    left_b, right_b = _merge_vectors(spec, b)
-    short_x, short_d = _shorter_terms(spec, b, "x"), _shorter_terms(spec, a, "d")
-    xs, ds = [], []
-    for i in range(n):
-        a_up = a[:i] + (a[i] + 1,) + a[i + 1 :]
-        b_up = b[:i] + (b[i] + 1,) + b[i + 1 :]
-        # x_i x^a d^b, then x^a d^b x_i: d^b moves past x_i
-        head = _one_var_table(spec, i, b[i], 1)[0]
-        right = [((a_up, b), twist(head, s * (right_b[i] - left_b[i] + left_a[i])))]
-        if short_x[i] is not None:
-            right.append(((a, b[:i] + (b[i] - 1,) + b[i + 1 :]), short_x[i]))
-        xs.append(((((a_up, b), twist(one, s * right_a[i])),), tuple(right)))
-        # d_i x^a d^b: d_i moves past x^a; then x^a d^b d_i
-        head = _one_var_table(spec, i, 1, a[i])[0]
-        left = [((a, b_up), twist(head, s * (left_a[i] - right_a[i] + right_b[i])))]
-        if short_d[i] is not None:
-            left.append(((a[:i] + (a[i] - 1,) + a[i + 1 :], b), short_d[i]))
-        ds.append((tuple(left), (((a, b_up), twist(one, s * left_b[i])),)))
-    return xs + ds
-
-
 class TermElement:
     """A finite linear combination of basis keys, kept in the dict ``terms``
     with the zero coefficients dropped.

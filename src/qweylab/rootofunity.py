@@ -15,18 +15,19 @@ Representation conventions (single-parameter preset, rescaled):
   by the engine's cross relations.  Every built representation has all of
   its defining relations verified exactly before it is returned.
 
-Each exact system here is made small before it is eliminated, by steps that
-keep the exact answer: commutator rows of the centralizer in closed form
-(`generator_products`), split by `sparse_kernel` into forced zeros and
-connected components; commutant unknowns restricted to the weight classes of
-diagonal matrices the builders record (`commutant_basis`); and the ranks of
-the one-term rows of `verify_lcenter_freeness` read as counts of distinct
-keys.
+Each exact system here is made small before it is built, by steps that
+keep the exact answer: the centralizer's unknowns are the alpha-invariant
+monomials only, and `sparse_kernel` splits its commutator rows into forced
+zeros and connected components; commutant unknowns are restricted to the
+weight classes of diagonal matrices the builders record (`commutant_basis`);
+and `verify_lcenter_freeness` forms the l^n products z * x^r of each block
+and counts the keys that their shifts by every d^s give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from operator import add, sub
 
 from .errors import DomainError, ParameterError, RelationError
 from .exactla import (
@@ -44,7 +45,7 @@ from .exactla import (
     scalar_of_identity,
     sparse_kernel,
 )
-from .qweyl import AlgebraSpec, CheckOutcome, PBWElement, exponent_vectors, generator_products
+from .qweyl import AlgebraSpec, CheckOutcome, PBWElement, exponent_vectors
 from .scalars import CyclotomicField, Scalar, make_field
 
 
@@ -53,11 +54,14 @@ from .scalars import CyclotomicField, Scalar, make_field
 # ---------------------------------------------------------------------------
 
 
+def _generators(spec: AlgebraSpec) -> list[PBWElement]:
+    """x_1 .. x_n, d_1 .. d_n."""
+    return [spec.x(i) for i in range(1, spec.n + 1)] + [spec.d(i) for i in range(1, spec.n + 1)]
+
+
 def is_central(u: PBWElement, spec: AlgebraSpec) -> bool:
     """True iff u commutes with every generator (exact commutators)."""
-    gens = [spec.x(i) for i in range(1, spec.n + 1)]
-    gens += [spec.d(i) for i in range(1, spec.n + 1)]
-    return all(g * u == u * g for g in gens)
+    return all(g * u == u * g for g in _generators(spec))
 
 
 def lcenter_monomials(n: int, l: int, bound: int):
@@ -69,43 +73,42 @@ def lcenter_monomials(n: int, l: int, bound: int):
 def centralizer_basis(spec: AlgebraSpec, exponent_bound: int) -> list[PBWElement]:
     """Basis of the centralizer of the generators inside the span of the
     monomials with all exponents <= exponent_bound, by exact kernel
-    computation of the commutator system.
+    computation of the commutator system, with the values and order of
+    `sparse_kernel` on the system over all of those monomials.
 
-    The commutators [g, m] of each generator with each monomial come in
-    closed form from `generator_products`.  Every relation is homogeneous
-    for the grading deg(x^a d^b) = a - b, so rows of different grades share
-    no unknown, and the components that `sparse_kernel` eliminates lie in
-    one grade each, after its forced zeros have settled most unknowns."""
+    Only the alpha-invariant monomials x^a d^b are unknowns: those with
+    q^w = 1 for every entry w of spec.weight(a - b).  The others are zero in
+    every element of the centralizer.  An element u = sum c_m m that
+    commutes with the generators commutes with alpha_i = 1 + x_i d_i, and in
+    the rescaled normalization alpha_i m = q^(w_i) m alpha_i; so
+    sum c_m (q^(w_i) - 1) m alpha_i = 0.  The algebra is an iterated Ore
+    extension, hence a domain, so c_m (q^(w_i) - 1) = 0 for every m.  Such a
+    column is zero in every kernel vector of the full system, so it is a
+    pivot there; a kept column is a pivot of the filtered system exactly
+    when it is one of the full system, and the kernel vectors agree.
+
+    Each commutator row is g m - m g, formed with the engine's product."""
     if exponent_bound < 0:
         raise ParameterError("exponent bound must be nonnegative")
-    n, f = spec.n, spec.field
-    vecs = list(exponent_vectors(n, exponent_bound))
-    monos = [(a, b) for a in vecs for b in vecs]
-    # the coefficients are twisted q-powers and q-integers, so few distinct
-    # values occur: each difference is computed once
-    differences: dict = {}
-
-    def minus(u: Scalar, w: Scalar) -> Scalar:
-        key = (u.v, w.v)
-        out = differences.get(key)
-        if out is None:
-            out = differences[key] = u - w
-        return out
-
-    # rows of the constraint system live in (generator, target monomial)
-    # space; g m and m g share their first key, and no other
+    if not spec.rescaled:
+        raise ParameterError("the centralizer filter needs the rescaled normalization")
+    one = spec.field.one
+    vecs = list(exponent_vectors(spec.n, exponent_bound))
+    monos = [
+        (a, b)
+        for a in vecs
+        for b in vecs
+        if all(spec.q_power(w) == one for w in spec.weight(tuple(map(sub, a, b))))
+    ]
+    gens = _generators(spec)
+    # rows of the constraint system live in (generator, target monomial) space
     rows: dict[tuple[int, tuple], dict[int, Scalar]] = {}
     for col, (a, b) in enumerate(monos):
-        for gi, (left, right) in enumerate(generator_products(spec, a, b)):
-            (key, c), *left_rest = left
-            (_, c_right), *right_rest = right
-            if c.v != c_right.v:
-                rows.setdefault((gi, key), {})[col] = minus(c, c_right)
-            for key, c in left_rest:
+        m = spec.monomial(a, b)
+        for gi, g in enumerate(gens):
+            for key, c in (g * m - m * g).terms.items():
                 rows.setdefault((gi, key), {})[col] = c
-            for key, c in right_rest:
-                rows.setdefault((gi, key), {})[col] = minus(f.zero, c)
-    basis_vecs = sparse_kernel(list(rows.values()), len(monos), f)
+    basis_vecs = sparse_kernel(list(rows.values()), len(monos), spec.field)
     out = []
     for vec in basis_vecs:
         elt = spec.zero()
@@ -161,64 +164,60 @@ def verify_delta_power(spec: AlgebraSpec) -> CheckOutcome:
     return out
 
 
-def _distinct_key_ranks(products, nblocks: int):
-    """(rank per block, rank of the union) of the rows (block number,
-    element) when every row has exactly one term, counted as distinct keys;
-    None as soon as a row has another number of terms."""
-    keys = [set() for _ in range(nblocks)]
-    for k, prod in products:
-        if len(prod.terms) != 1:
-            return None
-        keys[k].update(prod.terms)
-    return [len(block) for block in keys], len(set().union(*keys))
-
-
 def verify_lcenter_freeness(spec: AlgebraSpec, blocks=None) -> CheckOutcome:
     """Linear independence of the l^(2n) residue monomials over the l-center.
 
     For each l-center block monomial z, the products z * x^r d^s over all
-    residues 0 <= r, s < l are expanded and checked to be linearly
-    independent, and the union over the given blocks stays independent.
+    residues 0 <= r, s < l are checked to be linearly independent, and the
+    union over the given blocks stays independent.
 
-    Each product is one term, since z is a monomial in central l-th powers.
-    A one-term row is a nonzero multiple of one basis vector, so the rank of
-    one-term rows is the number of distinct keys among them: that count is
-    read per block and for the union.  If some product has another number
-    of terms, the ranks come from exact elimination instead.
+    Only the l^n products z * x^r of each block are formed.  Since x^r d^s
+    is the ordered monomial with coefficient one,
+    z * x^r d^s = (z * x^r) * d^s, and when z * x^r = c x^A d^B this is the
+    single nonzero term c q^e x^A d^(B+s).  A one-term row is a multiple of
+    one basis vector, so the rank of these rows is the number of distinct
+    keys (A, B + s): that count is read per block and for the union.  If
+    some z * x^r has another number of terms, the ranks come from exact
+    elimination of all the products z * x^r d^s instead.
     """
     field = spec.field
     if not isinstance(field, CyclotomicField):
         raise ParameterError("freeness check needs a cyclotomic field")
     l, n = field.l, spec.n
+    zero = (0,) * n
     if blocks is None:
-        blocks = [((0,) * n, (0,) * n)]
+        blocks = [(zero, zero)]
         for i in range(n):
             t = [0] * n
             t[i] = l
-            blocks.append((tuple(t), (0,) * n))
-            blocks.append(((0,) * n, tuple(t)))
+            blocks.append((tuple(t), zero))
+            blocks.append((zero, tuple(t)))
     out = CheckOutcome()
     residues = list(exponent_vectors(n, l - 1))
-    res = [spec.monomial(a, b) for a in residues for b in residues]
-
-    def products():
-        """(block number, expanded product z * x^r d^s), block by block."""
-        for k, (zt, zu) in enumerate(blocks):
-            z = spec.monomial(zt, zu)
-            for r in res:
-                yield k, z * r
-
-    ranks = _distinct_key_ranks(products(), len(blocks))
-    if ranks is None:
+    zs = [spec.monomial(zt, zu) for zt, zu in blocks]
+    heads = [[z * spec.monomial(r, zero) for r in residues] for z in zs]
+    if all(len(head.terms) == 1 for row in heads for head in row):
+        # the d-parts B + s of each distinct B, formed once
+        shifts = {
+            b: [tuple(map(add, b, s)) for s in residues]
+            for row in heads
+            for head in row
+            for _, b in head.terms
+        }
+        keys = [{(a, t) for head in row for a, b in head.terms for t in shifts[b]} for row in heads]
+        counts, union_count = [len(k) for k in keys], len(set().union(*keys))
+    else:
         index: dict = {}
         union = SparseEliminator(field)
         per_block = [SparseEliminator(field) for _ in blocks]
-        for k, prod in products():
-            vec = {index.setdefault(key, len(index)): c for key, c in prod.terms.items()}
-            per_block[k].add(vec)
-            union.add(vec)
-        ranks = [elim.rank for elim in per_block], union.rank
-    counts, union_count = ranks
+        for z, elim in zip(zs, per_block):
+            for r in residues:
+                for s in residues:
+                    prod = z * spec.monomial(r, s)
+                    vec = {index.setdefault(key, len(index)): c for key, c in prod.terms.items()}
+                    elim.add(vec)
+                    union.add(vec)
+        counts, union_count = [elim.rank for elim in per_block], union.rank
     for (zt, zu), count in zip(blocks, counts):
         out.record(count == l ** (2 * n), f"block {zt},{zu} rank {count}")
     out.record(

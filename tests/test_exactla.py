@@ -556,6 +556,8 @@ def test_commutant_basis_of_a_direct_sum(monkeypatch, recorded, unknowns):
         # a repeated block: the union is dependent and the check fails
         (1, 3, [((0,), (0,)), ((0,), (0,))]),
         (2, 3, [((3, 0), (0, 0)), ((0, 0), (0, 3)), ((3, 0), (0, 0))]),
+        (2, 5, None),
+        (3, 3, None),
     ],
 )
 def test_freeness_outcome_without_modular_rank(monkeypatch, n, l, blocks):

@@ -387,6 +387,25 @@ def test_cli_verify_rejects_an_empty_check_id(tmp_path, capsys, only):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["verify", "--only", "cover-degree"], "pass    cover-degree\n1 passed, 0 failed, 0 skipped\n"),
+        (["rep", "build"], ""),
+    ],
+    ids=["verify", "rep-build"],
+)
+def test_cli_unwritable_out_path_is_an_error(tmp_path, capsys, argv, stdout):
+    out_path = tmp_path / "missing" / "r.json"
+    cfg = str(CONFIGS / "n2_l3.json")
+    assert main(argv + ["--config", cfg, "--out", str(out_path)]) == 2
+    assert capsys.readouterr() == (
+        stdout,
+        f"error: cannot write {out_path}: No such file or directory\n",
+    )
+    assert not out_path.parent.exists()
+
+
 def test_cli_verify_determinism(tmp_path):
     cfg = str(CONFIGS / "n1_l3.json")
     reports = []

@@ -10,7 +10,6 @@ from qweylab.qweyl import (
     LocalizedElement,
     _ordered_product,
     _reorder,
-    generator_products,
     normal_form,
     verify_alpha_commutativity,
     verify_power_identities,
@@ -291,27 +290,3 @@ def test_alpha_inverse_two_sided():
         assert (u * al * inv).equals(u)
 
 
-@pytest.mark.parametrize("rescaled", [True, False], ids=["rescaled", "unscaled"])
-@pytest.mark.parametrize("kind, l", [("rational", None), ("rational_function_q", None),
-                                     ("cyclotomic", 3), ("cyclotomic", 5)])
-def test_generator_products_match_the_general_product(kind, l, rescaled):
-    field = make_field(kind, l)
-    rng = random.Random(f"generator products:{kind}:{l}:{rescaled}")
-    one = field.one
-    for _ in range(12):
-        spec = random_spec(rng, rng.randint(1, 4), field, rescaled)
-        n, zero = spec.n, (0,) * spec.n
-        # exponents up to 6 pass l, where q-integers of the table vanish
-        a = tuple(rng.randint(0, 6) for _ in range(n))
-        b = tuple(rng.randint(0, 6) for _ in range(n))
-        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        gens = [(e, zero) for e in units] + [(zero, e) for e in units]
-        got = generator_products(spec, a, b)
-        assert len(got) == 2 * n
-        for g, (left, right) in zip(gens, got):
-            for mine, (u, v) in ((left, (g, (a, b))), (right, ((a, b), g))):
-                want = _ordered_product(spec, {u: one}, {v: one}, _reorder, spec.sign)
-                assert list(mine) == [(k, c) for k, c in want.items() if not c.is_zero()]
-            # both products start with the one key they share
-            assert left[0][0] == right[0][0]
-            assert not {k for k, _ in left[1:]} & {k for k, _ in right}

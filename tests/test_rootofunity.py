@@ -6,8 +6,8 @@ import pytest
 
 from qweylab.config import load_config
 from qweylab.errors import DomainError, ParameterError
-from qweylab.exactla import identity, mat_mul, mat_pow, scalar_of_identity
-from qweylab.qweyl import AlgebraSpec
+from qweylab.exactla import identity, mat_mul, mat_pow, scalar_of_identity, sparse_kernel
+from qweylab.qweyl import AlgebraSpec, exponent_vectors
 from qweylab.rootofunity import (
     azumaya_membership,
     build_irrep,
@@ -67,6 +67,53 @@ def test_centralizer_basis_n2():
     out = verify_centralizer_is_lcenter(C3_2, 3)
     assert out.passed, out.failures[:4]
     assert len(lcenter_monomials(2, 3, 3)) == 16
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unfiltered_centralizer(spec, bound):
+    """The centralizer basis from the commutator system over all (B+1)^(2n)
+    monomials, formed with the general product, as lists of (key, value)."""
+    vecs = list(exponent_vectors(spec.n, bound))
+    monos = [(a, b) for a in vecs for b in vecs]
+    gens = [spec.x(i) for i in range(1, spec.n + 1)] + [spec.d(i) for i in range(1, spec.n + 1)]
+    rows = {}
+    for col, (a, b) in enumerate(monos):
+        m = spec.monomial(a, b)
+        for gi, g in enumerate(gens):
+            for key, c in (g * m - m * g).terms.items():
+                rows.setdefault((gi, key), {})[col] = c
+    kernel = sparse_kernel(list(rows.values()), len(monos), spec.field)
+    return [[(monos[col], c) for col, c in sorted(vec.items())] for vec in kernel]
+
+
+@pytest.mark.parametrize(
+    "spec, bounds",
+    [
+        (C3, range(5)),
+        (C3_2, range(5)),
+        (load_config(str(ROOT / "perfbench" / "configs" / "verify_l5.json")).spec, [3]),
+        (load_config(str(ROOT / "tests" / "configs" / "n3_l5.json")).spec, [2]),
+    ]
+    + [
+        (AlgebraSpec.single_parameter(n, make_field(kind)), range(4 - n, 6 - n))
+        for kind in ("rational_function_q", "rational")
+        for n in (1, 2)
+    ],
+    ids=["n1_l3", "n2_l3", "verify_l5", "n3_l5", "qq_n1", "qq_n2", "q_n1", "q_n2"],
+)
+def test_centralizer_basis_matches_the_unfiltered_system(spec, bounds):
+    # the alpha-invariant monomials as unknowns give the kernel vectors of
+    # the system over all monomials, in the same order, with the same values
+    for bound in bounds:
+        got = [list(elt.terms.items()) for elt in centralizer_basis(spec, bound)]
+        assert got == unfiltered_centralizer(spec, bound)
+
+
+def test_centralizer_basis_needs_the_rescaled_normalization():
+    with pytest.raises(ParameterError):
+        centralizer_basis(AlgebraSpec.single_parameter(1, Z3, rescaled=False), 3)
 
 
 def test_delta_power():

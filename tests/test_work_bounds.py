@@ -120,10 +120,10 @@ def test_verify_run_shares_reps_and_derived_data(monkeypatch):
     assert len(builds) == 2
     per_rep = Counter(id(args[0]) for args in moment_ops)
     assert len(per_rep) == 2 and set(per_rep.values()) == {1}
-    # the 256-unknown centralizer system, then the commutants: both
+    # the 36-unknown centralizer system, then the commutants: both
     # configured reps (dim 9) and the 20 seeded rank-1 reps (dim 3) are split
     # by weight, so each system has dim unknowns, not dim^2
-    assert [args[1] for args in root_kernels] == [256, 9, 9] + [3] * 20
+    assert [args[1] for args in root_kernels] == [36, 9, 9] + [3] * 20
     # the weight spaces, one per (rep, eta)
     assert [args[1] for args in kernels] == [9] * 6
     # fiber-reduced-endos reads the commutants that rep-irreducibility solved
@@ -147,22 +147,22 @@ def test_n3_l5_reps_and_commutants_stay_sparse(monkeypatch):
     assert max(len(cols) for cols in blocks.values()) <= 125
 
 
-@pytest.mark.parametrize("path", [N3_L5, N4_L3], ids=lambda path: path.stem)
-def test_center_truncation_acts_by_generators_and_solves_small_blocks(monkeypatch, path):
-    # centralizer_basis formed each commutator with the general product and
-    # solved one kernel over all (B+1)^(2n) unknowns: 65,536 on n4_l3, where
-    # the check took about 42 s.  Forced zeros now settle every unknown
-    # outside the l-center on both configs, and no block is eliminated.
-    products = []
+@pytest.mark.parametrize("path, unknowns", [(N3_L5, 64), (N4_L3, 1_296)], ids=["n3_l5", "n4_l3"])
+def test_center_truncation_acts_by_generators_and_solves_small_blocks(monkeypatch, path, unknowns):
+    # only the alpha-invariant monomials are unknowns, not all (B+1)^(2n):
+    # 64 of 4,096 on n3_l5 and 1,296 of 65,536 on n4_l3; each takes the
+    # products g m and m g for the 2n generators g
+    products, kernels = [], []
     inside = []
-    original = qweyl._ordered_product
+    original = PBWElement.__mul__
 
-    def product(*args):
+    def product(self, other):
         if inside:
-            products.append(args)
-        return original(*args)
+            products.append(other)
+        return original(self, other)
 
-    monkeypatch.setattr(qweyl, "_ordered_product", product)
+    monkeypatch.setattr(PBWElement, "__mul__", product)
+    counting(monkeypatch, rootofunity, "sparse_kernel", kernels)
     centralizer = rootofunity.centralizer_basis
 
     def marked(spec, bound):
@@ -174,10 +174,29 @@ def test_center_truncation_acts_by_generators_and_solves_small_blocks(monkeypatc
 
     monkeypatch.setattr(rootofunity, "centralizer_basis", marked)
     blocks = eliminated_blocks(monkeypatch)
-    report = run_verification_suite(load_config(str(path)), only={"center-truncation"})
+    cfg = load_config(str(path))
+    report = run_verification_suite(cfg, only={"center-truncation"})
     assert report["summary"]["ok"] and report["summary"]["pass"] == 1
-    assert products == []
+    assert [args[1] for args in kernels] == [unknowns]
+    assert len(products) <= 2 * (2 * cfg.spec.n) * unknowns
     assert max((len(cols) for cols in blocks.values()), default=0) <= 256
+
+
+@pytest.mark.parametrize("path, bound", [(N2_L3, 45), (N3_L5, 875)], ids=["n2_l3", "n3_l5"])
+def test_lcenter_freeness_forms_one_product_per_block_and_x_residue(monkeypatch, path, bound):
+    # each of the 2n+1 blocks z takes the l^n products z x^r; the
+    # (2n+1) l^(2n) products z x^r d^s (109,375 on n3_l5) are read off
+    # their keys
+    cfg = load_config(str(path))
+    n, l = cfg.spec.n, cfg.field.l
+    assert bound == (2 * n + 1) * l**n
+    products = []
+    counting(monkeypatch, PBWElement, "__mul__", products)
+    blocks = eliminated_blocks(monkeypatch)
+    report = run_verification_suite(cfg, only={"lcenter-freeness"})
+    assert report["summary"]["ok"] and report["summary"]["pass"] == 1
+    assert len(products) <= bound
+    assert blocks == {}
 
 
 def test_weight_space_is_computed_once_per_point(monkeypatch):
@@ -348,7 +367,6 @@ def test_moment_reduction_expands_each_alpha_form_once():
     "module, name",
     [
         (qweyl, "_merge_vectors"),
-        (qweyl, "_shorter_terms"),
         (qweyl, "_alpha_power"),
         (moment, "_alpha_form_terms"),
         (config, "_config_of_text"),
