@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import __version__
@@ -73,6 +74,22 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     return args
 
 
+def _cannot_write(path: str, exc: OSError) -> QWeylError:
+    return QWeylError(f"cannot write {path}: {exc.strerror}")
+
+
+def _check_writable(path: str) -> None:
+    """Raise the error `_write_json` would raise on a path that cannot be
+    opened, before any work is done.  A file the test creates is removed."""
+    created = not os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    if created:
+        os.remove(path)
+
+
 def _write_json(path: str, data) -> None:
     """Write data to path as indented JSON.  A path that cannot be opened
     raises QWeylError and leaves no file."""
@@ -81,64 +98,76 @@ def _write_json(path: str, data) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise QWeylError(f"cannot write {path}: {exc.strerror}") from None
+        raise _cannot_write(path, exc) from None
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = _parse_args(parser, argv)
+    """Run one command; the exit code is 0 on success, 1 when a check fails,
+    and 2 on a config, input or output error (a closed stdout included)."""
     try:
-        if args.command == "verify" and args.list_checks:
-            for check_id, law, _, _ in CHECKS:
-                print(f"{check_id}: {law}")
-            return 0
-        if getattr(args, "config", None) is None:
-            parser.error("--config is required")
-        config = load_config(args.config)
-        if args.command == "eval":
-            value = parse_expression(args.expression, config.spec)
-            print(value)
-            return 0
-        if args.command == "reduce":
-            value = parse_expression(args.expression, config.spec)
-            if isinstance(value, Scalar):
-                value = config.spec.scalar_element(value)
-            reduced = moment_ideal_reduce(value, config.datum())
-            print(reduced)
-            return 0
-        if args.command == "rep":
-            reps = config.build_reps()
-            dump = [export_rep(rep) for rep in reps]
-            _write_json(args.out, dump)
-            print(f"wrote {len(dump)} representation(s) to {args.out}")
-            return 0
-        if args.command == "verify":
-            only = None
-            if args.only is not None:
-                only = set(args.only.split(","))
-                if "" in only:
-                    raise QWeylError("--only: empty check id")
-            report = run_verification_suite(config, only=only, verbose=args.verbose)
-            for rec in report["checks"]:
-                line = f"{rec['status']:<7s} {rec['check_id']}"
-                if rec["detail"]:
-                    line += f"  [{rec['detail']}]"
-                print(line)
-            summary = report["summary"]
-            print(
-                f"{summary['pass']} passed, {summary['fail']} failed, "
-                f"{summary['skipped']} skipped"
-            )
-            if args.out:
-                _write_json(args.out, report)
-            return 0 if summary["ok"] else 1
+        code = _run(argv)
+        sys.stdout.flush()
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except QWeylError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    except BrokenPipeError as exc:
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
+
+
+def _run(argv) -> int:
+    parser = _build_parser()
+    args = _parse_args(parser, argv)
+    if args.command == "verify" and args.list_checks:
+        for check_id, law, _, _ in CHECKS:
+            print(f"{check_id}: {law}")
+        return 0
+    if getattr(args, "config", None) is None:
+        parser.error("--config is required")
+    config = load_config(args.config)
+    if args.command == "eval":
+        value = parse_expression(args.expression, config.spec)
+        print(value)
+        return 0
+    if args.command == "reduce":
+        value = parse_expression(args.expression, config.spec)
+        if isinstance(value, Scalar):
+            value = config.spec.scalar_element(value)
+        reduced = moment_ideal_reduce(value, config.datum())
+        print(reduced)
+        return 0
+    if args.command == "rep":
+        reps = config.build_reps()
+        dump = [export_rep(rep) for rep in reps]
+        _write_json(args.out, dump)
+        print(f"wrote {len(dump)} representation(s) to {args.out}")
+        return 0
+    if args.command == "verify":
+        only = None
+        if args.only is not None:
+            only = set(args.only.split(","))
+            if "" in only:
+                raise QWeylError("--only: empty check id")
+        if args.out:
+            _check_writable(args.out)
+        report = run_verification_suite(config, only=only, verbose=args.verbose)
+        for rec in report["checks"]:
+            line = f"{rec['status']:<7s} {rec['check_id']}"
+            if rec["detail"]:
+                line += f"  [{rec['detail']}]"
+            print(line)
+        summary = report["summary"]
+        print(
+            f"{summary['pass']} passed, {summary['fail']} failed, "
+            f"{summary['skipped']} skipped"
+        )
+        if args.out:
+            _write_json(args.out, report)
+        return 0 if summary["ok"] else 1
 
 
 if __name__ == "__main__":

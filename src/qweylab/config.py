@@ -25,6 +25,8 @@ DEFAULT_BOUNDS = {
     "random_cases": 100,
     "enumeration_cap": 10000,
 }
+# the bounds at 0 would leave their checks nothing to check
+NONZERO_BOUNDS = ("degree_bound", "random_cases")
 
 
 @dataclass
@@ -308,6 +310,8 @@ def parse_config(raw: dict) -> WorkbenchConfig:
                 problems.append(f"bounds.{key}: unknown bound")
             elif not _is_int(val) or val < 0:
                 problems.append(f"bounds.{key}: expected a nonnegative integer")
+            elif val < 1 and key in NONZERO_BOUNDS:
+                problems.append(f"bounds.{key}: must be at least 1")
             else:
                 bounds[key] = val
 

@@ -311,19 +311,15 @@ def _reorder(spec: AlgebraSpec, b: ExpVec, a: ExpVec):
 @lru_cache(maxsize=1024)
 def _merge_vectors(spec: AlgebraSpec, vec: ExpVec) -> tuple[ExpVec, ExpVec]:
     """The vectors (as_left, as_right) of an exponent vector with
-    _merge_exponent(spec, vec, w) = as_left . w and
-    _merge_exponent(spec, w, vec) = w . as_right for every w."""
+    merge(vec, w) = as_left . w and merge(w, vec) = w . as_right for every w,
+    where the merge exponent merge(left, right) = sum_{i<j} m_ij left_j
+    right_i is the unsigned twist exponent of merging x^left x^right into
+    x^(left+right).  The PBW engine scales it by ``spec.sign``; the braided
+    symmetric algebras of :mod:`.hopf` negate it."""
     m, n = spec.m, spec.n
     as_left = tuple(sum(m[i][j] * vec[j] for j in range(i + 1, n)) for i in range(n))
     as_right = tuple(sum(m[i][j] * vec[i] for i in range(j)) for j in range(n))
     return as_left, as_right
-
-
-def _merge_exponent(spec: AlgebraSpec, left: ExpVec, right: ExpVec) -> int:
-    """Unsigned twist exponent sum_{i<j} m_ij left_j right_i of merging
-    x^left x^right into x^(left+right).  The PBW engine scales it by
-    ``spec.sign``; the braided symmetric algebras of :mod:`.hopf` negate it."""
-    return sum(map(mul, _merge_vectors(spec, left)[0], right))
 
 
 def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
@@ -332,7 +328,7 @@ def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
 
     ``core(spec, b1, a2)`` expands the middle d^b1 x^a2 as ordered terms
     ((am, bm), c); merging x^a1 x^am and d^bm d^b2 then twists by
-    q^(sign * _merge_exponent).  The PBW engine passes its rewriting kernel
+    q^(sign * merge exponent).  The PBW engine passes its rewriting kernel
     and ``spec.sign``; :mod:`.hopf` passes -1 with the braiding as core for
     its braided tensor square, and with its smash-product core for the
     Heisenberg double.

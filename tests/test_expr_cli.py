@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -207,6 +208,8 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
         (["l"], "3", "l: expected an integer"),
         (["reps", 0, 0, "b"], 5, "reps[0][0]: b must be a list"),
         (["bounds", "degree_bound"], True, "bounds.degree_bound: expected a nonnegative integer"),
+        (["bounds", "degree_bound"], 0, "bounds.degree_bound: must be at least 1"),
+        (["bounds", "random_cases"], 0, "bounds.random_cases: must be at least 1"),
         (["reps", 0, 0, "lambda"], "0", "reps[0][0].lambda: must be nonzero"),
         (
             ["reps", 0, 0, "b"],
@@ -224,6 +227,8 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
         "l-string",
         "b-int",
         "bound-bool",
+        "degree-bound-zero",
+        "random-cases-zero",
         "lambda-zero",
         "b-entry-generator",
         "mu-bad-exponent",
@@ -390,12 +395,13 @@ def test_cli_verify_rejects_an_empty_check_id(tmp_path, capsys, only):
 @pytest.mark.parametrize(
     "argv, stdout",
     [
-        (["verify", "--only", "cover-degree"], "pass    cover-degree\n1 passed, 0 failed, 0 skipped\n"),
+        (["verify", "--only", "cover-degree"], ""),
         (["rep", "build"], ""),
     ],
     ids=["verify", "rep-build"],
 )
 def test_cli_unwritable_out_path_is_an_error(tmp_path, capsys, argv, stdout):
+    # verify tests the path before its first check, so it prints no check line
     out_path = tmp_path / "missing" / "r.json"
     cfg = str(CONFIGS / "n2_l3.json")
     assert main(argv + ["--config", cfg, "--out", str(out_path)]) == 2
@@ -491,3 +497,26 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x1^2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "x1*d1"], ["verify", "--only", "cover-degree"]],
+    ids=["eval", "verify"],
+)
+def test_cli_closed_stdout_is_an_output_error(argv):
+    cfg = str(CONFIGS / "n2_l3.json")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qweylab.cli", *argv, "--config", cfg],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
+    assert "Traceback" not in proc.stderr

@@ -23,8 +23,8 @@ PAIR_TERMS = {((0,), (1,)): q, ((1,), (1,)): QQ_Q.from_int(3)}
 CLASSES = {
     "pbw": (lambda t: PBWElement(S1, t), lambda t: PBWElement(S1.unscaled_twin(), t)),
     "side": (
-        lambda t: SideElement(S1, "x", {k[0]: c for k, c in t.items()}),
-        lambda t: SideElement(S1, "d", {k[0]: c for k, c in t.items()}),
+        lambda t: SideElement(S1, {k[0]: c for k, c in t.items()}),
+        lambda t: SideElement(S1.unscaled_twin(), {k[0]: c for k, c in t.items()}),
     ),
     "double": (lambda t: DoubleElement(S1, t), lambda t: DoubleElement(S1.unscaled_twin(), t)),
     "reduced": (
@@ -73,9 +73,9 @@ def test_multiplying_elements_of_two_algebras_is_an_error(kind):
         u * w
     with pytest.raises(ParameterError):
         w * u
-    # another spec of the same side
+    # a spec of another rank
     if kind == "side":
-        rank2 = SideElement(AlgebraSpec.single_parameter(2, QQ_Q), "x", {(0, 1): q})
+        rank2 = SideElement(AlgebraSpec.single_parameter(2, QQ_Q), {(0, 1): q})
         with pytest.raises(ParameterError):
             u * rank2
 
