@@ -6,25 +6,32 @@ generators, with braiding ``v (x) w -> q^(deg v . M . deg w) w (x) v`` where
 deg(x_i) = e_i and deg(d_i) = -e_i.  The braiding exponent is bilinear, so
 two d-degrees braid as their x-degrees do: both are one braided symmetric
 algebra on exponent vectors, and the sign matters only where a d-degree
-meets an x-degree, in the pairing and the smash product.  Each structure
+meets an x-degree, in the pairing and the smash product.
+
+Every structure map reads M and not the normalization, so the layer works
+in ``spec.unscaled_twin()``, and its caches hold one entry per twin.  An
+element of the braided symmetric algebra is a `PBWElement` of the twin with
+zero d-part: the twin's engine multiplies x^a1 x^a2 into
+q^(-merge(a1, a2)) x^(a1+a2), the product of the algebra.  Each structure
 map is a construction or a closed form, and a check certifies it:
 
-* the products of the algebra and of its braided tensor square: the product
-  kernel ``_ordered_product`` of the PBW engine with the braiding as core;
+* the product of the braided tensor square: the product kernel
+  ``_ordered_product`` of the PBW engine with the braiding as core;
 * the coproduct: constructed, primitive on generators and extended
   multiplicatively in the braided tensor square; certified by the
   coassociativity and counit laws of hopf-axioms;
 * the antipode: closed form; certified by the antipode laws of hopf-axioms,
   since S is the convolution inverse of the identity and so is fixed by
   the coproduct;
-* the pairing of d- with x-monomials: closed form (a braided q-factorial
-  times a twist); certified by double-presentation;
+* the pairing <d^a, x^a> of d- with x-monomials, zero between distinct
+  multidegrees: closed form (a braided q-factorial times a twist);
+  certified by double-presentation;
 * the left regular action and the double product: constructed, the action
   pairs with the second coproduct leg after braiding the legs, and the
   product splits the d-part, braids it past the incoming x-part, acts, and
   multiplies componentwise; certified by double-presentation, which
   compares every smash-product core up to the degree bound with the
-  engine's reordering in the unscaled presentation.
+  engine's reordering in the twin.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .qweyl import (
     AlgebraSpec,
     CheckOutcome,
     ExpVec,
+    PBWElement,
     TermElement,
     _bump,
     _ordered_product,
@@ -63,50 +71,12 @@ def _braid_core(spec: AlgebraSpec, b: ExpVec, c: ExpVec):
     return (((c, b), spec.q_power(braid_exponent(spec, b, c))),)
 
 
-class SideElement(TermElement):
-    """Element of the braided symmetric algebra (terms: exponent -> scalar).
-
-    It multiplies as its embedding u -> u (x) 1 into the braided tensor
-    square, so only the merge twists act."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: AlgebraSpec, terms: dict[ExpVec, Scalar]):
-        self.spec = spec
-        super().__init__(terms)
-
-    def _meta(self):
-        return (self.spec,)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        if not self._same_algebra(other):
-            return NotImplemented
-        unit = _zero_vec(self.spec.n)
-        terms = _ordered_product(
-            self.spec,
-            {(e, unit): c for e, c in self.terms.items()},
-            {(e, unit): c for e, c in other.terms.items()},
-            _braid_core,
-            -1,
-        )
-        return SideElement(self.spec, {e: c for (e, _), c in terms.items()})
-
-    def __hash__(self):
-        return hash((self.spec, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
-
-
-def side_monomial(spec: AlgebraSpec, exp, coeff=None) -> SideElement:
-    coeff = spec.field.one if coeff is None else coeff
-    return SideElement(spec, {tuple(exp): coeff})
-
-
 @lru_cache(maxsize=None)
 def coproduct(spec: AlgebraSpec, exp: ExpVec):
     """Multiplicative extension of the primitive coproduct on a monomial: the
     product of g (x) 1 + 1 (x) g over the generator factors g of x^exp in
-    order, in the braided tensor square, as a tuple of ((h1, h2), c) terms."""
+    order, in the braided tensor square, as a tuple of ((h1, h2), c) terms
+    with h1 + h2 = exp."""
     f = spec.field
     zero = _zero_vec(spec.n)
     terms = {(zero, zero): f.one}
@@ -117,6 +87,14 @@ def coproduct(spec: AlgebraSpec, exp: ExpVec):
             terms = _ordered_product(spec, terms, gen, _braid_core, -1)
             terms = {k: c for k, c in terms.items() if not c.is_zero()}
     return tuple(terms.items())
+
+
+@lru_cache(maxsize=None)
+def _second_legs(spec: AlgebraSpec, exp: ExpVec) -> dict[ExpVec, tuple[ExpVec, Scalar]]:
+    """The coproduct of x^exp indexed by its second leg, h2 -> (h1, c): the
+    coproduct preserves the multidegree, so h2 fixes h1 = exp - h2.  The
+    cached dict is shared, so callers only read it."""
+    return {h2: (h1, c) for (h1, h2), c in coproduct(spec, exp)}
 
 
 def counit(exp: ExpVec) -> bool:
@@ -137,27 +115,25 @@ def antipode_coeff(spec: AlgebraSpec, exp: ExpVec) -> Scalar:
     return -c if sum(exp) % 2 else c
 
 
-def antipode(u: SideElement) -> SideElement:
-    return u._like({k: c * antipode_coeff(u.spec, k) for k, c in u.terms.items()})
+def antipode(u: PBWElement) -> PBWElement:
+    """S on an element of the braided symmetric algebra."""
+    return u._like({k: c * antipode_coeff(u.spec, k[0]) for k, c in u.terms.items()})
 
 
 @lru_cache(maxsize=None)
-def pairing(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec) -> Scalar:
-    """<d^a, x^a> = prod_i [a_i]_{q^(-m_ii)}! * q^(sum_{p<i} a_p m_pi a_i),
-    and <d^a, x^b> = 0 for a != b.
+def pairing(spec: AlgebraSpec, exp: ExpVec) -> Scalar:
+    """<d^a, x^a> = prod_i [a_i]_{q^(-m_ii)}! * q^(sum_{p<i} a_p m_pi a_i).
 
-    The pairing preserves the lattice multidegree.  Pairing d_i^k with x_i^k
-    through the braided binomial coproduct of x_i^k gives the braided
-    q-factorial, and braiding the d-powers of earlier generators past the
-    x-powers of later ones gives the twist."""
+    The pairing preserves the lattice multidegree, so <d^a, x^b> = 0 for
+    a != b.  Pairing d_i^k with x_i^k through the braided binomial coproduct
+    of x_i^k gives the braided q-factorial, and braiding the d-powers of
+    earlier generators past the x-powers of later ones gives the twist."""
     f = spec.field
-    if dexp != xexp:
-        return f.zero
     m = spec.m
     acc = spec.q_power(
-        sum(ap * m[p][i] * ai for i, ai in enumerate(xexp) for p, ap in enumerate(xexp[:i]))
+        sum(ap * m[p][i] * ai for i, ai in enumerate(exp) for p, ap in enumerate(exp[:i]))
     )
-    for i, a in enumerate(xexp):
+    for i, a in enumerate(exp):
         step = f.zero
         for k in range(a):
             step = step + spec.q_power(-m[i][i] * k)  # [k + 1]_{q^(-m_ii)}
@@ -165,25 +141,27 @@ def pairing(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec) -> Scalar:
     return acc
 
 
-def left_regular_action(spec: AlgebraSpec, dexp: ExpVec, h: SideElement) -> SideElement:
-    """act(f, h) = sum braid^(-1)(h_(1), h_(2)) <f, h_(2)> h_(1).
+def left_regular_action(dexp: ExpVec, h: PBWElement) -> PBWElement:
+    """act(f, h) = sum braid^(-1)(h_(1), h_(2)) <f, h_(2)> h_(1) for f = d^dexp
+    and h in the braided symmetric algebra.
 
-    The middle crossing that moves the paired coproduct leg next to f is the
-    inverse braiding; with the pairing above, this is the unique orientation
-    under which the double reproduces its closed presentation (checked
+    Only the coproduct term of each x^a in h whose second leg is dexp pairs
+    to nonzero, and its first leg a - dexp differs from term to term.  The
+    middle crossing that moves the paired leg next to f is the inverse
+    braiding; with the pairing above, this is the unique orientation under
+    which the double reproduces its closed presentation (checked
     exhaustively by verify_double_presentation).
     """
-    out: dict[ExpVec, Scalar] = {}
-    for hexp, c in h.terms.items():
-        for (h1, h2), cc in coproduct(spec, hexp):
-            p = pairing(spec, dexp, h2)
-            if p.is_zero():
-                continue
-            e = -braid_exponent(spec, h2, h1)
-            v = spec.field.twist(mul_skip_one(mul_skip_one(c, cc), p), e)
-            prev = out.get(h1)
-            out[h1] = v if prev is None else prev + v
-    return SideElement(spec, out)
+    spec = h.spec
+    p = pairing(spec, dexp)
+    out = {}
+    for (hexp, zero), c in h.terms.items():
+        term = _second_legs(spec, hexp).get(dexp)
+        if term is not None:
+            h1, cc = term
+            v = mul_skip_one(mul_skip_one(c, cc), p)
+            out[(h1, zero)] = spec.field.twist(v, -braid_exponent(spec, dexp, h1))
+    return PBWElement(spec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -193,27 +171,29 @@ def left_regular_action(spec: AlgebraSpec, dexp: ExpVec, h: SideElement) -> Side
 
 @lru_cache(maxsize=None)
 def _smash_core(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec):
-    """(1 (x) d^dexp)(x^xexp (x) 1) expanded as ((x-exp, d-exp) -> scalar)."""
+    """(1 (x) d^dexp)(x^xexp (x) 1) expanded as ((x-exp, d-exp) -> scalar)
+    in the double of the unscaled spec."""
     out: dict[tuple[ExpVec, ExpVec], Scalar] = {}
+    x = spec.monomial(xexp, _zero_vec(spec.n))
     for (f1, f2), c in coproduct(spec, dexp):
         e = -braid_exponent(spec, f2, xexp)
-        acted = left_regular_action(spec, f1, side_monomial(spec, xexp))
-        for aexp, ca in acted.terms.items():
-            v = spec.field.twist(mul_skip_one(c, ca), e)
-            key = (aexp, f2)
-            prev = out.get(key)
-            out[key] = v if prev is None else prev + v
-    return tuple((k, v) for k, v in out.items() if not v.is_zero())
+        # f1 fixes both legs of the key, so no two terms meet
+        for (aexp, _), ca in left_regular_action(f1, x).terms.items():
+            out[(aexp, f2)] = spec.field.twist(mul_skip_one(c, ca), e)
+    return tuple(out.items())
 
 
 class DoubleElement(TermElement):
     """Element of the smash product, with the product built from the
-    coproduct/braiding/action composition rather than from any presentation."""
+    coproduct/braiding/action composition rather than from any presentation.
+
+    The double reads M alone, so a spec and its unscaled twin give one
+    algebra, kept under the twin."""
 
     __slots__ = ("spec",)
 
     def __init__(self, spec: AlgebraSpec, terms: dict[tuple[ExpVec, ExpVec], Scalar]):
-        self.spec = spec
+        self.spec = spec.unscaled_twin()
         super().__init__(terms)
 
     def _meta(self):
@@ -271,8 +251,10 @@ def verify_hopf_axioms(spec: AlgebraSpec, degree_bound: int) -> CheckOutcome:
     """Coassociativity, counit and both antipode laws on each monomial up to
     the bound, and bounded pairing nondegeneracy."""
     out = CheckOutcome()
+    spec = spec.unscaled_twin()
     f = spec.field
     n = spec.n
+    zero = _zero_vec(n)
     exps = [e for t in range(degree_bound + 1) for e in exponent_vectors(n, t, total=t)]
     for exp in exps:
         delta = coproduct(spec, exp)
@@ -283,30 +265,23 @@ def verify_hopf_axioms(spec: AlgebraSpec, degree_bound: int) -> CheckOutcome:
         from_right = {u: c for (u, v), c in delta if counit(v)}
         out.record(from_left == from_right == {exp: f.one}, f"counit {exp}")
         # antipode axiom: m (S (x) id) Delta = eta eps = m (id (x) S) Delta
-        acc1 = acc2 = SideElement(spec, {})
+        acc1 = acc2 = spec.zero()
         for (u, v), c in delta:
-            su = antipode(side_monomial(spec, u)).scale(c)
-            acc1 = acc1 + (su * side_monomial(spec, v))
-            sv = antipode(side_monomial(spec, v))
-            acc2 = acc2 + (side_monomial(spec, u) * sv).scale(c)
-        expected = side_monomial(spec, exp) if counit(exp) else SideElement(spec, {})
+            xu, xv = spec.monomial(u, zero, c), spec.monomial(v, zero)
+            acc1 = acc1 + antipode(xu) * xv
+            acc2 = acc2 + xu * antipode(xv)
+        expected = spec.one() if counit(exp) else spec.zero()
         out.record(acc1 == expected, f"antipode-left {exp}")
         out.record(acc2 == expected, f"antipode-right {exp}")
-    # pairing nondegeneracy in bounded degree: the pairing respects the
+    # pairing nondegeneracy in bounded degree: the pairing preserves the
     # multidegree, so the Gram matrix is diagonal; nondegeneracy amounts to
     # each diagonal entry <d^a, x^a> being nonzero.  At a root of unity the
     # q-factorials vanish from exponent l on, so the generic statement is
     # only tested below that threshold there.
-    exp_cap = getattr(spec.field, "l", None)
+    exp_cap = getattr(f, "l", None)
     for a in exps:
-        if exp_cap is not None and any(e >= exp_cap for e in a):
-            continue
-        for c in exponent_vectors(n, sum(a), total=sum(a)):
-            val = pairing(spec, c, a)
-            if c == a:
-                out.record(not val.is_zero(), f"pairing diagonal {a}")
-            else:
-                out.record(val.is_zero(), f"pairing off-diagonal {c},{a}")
+        if exp_cap is None or all(e < exp_cap for e in a):
+            out.record(not pairing(spec, a).is_zero(), f"pairing diagonal {a}")
     return out
 
 
@@ -358,6 +333,6 @@ def verify_double_presentation(spec: AlgebraSpec, degree_bound: int) -> CheckOut
             core = (b1, mono2[0])
             ok = agree.get(core)
             if ok is None:
-                ok = agree[core] = dict(_smash_core(spec, *core)) == dict(_reorder(twin, *core))
+                ok = agree[core] = dict(_smash_core(twin, *core)) == dict(_reorder(twin, *core))
             out.record(ok, "" if ok else f"pair {mono1} * {mono2}")
     return out

@@ -343,6 +343,9 @@ def moment_ideal_reduce(u, datum: ReductionDatum, coord_order=None) -> ReducedEl
     Accepts a PBWElement, LocalizedElement, or ReducedElement; a fraction
     N alpha^-k reduces as N with the alpha shift -k.  A ReducedElement goes
     back through its fraction, so reducing it again is a real round trip.
+    ``coord_order``, a permutation of range(n), is the order in which the
+    mixed pairs x_i d_i are eliminated; the canonical form does not depend
+    on it.
     """
     if isinstance(u, ReducedElement):
         u = u.to_localized()
@@ -353,6 +356,10 @@ def moment_ideal_reduce(u, datum: ReductionDatum, coord_order=None) -> ReducedEl
     spec = u.spec
     if spec.n != datum.torus.n:
         raise ParameterError("algebra rank and torus rank differ")
+    if coord_order is not None:
+        coord_order = tuple(coord_order)
+        if len(coord_order) != spec.n or set(coord_order) != set(range(spec.n)):
+            raise ParameterError(f"coord_order must be a permutation of 0..{spec.n - 1}")
     shift = tuple(-k for k in u.denom)
     return _canonical_form(spec, datum, [(u.numerator, shift)], coord_order)
 

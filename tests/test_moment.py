@@ -187,6 +187,21 @@ def test_reduce_confluence_coord_order():
         assert fwd == bwd
 
 
+@pytest.mark.parametrize("order", [[0, 0], [0], [0, 5]], ids=["repeated", "short", "out_of_range"])
+def test_reduce_refuses_a_coord_order_that_is_not_a_permutation(order):
+    # [0, 0] and [0] returned the non-canonical x2*d2*a1 - x2*d2, and [0, 5]
+    # raised a bare IndexError
+    config = load_config(str(CONFIGS / "generic_q.json"))
+    spec, datum = config.spec, config.datum()
+    u = spec.x(1) * spec.d(1) * spec.x(2) * spec.d(2)
+    assert str(moment_ideal_reduce(u, datum)) == "-a1 + (q^3+1) - q^3*a1^-1"
+    assert moment_ideal_reduce(u, datum, coord_order=reversed(range(2))) == moment_ideal_reduce(
+        u, datum
+    )
+    with pytest.raises(ParameterError, match="coord_order"):
+        moment_ideal_reduce(u, datum, coord_order=order)
+
+
 def test_invariant_monomials():
     monos = invariant_monomials(T21, S2, 2)
     assert ((1, 0), (0, 1)) in monos  # x1 d2

@@ -1,10 +1,10 @@
-"""The shared term-dict base of the four element classes and the one
+"""The shared term-dict base of the three element classes and the one
 exponent-vector enumerator behind every monomial listing."""
 
 import pytest
 
 from qweylab.errors import ParameterError
-from qweylab.hopf import DoubleElement, SideElement
+from qweylab.hopf import DoubleElement
 from qweylab.moment import ReducedElement, ReductionDatum, TorusData, invariant_monomials
 from qweylab.qweyl import AlgebraSpec, PBWElement, exponent_vectors, graded_monomials
 from qweylab.rootofunity import lcenter_monomials
@@ -13,6 +13,8 @@ from qweylab.scalars import make_field
 QQ_Q = make_field("rational_function_q")
 q = QQ_Q.q
 S1 = AlgebraSpec.single_parameter(1, QQ_Q)
+# the double reads M alone, so its other algebra has another M
+S1_M2 = AlgebraSpec.from_rows([[2]], QQ_Q)
 T11 = TorusData.from_rows([[1]])
 ETA2 = ReductionDatum(T11, (QQ_Q.from_int(2),))
 ETA3 = ReductionDatum(T11, (QQ_Q.from_int(3),))
@@ -22,11 +24,7 @@ PAIR_TERMS = {((0,), (1,)): q, ((1,), (1,)): QQ_Q.from_int(3)}
 # (make(terms) -> element, make_other(terms) -> element of another algebra)
 CLASSES = {
     "pbw": (lambda t: PBWElement(S1, t), lambda t: PBWElement(S1.unscaled_twin(), t)),
-    "side": (
-        lambda t: SideElement(S1, {k[0]: c for k, c in t.items()}),
-        lambda t: SideElement(S1.unscaled_twin(), {k[0]: c for k, c in t.items()}),
-    ),
-    "double": (lambda t: DoubleElement(S1, t), lambda t: DoubleElement(S1.unscaled_twin(), t)),
+    "double": (lambda t: DoubleElement(S1, t), lambda t: DoubleElement(S1_M2, t)),
     "reduced": (
         lambda t: ReducedElement(ETA2, S1, {k + ((0,),): c for k, c in t.items()}),
         lambda t: ReducedElement(ETA3, S1, {k + ((0,),): c for k, c in t.items()}),
@@ -62,7 +60,7 @@ def test_adding_elements_of_two_algebras_is_an_error(kind):
 
 
 # the classes with a product, and an element of each of another class
-PRODUCTS = ["pbw", "side", "double"]
+PRODUCTS = ["pbw", "double"]
 
 
 @pytest.mark.parametrize("kind", PRODUCTS)
@@ -74,8 +72,8 @@ def test_multiplying_elements_of_two_algebras_is_an_error(kind):
     with pytest.raises(ParameterError):
         w * u
     # a spec of another rank
-    if kind == "side":
-        rank2 = SideElement(AlgebraSpec.single_parameter(2, QQ_Q), {(0, 1): q})
+    if kind == "double":
+        rank2 = DoubleElement(AlgebraSpec.single_parameter(2, QQ_Q), {((0, 1), (0, 0)): q})
         with pytest.raises(ParameterError):
             u * rank2
 

@@ -147,11 +147,12 @@ def test_n3_l5_reps_and_commutants_stay_sparse(monkeypatch):
     assert max(len(cols) for cols in blocks.values()) <= 125
 
 
-@pytest.mark.parametrize("path, unknowns", [(N3_L5, 64), (N4_L3, 1_296)], ids=["n3_l5", "n4_l3"])
+@pytest.mark.parametrize("path, unknowns", [(N3_L5, 512), (N4_L3, 1_296)], ids=["n3_l5", "n4_l3"])
 def test_center_truncation_acts_by_generators_and_solves_small_blocks(monkeypatch, path, unknowns):
     # only the alpha-invariant monomials are unknowns, not all (B+1)^(2n):
-    # 64 of 4,096 on n3_l5 and 1,296 of 65,536 on n4_l3; each takes the
-    # products g m and m g for the 2n generators g
+    # 512 of 46,656 on n3_l5 (8 alpha-invariant exponent pairs per
+    # coordinate at B = l = 5, cubed) and 1,296 of 65,536 on n4_l3; each
+    # takes the products g m and m g for the 2n generators g
     products, kernels = [], []
     inside = []
     original = PBWElement.__mul__
