@@ -308,14 +308,14 @@ def format_pbw(u: PBWElement) -> str:
 
 
 def format_localized(s: LocalizedElement) -> str:
-    num = format_pbw(s.numerator)
-    if not any(s.denom):
+    """An element of the localization as its lowest-terms fraction N*a^-D."""
+    numerator, denom = s.numerator, s.denom
+    num = format_pbw(numerator)
+    if not any(denom):
         return num
-    den = "*".join(
-        f"a{i + 1}^-{k}" for i, k in enumerate(s.denom) if k
-    )
+    den = "*".join(f"a{i + 1}^-{k}" for i, k in enumerate(denom) if k)
     if num == "1":
         return den
-    if len(s.numerator.terms) > 1:
+    if len(numerator.terms) > 1:
         num = f"({num})"
     return f"{num}*{den}"

@@ -3,28 +3,24 @@ normal forms in the localized algebra modulo the moment left ideal.
 
 The torus data is an n x d integer matrix A embedding a rank-d subtorus; the
 comoment map sends the j-th subtorus coordinate to the product of Euler
-operators alpha_i^(a_ij).  Reduction modulo the left ideal generated by these
-products minus the target point eta rewrites every element into the canonical
-basis x^a d^b alpha^c with min(a_i, b_i) = 0 and the alpha exponent vector a
-canonical coset representative modulo the column lattice of A (column Hermite
-normal form picks the representative; each subtracted lattice vector A t
-contributes the multiplier prod eta_j^(t_j)).  The Hermite normal form is
-computed once per torus (``TorusData.hnf``).
+operators alpha_i^(a_ij).  An element of the localized algebra is already a
+combination of x^a d^b alpha^c with min(a_i, b_i) = 0 (``LocalizedElement``),
+so reduction modulo the left ideal generated by the comoment values minus the
+target point eta is a lattice step: each alpha exponent vector c is reduced
+to a canonical coset representative modulo the column lattice of A (column
+Hermite normal form picks the representative, computed once per torus as
+``TorusData.hnf``), and each subtracted lattice vector A t contributes the
+multiplier prod eta_j^(t_j).
 
-Reduced elements multiply in that basis.  alpha^c q-commutes with every
-monomial, alpha^c w = sigma^c(w) alpha^c for every integer vector c, so the
-product of sum_c U_c alpha^c and sum_c V_c alpha^c is
-sum U_c1 sigma^c1(V_c2) alpha^(c1 + c2).  One reduction kernel takes each
-such PBW numerator with its alpha shift c1 + c2, as it takes a fraction
-N alpha^-k with the shift -k.
+Reduced elements multiply as elements of the localized algebra, and the
+product is reduced by the same lattice step.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from operator import add
+from functools import cached_property, reduce
 
 from .errors import DomainError, ParameterError
 from .exactla import column_hnf, hnf_reduce
@@ -35,14 +31,16 @@ from .qweyl import (
     LocalizedElement,
     PBWElement,
     TermElement,
-    _FILL_STEP,
+    _alpha_table,  # noqa: F401 (the benchmark tracer reads its cache here)
     _bump,
+    _fraction_terms,
     _integer_rows,
-    _sigma_scale,
+    _rescaled,
     _zero_vec,
+    alpha_basis_product,
     graded_monomials,
 )
-from .scalars import Scalar, mul_skip_one
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -128,9 +126,8 @@ def quantum_comoment(
         raise ParameterError("basis must be 'z' or 'u'")
     if len(exponents) != spec.n:
         raise ParameterError("z-exponents must have length n")
-    num = spec.alpha_power(tuple(max(c, 0) for c in exponents))
-    den = tuple(max(-c, 0) for c in exponents)
-    return LocalizedElement(num, den)
+    zero = _zero_vec(spec.n)
+    return LocalizedElement.from_terms(spec, {(zero, zero, exponents): spec.field.one})
 
 
 def classical_moment_eval(p, w, torus: TorusData):
@@ -182,70 +179,6 @@ def verify_moment_identity(torus: TorusData, spec: AlgebraSpec) -> CheckOutcome:
 # Canonical form modulo the moment left ideal
 # ---------------------------------------------------------------------------
 
-AlphaKey = tuple[ExpVec, ExpVec, tuple[int, ...]]  # (a, b, alpha exponents)
-
-
-@lru_cache(maxsize=None)
-def _alpha_table(spec: AlgebraSpec, i: int, r: int, s: int):
-    """x_i^r d_i^s as a combination of x_i^(r-m) d_i^(s-m) alpha_i^k."""
-    f = spec.field
-    if r == 0 or s == 0:
-        return (((r, s, 0), f.one),)
-    # the chain runs down to (r - m, s - m); fill it bottom-up (see _FILL_STEP)
-    m = min(r, s)
-    for t in range(_FILL_STEP, m - 1, _FILL_STEP):
-        _alpha_table(spec, i, r - m + t, s - m + t)
-    e = -spec.m[i][i] * (s - 1)
-    below = _alpha_table(spec, i, r - 1, s - 1)
-    out: dict[tuple[int, int, int], Scalar] = {}
-    for (rr, ss, k), c in below:
-        # x^r d^s = q^-(s-1) x^(r-1) d^(s-1) alpha - x^(r-1) d^(s-1)
-        key, v = (rr, ss, k + 1), f.twist(c, e)
-        prev = out.get(key)
-        out[key] = v if prev is None else prev + v
-        key = (rr, ss, k)
-        prev = out.get(key)
-        out[key] = -c if prev is None else prev - c
-    return tuple((k, c) for k, c in out.items() if not c.is_zero())
-
-
-@lru_cache(maxsize=512)
-def _alpha_form_terms(spec: AlgebraSpec, a: ExpVec, b: ExpVec, order: tuple[int, ...]):
-    """Expansion of x^a d^b over the basis x^a' d^b' alpha^c, min(a'_i,b'_i)=0,
-    as a tuple of (key, coefficient) items.
-
-    The coordinates are eliminated in the given order, which is part of the
-    cache key, so tests and the confluence law can confirm that the result
-    does not depend on it.
-    """
-    n = spec.n
-    f = spec.field
-    terms: dict[AlphaKey, Scalar] = {(a, b, _zero_vec(n)): f.one}
-    for i in order:
-        nxt: dict[AlphaKey, Scalar] = {}
-        for (aa, bb, cc), coeff in terms.items():
-            m = min(aa[i], bb[i])
-            if m == 0:
-                key = (aa, bb, cc)
-                prev = nxt.get(key)
-                nxt[key] = coeff if prev is None else prev + coeff
-                continue
-            # twist from commuting the i-block together and back
-            e = -sum(spec.m[i][j] * aa[j] * m for j in range(i + 1, n))
-            e -= sum(spec.m[j][i] * bb[j] * m for j in range(i))
-            e *= spec.sign
-            tw = f.twist(coeff, e)
-            # every term of the table is x_i^(r-m) d_i^(s-m) alpha_i^k
-            a_left, b_left = _bump(aa, i, -m), _bump(bb, i, -m)
-            for (_, _, k), c in _alpha_table(spec, i, aa[i], bb[i]):
-                key = (a_left, b_left, _bump(cc, i, k))
-                val = mul_skip_one(tw, c)
-                prev = nxt.get(key)
-                nxt[key] = val if prev is None else prev + val
-        terms = {k: v for k, v in nxt.items() if not v.is_zero()}
-    return tuple(terms.items())
-
-
 class ReducedElement(TermElement):
     """Canonical representative in the quotient by the moment left ideal."""
 
@@ -259,14 +192,6 @@ class ReducedElement(TermElement):
     def _meta(self):
         return (self.datum, self.spec)
 
-    def grading_degree(self):
-        degs = {
-            tuple(p - r for p, r in zip(a, b)) for (a, b, _) in self.terms
-        }
-        if not degs:
-            return _zero_vec(self.spec.n)
-        return next(iter(degs)) if len(degs) == 1 else None
-
     def is_invariant(self) -> bool:
         """True when every term commutes with the comoment values of its datum."""
         return all(
@@ -275,18 +200,8 @@ class ReducedElement(TermElement):
         )
 
     def to_localized(self) -> LocalizedElement:
-        """The Ore fraction N alpha^-D, with D the largest denominator of the
-        terms and N the sum of U_c alpha^(c + D) over the alpha exponents c
-        (`_alpha_parts`): each part is already lifted to the common
-        denominator, as a sum of fractions would lift it."""
-        spec = self.spec
-        denom = [0] * spec.n
-        for _, _, c in self.terms:
-            denom = [max(d, -k) for d, k in zip(denom, c)]
-        num = spec.zero()
-        for c, part in _alpha_parts(self).items():
-            num = num + part * spec.alpha_power(tuple(k + d for k, d in zip(c, denom)))
-        return LocalizedElement(num, denom)
+        """This element in the localized algebra: the same alpha-basis terms."""
+        return LocalizedElement.from_terms(self.spec, dict(self.terms))
 
     def __str__(self):
         from .expr import _format_terms
@@ -296,43 +211,28 @@ class ReducedElement(TermElement):
     __repr__ = __str__
 
 
-def _canonical_form(spec: AlgebraSpec, datum: ReductionDatum, parts, coord_order=None):
-    """Canonical form of the sum of numerator * alpha^shift over the
-    (numerator, shift) pairs in ``parts``, each numerator a PBWElement.
-
-    Mixed pairs x_i d_i are eliminated through alpha_i = 1 + x_i d_i; each
-    alpha exponent vector, shifted, is reduced modulo the column lattice of A,
-    and a subtracted lattice vector A t multiplies by eta^t.  Each shifted
-    vector is reduced once per call, with its multiplier eta^t.
-    """
+def _lattice_reduce(datum: ReductionDatum, spec: AlgebraSpec, terms) -> ReducedElement:
+    """The canonical form of alpha-basis terms: each alpha exponent vector c
+    is reduced modulo the column lattice of A, once per distinct c, and a
+    subtracted lattice vector A t multiplies by eta^t."""
     h, uu, pivots = datum.torus.hnf
-    order = tuple(range(spec.n)) if coord_order is None else tuple(coord_order)
-    # shifted alpha exponents -> (reduced exponents, eta^t or None for t = 0)
+    # alpha exponents -> (reduced exponents, eta^t or None for t = 0)
     reduced: dict[tuple[int, ...], tuple] = {}
-    eta_powers: dict[tuple[int, ...], Scalar] = {}
-    out: dict[AlphaKey, Scalar] = {}
-    for numerator, shift in parts:
-        for (a, b), coeff in numerator.terms.items():
-            for (aa, bb, cc), c2 in _alpha_form_terms(spec, a, b, order):
-                shifted = tuple(map(add, cc, shift))
-                hit = reduced.get(shifted)
-                if hit is None:
-                    red, t = hnf_reduce(shifted, h, uu, pivots)
-                    et = None
-                    if any(t):
-                        et = eta_powers.get(t)
-                        if et is None:
-                            et = eta_powers[t] = reduce(
-                                operator.mul, (e**tj for e, tj in zip(datum.eta, t) if tj)
-                            )
-                    hit = reduced[shifted] = (red, et)
-                red, et = hit
-                mult = mul_skip_one(coeff, c2)
-                if et is not None:
-                    mult = mult * et
-                key = (aa, bb, red)
-                prev = out.get(key)
-                out[key] = mult if prev is None else prev + mult
+    out = {}
+    for (a, b, c), coeff in terms.items():
+        hit = reduced.get(c)
+        if hit is None:
+            red, t = hnf_reduce(c, h, uu, pivots)
+            et = None
+            if any(t):
+                et = reduce(operator.mul, (e**tj for e, tj in zip(datum.eta, t) if tj))
+            hit = reduced[c] = (red, et)
+        red, et = hit
+        if et is not None:
+            coeff = coeff * et
+        key = (a, b, red)
+        prev = out.get(key)
+        out[key] = coeff if prev is None else prev + coeff
     return ReducedElement(datum, spec, out)
 
 
@@ -340,18 +240,14 @@ def moment_ideal_reduce(u, datum: ReductionDatum, coord_order=None) -> ReducedEl
     """Canonical form of u modulo the left ideal generated by the comoment
     values minus eta.
 
-    Accepts a PBWElement, LocalizedElement, or ReducedElement; a fraction
-    N alpha^-k reduces as N with the alpha shift -k.  A ReducedElement goes
-    back through its fraction, so reducing it again is a real round trip.
-    ``coord_order``, a permutation of range(n), is the order in which the
-    mixed pairs x_i d_i are eliminated; the canonical form does not depend
-    on it.
+    Accepts a PBWElement, LocalizedElement, or ReducedElement.  A
+    ReducedElement goes back through its PBW fraction, so reducing it again
+    is a real round trip.  ``coord_order``, a permutation of range(n), is the
+    order in which the mixed pairs x_i d_i of the PBW fraction are
+    eliminated; when it is given, a LocalizedElement is converted again from
+    its fraction in that order.  The canonical form does not depend on it.
     """
-    if isinstance(u, ReducedElement):
-        u = u.to_localized()
-    if isinstance(u, PBWElement):
-        u = LocalizedElement.from_pbw(u)
-    if not isinstance(u, LocalizedElement):
+    if not isinstance(u, (PBWElement, LocalizedElement, ReducedElement)):
         raise ParameterError("reduce takes a PBW, localized, or reduced element")
     spec = u.spec
     if spec.n != datum.torus.n:
@@ -360,8 +256,15 @@ def moment_ideal_reduce(u, datum: ReductionDatum, coord_order=None) -> ReducedEl
         coord_order = tuple(coord_order)
         if len(coord_order) != spec.n or set(coord_order) != set(range(spec.n)):
             raise ParameterError(f"coord_order must be a permutation of 0..{spec.n - 1}")
-    shift = tuple(-k for k in u.denom)
-    return _canonical_form(spec, datum, [(u.numerator, shift)], coord_order)
+    order = tuple(range(spec.n)) if coord_order is None else coord_order
+    if isinstance(u, PBWElement):
+        terms = _fraction_terms(_rescaled(spec), u, _zero_vec(spec.n), order)
+    elif isinstance(u, ReducedElement) or coord_order is not None:
+        u = u.to_localized() if isinstance(u, ReducedElement) else u
+        terms = _fraction_terms(spec, u.numerator, u.denom, order)
+    else:
+        terms = u.terms
+    return _lattice_reduce(datum, spec, terms)
 
 
 def invariant_monomials(torus: TorusData, spec: AlgebraSpec, degree_bound: int):
@@ -378,23 +281,14 @@ def invariant_monomials(torus: TorusData, spec: AlgebraSpec, degree_bound: int):
     )
 
 
-def _alpha_parts(u: ReducedElement) -> dict[tuple[int, ...], PBWElement]:
-    """u as the sum of U_c alpha^c: its PBW numerator U_c for each alpha exponent c."""
-    parts: dict[tuple[int, ...], dict] = {}
-    for (a, b, c), coeff in u.terms.items():
-        parts.setdefault(c, {})[(a, b)] = coeff
-    return {c: PBWElement(u.spec, terms) for c, terms in parts.items()}
-
-
 def reduced_product(
     u: ReducedElement, v: ReducedElement, datum: ReductionDatum
 ) -> ReducedElement:
     """Multiply two invariant canonical representatives and re-reduce.
 
     Both must be reduced under this datum and over one spec.  The product is
-    taken in the alpha basis: alpha^c w = sigma^c(w) alpha^c for every integer
-    vector c, so u v = sum U_c1 sigma^c1(V_c2) alpha^(c1 + c2), and each
-    numerator is reduced with its alpha shift c1 + c2."""
+    the one of the localized algebra, taken on the alpha-basis terms, and it
+    is reduced by the lattice step."""
     if u.datum != datum or v.datum != datum:
         raise ParameterError("reduced_product needs elements reduced under its datum")
     if u.spec != v.spec:
@@ -402,14 +296,4 @@ def reduced_product(
     for w in (u, v):
         if not w.is_invariant():
             raise ParameterError("reduced_product needs invariant inputs")
-    spec = u.spec
-    v_parts = _alpha_parts(v)
-    return _canonical_form(
-        spec,
-        datum,
-        (
-            (uc1 * _sigma_scale(spec, vc2, c1), tuple(p + r for p, r in zip(c1, c2)))
-            for c1, uc1 in _alpha_parts(u).items()
-            for c2, vc2 in v_parts.items()
-        ),
-    )
+    return _lattice_reduce(datum, u.spec, alpha_basis_product(u.spec, u.terms, v.terms))

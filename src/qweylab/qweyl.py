@@ -19,9 +19,12 @@ unscaled::
 
 Elements are stored in the canonical basis x_1^a1 .. x_n^an d_1^b1 .. d_n^bn.
 In the rescaled normalization the Euler operators ``alpha_i = 1 + x_i d_i``
-q-commute with every generator, which makes the set of their products an Ore
-set; :class:`LocalizedElement` models fractions with denominators of the form
-``alpha_1^k1 .. alpha_n^kn`` kept on the right.
+q-commute with every generator, alpha^c w = sigma^c(w) alpha^c, which makes
+the set of their products an Ore set.  The localization at it has the basis
+x^a d^b alpha^c with min(a_i, b_i) = 0 and c in Z^n (a generalized Weyl
+algebra basis), and :class:`LocalizedElement` is a term dict over it.  A
+fraction N alpha^-k is converted into it once, and it prints as its
+lowest-terms fraction.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import product
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import ParameterError
 from .scalars import Field, Scalar, binary_power, mul_skip_one
@@ -409,7 +412,7 @@ class TermElement:
         for k, c in other.terms.items():
             prev = out.get(k)
             out[k] = c if prev is None else prev + c
-        return type(self)(*self._meta(), out)
+        return self._like({k: c for k, c in out.items() if not c.is_zero()})
 
     __radd__ = __add__
 
@@ -421,6 +424,9 @@ class TermElement:
         if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def scale(self, c: Scalar | int):
         """c times this element, for a scalar or an int c."""
@@ -445,6 +451,14 @@ class TermElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def grading_degree(self) -> ExpVec | None:
+        """Common value of a - b over the terms, whose keys begin with the
+        monomial x^a d^b, or None if inhomogeneous."""
+        degs = {tuple(map(sub, key[0], key[1])) for key in self.terms}
+        if not degs:
+            return _zero_vec(self.spec.n)
+        return next(iter(degs)) if len(degs) == 1 else None
+
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
@@ -466,9 +480,6 @@ class PBWElement(TermElement):
             return self.spec.scalar_element(other)
         return other
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
@@ -485,15 +496,6 @@ class PBWElement(TermElement):
 
     def __hash__(self):
         return hash((self.spec, tuple(sorted(self.terms))))
-
-    def grading_degree(self) -> ExpVec | None:
-        """Common value of a - b over all terms, or None if inhomogeneous."""
-        if not self.terms:
-            return _zero_vec(self.spec.n)
-        degs = {tuple(p - r for p, r in zip(a, b)) for (a, b) in self.terms}
-        if len(degs) == 1:
-            return next(iter(degs))
-        return None
 
     def __str__(self):
         from .expr import format_pbw
@@ -518,92 +520,208 @@ def normal_form(factors, spec: AlgebraSpec) -> PBWElement:
 # Localization at the Euler operators
 # ---------------------------------------------------------------------------
 
+AlphaKey = tuple[ExpVec, ExpVec, tuple[int, ...]]  # (a, b, alpha exponents)
 
-def _sigma_scale(spec: AlgebraSpec, u: PBWElement, k: ExpVec) -> PBWElement:
-    """Apply sigma^k, the diagonal twist with sigma_i(x_j) = q_ii^(delta_ij) x_j."""
-    if not any(k):
-        return u
-    out = {}
+
+@lru_cache(maxsize=None)
+def _alpha_table(spec: AlgebraSpec, i: int, r: int, s: int):
+    """x_i^r d_i^s as a combination of x_i^(r-m) d_i^(s-m) alpha_i^k."""
+    f = spec.field
+    if r == 0 or s == 0:
+        return (((r, s, 0), f.one),)
+    # the chain runs down to (r - m, s - m); fill it bottom-up (see _FILL_STEP)
+    m = min(r, s)
+    for t in range(_FILL_STEP, m - 1, _FILL_STEP):
+        _alpha_table(spec, i, r - m + t, s - m + t)
+    e = -spec.m[i][i] * (s - 1)
+    below = _alpha_table(spec, i, r - 1, s - 1)
+    out: dict[tuple[int, int, int], Scalar] = {}
+    for (rr, ss, k), c in below:
+        # x^r d^s = q^-(s-1) x^(r-1) d^(s-1) alpha - x^(r-1) d^(s-1)
+        key, v = (rr, ss, k + 1), f.twist(c, e)
+        prev = out.get(key)
+        out[key] = v if prev is None else prev + v
+        key = (rr, ss, k)
+        prev = out.get(key)
+        out[key] = -c if prev is None else prev - c
+    return tuple((k, c) for k, c in out.items() if not c.is_zero())
+
+
+@lru_cache(maxsize=512)
+def _alpha_form_terms(spec: AlgebraSpec, a: ExpVec, b: ExpVec, order: tuple[int, ...]):
+    """Expansion of x^a d^b over the basis x^a' d^b' alpha^c, min(a'_i,b'_i)=0,
+    as a tuple of (key, coefficient) items.
+
+    The coordinates are eliminated in the given order, which is part of the
+    cache key, so tests and the confluence law can confirm that the result
+    does not depend on it.
+    """
+    n = spec.n
+    f = spec.field
+    terms: dict[AlphaKey, Scalar] = {(a, b, _zero_vec(n)): f.one}
+    for i in order:
+        nxt: dict[AlphaKey, Scalar] = {}
+        for (aa, bb, cc), coeff in terms.items():
+            m = min(aa[i], bb[i])
+            if m == 0:
+                key = (aa, bb, cc)
+                prev = nxt.get(key)
+                nxt[key] = coeff if prev is None else prev + coeff
+                continue
+            # twist from commuting the i-block together and back
+            e = -sum(spec.m[i][j] * aa[j] * m for j in range(i + 1, n))
+            e -= sum(spec.m[j][i] * bb[j] * m for j in range(i))
+            e *= spec.sign
+            tw = f.twist(coeff, e)
+            # every term of the table is x_i^(r-m) d_i^(s-m) alpha_i^k
+            a_left, b_left = _bump(aa, i, -m), _bump(bb, i, -m)
+            for (_, _, k), c in _alpha_table(spec, i, aa[i], bb[i]):
+                key = (a_left, b_left, _bump(cc, i, k))
+                val = mul_skip_one(tw, c)
+                prev = nxt.get(key)
+                nxt[key] = val if prev is None else prev + val
+        terms = {k: v for k, v in nxt.items() if not v.is_zero()}
+    return tuple(terms.items())
+
+
+def _fraction_terms(spec: AlgebraSpec, numerator: PBWElement, denom: ExpVec, order):
+    """The alpha-basis terms of the fraction numerator * alpha^-denom: the
+    alpha form of each numerator term, its alpha exponents shifted by -denom."""
+    out: dict[AlphaKey, Scalar] = {}
+    for (a, b), coeff in numerator.terms.items():
+        for (aa, bb, cc), c in _alpha_form_terms(spec, a, b, order):
+            key = (aa, bb, tuple(map(sub, cc, denom)))
+            val = mul_skip_one(coeff, c)
+            prev = out.get(key)
+            out[key] = val if prev is None else prev + val
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _alpha_product(spec: AlgebraSpec, left: Monomial, right: Monomial):
+    """The structure constants of the alpha basis: the engine product of two
+    monomials x^a d^b in alpha form, as (key, coefficient) items."""
+    product = PBWElement(spec, {left: spec.field.one}) * PBWElement(spec, {right: spec.field.one})
+    terms = _fraction_terms(spec, product, _zero_vec(spec.n), tuple(range(spec.n)))
+    return tuple((k, c) for k, c in terms.items() if not c.is_zero())
+
+
+def alpha_basis_product(spec: AlgebraSpec, left, right) -> dict:
+    """The product of two alpha-basis term dicts, zero coefficients dropped.
+
+    (x^a1 d^b1 alpha^c1)(x^a2 d^b2 alpha^c2) =
+    q^(c1 . weight(a2 - b2)) (x^a1 d^b1 x^a2 d^b2) alpha^(c1 + c2), with
+    the middle product read from the structure constants."""
     twist = spec.field.twist
-    for (a, b), c in u.terms.items():
-        w = spec.weight(tuple(p - r for p, r in zip(a, b)))
-        out[(a, b)] = twist(c, sum(ki * wi for ki, wi in zip(k, w)))
-    return PBWElement(spec, out)
+    out: dict[AlphaKey, Scalar] = {}
+    rights = [
+        ((a2, b2), c2, v, spec.weight(tuple(map(sub, a2, b2))))
+        for (a2, b2, c2), v in right.items()
+    ]
+    for (a1, b1, c1), u in left.items():
+        for m2, c2, v, w2 in rights:
+            uv = mul_skip_one(u, v)
+            e = sum(map(mul, c1, w2))
+            if e:
+                uv = twist(uv, e)
+            c12 = tuple(map(add, c1, c2))
+            for (a, b, c), s in _alpha_product(spec, (a1, b1), m2):
+                key = (a, b, tuple(map(add, c, c12)))
+                val = mul_skip_one(uv, s)
+                prev = out.get(key)
+                out[key] = val if prev is None else prev + val
+    return {k: c for k, c in out.items() if not c.is_zero()}
 
 
-class LocalizedElement:
-    """A fraction u * alpha_1^-k1 .. alpha_n^-kn with the denominator on the right."""
+def _rescaled(spec: AlgebraSpec) -> AlgebraSpec:
+    if not spec.rescaled:
+        raise ParameterError("Euler-operator localization requires the rescaled normalization")
+    return spec
 
-    __slots__ = ("numerator", "denom")
+
+class LocalizedElement(TermElement):
+    """An element of the localization at the Euler operators, as a term dict
+    over the alpha basis: keys (a, b, c) for x^a d^b alpha^c with
+    min(a_i, b_i) = 0 and c in Z^n.
+
+    ``LocalizedElement(numerator, denom)`` is the fraction
+    numerator * alpha^-denom; ``numerator`` and ``denom`` give it back in
+    lowest terms.
+    """
+
+    __slots__ = ("spec",)
 
     def __init__(self, numerator: PBWElement, denom):
-        if not numerator.spec.rescaled:
-            raise ParameterError(
-                "Euler-operator localization requires the rescaled normalization"
-            )
+        spec = _rescaled(numerator.spec)
         denom = tuple(denom)
-        if len(denom) != numerator.spec.n or any(k < 0 for k in denom):
+        if len(denom) != spec.n or any(k < 0 for k in denom):
             raise ParameterError("denominator exponents must be nonnegative, length n")
-        self.numerator = numerator
-        self.denom = denom
+        self.spec = spec
+        super().__init__(_fraction_terms(spec, numerator, denom, tuple(range(spec.n))))
 
-    @property
-    def spec(self) -> AlgebraSpec:
-        return self.numerator.spec
-
-    def _operand(self, other) -> LocalizedElement:
-        """A scalar, PBW or localized operand as a fraction of this algebra."""
-        if isinstance(other, (int, Scalar)):
-            other = self.spec.scalar_element(other)
-        if isinstance(other, PBWElement):
-            other = LocalizedElement.from_pbw(other)
-        if self.spec != other.spec:
-            raise ParameterError("elements from different algebras")
-        return other
+    @staticmethod
+    def from_terms(spec: AlgebraSpec, terms) -> LocalizedElement:
+        """The element with the given alpha-basis terms, whose coefficients
+        are known to be nonzero."""
+        out = LocalizedElement.__new__(LocalizedElement)
+        out.spec = _rescaled(spec)
+        out.terms = terms
+        return out
 
     @staticmethod
     def from_pbw(u: PBWElement) -> LocalizedElement:
         return LocalizedElement(u, _zero_vec(u.spec.n))
 
+    def _meta(self):
+        return (self.spec,)
+
+    def _like(self, terms):
+        return LocalizedElement.from_terms(self.spec, terms)
+
+    def _operand(self, other):
+        """A scalar or PBW operand as an element of the localization."""
+        if isinstance(other, (int, Scalar)):
+            other = self.spec.scalar_element(other)
+        if isinstance(other, PBWElement):
+            other = LocalizedElement.from_pbw(other)
+        return other
+
+    @property
+    def denom(self) -> ExpVec:
+        """The least denominator D: max(0, -c_i) over the terms, per coordinate."""
+        out = _zero_vec(self.spec.n)
+        for _, _, c in self.terms:
+            out = tuple(max(d, -k) for d, k in zip(out, c))
+        return out
+
+    @property
+    def numerator(self) -> PBWElement:
+        """The N with N alpha^-D equal to this element, D = ``denom``: the sum
+        over the distinct alpha exponents c of U_c alpha^(c + D), where U_c
+        collects the monomials of the terms with exponent c."""
+        spec, denom = self.spec, self.denom
+        parts: dict[tuple[int, ...], dict] = {}
+        for (a, b, c), coeff in self.terms.items():
+            parts.setdefault(c, {})[(a, b)] = coeff
+        out = spec.zero()
+        for c, terms in parts.items():
+            lift = tuple(map(add, c, denom))
+            part = PBWElement(spec, terms)
+            out = out + (part * spec.alpha_power(lift) if any(lift) else part)
+        return out
+
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
-            return LocalizedElement(self.numerator.scale(other), self.denom)
+            return self.scale(other)
         other = self._operand(other)
-        neg_k = tuple(-k for k in self.denom)
-        twisted = _sigma_scale(self.spec, other.numerator, neg_k)
-        num = self.numerator * twisted
-        den = tuple(p + r for p, r in zip(self.denom, other.denom))
-        return LocalizedElement(num, den)
+        if not self._same_algebra(other):
+            return NotImplemented
+        return self._like(alpha_basis_product(self.spec, self.terms, other.terms))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return LocalizedElement(self.numerator.scale(other), self.denom)
         if isinstance(other, PBWElement):
             return LocalizedElement.from_pbw(other) * self
-        return NotImplemented
-
-    def _with_denominator(self, target) -> PBWElement:
-        lift = tuple(t - k for t, k in zip(target, self.denom))
-        if not any(lift):
-            return self.numerator
-        return self.numerator * self.spec.alpha_power(lift)
-
-    def __add__(self, other):
-        other = self._operand(other)
-        target = tuple(max(p, r) for p, r in zip(self.denom, other.denom))
-        num = self._with_denominator(target) + other._with_denominator(target)
-        return LocalizedElement(num, target)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LocalizedElement(-self.numerator, self.denom)
-
-    def __sub__(self, other):
-        return self + (-self._operand(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return super().__rmul__(other)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -611,21 +729,8 @@ class LocalizedElement:
         return binary_power(self, e, LocalizedElement.from_pbw(self.spec.one()))
 
     def equals(self, other) -> bool:
-        """Ore-fraction equality by comparison over a common denominator."""
-        other = self._operand(other)
-        target = tuple(max(p, r) for p, r in zip(self.denom, other.denom))
-        return self._with_denominator(target) == other._with_denominator(target)
-
-    __eq__ = equals
-
-    def __hash__(self):
-        raise TypeError("LocalizedElement is unhashable; compare with equals()")
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def grading_degree(self) -> ExpVec | None:
-        return self.numerator.grading_degree()
+        """Equality in the localization: the alpha-basis terms agree."""
+        return self == other
 
     def __str__(self):
         from .expr import format_localized

@@ -4,7 +4,7 @@ from pathlib import Path
 
 from qweylab.config import parse_config
 from qweylab.moment import invariant_monomials, moment_ideal_reduce
-from qweylab.qweyl import AlgebraSpec, LocalizedElement
+from qweylab.qweyl import AlgebraSpec, LocalizedElement, PBWElement
 from qweylab.scalars import make_field
 
 QQ_Q = make_field("rational_function_q")
@@ -65,10 +65,58 @@ def random_element(rng: random.Random, spec, max_degree=3, max_terms=3):
     return out
 
 
+# The Ore arithmetic of fractions N alpha^-k, kept as (N, k) with N a
+# PBWElement: the reference for the alpha-basis arithmetic of
+# LocalizedElement.
+
+
+def sigma_scale(spec, u, k):
+    """sigma^k(u), the diagonal twist with sigma_i(x_j) = q_ii^(delta_ij) x_j."""
+    terms = {}
+    for (a, b), c in u.terms.items():
+        w = spec.weight(tuple(p - r for p, r in zip(a, b)))
+        terms[(a, b)] = spec.field.twist(c, sum(ki * wi for ki, wi in zip(k, w)))
+    return PBWElement(spec, terms)
+
+
+def ore_product(f, g):
+    """(N1 alpha^-k1)(N2 alpha^-k2) = N1 sigma^(-k1)(N2) alpha^-(k1 + k2)."""
+    (n1, k1), (n2, k2) = f, g
+    twisted = sigma_scale(n1.spec, n2, tuple(-k for k in k1))
+    return n1 * twisted, tuple(p + r for p, r in zip(k1, k2))
+
+
+def ore_lift(f, target):
+    """The fraction f over the denominator alpha^target, target >= its own."""
+    n, k = f
+    return n * n.spec.alpha_power(tuple(t - e for t, e in zip(target, k))), tuple(target)
+
+
+def ore_sum(f, g):
+    """The sum over the common denominator alpha^max(k1, k2)."""
+    target = tuple(max(p, r) for p, r in zip(f[1], g[1]))
+    (n1, _), (n2, _) = ore_lift(f, target), ore_lift(g, target)
+    return n1 + n2, target
+
+
+def ore_equal(f, g) -> bool:
+    """Equality of the numerators over the common denominator."""
+    target = tuple(max(p, r) for p, r in zip(f[1], g[1]))
+    return ore_lift(f, target)[0] == ore_lift(g, target)[0]
+
+
 def round_trip_product(u, v, datum):
     """The reduced product the long way, without its guards: both factors as
-    Ore fractions, their product, then the reduction."""
+    elements of the localized algebra, their product, then the reduction."""
     return moment_ideal_reduce(u.to_localized() * v.to_localized(), datum)
+
+
+def ore_round_trip_product(u, v, datum):
+    """The reduced product through the reference Ore arithmetic: both factors
+    as PBW fractions, their Ore product, then the reduction of that fraction."""
+    fu, fv = u.to_localized(), v.to_localized()
+    product = ore_product((fu.numerator, fu.denom), (fv.numerator, fv.denom))
+    return moment_ideal_reduce(LocalizedElement(*product), datum)
 
 
 def seeded_invariant(rng, spec, datum):

@@ -1,15 +1,25 @@
 """Every function and method the benchmark's tracer wraps must exist under
-the name it uses, so a rename fails here rather than in a traced run.
+the name it uses, so a rename fails here rather than in a traced run; and
+the benchmark's output checker must accept the CLI's outputs.
 
 The tracer's target lists are read from `perfbench/tracer.py` as literals;
-the file is neither imported nor changed.
+the file is neither imported nor changed.  `perfbench/outputs.py` is loaded
+by its path, unchanged.
 """
 
 import ast
 import importlib
+import importlib.util
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+from qweylab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _literals() -> dict:
@@ -59,3 +69,29 @@ def test_scalar_and_eliminator_hooks_resolve():
     for attr in list(HOOKS["SCALAR_TIMED"]) + ["is_zero"]:
         assert attr in vars(Scalar), attr
     assert callable(vars(SparseEliminator)["add"])
+
+
+def _load_outputs():
+    spec = importlib.util.spec_from_file_location("perfbench_outputs", ROOT / "perfbench" / "outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "command, expression",
+    [("eval", "a1^-1*x1 + 2*d2*a2^-2"), ("reduce", "a1^-1*x1*d2 + x2*d1")],
+)
+def test_session_checker_accepts_the_cli_outputs(command, expression):
+    # as the expression session records them: stdout, stripped
+    configs = {name: ROOT / "configs" / f"{name}.json" for name in ("generic_q", "n2_l3")}
+    checker = _load_outputs().SessionChecker(configs)
+    for path in map(str, configs.values()):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main([command, "--config", path, "--", expression]) == 0
+        output = out.getvalue().strip()
+        if command == "eval":
+            assert "^-" in output
+        assert checker.check(command, expression, path, output) is None
+        assert checker.check(command, expression, path, output + " + 1") is not None

@@ -9,6 +9,12 @@ import pytest
 from conftest import (
     NON_UNIFORM,
     VERIFY_QQ,
+    ore_equal,
+    ore_lift,
+    ore_product,
+    ore_round_trip_product,
+    ore_sum,
+    random_element,
     random_skew_matrix,
     round_trip_product,
     seeded_invariant,
@@ -367,12 +373,12 @@ def alpha_power_by_units(spec, c):
 
 
 def localized_by_sum_of_fractions(u):
-    """The Ore fraction of a reduced element as the sum of its terms, each
-    x^a d^b alpha^max(c, 0) over alpha^max(-c, 0)."""
-    out = LocalizedElement.from_pbw(u.spec.zero())
+    """The Ore fraction (N, k) of a reduced element as the sum of its terms,
+    each x^a d^b alpha^max(c, 0) over alpha^max(-c, 0)."""
+    out = (u.spec.zero(), (0,) * u.spec.n)
     for (a, b, c), coeff in u.terms.items():
         num = u.spec.monomial(a, b, coeff) * alpha_power_by_units(u.spec, [max(k, 0) for k in c])
-        out = out + LocalizedElement(num, tuple(max(-k, 0) for k in c))
+        out = ore_sum(out, (num, tuple(max(-k, 0) for k in c)))
     return out
 
 
@@ -389,8 +395,8 @@ def test_alpha_powers_and_fractions_match_products_by_units(name):
         spec.alpha_power((-1,) + (0,) * (spec.n - 1))
     for _ in range(4):
         u = seeded_invariant(rng, spec, datum)
-        got, want = u.to_localized(), localized_by_sum_of_fractions(u)
-        assert (got.numerator, got.denom) == (want.numerator, want.denom)
+        got = u.to_localized()
+        assert (got.numerator, got.denom) == localized_by_sum_of_fractions(u)
 
 
 REFERENCE_CONFIGS = {
@@ -417,9 +423,10 @@ def test_reduced_product_matches_the_fraction_round_trip(name):
     for u, v in zip(elements, elements[1:] + elements[:1]):
         products.append(reduced_product(u, v, datum))
         assert products[-1] == round_trip_product(u, v, datum)
-    # two longer left factors: only two, as the round trip of longer factors
-    # meets large alpha exponents and is slow where A = (1, 2, 1)
-    for uv, w in zip(products[:2], elements[2:]):
+        assert products[-1] == ore_round_trip_product(u, v, datum)
+    # longer left factors: their Ore products meet large alpha exponents and
+    # are slow where A = (1, 2, 1), so only the alpha-basis round trip
+    for uv, w in zip(products, elements[2:] + elements[:2]):
         assert reduced_product(uv, w, datum) == round_trip_product(uv, w, datum)
     # the guards hold on this config too
     u = elements[0]
@@ -433,3 +440,29 @@ def test_reduced_product_matches_the_fraction_round_trip(name):
     outside = moment_ideal_reduce(spec.x(1), datum)
     with pytest.raises(ParameterError, match="invariant"):
         reduced_product(u, outside, datum)
+
+
+def seeded_fraction(rng, spec):
+    """A fraction (N, k) with a seeded numerator and k in {0, 1, 2}^n."""
+    return random_element(rng, spec, 3, 3), tuple(rng.randint(0, 2) for _ in range(spec.n))
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CONFIGS))
+def test_alpha_basis_arithmetic_matches_the_ore_fractions(name):
+    spec = REFERENCE_CONFIGS[name]().spec
+    rng = random.Random(f"ore fractions:{name}")
+    for _ in range(20):
+        f, g = seeded_fraction(rng, spec), seeded_fraction(rng, spec)
+        lf, lg = LocalizedElement(*f), LocalizedElement(*g)
+        assert lf * lg == LocalizedElement(*ore_product(f, g))
+        assert lf + lg == LocalizedElement(*ore_sum(f, g))
+        assert lf - lf == LocalizedElement.from_pbw(spec.zero())
+        # equal fractions over different denominators are one element
+        lifted = ore_lift(f, tuple(k + rng.randint(0, 2) for k in f[1]))
+        assert ore_equal(f, lifted) and lf == LocalizedElement(*lifted)
+        nudged = (f[0] + spec.x(1), f[1])
+        assert not ore_equal(f, nudged) and lf != LocalizedElement(*nudged)
+        assert (lf == lg) == ore_equal(f, g)
+        # numerator and denom give the fraction back, in lowest terms
+        assert ore_equal((lf.numerator, lf.denom), f)
+        assert all(d <= k for d, k in zip(lf.denom, f[1]))
