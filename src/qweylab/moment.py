@@ -81,6 +81,12 @@ class TorusData:
             sum(self.a[i][j] * w[i] for i in range(self.n)) for j in range(self.d)
         )
 
+    def column_parts(self, j: int) -> tuple[ExpVec, ExpVec]:
+        """The positive and negative parts (P, N) of column j of A: the j-th
+        comoment value is the fraction alpha^P alpha^-N."""
+        col = tuple(row[j] for row in self.a)
+        return tuple(max(k, 0) for k in col), tuple(max(-k, 0) for k in col)
+
     def is_invariant(self, spec: AlgebraSpec, degree: ExpVec) -> bool:
         """True when elements of this degree commute with every comoment value."""
         return not any(self.comoment_weights(spec, degree))
@@ -163,14 +169,18 @@ def verify_moment_identity(torus: TorusData, spec: AlgebraSpec) -> CheckOutcome:
                 f"alpha{i} fixes alpha{j}",
             )
     for j in range(torus.d):
-        phi = quantum_comoment([1 if k == j else 0 for k in range(torus.d)], torus, spec, "u")
-        phi_inv = quantum_comoment(
-            [-1 if k == j else 0 for k in range(torus.d)], torus, spec, "u"
-        )
+        # phi_j g phi_j^-1 = q^e g in the localized algebra, and cleared of the
+        # denominators of phi_j = alpha^P alpha^-N in the engine:
+        # alpha^P g alpha^N = q^e alpha^N g alpha^P
+        unit = [1 if k == j else 0 for k in range(torus.d)]
+        phi = quantum_comoment(unit, torus, spec, "u")
+        phi_inv = quantum_comoment([-k for k in unit], torus, spec, "u")
+        ap, an = map(spec.alpha_power, torus.column_parts(j))
         for name, deg, g in gens:
             e = torus.comoment_weights(spec, deg)[j]
-            lhs = phi * g * phi_inv
-            ok = lhs.equals(LocalizedElement.from_pbw(g * spec.q_power(e)))
+            ok = phi * g * phi_inv == LocalizedElement.from_pbw(g).scale(spec.q_power(e))
+            rhs = an * g * ap
+            ok = ok and ap * g * an == (rhs.scale(spec.q_power(e)) if e else rhs)
             out.record(ok, f"u{j+1} comoment conjugates {name}")
     return out
 
@@ -256,14 +266,15 @@ def moment_ideal_reduce(u, datum: ReductionDatum, coord_order=None) -> ReducedEl
         coord_order = tuple(coord_order)
         if len(coord_order) != spec.n or set(coord_order) != set(range(spec.n)):
             raise ParameterError(f"coord_order must be a permutation of 0..{spec.n - 1}")
-    order = tuple(range(spec.n)) if coord_order is None else coord_order
+    if isinstance(u, LocalizedElement) and coord_order is None:
+        return _lattice_reduce(datum, spec, u.terms)
     if isinstance(u, PBWElement):
-        terms = _fraction_terms(_rescaled(spec), u, _zero_vec(spec.n), order)
-    elif isinstance(u, ReducedElement) or coord_order is not None:
-        u = u.to_localized() if isinstance(u, ReducedElement) else u
-        terms = _fraction_terms(spec, u.numerator, u.denom, order)
+        num, den = u, _zero_vec(spec.n)
     else:
-        terms = u.terms
+        u = u.to_localized() if isinstance(u, ReducedElement) else u
+        num, den = u.numerator, u.denom
+    order = tuple(range(spec.n)) if coord_order is None else coord_order
+    terms = _fraction_terms(_rescaled(spec), num, den, order)
     return _lattice_reduce(datum, spec, terms)
 
 

@@ -106,8 +106,10 @@ def ore_equal(f, g) -> bool:
 
 
 def round_trip_product(u, v, datum):
-    """The reduced product the long way, without its guards: both factors as
-    elements of the localized algebra, their product, then the reduction."""
+    """The reduced product without its guards: both factors as elements of
+    the localized algebra, their product, then the reduction.  It runs the
+    alpha-basis product and lattice step of ``reduced_product``, so it is no
+    independent reference; ``ore_round_trip_product`` is."""
     return moment_ideal_reduce(u.to_localized() * v.to_localized(), datum)
 
 

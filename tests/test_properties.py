@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import round_trip_product  # noqa: E402
+from conftest import ore_round_trip_product  # noqa: E402
 from qweylab.config import load_config, parse_config  # noqa: E402
 from qweylab.expr import parse_scalar  # noqa: E402
 from qweylab.moment import invariant_monomials, moment_ideal_reduce, reduced_product  # noqa: E402
@@ -115,6 +115,6 @@ def test_reduced_product_matches_the_fraction_round_trip(name):
     @settings(PROFILE, max_examples=25)
     @given(elements, elements)
     def matches(u, v):
-        assert reduced_product(u, v, datum) == round_trip_product(u, v, datum)
+        assert reduced_product(u, v, datum) == ore_round_trip_product(u, v, datum)
 
     matches()
