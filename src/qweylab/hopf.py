@@ -37,6 +37,7 @@ map is a construction or a closed form, and a check certifies it:
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .errors import ParameterError
 from .qweyl import (
@@ -275,12 +276,12 @@ def verify_hopf_axioms(spec: AlgebraSpec, degree_bound: int) -> CheckOutcome:
         out.record(acc2 == expected, f"antipode-right {exp}")
     # pairing nondegeneracy in bounded degree: the pairing preserves the
     # multidegree, so the Gram matrix is diagonal; nondegeneracy amounts to
-    # each diagonal entry <d^a, x^a> being nonzero.  At a root of unity the
-    # q-factorials vanish from exponent l on, so the generic statement is
-    # only tested below that threshold there.
-    exp_cap = getattr(f, "l", None)
+    # each diagonal entry <d^a, x^a> being nonzero.  At q = zeta_l, [a_i]_Q!
+    # of Q = q^(m_ii) vanishes from the order o_i = l / gcd(m_ii, l) of Q on
+    # (never for o_i = 1), so the statement is only tested below it there.
+    orders = [f.l // gcd(row[i], f.l) for i, row in enumerate(spec.m)] if f.l else []
     for a in exps:
-        if exp_cap is None or all(e < exp_cap for e in a):
+        if all(e < o for e, o in zip(a, orders) if o > 1):
             out.record(not pairing(spec, a).is_zero(), f"pairing diagonal {a}")
     return out
 

@@ -51,11 +51,24 @@ def _bump(vec: ExpVec, i: int, k: int) -> ExpVec:
     return tuple(out)
 
 
-def exponent_vectors(n: int, top: int, step: int = 1, total: int | None = None):
-    """Length-n exponent vectors with entries in range(0, top + 1, step), in
-    lexicographic order; with ``total``, only those whose entries sum to it."""
-    vecs = product(range(0, top + 1, step), repeat=n)
+def exponent_vectors(n: int, top: int, total: int | None = None):
+    """Length-n exponent vectors with entries in 0..top, in lexicographic
+    order; with ``total``, only those whose entries sum to it."""
+    vecs = product(range(top + 1), repeat=n)
     return vecs if total is None else (v for v in vecs if sum(v) == total)
+
+
+def monomials(n: int, bound: int, step: int = 1, keep=None) -> list[Monomial]:
+    """The sorted (a, b) with exponents in step*Z and at most bound whose
+    degree a - b passes keep.  Each is built from its degree d as
+    (d+ + t, d- + t), t = min(a, b), so keep is called once per degree."""
+    top = bound - bound % step
+    return sorted(
+        tuple(zip(*((s + max(e, 0), s - min(e, 0)) for e, s in zip(deg, t))))
+        for deg in product(range(-top, top + 1, step), repeat=n)
+        if keep is None or keep(deg)
+        for t in product(*(range(0, top - abs(e) + 1, step) for e in deg))
+    )
 
 
 def graded_monomials(n: int, bound: int) -> list[Monomial]:
@@ -434,6 +447,8 @@ class TermElement:
             c = self.spec.field.from_int(c)
         if not self.terms or c.is_zero():
             return self._like({})
+        if c == self.spec.field.one:
+            return self._like(dict(self.terms))
         # the coefficient fields have no zero divisors
         return self._like({k: v * c for k, v in self.terms.items()})
 

@@ -21,13 +21,12 @@ monomials only, and `sparse_kernel` splits its commutator rows into forced
 zeros and connected components; commutant unknowns are restricted to the
 weight classes of diagonal matrices the builders record (`commutant_basis`);
 and `verify_lcenter_freeness` forms the l^n products z * x^r of each block
-and counts the keys that their shifts by every d^s give.
+and counts the boxes of keys that their shifts by every d^s fill.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from operator import add, sub
 
 from .errors import DomainError, ParameterError, RelationError
 from .exactla import (
@@ -45,7 +44,7 @@ from .exactla import (
     scalar_of_identity,
     sparse_kernel,
 )
-from .qweyl import AlgebraSpec, CheckOutcome, PBWElement, exponent_vectors
+from .qweyl import AlgebraSpec, CheckOutcome, PBWElement, exponent_vectors, monomials
 from .scalars import CyclotomicField, Scalar, make_field
 
 
@@ -64,12 +63,6 @@ def is_central(u: PBWElement, spec: AlgebraSpec) -> bool:
     return all(g * u == u * g for g in _generators(spec))
 
 
-def lcenter_monomials(n: int, l: int, bound: int):
-    """Monomials x^a d^b with every exponent in {0, l, 2l, ...} and <= bound."""
-    vecs = list(exponent_vectors(n, bound, step=l))
-    return [(a, b) for a in vecs for b in vecs]
-
-
 def centralizer_basis(spec: AlgebraSpec, exponent_bound: int) -> list[PBWElement]:
     """Basis of the centralizer of the generators inside the span of the
     monomials with all exponents <= exponent_bound, by exact kernel
@@ -77,15 +70,16 @@ def centralizer_basis(spec: AlgebraSpec, exponent_bound: int) -> list[PBWElement
     `sparse_kernel` on the system over all of those monomials.
 
     Only the alpha-invariant monomials x^a d^b are unknowns: those with
-    q^w = 1 for every entry w of spec.weight(a - b).  The others are zero in
-    every element of the centralizer.  An element u = sum c_m m that
-    commutes with the generators commutes with alpha_i = 1 + x_i d_i, and in
-    the rescaled normalization alpha_i m = q^(w_i) m alpha_i; so
-    sum c_m (q^(w_i) - 1) m alpha_i = 0.  The algebra is an iterated Ore
-    extension, hence a domain, so c_m (q^(w_i) - 1) = 0 for every m.  Such a
-    column is zero in every kernel vector of the full system, so it is a
-    pivot there; a kept column is a pivot of the filtered system exactly
-    when it is one of the full system, and the kernel vectors agree.
+    q^w = 1 for every entry w of spec.weight(a - b), tested once per degree
+    (`monomials`).  The others are zero in every element of the centralizer.
+    An element u = sum c_m m that commutes with the generators commutes with
+    alpha_i = 1 + x_i d_i, and in the rescaled normalization
+    alpha_i m = q^(w_i) m alpha_i; so sum c_m (q^(w_i) - 1) m alpha_i = 0.
+    The algebra is an iterated Ore extension, hence a domain, so
+    c_m (q^(w_i) - 1) = 0 for every m.  Such a column is zero in every kernel
+    vector of the full system, so it is a pivot there; a kept column is a
+    pivot of the filtered system exactly when it is one of the full system,
+    and the kernel vectors agree.
 
     Each commutator row is g m - m g, formed with the engine's product."""
     if exponent_bound < 0:
@@ -93,13 +87,9 @@ def centralizer_basis(spec: AlgebraSpec, exponent_bound: int) -> list[PBWElement
     if not spec.rescaled:
         raise ParameterError("the centralizer filter needs the rescaled normalization")
     one = spec.field.one
-    vecs = list(exponent_vectors(spec.n, exponent_bound))
-    monos = [
-        (a, b)
-        for a in vecs
-        for b in vecs
-        if all(spec.q_power(w) == one for w in spec.weight(tuple(map(sub, a, b))))
-    ]
+    monos = monomials(
+        spec.n, exponent_bound, keep=lambda d: all(spec.q_power(w) == one for w in spec.weight(d))
+    )
     gens = _generators(spec)
     # rows of the constraint system live in (generator, target monomial) space
     rows: dict[tuple[int, tuple], dict[int, Scalar]] = {}
@@ -127,13 +117,11 @@ def verify_centralizer_is_lcenter(
         raise ParameterError("the l-center lives over a cyclotomic field")
     out = CheckOutcome()
     basis = centralizer_basis(spec, exponent_bound)
-    predicted = lcenter_monomials(spec.n, field.l, exponent_bound)
+    predicted = monomials(spec.n, exponent_bound, step=field.l)
     out.record(len(basis) == len(predicted), "centralizer dimension")
     pred_set = set(predicted)
     for elt in basis:
-        out.record(
-            set(elt.terms) <= pred_set, "centralizer inside the l-th power span"
-        )
+        out.record(set(elt.terms) <= pred_set, "centralizer inside the l-th power span")
         out.record(is_central(elt, spec), "basis element is central")
     # each predicted monomial is itself central, so span equality follows
     # from the dimension count once containment holds
@@ -171,14 +159,14 @@ def verify_lcenter_freeness(spec: AlgebraSpec, blocks=None) -> CheckOutcome:
     residues 0 <= r, s < l are checked to be linearly independent, and the
     union over the given blocks stays independent.
 
-    Only the l^n products z * x^r of each block are formed.  Since x^r d^s
-    is the ordered monomial with coefficient one,
-    z * x^r d^s = (z * x^r) * d^s, and when z * x^r = c x^A d^B this is the
-    single nonzero term c q^e x^A d^(B+s).  A one-term row is a multiple of
-    one basis vector, so the rank of these rows is the number of distinct
-    keys (A, B + s): that count is read per block and for the union.  If
-    some z * x^r has another number of terms, the ranks come from exact
-    elimination of all the products z * x^r d^s instead.
+    Only the l^n heads z * x^r of each block are formed.  Since x^r d^s is
+    the ordered monomial with coefficient one, z * x^r d^s = (z * x^r) * d^s,
+    and when z * x^r = c x^A d^B this is the single term c q^e x^A d^(B+s).
+    One-term rows have the rank of their distinct keys, which fill the boxes
+    (A, B + [0, l)^n); boxes with the same A are disjoint when their B differ
+    by l or more in some coordinate, and then each rank is l^n times the
+    number of distinct heads (A, B).  If some head has another number of
+    terms, or two boxes overlap, the ranks come from exact elimination.
     """
     field = spec.field
     if not isinstance(field, CyclotomicField):
@@ -186,37 +174,33 @@ def verify_lcenter_freeness(spec: AlgebraSpec, blocks=None) -> CheckOutcome:
     l, n = field.l, spec.n
     zero = (0,) * n
     if blocks is None:
-        blocks = [(zero, zero)]
-        for i in range(n):
-            t = [0] * n
-            t[i] = l
-            blocks.append((tuple(t), zero))
-            blocks.append((zero, tuple(t)))
+        units = [tuple(l * (j == i) for j in range(n)) for i in range(n)]
+        blocks = [(zero, zero)] + [z for t in units for z in ((t, zero), (zero, t))]
     out = CheckOutcome()
-    residues = list(exponent_vectors(n, l - 1))
     zs = [spec.monomial(zt, zu) for zt, zu in blocks]
-    heads = [[z * spec.monomial(r, zero) for r in residues] for z in zs]
-    if all(len(head.terms) == 1 for row in heads for head in row):
-        # the d-parts B + s of each distinct B, formed once
-        shifts = {
-            b: [tuple(map(add, b, s)) for s in residues]
-            for row in heads
-            for head in row
-            for _, b in head.terms
-        }
-        keys = [{(a, t) for head in row for a, b in head.terms for t in shifts[b]} for row in heads]
-        counts, union_count = [len(k) for k in keys], len(set().union(*keys))
+    heads = [[z * spec.monomial(r, zero) for r in exponent_vectors(n, l - 1)] for z in zs]
+    keys = [{key for head in row for key in head.terms} for row in heads]
+    d_parts: dict = {}
+    for a, b in set().union(*keys):
+        d_parts.setdefault(a, []).append(b)
+    if all(len(head.terms) == 1 for row in heads for head in row) and all(
+        any(abs(p - r) >= l for p, r in zip(b, c))
+        for bs in d_parts.values()
+        for i, b in enumerate(bs)
+        for c in bs[:i]
+    ):
+        counts = [len(k) * l**n for k in keys]
+        union_count = sum(map(len, d_parts.values())) * l**n
     else:
         index: dict = {}
         union = SparseEliminator(field)
         per_block = [SparseEliminator(field) for _ in blocks]
         for z, elim in zip(zs, per_block):
-            for r in residues:
-                for s in residues:
-                    prod = z * spec.monomial(r, s)
-                    vec = {index.setdefault(key, len(index)): c for key, c in prod.terms.items()}
-                    elim.add(vec)
-                    union.add(vec)
+            for r, s in monomials(n, l - 1):
+                prod = z * spec.monomial(r, s)
+                vec = {index.setdefault(key, len(index)): c for key, c in prod.terms.items()}
+                elim.add(vec)
+                union.add(vec)
         counts, union_count = [elim.rank for elim in per_block], union.rank
     for (zt, zu), count in zip(blocks, counts):
         out.record(count == l ** (2 * n), f"block {zt},{zu} rank {count}")

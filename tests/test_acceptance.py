@@ -17,7 +17,7 @@ from qweylab.moment import (
     moment_ideal_reduce,
     verify_moment_identity,
 )
-from qweylab.qweyl import AlgebraSpec, verify_power_identities
+from qweylab.qweyl import AlgebraSpec, monomials, verify_power_identities
 from qweylab.reduction import (
     compatible_eta_grid,
     reduced_endomorphism_algebra,
@@ -28,7 +28,6 @@ from qweylab.rootofunity import (
     build_irrep,
     build_irrep_rank1,
     centralizer_basis,
-    lcenter_monomials,
     verify_delta_power,
     verify_lcenter_freeness,
 )
@@ -107,13 +106,13 @@ def test_criterion_5_center_truncation():
         basis = centralizer_basis(spec1, 4)
         got = sorted(tuple(sorted(e.terms)) for e in basis)
         expected = sorted(
-            ((key,) for key in lcenter_monomials(1, 3, 4)),
+            ((key,) for key in monomials(1, 4, step=3)),
         )
         assert got == [tuple(k) for k in expected]
         spec2 = AlgebraSpec.single_parameter(2, z3)
         basis2 = centralizer_basis(spec2, 3)
         got2 = sorted(tuple(sorted(e.terms)) for e in basis2)
-        predicted = lcenter_monomials(2, 3, 3)
+        predicted = monomials(2, 3, step=3)
         assert len(predicted) == 16
         assert got2 == sorted(((key,) for key in predicted))
 

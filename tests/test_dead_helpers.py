@@ -95,7 +95,7 @@ def test_guard_flags_an_unused_public_definition(tmp_path):
 
 
 def test_one_enumerator_and_one_hnf_per_torus():
-    # exponent_vectors (qweyl) is the one enumerator over itertools.product
+    # qweyl alone enumerates over itertools.product: exponent_vectors and monomials
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     importers = sorted(
         module

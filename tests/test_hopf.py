@@ -1,4 +1,6 @@
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from qweylab.checks import run_verification_suite
 from qweylab.qweyl import AlgebraSpec, PBWElement, exponent_vectors, graded_monomials
 from qweylab.scalars import make_field
 
+TEST_CONFIGS = Path(__file__).resolve().parent / "configs"
 QQ_Q = make_field("rational_function_q")
 S1 = AlgebraSpec.single_parameter(1, QQ_Q, rescaled=False)
 S2 = AlgebraSpec.single_parameter(2, QQ_Q, rescaled=False)
@@ -110,6 +113,31 @@ def test_hopf_axioms():
     rng = random.Random(31)
     out = verify_hopf_axioms(random_spec(rng, 2, rescaled=False), 3)
     assert out.passed, out.failures[:5]
+
+
+@pytest.mark.parametrize(
+    "spec, orders",
+    [
+        (load_config(str(TEST_CONFIGS / "n1_l9.json")).spec, (3,)),
+        (load_config(str(TEST_CONFIGS / "n2_l15.json")).spec, (3, 5)),
+        (AlgebraSpec(2, ((3, 1), (-1, 2)), False, make_field("cyclotomic", 3)), (1, 3)),
+    ],
+    ids=["n1_l9", "n2_l15", "l_divides_m11"],
+)
+def test_pairing_nondegeneracy_stops_at_the_order_of_q_mii(spec, orders):
+    # [k]_Q! of Q = q^(m_ii) vanishes from the order o_i = l / gcd(m_ii, l)
+    # of Q on, not from l; for o_i = 1 the q-integers are integers and it
+    # never does.  hopf-axioms records <d^a, x^a> != 0 exactly where it
+    # holds; the two configs failed hopf-axioms when the cap was l
+    bound = 4
+    l = spec.field.l
+    assert orders == tuple(l // math.gcd(spec.m[i][i], l) for i in range(spec.n))
+    out = verify_hopf_axioms(spec, bound)
+    assert out.passed, out.failures[:5]
+    exps = [e for e in exponent_vectors(spec.n, bound) if sum(e) <= bound]
+    nonzero = [e for e in exps if not pairing(spec.unscaled_twin(), e).is_zero()]
+    assert out.cases == 4 * len(exps) + len(nonzero)
+    assert nonzero == [e for e in exps if all(a < o for a, o in zip(e, orders) if o > 1)]
 
 
 def test_double_presentation():

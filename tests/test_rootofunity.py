@@ -7,7 +7,7 @@ import pytest
 from qweylab.config import load_config
 from qweylab.errors import DomainError, ParameterError
 from qweylab.exactla import identity, mat_mul, mat_pow, scalar_of_identity, sparse_kernel
-from qweylab.qweyl import AlgebraSpec, exponent_vectors
+from qweylab.qweyl import AlgebraSpec, exponent_vectors, monomials
 from qweylab.rootofunity import (
     azumaya_membership,
     build_irrep,
@@ -17,7 +17,6 @@ from qweylab.rootofunity import (
     commutant_dimension,
     export_rep,
     is_central,
-    lcenter_monomials,
     verify_alpha_spectrum,
     verify_centralizer_is_lcenter,
     verify_delta_power,
@@ -66,7 +65,7 @@ def test_centralizer_basis_n1():
 def test_centralizer_basis_n2():
     out = verify_centralizer_is_lcenter(C3_2, 3)
     assert out.passed, out.failures[:4]
-    assert len(lcenter_monomials(2, 3, 3)) == 16
+    assert len(monomials(2, 3, step=3)) == 16
 
 
 ROOT = Path(__file__).resolve().parent.parent

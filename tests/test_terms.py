@@ -1,14 +1,26 @@
-"""The shared term-dict base of the three element classes and the one
-exponent-vector enumerator behind every monomial listing."""
+"""The shared term-dict base of the three element classes and the two
+monomial enumerators: `monomials` for the box lattices and
+`graded_monomials` for the graded sets."""
+
+from functools import cache
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+from qweylab.config import load_config
 from qweylab.errors import ParameterError
 from qweylab.hopf import DoubleElement
 from qweylab.moment import ReducedElement, ReductionDatum, TorusData, invariant_monomials
-from qweylab.qweyl import AlgebraSpec, PBWElement, exponent_vectors, graded_monomials
-from qweylab.rootofunity import lcenter_monomials
-from qweylab.scalars import make_field
+from qweylab.qweyl import AlgebraSpec, PBWElement, exponent_vectors, graded_monomials, monomials
+from qweylab.scalars import CyclotomicField, make_field
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_PATHS = [
+    path
+    for folder in (ROOT / "configs", ROOT / "perfbench" / "configs", ROOT / "tests" / "configs")
+    for path in sorted(folder.glob("*.json"))
+]
 
 QQ_Q = make_field("rational_function_q")
 q = QQ_Q.q
@@ -128,7 +140,6 @@ def test_graded_monomials_keep_the_recursive_order(n):
 
 
 def test_exponent_vectors_are_lexicographic():
-    assert list(exponent_vectors(2, 4, step=3)) == [(0, 0), (0, 3), (3, 0), (3, 3)]
     assert list(exponent_vectors(3, 2, total=2)) == [
         v for v in _recursive_vecs(3, 2) if sum(v) == 2
     ]
@@ -138,10 +149,8 @@ def test_exponent_vectors_are_lexicographic():
 
 
 def test_monomial_listings_stay_sorted():
-    assert lcenter_monomials(2, 3, 4) == sorted(
-        (a, b)
-        for a in exponent_vectors(2, 4, step=3)
-        for b in exponent_vectors(2, 4, step=3)
+    assert monomials(2, 4, step=3) == sorted(
+        ((a, b) for a in product((0, 3), repeat=2) for b in product((0, 3), repeat=2))
     )
     torus = TorusData.from_rows([[1], [-1]])
     spec = AlgebraSpec.single_parameter(2, QQ_Q)
@@ -151,3 +160,57 @@ def test_monomial_listings_stay_sorted():
         if torus.is_invariant(spec, tuple(p - r for p, r in zip(a, b)))
     )
     assert invariant_monomials(torus, spec, 3) == want
+
+
+def filtered_pairs(n, bound, step=1, keep=None):
+    """Reference for `monomials`: every pair (a, b) of the box, kept when its
+    degree a - b passes keep (each degree decided once)."""
+    vecs = list(product(range(0, bound + 1, step), repeat=n))
+    decide = cache(keep) if keep is not None else (lambda deg: True)
+    return sorted(
+        (a, b) for a in vecs for b in vecs if decide(tuple(p - r for p, r in zip(a, b)))
+    )
+
+
+@pytest.mark.parametrize(
+    "path", CONFIG_PATHS, ids=lambda path: str(path.relative_to(ROOT).with_suffix(""))
+)
+def test_monomials_match_the_filtered_box(path):
+    cfg = load_config(str(path))
+    spec, n = cfg.spec, cfg.spec.n
+    one = spec.field.one
+
+    def alpha_invariant(deg):
+        return all(spec.q_power(w) == one for w in spec.weight(deg))
+
+    bound = cfg.bounds["exponent_bound"]
+    want = filtered_pairs(n, bound, keep=alpha_invariant)
+    assert monomials(n, bound, keep=alpha_invariant) == want
+    if not isinstance(spec.field, CyclotomicField):
+        return
+    l = spec.field.l
+    for bound in range(2 * l + 2):
+        assert monomials(n, bound, step=l) == filtered_pairs(n, bound, step=l)
+    if cfg.torus is not None and cfg.torus.d:
+        # the fiberwise-splitting law keeps the degrees whose comoment
+        # weights are all 0 mod l
+        def weights_vanish_mod_l(deg):
+            return all(w % l == 0 for w in cfg.torus.comoment_weights(spec, deg))
+
+        assert monomials(n, l - 1, keep=weights_vanish_mod_l) == filtered_pairs(
+            n, l - 1, keep=weights_vanish_mod_l
+        )
+
+
+def test_monomials_decide_each_degree_once():
+    seen = []
+
+    def keep(deg):
+        seen.append(deg)
+        return sum(deg) % 4 == 0
+
+    got = monomials(2, 5, step=2, keep=keep)
+    # degrees in {-4, -2, 0, 2, 4}^2, each asked once
+    assert sorted(seen) == sorted(product(range(-4, 5, 2), repeat=2))
+    assert got == filtered_pairs(2, 5, step=2, keep=keep)
+    assert monomials(3, 0) == [((0, 0, 0), (0, 0, 0))]

@@ -4,8 +4,10 @@ Each count is fixed by the algorithm, so an algorithmic regression fails here
 on any machine, however fast.
 """
 
+import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -198,6 +200,83 @@ def test_lcenter_freeness_forms_one_product_per_block_and_x_residue(monkeypatch,
     assert report["summary"]["ok"] and report["summary"]["pass"] == 1
     assert len(products) <= bound
     assert blocks == {}
+
+
+@pytest.mark.parametrize("path, degrees", [(N3_L5, 1_331), (N4_L3, 2_401)], ids=["n3_l5", "n4_l3"])
+def test_centralizer_basis_decides_each_degree_once(monkeypatch, path, degrees):
+    # the alpha-invariance of x^a d^b depends on a - b alone: one weight per
+    # candidate degree, (2B + 1)^n of them, where a test of every pair made
+    # (B + 1)^(2n), 46,656 on n3_l5 and 65,536 on n4_l3
+    cfg = load_config(str(path))
+    bound = cfg.bounds["exponent_bound"]
+    assert degrees == (2 * bound + 1) ** cfg.spec.n
+    weights = []
+    counting(monkeypatch, AlgebraSpec, "weight", weights)
+    assert rootofunity.centralizer_basis(cfg.spec, bound)
+    assert len(weights) <= degrees
+
+
+@pytest.mark.parametrize("path", [N3_L5, N4_L3], ids=["n3_l5", "n4_l3"])
+def test_lcenter_freeness_counts_keys_without_building_them(path):
+    # the keys (A, B + s) filled sets of 109,375 (n3_l5) and 59,049 (n4_l3)
+    # tuples, a peak of 16.4 MB and 11.5 MB
+    spec = load_config(str(path)).spec
+    assert rootofunity.verify_lcenter_freeness(spec).passed
+    tracemalloc.start()
+    try:
+        out = rootofunity.verify_lcenter_freeness(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.passed
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("n, l", [(1, 3), (2, 3), (1, 5)])
+def test_lcenter_freeness_eliminates_when_key_boxes_overlap(monkeypatch, n, l):
+    # a faulty product x^T d^U * x^r d^s = x^T d^(U + r + s) gives one-term
+    # heads z x^r whose d-parts U + r differ by less than l: their key boxes
+    # overlap, so the ranks come from elimination, and they are the number
+    # of distinct keys (T, U + r + s), counted here by brute force
+    spec = AlgebraSpec.single_parameter(n, make_field("cyclotomic", l))
+
+    def faulty(self, other):
+        ((t, u), c), = self.terms.items()
+        ((r, s), c2), = other.terms.items()
+        return PBWElement(self.spec, {(t, tuple(map(sum, zip(u, r, s)))): c * c2})
+
+    monkeypatch.setattr(PBWElement, "__mul__", faulty)
+    blocks = eliminated_blocks(monkeypatch)
+    out = rootofunity.verify_lcenter_freeness(spec)
+    assert blocks
+    residues = list(itertools.product(range(l), repeat=n))
+    zero = (0,) * n
+    units = [tuple(l * (j == i) for j in range(n)) for i in range(n)]
+    zs = [(zero, zero)] + [z for e in units for z in ((e, zero), (zero, e))]
+    keys = [
+        {(t, tuple(map(sum, zip(u, r, s)))) for r in residues for s in residues} for t, u in zs
+    ]
+    full = l ** (2 * n)
+    records = [(len(k) == full, f"block {t},{u} rank {len(k)}") for (t, u), k in zip(zs, keys)]
+    union = len(set().union(*keys))
+    records.append((union == len(zs) * full, f"union of {len(zs)} blocks stays independent"))
+    assert (out.passed, out.cases, out.failures) == (
+        all(ok for ok, _ in records),
+        len(records),
+        [label for ok, label in records if not ok],
+    )
+    assert not out.passed
+
+
+def test_scaling_by_one_forms_no_product(monkeypatch):
+    spec = load_config(str(VERIFY_QQ)).spec
+    u = spec.x(1) * spec.d(2) + spec.x(2).scale(spec.q_power(3))
+    calls = []
+    counting(monkeypatch, Scalar, "__mul__", calls)
+    for one in (1, spec.field.one):
+        v = u.scale(one)
+        assert v == u and v.terms is not u.terms
+    assert calls == []
 
 
 def test_weight_space_is_computed_once_per_point(monkeypatch):
