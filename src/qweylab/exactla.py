@@ -3,9 +3,9 @@
 One sparse format serves every matrix and every linear system.  A `Mat` maps
 a row index to a `Row`, and a `Row` maps a column index to a nonzero scalar;
 zero rows and zero entries are never stored, and an absent row or entry
-reads back as zero (`m[r][c]`).  The products, powers, Kronecker products,
-inverses and matrix-vector products below touch stored entries only, so
-their cost follows the number of nonzeros, not the dimension.  Vectors are
+reads back as zero (`m[r][c]`).  The products, powers, Kronecker products
+and matrix-vector products below touch stored entries only, so their cost
+follows the number of nonzeros, not the dimension.  Vectors are
 plain dicts in the same layout as a row.
 
 Kernels, ranks and spans go through `SparseEliminator`, an incremental
@@ -18,7 +18,7 @@ so every answer is the one that one elimination of the whole system gives.
 
 from __future__ import annotations
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .scalars import Field, Scalar, binary_power
 
 Vec = dict[int, Scalar]
@@ -136,30 +136,6 @@ def mat_eq(a: Mat, b: Mat) -> bool:
 
 def mat_pow(a: Mat, e: int) -> Mat:
     return binary_power(a, e, identity(a.nrows, a.field), mat_mul)
-
-
-def mat_inv(a: Mat) -> Mat:
-    """Gauss-Jordan inverse; DomainError on singular input."""
-    n, f = a.nrows, a.field
-    if a.ncols != n:
-        raise ParameterError("only a square matrix has an inverse")
-    # row r of the augmented matrix [a | Id], identity entries at columns n + r
-    work = [{**a.get(r, {}), n + r: f.one} for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if col in work[r]), None)
-        if piv is None:
-            raise DomainError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = work[col][col].inv()
-        pivot_row = work[col] = {c: v * inv for c, v in work[col].items()}
-        for r in range(n):
-            if r != col and col in work[r]:
-                _add_into(work[r], pivot_row, -work[r][col])
-    # the left half is now the identity; the right half is the inverse
-    inverse = Mat(n, n, f)
-    for r, row in enumerate(work):
-        inverse[r] = Row(f.zero, {c - n: v for c, v in row.items() if c >= n})
-    return inverse
 
 
 def kron(a: Mat, b: Mat) -> Mat:

@@ -417,15 +417,22 @@ class TermElement:
             raise ParameterError("elements from different algebras")
         return True
 
-    def __add__(self, other):
+    def _combine(self, other, subtract: bool):
+        """self + other, or self - other when subtract, in one pass over
+        other's terms; NotImplemented when other is not of this class."""
         other = self._operand(other)
         if not self._same_algebra(other):
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
+            if subtract:
+                c = -c
             prev = out.get(k)
             out[k] = c if prev is None else prev + c
         return self._like({k: c for k, c in out.items() if not c.is_zero()})
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     __radd__ = __add__
 
@@ -433,10 +440,7 @@ class TermElement:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._operand(other)
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other

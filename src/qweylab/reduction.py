@@ -20,7 +20,6 @@ from .exactla import (
     identity,
     mat_add,
     mat_eq,
-    mat_inv,
     mat_mul,
     mat_pow,
     mat_scale,
@@ -30,36 +29,37 @@ from .exactla import (
 )
 from .moment import TorusData
 from .qweyl import CheckOutcome, exponent_vectors
-from .rootofunity import MatrixRep, commutant_basis
+from .rootofunity import MatrixRep, commutant_basis, euler_inverse
 from .scalars import CyclotomicField, Scalar
 
 
 def moment_operators(rep: MatrixRep, torus: TorusData):
     """The d moment operator matrices prod_i (I + X_i Y_i)^(a_ij), their
     central l-th power scalars prod_i (1 + a_i omega_i)^(a_ij), and an exact
-    check that each operator's l-th power is that scalar."""
+    check that each operator's l-th power is that scalar.
+
+    A negative power of alpha_i = I + X_i Y_i is a power of its inverse
+    c_i^-1 alpha_i^(l-1), where c_i = 1 + a_i omega_i (`euler_inverse`)."""
     if torus.n != rep.spec.n:
         raise ParameterError("torus rank and representation rank differ")
     alphas = rep.alpha_matrices()
-    alpha_invs: dict[int, Mat] = {}
+    factors = rep.character.azumaya_factors
 
     def alpha_power(i: int, e: int) -> Mat:
         if e > 0:
             return mat_pow(alphas[i], e)
-        if i not in alpha_invs:
-            try:
-                alpha_invs[i] = mat_inv(alphas[i])
-            except DomainError:
-                raise DomainError(
-                    f"Euler operator {i+1} is singular but A needs its inverse "
-                    "(off the invertible locus)"
-                )
-        return mat_pow(alpha_invs[i], -e)
+        inverse = euler_inverse(alphas[i], factors[i], rep.l)
+        if inverse is None:
+            raise DomainError(
+                f"Euler operator {i+1} is singular but A needs its inverse "
+                "(off the invertible locus)"
+            )
+        return mat_pow(inverse, -e)
 
     ops = list(torus.character(range(rep.spec.n), mat_mul, alpha_power))
     # computed after the inverses above, so that a singular Euler operator
     # raises its own DomainError rather than a division by zero here
-    scalars = list(torus.character(rep.character.azumaya_factors))
+    scalars = list(torus.character(factors))
     for j, (op, scal) in enumerate(zip(ops, scalars)):
         if scalar_of_identity(mat_pow(op, rep.l)) != scal:
             raise DomainError(

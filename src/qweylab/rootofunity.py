@@ -36,7 +36,6 @@ from .exactla import (
     kron,
     mat_add,
     mat_eq,
-    mat_inv,
     mat_mul,
     mat_pow,
     mat_scale,
@@ -229,11 +228,24 @@ class CentralCharacter:
 
 
 def azumaya_membership(character: CentralCharacter) -> bool:
-    """True iff prod_i (1 + a_i omega_i) is nonzero."""
-    out = None
-    for factor in character.azumaya_factors:
-        out = factor if out is None else out * factor
-    return out is None or not out.is_zero()
+    """True iff every factor 1 + a_i omega_i is nonzero.  The fields have no
+    zero divisors, so this holds iff their product is nonzero."""
+    return not any(c.is_zero() for c in character.azumaya_factors)
+
+
+def euler_inverse(alpha: Mat, c: Scalar, l: int) -> Mat | None:
+    """The inverse c^-1 alpha^(l-1) of an Euler operator alpha whose l-th
+    power is c Id, or None when c = 0: then alpha^l = 0, so alpha is singular.
+
+    alpha^l = 1 + x^l d^l is central, so in a representation it is the
+    Azumaya factor c of the character; raises RelationError when
+    alpha alpha^(l-1) is not c Id."""
+    power = mat_pow(alpha, l - 1)
+    if scalar_of_identity(mat_mul(alpha, power)) != c:
+        raise RelationError(f"Euler operator does not have l-th power {c}")
+    if c.is_zero():
+        return None
+    return mat_scale(power, c.inv())
 
 
 @dataclass(frozen=True)
@@ -347,6 +359,11 @@ def build_irrep(slots, l: int) -> MatrixRep:
     """Tensor builder: places rank-1 slot matrices on tensor factors with
     Euler-operator twists on the earlier factors, then verifies everything.
 
+    Slot i's x carries the Euler operators alpha_j of the slots j < i, and its
+    y their inverses alpha_j^-1 = c_j^-1 alpha_j^(l-1), where c_j = 1 + a_j
+    omega_j is slot j's Azumaya factor (`euler_inverse`).  So every slot but
+    the last must lie on the invertible locus, c_j != 0.
+
     Fails loudly (RelationError / DomainError) rather than returning an
     unverified representation.
     """
@@ -359,33 +376,25 @@ def build_irrep(slots, l: int) -> MatrixRep:
             raise ParameterError(f"slot {k+1} is not a rank-1 builder output for l={l}")
     spec = AlgebraSpec.single_parameter(n, field)
     dim = l**n
-    alphas, alpha_invs = [], []
-    for k, rep in enumerate(slots):
-        al = rep.alpha_matrices()[0]
-        alphas.append(al)
-        try:
-            alpha_invs.append(mat_inv(al))
-        except DomainError:
-            raise DomainError(
-                f"slot {k+1} has a singular Euler operator; it cannot carry "
-                "tensor twists (off the invertible locus)"
-            )
     ident = identity(l, field)
     xs, ys = [], []
-    for i in range(n):
-        xmat = ymat = identity(1, field)
-        for j in range(n):
-            if j < i:
-                xmat = kron(xmat, alphas[j])
-                ymat = kron(ymat, alpha_invs[j])
-            elif j == i:
-                xmat = kron(xmat, slots[i].xs[0])
-                ymat = kron(ymat, slots[i].ys[0])
-            else:
-                xmat = kron(xmat, ident)
-                ymat = kron(ymat, ident)
+    # the Kronecker products of alpha_j and of alpha_j^-1 over the slots j < k
+    x_twist = y_twist = identity(1, field)
+    for k, slot in enumerate(slots):
+        xmat, ymat = kron(x_twist, slot.xs[0]), kron(y_twist, slot.ys[0])
+        for _ in range(k + 1, n):
+            xmat, ymat = kron(xmat, ident), kron(ymat, ident)
         xs.append(xmat)
         ys.append(ymat)
+        if k < n - 1:
+            alpha = slot.alpha_matrices()[0]
+            inverse = euler_inverse(alpha, slot.character.azumaya_factors[0], l)
+            if inverse is None:
+                raise DomainError(
+                    f"slot {k+1} has a singular Euler operator; it cannot carry "
+                    "tensor twists (off the invertible locus)"
+                )
+            x_twist, y_twist = kron(x_twist, alpha), kron(y_twist, inverse)
     character = _verify_rep(spec, l, tuple(xs), tuple(ys))
     # With alpha_<i the product of the Euler matrices I + x_j y_j (j < i),
     # which are invertible, I (x) X_i (x) I = alpha_<i^-1 x_i and

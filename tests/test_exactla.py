@@ -11,13 +11,12 @@ import pytest
 
 from qweylab import rootofunity
 from qweylab.config import load_config
-from qweylab.errors import DomainError
+from qweylab.errors import RelationError
 from qweylab.exactla import (
     SparseEliminator,
     identity,
     kron,
     mat_add,
-    mat_inv,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -25,7 +24,13 @@ from qweylab.exactla import (
     sparse_kernel,
 )
 from qweylab.qweyl import AlgebraSpec, PBWElement
-from qweylab.rootofunity import build_irrep_rank1, commutant_basis, verify_lcenter_freeness
+from qweylab.rootofunity import (
+    build_irrep_nilpotent,
+    build_irrep_rank1,
+    commutant_basis,
+    euler_inverse,
+    verify_lcenter_freeness,
+)
 from qweylab.scalars import CyclotomicField, make_field
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -157,25 +162,69 @@ def test_mat_pow_matches_repeated_products(seed):
         want = dense_mat_mul(want, a)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_mat_inv_matches_dense(seed):
-    rng = random.Random(f"inv:{seed}")
-    f = FIELDS[(3, 5, 7)[seed % 3]]
-    n = rng.randint(1, 5)
-    # mostly invertible: a random matrix plus a diagonal, some left singular
-    a = random_dense(rng, f, n, n, 0.5) if seed % 4 == 3 else [
-        [random_scalar(rng, f) if (i == j or rng.random() < 0.3) else f.zero for j in range(n)]
-        for i in range(n)
+def configured_rank1_reps():
+    """(name, rank-1 rep) for every slot of every configured rep."""
+    paths = [
+        path
+        for folder in (CONFIGS, TEST_CONFIGS, BENCH_CONFIGS)
+        for path in sorted(folder.glob("*.json"))
     ]
-    want = dense_inv(a)
-    if want is None:
-        with pytest.raises(DomainError):
-            mat_inv(from_dense(a, f))
-        return
-    got = mat_inv(from_dense(a, f))
-    assert_sparse(got)
-    assert to_dense(got) == want
-    assert mat_mul(from_dense(a, f), got) == identity(n, f)
+    out = []
+    for path in paths:
+        cfg = load_config(str(path))
+        l = cfg.field.l
+        for r, slots in enumerate(cfg.rep_slots):
+            for k, slot in enumerate(slots):
+                rep = build_irrep_nilpotent(l, cfg.field) if slot is None else build_irrep_rank1(*slot, l)
+                out.append((f"{path.stem}[{r}][{k}]", rep))
+    return out
+
+
+def seeded_rank1_reps():
+    """(name, rank-1 rep) for seeded lambda and b at l = 3, 5, 7: on the
+    locus (b_m = mu / lambda_m), with every b_m zero, and with b_m drawn
+    from {0, 1, 2}, which puts some of them off the locus."""
+    out = []
+    for l, f in FIELDS.items():
+        rng = random.Random(f"euler:{l}")
+        for k in range(4):
+            lam = f.from_int(rng.randint(1, 9))
+            mu = f.from_int(rng.randint(1, 9))
+            bs = {
+                "locus": [mu / (lam * f.zeta_power(m)) for m in range(l)],
+                "zero": [f.zero] * l,
+                "drawn": [f.from_int(rng.randint(0, 2)) for _ in range(l)],
+            }
+            for kind, b in bs.items():
+                out.append((f"l{l}-{k}-{kind}", build_irrep_rank1(lam, b, l)))
+    return out
+
+
+def test_euler_inverse_matches_dense():
+    reps = configured_rank1_reps() + seeded_rank1_reps()
+    singular = 0
+    for name, rep in reps:
+        (alpha,) = rep.alpha_matrices()
+        (c,) = rep.character.azumaya_factors
+        got = euler_inverse(alpha, c, rep.l)
+        want = dense_inv(to_dense(alpha))
+        if want is None:
+            assert got is None and c.is_zero(), name
+            singular += 1
+            continue
+        assert got is not None, name
+        assert_sparse(got)
+        assert to_dense(got) == want, name
+    # the zeroed seeds are singular, the seeds on the locus are not
+    assert 0 < singular < len(reps)
+
+
+def test_euler_inverse_certifies_the_lth_power():
+    rep = build_irrep_rank1(FIELDS[3].from_int(2), [FIELDS[3].one] * 3, 3)
+    (alpha,) = rep.alpha_matrices()
+    (c,) = rep.character.azumaya_factors
+    with pytest.raises(RelationError):
+        euler_inverse(alpha, c + 1, 3)
 
 
 @pytest.mark.parametrize("seed", range(6))

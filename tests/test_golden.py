@@ -1,7 +1,8 @@
-"""The verbose reports of the bundled configs, of the benchmark's verify
-configs and of the root-of-unity stress configs under `configs/`, and the
-moment checks of the non-uniform-diagonal variants of the Q(q) config,
-pinned byte for byte apart from the `elapsed` timings.
+"""The verbose reports of every bundled config (`configs/*.json`), of the
+benchmark's two verify configs and of every test config
+(`tests/configs/*.json`), and the moment checks of the non-uniform-diagonal
+variants of the Q(q) config, pinned byte for byte apart from the `elapsed`
+timings.
 
 Regenerate the files under `golden/` only for a change that is meant to
 alter a verdict or a detail string.
@@ -24,9 +25,9 @@ BENCH_CONFIGS = TESTS.parent / "perfbench" / "configs"
 
 @pytest.mark.parametrize(
     "path",
-    [CONFIGS / f"{name}.json" for name in ("generic_q", "n1_l3", "n2_l3")]
+    sorted(CONFIGS.glob("*.json"))
     + [BENCH_CONFIGS / f"{name}.json" for name in ("verify_qq", "verify_l5")]
-    + [TESTS / "configs" / f"{name}.json" for name in ("n3_l5", "n4_l3", "n3_l7")],
+    + sorted((TESTS / "configs").glob("*.json")),
     ids=lambda path: path.stem,
 )
 def test_verbose_report_matches_golden(path):

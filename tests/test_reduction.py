@@ -12,6 +12,7 @@ from qweylab.config import load_config
 from qweylab.errors import DomainError, RelationError
 from qweylab.exactla import (
     SparseEliminator,
+    mat_mul,
     mat_pow,
     scalar_of_identity,
     sparse_kernel,
@@ -27,12 +28,14 @@ from qweylab.reduction import (
     verify_moment_operators_commute,
     weight_space,
 )
-from qweylab.rootofunity import build_irrep, build_irrep_rank1
+from qweylab.rootofunity import build_irrep, build_irrep_nilpotent, build_irrep_rank1
 from qweylab.scalars import make_field
+from test_exactla import dense_inv, from_dense, to_dense
 
 Z3 = make_field("cyclotomic", 3)
 T11 = TorusData.from_rows([[1]])
 T21 = TorusData.from_rows([[1], [1]])
+T2_NEG = TorusData.from_rows([[1], [-1]])
 N2_L3 = Path(__file__).resolve().parent.parent / "configs" / "n2_l3.json"
 N3_L5 = Path(__file__).resolve().parent / "configs" / "n3_l5.json"
 
@@ -142,6 +145,30 @@ def test_moment_operators_tensor():
     ops, scalars = moment_operators(rep, T21)
     assert len(ops) == 1 and scalars[0] == Z3.from_int(8)
     assert verify_moment_operators_commute(rep, TorusData.from_rows([[1, 0], [0, 1]])).passed
+
+
+def test_moment_operators_with_a_negative_exponent():
+    # A = [[1], [-1]]: the operator is alpha_1 alpha_2^-1, its l-th power
+    # the scalar c_1 / c_2 of the Azumaya factors
+    for rep in load_config(str(N2_L3)).build_reps():
+        ops, scalars = moment_operators(rep, T2_NEG)
+        alpha1, alpha2 = rep.alpha_matrices()
+        want = mat_mul(alpha1, from_dense(dense_inv(to_dense(alpha2)), rep.field))
+        assert ops == [want]
+        c1, c2 = rep.character.azumaya_factors
+        assert scalars == [c1 / c2]
+        assert scalar_of_identity(mat_pow(ops[0], rep.l)) == c1 / c2
+
+
+def test_moment_operators_need_the_inverted_operator_on_the_locus():
+    off = build_irrep_rank1(Z3.one, [Z3.one, Z3.zero, Z3.one], 3)
+    rep = build_irrep([build_irrep_nilpotent(3), off], 3)
+    assert moment_operators(rep, T21)[1] == [Z3.zero]
+    with pytest.raises(DomainError) as err:
+        moment_operators(rep, T2_NEG)
+    assert str(err.value) == (
+        "Euler operator 2 is singular but A needs its inverse (off the invertible locus)"
+    )
 
 
 def test_weight_space_rank1():

@@ -201,8 +201,26 @@ def test_tensor_builder():
 def test_tensor_builder_rejects_singular_slot():
     lam = Z3.from_int(1)
     bad = build_irrep_rank1(lam, [Z3.zero, Z3.zero, Z3.zero], 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         build_irrep([bad, build_irrep_nilpotent(3)], 3)
+    assert str(err.value) == (
+        "slot 1 has a singular Euler operator; it cannot carry "
+        "tensor twists (off the invertible locus)"
+    )
+
+
+def test_tensor_builder_accepts_an_off_locus_last_slot():
+    # only the slots before the last twist the later factors, so only their
+    # Euler operators need inverses; an off-locus last slot is a valid rep
+    off = build_irrep_rank1(Z3.one, [Z3.one, Z3.zero, Z3.one], 3)
+    assert off.character.azumaya_factors == (Z3.zero,)
+    rep = build_irrep([build_irrep_nilpotent(3), off], 3)
+    assert rep.dim == 9
+    assert rep.character.azumaya_factors == (Z3.one, Z3.zero)
+    assert not azumaya_membership(rep.character)
+    assert commutant_dimension(rep) == 1
+    with pytest.raises(DomainError):
+        build_irrep([off, build_irrep_nilpotent(3)], 3)
 
 
 def test_azumaya_dichotomy_seeded():

@@ -185,6 +185,16 @@ def test_center_truncation_acts_by_generators_and_solves_small_blocks(monkeypatc
     assert max((len(cols) for cols in blocks.values()), default=0) <= 256
 
 
+def test_center_truncation_subtracts_without_negated_copies(monkeypatch):
+    # each commutator row g m - m g was g m + (-(m g)), a negated copy of
+    # every subtrahend: 3,072 copies on n3_l5
+    negations = []
+    counting(monkeypatch, qweyl.TermElement, "__neg__", negations)
+    report = run_verification_suite(load_config(str(N3_L5)), only={"center-truncation"})
+    assert report["summary"]["ok"] and report["summary"]["pass"] == 1
+    assert negations == []
+
+
 @pytest.mark.parametrize("path, bound", [(N2_L3, 45), (N3_L5, 875)], ids=["n2_l3", "n3_l5"])
 def test_lcenter_freeness_forms_one_product_per_block_and_x_residue(monkeypatch, path, bound):
     # each of the 2n+1 blocks z takes the l^n products z x^r; the
@@ -303,6 +313,21 @@ def test_failed_rep_build_fails_every_rep_check():
             "tensor twists (off the invertible locus)"
         )
     assert report["summary"]["fail"] == len(REP_CHECKS)
+
+
+def test_off_locus_last_slot_reaches_the_rep_checks():
+    # the last slot twists no later factor, so its singular Euler operator
+    # needs no inverse: the rep is built, lies off the locus, and the
+    # off-locus commutant law of rep-irreducibility decides it
+    raw = json.loads(N2_L3.read_text())
+    raw["reps"] = [[{"kind": "nilpotent"}, {"kind": "diag", "lambda": "1", "b": ["1", "0", "1"]}]]
+    report = run_verification_suite(parse_config(raw), verbose=True)
+    by_id = {rec["check_id"]: rec for rec in report["checks"]}
+    assert by_id["rep-build"]["status"] == "pass"
+    assert by_id["rep-build"]["detail"] == "dim 9, azumaya=no"
+    assert by_id["rep-irreducibility"]["status"] == "fail"
+    assert by_id["rep-irreducibility"]["detail"] == "zero-character rep with trivial commutant"
+    assert report["summary"]["fail"] == 1
 
 
 def test_generic_q_suite_runs_no_polynomial_gcd(monkeypatch):
