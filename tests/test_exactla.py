@@ -25,6 +25,7 @@ from qweylab.exactla import (
 )
 from qweylab.qweyl import AlgebraSpec, PBWElement
 from qweylab.rootofunity import (
+    build_irrep,
     build_irrep_nilpotent,
     build_irrep_rank1,
     commutant_basis,
@@ -180,43 +181,56 @@ def configured_rank1_reps():
     return out
 
 
-def seeded_rank1_reps():
-    """(name, rank-1 rep) for seeded lambda and b at l = 3, 5, 7: on the
-    locus (b_m = mu / lambda_m), with every b_m zero, and with b_m drawn
-    from {0, 1, 2}, which puts some of them off the locus."""
-    out = []
-    for l, f in FIELDS.items():
-        rng = random.Random(f"euler:{l}")
-        for k in range(4):
-            lam = f.from_int(rng.randint(1, 9))
-            mu = f.from_int(rng.randint(1, 9))
-            bs = {
-                "locus": [mu / (lam * f.zeta_power(m)) for m in range(l)],
-                "zero": [f.zero] * l,
-                "drawn": [f.from_int(rng.randint(0, 2)) for _ in range(l)],
-            }
-            for kind, b in bs.items():
-                out.append((f"l{l}-{k}-{kind}", build_irrep_rank1(lam, b, l)))
-    return out
+def seeded_reps(seed):
+    """(name, rep) for seeded lambda and b at l = 3, 5 or 7: the rank-1 reps
+    on the locus (b_m = mu / lambda_m), with every b_m zero, and with b_m
+    drawn from {0, 1, 2}, which puts some of them off the locus; and the
+    tensor rep of the locus slot and the drawn slot."""
+    l = (3, 5, 7)[seed % 3]
+    f = FIELDS[l]
+    rng = random.Random(f"euler:{seed}")
+    lam = f.from_int(rng.randint(1, 9))
+    mu = f.from_int(rng.randint(1, 9))
+    bs = {
+        "locus": [mu / (lam * f.zeta_power(m)) for m in range(l)],
+        "zero": [f.zero] * l,
+        "drawn": [f.from_int(rng.randint(0, 2)) for _ in range(l)],
+    }
+    reps = {kind: build_irrep_rank1(lam, b, l) for kind, b in bs.items()}
+    reps["tensor"] = build_irrep([reps["locus"], reps["drawn"]], l)
+    return [(f"l{l}-{kind}", rep) for kind, rep in reps.items()]
 
 
-def test_euler_inverse_matches_dense():
-    reps = configured_rank1_reps() + seeded_rank1_reps()
+def assert_euler_inverses_match_dense(name, rep):
+    """euler_inverse against dense_inv on every Euler operator of rep;
+    returns how many of them are singular."""
     singular = 0
-    for name, rep in reps:
-        (alpha,) = rep.alpha_matrices()
-        (c,) = rep.character.azumaya_factors
+    for i, (alpha, c) in enumerate(zip(rep.alpha_matrices(), rep.character.azumaya_factors)):
         got = euler_inverse(alpha, c, rep.l)
         want = dense_inv(to_dense(alpha))
         if want is None:
-            assert got is None and c.is_zero(), name
+            assert got is None and c.is_zero(), (name, i)
             singular += 1
             continue
-        assert got is not None, name
+        assert got is not None, (name, i)
         assert_sparse(got)
-        assert to_dense(got) == want, name
-    # the zeroed seeds are singular, the seeds on the locus are not
-    assert 0 < singular < len(reps)
+        assert to_dense(got) == want, (name, i)
+    return singular
+
+
+def test_euler_inverse_matches_dense():
+    for name, rep in configured_rank1_reps():
+        assert_euler_inverses_match_dense(name, rep)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mat_inv_matches_dense(seed):
+    """The package's one matrix inverse, c^-1 alpha^(l-1) of an Euler
+    operator, against Gauss-Jordan on seeded reps, singular ones included."""
+    reps = seeded_reps(seed)
+    singular = sum(assert_euler_inverses_match_dense(name, rep) for name, rep in reps)
+    # the zeroed rep is singular, the rep on the locus is not
+    assert 0 < singular < sum(len(rep.alpha_matrices()) for _, rep in reps)
 
 
 def test_euler_inverse_certifies_the_lth_power():
