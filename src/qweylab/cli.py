@@ -23,28 +23,32 @@ from .scalars import Scalar
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing does not change
     it, so every `main` call shares it.  Its `subcommands` maps each
-    subcommand to that subcommand's parser."""
+    subcommand to that subcommand's parser, and its `exact_forms` maps `eval`,
+    `reduce` and `verify` to the `_ExactForm` of their arguments."""
     parser = argparse.ArgumentParser(
         prog="qweylab",
         description="exact q-Weyl algebra workbench",
     )
     parser.add_argument("--version", action="version", version=f"qweylab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    exact = {}
 
     p_eval = sub.add_parser("eval", help="normal-order an expression")
-    p_eval.add_argument("expression")
-    p_eval.add_argument("--config", required=True)
+    exact["eval"] = [
+        p_eval.add_argument("expression"),
+        p_eval.add_argument("--config", required=True),
+    ]
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--config")
-    p_verify.add_argument(
-        "--only", help="comma-separated check ids (see --list-checks)"
-    )
-    p_verify.add_argument("--verbose", action="store_true")
-    p_verify.add_argument("--out", help="write the JSON report here")
-    p_verify.add_argument(
-        "--list-checks", action="store_true", help="list check ids and exit"
-    )
+    exact["verify"] = [
+        p_verify.add_argument("--config"),
+        p_verify.add_argument("--only", help="comma-separated check ids (see --list-checks)"),
+        p_verify.add_argument("--verbose", action="store_true"),
+        p_verify.add_argument("--out", help="write the JSON report here"),
+        p_verify.add_argument(
+            "--list-checks", action="store_true", help="list check ids and exit"
+        ),
+    ]
 
     p_rep = sub.add_parser("rep", help="representation commands")
     rep_sub = p_rep.add_subparsers(dest="rep_command", required=True)
@@ -53,17 +57,81 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", required=True)
 
     p_reduce = sub.add_parser("reduce", help="canonical form modulo the moment ideal")
-    p_reduce.add_argument("expression")
-    p_reduce.add_argument("--config", required=True)
+    exact["reduce"] = [
+        p_reduce.add_argument("expression"),
+        p_reduce.add_argument("--config", required=True),
+    ]
     parser.subcommands = sub.choices
+    parser.exact_forms = {command: _ExactForm(actions) for command, actions in exact.items()}
     return parser
 
 
+class _ExactForm:
+    """The arguments of one subcommand, as its parser's actions: its exact
+    long options, at most one positional, and the defaults of all of them."""
+
+    def __init__(self, actions):
+        self.options = {name: a for a in actions for name in a.option_strings}
+        self.positional = next((a.dest for a in actions if not a.option_strings), None)
+        self.required = {a.dest for a in actions if a.required}
+        self.defaults = {a.dest: a.default for a in actions}
+
+
+def _parse_exact(parser: argparse.ArgumentParser, argv: list[str]):
+    """The Namespace ``parser.parse_args(argv)`` returns, without argparse,
+    for an argv of the exact form: `eval`, `reduce` or `verify`, then only
+    that subcommand's long options, each spelled in full and given at most
+    once, with its value (if it takes one) in the next token; the positional
+    as a token of its own or as the one token after a final ``--``; every
+    required argument present; and no other token starts with ``-``.  Any
+    other argv returns None, for argparse to parse and report."""
+    form = parser.exact_forms.get(argv[0]) if argv else None
+    if form is None:
+        return None
+    values = {}
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        action = form.options.get(token)
+        if action is not None:
+            if action.dest in values:
+                return None
+            if action.nargs == 0:
+                values[action.dest] = action.const
+            elif i + 1 < n and not argv[i + 1].startswith("-"):
+                i += 1
+                values[action.dest] = argv[i]
+            else:
+                return None
+        elif form.positional is None or form.positional in values:
+            return None
+        elif token == "--":
+            if i + 2 != n or argv[i + 1] == "--":
+                return None
+            values[form.positional] = argv[i + 1]
+            break
+        elif token.startswith("-"):
+            return None
+        else:
+            values[form.positional] = token
+        i += 1
+    if not form.required <= values.keys():
+        return None
+    args = argparse.Namespace(**form.defaults)
+    args.__dict__.update(values)
+    args.command = argv[0]
+    return args
+
+
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """``parser.parse_args(argv)``.  An argv that starts with a subcommand goes
+    """``parser.parse_args(argv)``.  An argv of the exact form is read by
+    `_parse_exact`.  Any other argv that starts with a subcommand goes
     straight to that subcommand's parser, as the full parser would pass it on:
     the rest of argv, whose leftovers the top parser reports."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_exact(parser, argv)
+    if args is not None:
+        return args
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)

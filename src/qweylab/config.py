@@ -8,8 +8,9 @@ collects every problem (with a field path) before aborting.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 from .errors import ExprError, ParameterError, ZeroDivisorError
@@ -40,10 +41,20 @@ class WorkbenchConfig:
     rep_slots: list
     bounds: dict
     seed: int
-    raw: dict
+    # the JSON object `raw` returns, or None until it decodes `_text`
+    _raw: dict | None = dataclass_field(default=None, repr=False, compare=False)
+    _text: str | None = dataclass_field(default=None, repr=False, compare=False)
     _reps: list | None = dataclass_field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def raw(self) -> dict:
+        """The config's JSON object.  A loaded config decodes its file text
+        when this is first read, into an object of its own."""
+        if self._raw is None:
+            self._raw = json.loads(self._text)
+        return self._raw
 
     def datum(self) -> ReductionDatum:
         return ReductionDatum(self.torus, self.eta)
@@ -81,6 +92,7 @@ class ConfigError(ParameterError):
 
     def __init__(self, problems: list[str], path=None, unreadable: bool = False):
         self.problems = problems
+        self.unreadable = unreadable
         where = "" if path is None else f" {path}"
         if unreadable:
             message = f"invalid config{where}: " + "; ".join(problems)
@@ -153,11 +165,13 @@ def _parse_slot(slot, field: CyclotomicField | None, path: str, problems: list[s
 def load_config(path: str) -> WorkbenchConfig:
     """The config in the file at path, read on every call.
 
-    Validation and object resolution run once per distinct file text (see
-    `_config_of_text`), so an edited file is parsed again.  Each call returns
-    a config of its own: its `raw`, `bounds` and `rep_slots` are new objects,
-    and its reps are built on first use; only the immutable field, spec,
-    torus, eta and slot scalars are shared between calls."""
+    Each distinct file text is decoded, validated and resolved once (see
+    `_config_of_text`), so an edited file is parsed again and a text seen
+    before costs no JSON decoding.  Each call returns a config of its own:
+    its `bounds` and `rep_slots` are new objects, its reps are built on first
+    use, and its `raw` is decoded from the text when it is first read (by
+    the verify report); only the immutable field, spec, torus, eta and slot
+    scalars are shared between calls."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -166,31 +180,34 @@ def load_config(path: str) -> WorkbenchConfig:
     except UnicodeDecodeError:
         raise ConfigError(["not UTF-8 text"], path, unreadable=True) from None
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"invalid JSON: {exc}"], path, unreadable=True) from None
-    if not isinstance(raw, dict):
-        raise ConfigError(["the top level must be a JSON object"], path, unreadable=True)
-    try:
         shared = _config_of_text(text)
     except ConfigError as exc:
-        raise ConfigError(exc.problems, path) from None
-    return replace(
-        shared,
-        raw=raw,
-        bounds=dict(shared.bounds),
-        rep_slots=[
-            [slot if slot is None else (slot[0], list(slot[1])) for slot in slots]
-            for slots in shared.rep_slots
-        ],
-    )
+        raise ConfigError(exc.problems, path, exc.unreadable) from None
+    config = copy.copy(shared)
+    config.bounds = dict(shared.bounds)
+    config.rep_slots = [
+        [slot if slot is None else (slot[0], list(slot[1])) for slot in slots]
+        for slots in shared.rep_slots
+    ]
+    config._raw, config._text, config._reps = None, text, None
+    return config
 
 
 @lru_cache(maxsize=16)
 def _config_of_text(text: str) -> WorkbenchConfig:
-    """The config a file text holds, which `load_config` has checked to be a
-    JSON object.  Shared by every load of that text, so never handed out."""
-    return parse_config(json.loads(text))
+    """The config a file text holds, decoded and validated: the one place a
+    config text is parsed.  Shared by every load of that text, so never
+    handed out.  A text that is not a JSON object raises an `unreadable`
+    ConfigError."""
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer past the int-to-str digit limit, or
+        # arrays or objects nested past the interpreter's recursion limit
+        raise ConfigError([f"invalid JSON: {exc}"], unreadable=True) from None
+    if not isinstance(raw, dict):
+        raise ConfigError(["the top level must be a JSON object"], unreadable=True)
+    return parse_config(raw)
 
 
 def parse_config(raw: dict) -> WorkbenchConfig:
@@ -334,5 +351,5 @@ def parse_config(raw: dict) -> WorkbenchConfig:
         rep_slots=rep_slots,
         bounds=bounds,
         seed=seed,
-        raw=raw,
+        _raw=raw,
     )

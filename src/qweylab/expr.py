@@ -28,6 +28,9 @@ _OPS = set("+-*^()/")
 _DIGITS = frozenset("0123456789")
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz" "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_CHARS = _LETTERS | _DIGITS | {"_"}
+# parentheses and unary minus signs nest at most this deep: the parser
+# recurses once per level, and Python's stack is bounded
+MAX_NESTING = 100
 
 
 class _Token:
@@ -86,6 +89,7 @@ class _Parser:
     def __init__(self, text: str, field: Field, spec: AlgebraSpec | None):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.field = field
         self.spec = spec
 
@@ -136,11 +140,20 @@ class _Parser:
             else:
                 return value
 
+    def nested(self, tok: _Token, parse):
+        """parse(), one nesting level below the opening token tok."""
+        if self.depth == MAX_NESTING:
+            raise ExprError(f"nested deeper than {MAX_NESTING} levels", tok.col)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
     def parse_factor(self):
         tok = self.peek()
         if tok.kind == "op" and tok.value == "-":
             self.advance()
-            return -self.parse_factor()
+            return -self.nested(tok, self.parse_factor)
         return self.parse_power()
 
     def parse_power(self):
@@ -212,7 +225,7 @@ class _Parser:
         if tok.kind == "name":
             return self.parse_name(tok)
         if tok.kind == "op" and tok.value == "(":
-            value = self.parse_sum()
+            value = self.nested(tok, self.parse_sum)
             self.expect_op(")")
             return value, "element" if not isinstance(value, Scalar) else "scalar", tok.col
         raise ExprError("expected a value", tok.col)

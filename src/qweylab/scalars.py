@@ -191,9 +191,10 @@ def decimal_str(x) -> str:
         ) from None
 
 
-def _poly_str(coeffs, var: str, shift: int = 0) -> str:
-    """Render var^shift times a polynomial with integer or rational
-    coefficients, highest degree first, e.g. ``q^2-q+1``."""
+def _poly_str(coeffs, var: str, shift: int = 0, den: int = 1) -> str:
+    """Render var^shift times a polynomial with integer coefficients, each
+    over den and printed in lowest terms, highest degree first, e.g.
+    ``q^2-q+1`` or ``1/2*zeta+1``."""
     if not coeffs:
         return "0"
     parts = []
@@ -201,12 +202,17 @@ def _poly_str(coeffs, var: str, shift: int = 0) -> str:
         c = coeffs[k]
         if not c:
             continue
+        num, d = abs(c), den
+        if d != 1:
+            g = gcd(num, d)
+            num, d = num // g, d // g
+        digits = decimal_str(num) if d == 1 else f"{decimal_str(num)}/{decimal_str(d)}"
         e = k + shift
         if e == 0:
-            mono = decimal_str(abs(c))
+            mono = digits
         else:
             head = var if e == 1 else f"{var}^{e}"
-            mono = head if abs(c) == 1 else f"{decimal_str(abs(c))}*{head}"
+            mono = head if num == 1 and d == 1 else f"{digits}*{head}"
         if not parts:
             parts.append(mono if c > 0 else "-" + mono)
         else:
@@ -291,6 +297,8 @@ class Scalar:
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return other * self.inv()
 
     def __pow__(self, e: int) -> Scalar:
@@ -722,7 +730,8 @@ class CyclotomicField(Field):
         return self._normal(nums, c)
 
     def format(self, v) -> str:
-        return _poly_str(_trim(self.coefficients(v)), "zeta")
+        nums, den = v
+        return _poly_str(_trim(nums), "zeta", den=den)
 
     def __repr__(self):
         return f"CyclotomicField({self.l})"

@@ -4,6 +4,7 @@ once, and every call answers exactly as a fresh process would."""
 
 import argparse
 import io
+import itertools
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -413,6 +414,88 @@ EDGE_ARGV = [
             "qweylab: error: unrecognized arguments: extra\n"
         ),
     ),
+    (
+        ["reduce", "x1", "--conf", N1],
+        0,
+        "x1\n",
+        "",
+    ),
+    (
+        ["reduce", f"--config={N1}", "x1^3"],
+        0,
+        "x1^3\n",
+        "",
+    ),
+    (
+        ["verify", "--conf", N1, "--only", "delta-power"],
+        0,
+        "pass    delta-power\n1 passed, 0 failed, 0 skipped\n",
+        "",
+    ),
+    (
+        ["verify", f"--config={N1}", "--only", "delta-power"],
+        0,
+        "pass    delta-power\n1 passed, 0 failed, 0 skipped\n",
+        "",
+    ),
+    (
+        ["reduce", "-h"],
+        "SystemExit(0)",
+        (
+            "usage: qweylab reduce [-h] --config CONFIG expression\n"
+            "\n"
+            "positional arguments:\n"
+            "  expression\n"
+            "\n"
+            "options:\n"
+            "  -h, --help       show this help message and exit\n"
+            "  --config CONFIG\n"
+        ),
+        "",
+    ),
+    (
+        ["eval", "-x1", "--config", G],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab eval [-h] --config CONFIG expression\n"
+            "qweylab eval: error: the following arguments are required: expression\n"
+        ),
+    ),
+    (
+        ["eval", "--config", "-x1", "x1"],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab eval [-h] --config CONFIG expression\n"
+            "qweylab eval: error: argument --config: expected one argument\n"
+        ),
+    ),
+    (
+        ["verify", "--config", N1, "--only", "-delta-power"],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab verify [-h] [--config CONFIG] [--only ONLY] [--verbose]\n"
+            "                      [--out OUT] [--list-checks]\n"
+            "qweylab verify: error: argument --only: expected one argument\n"
+        ),
+    ),
+    (
+        ["eval", "x1", "--config", G, "--config", G],
+        0,
+        "x1\n",
+        "",
+    ),
+    (
+        ["eval", "--", "x1", "--config", G],
+        "SystemExit(2)",
+        "",
+        (
+            "usage: qweylab eval [-h] --config CONFIG expression\n"
+            "qweylab eval: error: the following arguments are required: --config\n"
+        ),
+    ),
 ]
 
 
@@ -434,3 +517,86 @@ def test_edge_argv_answer_as_the_full_parser(monkeypatch, argv, code, out, err):
     monkeypatch.chdir(CONFIGS.parent)
     monkeypatch.setenv("COLUMNS", "80")
     assert run_exiting(argv) == (code, out, err)
+
+
+# The EDGE_ARGV cases of the exact form, which skip argparse; argparse
+# parses every other one.
+EXACT_EDGE_ARGV = [
+    ["verify"],
+    ["verify", "--list-checks"],
+    ["reduce", "--config", N1, "--", "-x1^2*d1^2"],
+]
+
+
+def full_parse(parser, argv):
+    """parser.parse_args(argv), or None where argparse exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def test_exact_form_declines_every_other_edge_argv():
+    parser = cli._build_parser()
+    for argv, *_ in EDGE_ARGV:
+        args = cli._parse_exact(parser, argv)
+        if argv in EXACT_EDGE_ARGV:
+            assert args is not None and args == full_parse(parser, argv)
+        else:
+            assert args is None, argv
+
+
+# tokens the generated argvs give each option and positional
+VALUES = {
+    "--config": ["configs/n1_l3.json", "", "a b=c", "-c", "--", "--out"],
+    "--only": ["delta-power", "-x", "1,2"],
+    "--out": ["report.json", "-", "--verbose"],
+    "expression": ["x1", "x1 + d1^2", "", "-x1^2", "-", "--", "--config", "a=b"],
+}
+
+
+def generated_argvs():
+    """Every subcommand of the exact form with every subset of its arguments
+    (and all of them with one twice) in every order, the positional both as a
+    token of its own and after ``--``: once with the first value in VALUES of
+    each argument, once with seeded draws from VALUES."""
+    rng = random.Random(2424)
+    for command, form in cli._build_parser().exact_forms.items():
+        names = list(form.options) + ([form.positional] if form.positional else [])
+        pools = [list(c) for k in range(len(names) + 1) for c in itertools.combinations(names, k)]
+        pools.append(names + names[:1])
+        for pool in pools:
+            for order, dashdash, draw in itertools.product(
+                itertools.permutations(pool), (False, True), (False, True)
+            ):
+                argv = [command]
+                for name in order:
+                    if name != form.positional and form.options[name].nargs == 0:
+                        argv.append(name)
+                        continue
+                    value = rng.choice(VALUES[name]) if draw else VALUES[name][0]
+                    if name == form.positional:
+                        argv += ["--", value] if dashdash else [value]
+                    else:
+                        argv += [name, value]
+                if dashdash and form.positional not in order:
+                    argv.append("--")
+                yield argv
+
+
+def test_exact_form_parses_as_argparse():
+    parser = cli._build_parser()
+    argvs = list(generated_argvs())
+    accepted = 0
+    for argv in argvs:
+        args = cli._parse_exact(parser, argv)
+        if args is not None:
+            accepted += 1
+            assert args == full_parse(parser, argv), argv
+    assert len(argvs) > 4000 and accepted > 300
+    # the session's request form
+    argv = ["reduce", "--config", str(N2_L3), "--", "-x1^2*d1"]
+    assert cli._parse_exact(parser, argv) == argparse.Namespace(
+        command="reduce", config=str(N2_L3), expression="-x1^2*d1"
+    )

@@ -130,6 +130,42 @@ def test_cli_errors_on_long_numbers_and_non_ascii_digits(capsys):
         assert capsys.readouterr() == ("", err)
 
 
+DEEP = {
+    "parentheses": "(" * 300 + "x1" + ")" * 300,
+    "minus-signs": "-" * 1200 + "x1",
+    "mixed": "(-" * 150 + "x1" + ")" * 150,
+}
+
+
+@pytest.mark.parametrize("text", list(DEEP.values()), ids=list(DEEP))
+def test_deep_nesting_is_an_error_at_its_column(capsys, text):
+    cfg = str(CONFIGS / "generic_q.json")
+    assert main(["eval", "--config", cfg, "--", text]) == 2
+    assert capsys.readouterr() == ("", "error: nested deeper than 100 levels (column 101)\n")
+    with pytest.raises(ExprError) as info:
+        parse_expression(text, S1)
+    assert info.value.column == 101
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert parse_expression("(" * 100 + "x1" + ")" * 100, S1) == S1.x(1)
+    assert parse_expression("-" * 100 + "x1", S1) == S1.x(1)
+    assert parse_expression("(-" * 50 + "x1" + ")" * 50, S1) == S1.x(1)
+    assert parse_scalar("(" * 100 + "2" + ")" * 100, Z3) == Z3.from_int(2)
+
+
+def test_deep_config_literal_is_a_config_error_naming_its_field(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "n1_l3.json").read_text())
+    raw["eta"] = ["(" * 300 + "2" + ")" * 300]
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["eval", "x1", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"invalid config {cfg}:\n  eta[0]: nested deeper than 100 levels (column 101)\n",
+    )
+
+
 def test_parse_scalar():
     assert parse_scalar("3/4", QQ_Q) == QQ_Q.from_fraction(Fraction(3, 4))
     assert parse_scalar("q^2 - q", QQ_Q) == q * q - q
@@ -271,6 +307,21 @@ def test_config_file_faults_exit_2_naming_the_file(tmp_path, capsys, text, probl
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"invalid config {cfg}: {problem}\n"
+
+
+def test_json_past_the_decoder_limits_is_an_unreadable_config(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    cases = [
+        ('{"seed": ' + "7" * (limit + 1) + "}", f"Exceeds the limit ({limit} digits)"),
+        ('{"chi": ' + "[" * 100000 + "]" * 100000 + "}", "maximum recursion depth exceeded"),
+    ]
+    cfg = tmp_path / "bad.json"
+    for text, problem in cases:
+        cfg.write_text(text)
+        assert main(["eval", "x1", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"invalid config {cfg}: invalid JSON: {problem}")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

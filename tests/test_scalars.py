@@ -357,6 +357,66 @@ def test_cyclotomic_arithmetic_builds_no_fraction(monkeypatch):
     assert (xs[0] * 3 + 1).inv() * (xs[0] * 3 + 1) == 1
 
 
+def reference_cyclotomic_format(F, v) -> str:
+    """The cyclotomic printer as it was before it printed from the integer
+    numerators: every coefficient a Fraction, highest power first."""
+    coeffs = list(F.coefficients(v))
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        if k == 0:
+            mono = str(abs(c))
+        else:
+            head = "zeta" if k == 1 else f"zeta^{k}"
+            mono = head if abs(c) == 1 else f"{abs(c)}*{head}"
+        if not parts:
+            parts.append(mono if c > 0 else "-" + mono)
+        else:
+            parts.append(("+" if c > 0 else "-") + mono)
+    return "".join(parts) or "0"
+
+
+@pytest.mark.parametrize("l", CYCLOTOMIC_ORDERS)
+def test_cyclotomic_printer_matches_the_fraction_printer(l, monkeypatch):
+    from qweylab import scalars
+
+    F, xs = _seeded_cyclotomic(l)
+    values = [F.zero, F.one, -F.one, F.from_int(-7), F.zeta, -F.zeta_power(l - 1)]
+    values += [F.from_fraction(Fraction(-3, 4)), F.from_fraction(Fraction(6, 4))]
+    for x, y in zip(xs, xs[1:]):
+        values += [x, -x, x * y, x - y]
+        if not x.is_zero():
+            values.append(x.inv())
+    nums = [c for s in values for c in s.v[0]]
+    assert any(s.v[1] != 1 for s in values) and any(s.v[1] == 1 for s in values)
+    assert any(c < 0 for c in nums) and 0 in nums
+    # a coefficient whose gcd with den is neither 1 nor den
+    assert any(1 < gcd(c, s.v[1]) < s.v[1] for s in values for c in s.v[0])
+    want = [reference_cyclotomic_format(F, s.v) for s in values]
+
+    class Forbidden(Fraction):
+        def __new__(cls, *args):
+            raise AssertionError("Fraction built while printing")
+
+    monkeypatch.setattr(scalars, "Fraction", Forbidden)
+    assert [str(s) for s in values] == want
+
+
+def test_reflected_division_by_an_uncoercible_operand_is_not_implemented():
+    for F in (QQ, QQ_Q, Z3):
+        for s in (F.zero, F.one):
+            assert s.__rtruediv__("x") is NotImplemented
+            with pytest.raises(TypeError, match="unsupported operand"):
+                "x" / s
+        assert 3 / F.from_int(2) == F.from_fraction(Fraction(3, 2))
+        with pytest.raises(ZeroDivisorError):
+            1 / F.zero
+
+
 def test_rational_function_twist_is_the_product_by_a_q_power():
     rng = random.Random("twist:rational_function_q")
     values = [QQ_Q.zero, QQ_Q.one, QQ_Q.q_power(-3)]

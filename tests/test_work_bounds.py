@@ -4,17 +4,21 @@ Each count is fixed by the algorithm, so an algorithmic regression fails here
 on any machine, however fast.
 """
 
+import argparse
 import itertools
 import json
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import seeded_invariant, verify_qq_variant
-from qweylab import checks, config, exactla, hopf, moment, qweyl, reduction, rootofunity, scalars
+from qweylab import (
+    checks, cli, config, exactla, hopf, moment, qweyl, reduction, rootofunity, scalars,
+)
 from qweylab.checks import run_verification_suite
 from qweylab.config import load_config, parse_config
 from qweylab.expr import parse_expression
@@ -527,3 +531,23 @@ def test_fraction_round_trips_form_pbw_products_only_on_structure_constant_misse
     got = [moment_ideal_reduce(u.to_localized() * v.to_localized(), datum) for u, v in pairs]
     assert got == want
     assert len(calls) == qweyl._alpha_product.cache_info().misses <= 50
+
+
+def test_warm_exact_form_request_skips_argparse_json_and_fractions(monkeypatch, capsys):
+    # the session's request form, on a result with coefficients over 2 and 4
+    argv = ["eval", "--config", str(N2_L3), "--", "(zeta*x1 + 3)/2*d2^2 - x2*a1^-1/4"]
+    assert cli.main(argv) == 0
+    warm = capsys.readouterr()
+    assert "1/2*zeta*x1^2" in warm.out and "- 1/4*x2" in warm.out
+    parses, decodes = [], []
+    counting(monkeypatch, argparse.ArgumentParser, "parse_known_args", parses)
+    counting(monkeypatch, json, "loads", decodes)
+
+    class Forbidden(Fraction):
+        def __new__(cls, *args):
+            raise AssertionError("Fraction built in a warm n2_l3 request")
+
+    monkeypatch.setattr(scalars, "Fraction", Forbidden)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == warm
+    assert parses == [] and decodes == []
