@@ -39,6 +39,7 @@ from .rootofunity import (
     azumaya_membership,
     build_irrep_rank1,
     commutant_dimension,
+    reducible_by_euler_kernel,
     verify_alpha_spectrum,
     verify_centralizer_is_lcenter,
     verify_delta_power,
@@ -210,13 +211,18 @@ def check_rep_build(config: WorkbenchConfig) -> str:
 
 
 def check_rep_irreducibility(config: WorkbenchConfig) -> str:
+    """A rep on the locus has a trivial commutant.  A rep off it is
+    reducible: an invariant Euler kernel certifies it, and otherwise its
+    commutant must be larger than the scalars."""
     for rep in config.build_reps():
-        cdim = commutant_dimension(rep)
         if azumaya_membership(rep.character):
+            cdim = commutant_dimension(rep)
             if cdim != 1:
                 raise AssertionError(f"commutant dimension {cdim} on the locus")
-        elif cdim <= 1:
-            raise AssertionError("zero-character rep with trivial commutant")
+        elif not reducible_by_euler_kernel(rep) and commutant_dimension(rep) <= 1:
+            raise AssertionError(
+                "zero-character rep with no invariant Euler kernel and trivial commutant"
+            )
     rank1_dichotomy_cases(config.field, _rng_for(config, "rep-irreducibility"), 10)
     return "configured reps plus 10 seeded rank-1 dichotomies"
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 from .errors import ExprError, ParameterError, ZeroDivisorError
 from .expr import parse_scalar
 from .moment import ReductionDatum, TorusData
 from .qweyl import AlgebraSpec
+from .records import Record
 from .rootofunity import MatrixRep, build_irrep, build_irrep_nilpotent, build_irrep_rank1
 from .scalars import CyclotomicField, Field, Scalar, make_field
 
@@ -30,23 +30,35 @@ DEFAULT_BOUNDS = {
 NONZERO_BOUNDS = ("degree_bound", "random_cases")
 
 
-@dataclass
-class WorkbenchConfig:
-    field: Field
-    spec: AlgebraSpec
-    torus: TorusData
-    eta: tuple[Scalar, ...]
-    # per configured rep, its slots: None for a nilpotent slot, (lambda, b)
-    # for a diag slot
-    rep_slots: list
-    bounds: dict
-    seed: int
-    # the JSON object `raw` returns, or None until it decodes `_text`
-    _raw: dict | None = dataclass_field(default=None, repr=False, compare=False)
-    _text: str | None = dataclass_field(default=None, repr=False, compare=False)
-    _reps: list | None = dataclass_field(
-        default=None, init=False, repr=False, compare=False
-    )
+class WorkbenchConfig(Record):
+    _fields = ("field", "spec", "torus", "eta", "rep_slots", "bounds", "seed")
+
+    def __init__(
+        self,
+        field: Field,
+        spec: AlgebraSpec,
+        torus: TorusData,
+        eta: tuple[Scalar, ...],
+        rep_slots: list,
+        bounds: dict,
+        seed: int,
+        _raw: dict | None = None,
+        _text: str | None = None,
+    ):
+        self.field = field
+        self.spec = spec
+        self.torus = torus
+        self.eta = eta
+        # per configured rep, its slots: None for a nilpotent slot, (lambda, b)
+        # for a diag slot
+        self.rep_slots = rep_slots
+        self.bounds = bounds
+        self.seed = seed
+        # not compared: the JSON object `raw` returns, or None until it
+        # decodes `_text`; the file text; the reps `build_reps` built
+        self._raw = _raw
+        self._text = _text
+        self._reps = None
 
     @property
     def raw(self) -> dict:

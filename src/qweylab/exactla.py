@@ -122,9 +122,13 @@ def mat_add(a: Mat, b: Mat) -> Mat:
 
 
 def mat_scale(a: Mat, c: Scalar) -> Mat:
+    """c * a, a new matrix; scaling by one copies the rows."""
     zero = a.field.zero
     out = Mat(a.nrows, a.ncols, a.field)
-    if not c.is_zero():
+    if c.v == a.field.one.v:
+        for r, row in a.items():
+            out[r] = Row(zero, row)
+    elif not c.is_zero():
         for r, row in a.items():
             out[r] = Row(zero, {k: v * c for k, v in row.items()})
     return out
@@ -135,6 +139,9 @@ def mat_eq(a: Mat, b: Mat) -> bool:
 
 
 def mat_pow(a: Mat, e: int) -> Mat:
+    """a^e for e >= 0, always a new matrix: callers hold cached rep matrices."""
+    if e == 1:
+        return mat_scale(a, a.field.one)
     return binary_power(a, e, identity(a.nrows, a.field), mat_mul)
 
 

@@ -19,7 +19,6 @@ product is reduced by the same lattice step.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .errors import DomainError, ParameterError
@@ -40,18 +39,18 @@ from .qweyl import (
     alpha_basis_product,
     graded_monomials,
 )
+from .records import FrozenRecord
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class TorusData:
-    """Embedding exponents of a rank-d subtorus of the rank-n torus."""
+class TorusData(FrozenRecord):
+    """Embedding exponents of a rank-d subtorus of the rank-n torus: a is
+    the n x d matrix A, a tuple of n rows of d integers."""
 
-    n: int
-    d: int
-    a: tuple[tuple[int, ...], ...]  # n rows, d columns
+    _fields = ("n", "d", "a")
 
-    def __post_init__(self):
+    def __init__(self, n: int, d: int, a: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(n=n, d=d, a=a)
         if self.n < 1 or self.d < 0 or self.d > self.n:
             raise ParameterError("need 0 <= d <= n with n >= 1")
         if len(self.a) != self.n or any(len(row) != self.d for row in self.a):
@@ -101,14 +100,13 @@ class TorusData:
         )
 
 
-@dataclass(frozen=True)
-class ReductionDatum:
+class ReductionDatum(FrozenRecord):
     """Torus embedding and target point eta."""
 
-    torus: TorusData
-    eta: tuple[Scalar, ...]
+    _fields = ("torus", "eta")
 
-    def __post_init__(self):
+    def __init__(self, torus: TorusData, eta: tuple[Scalar, ...]):
+        self.__dict__.update(torus=torus, eta=eta)
         if len(self.eta) != self.torus.d:
             raise ParameterError("eta must have one entry per subtorus coordinate")
         if any(e.is_zero() for e in self.eta):

@@ -29,12 +29,12 @@ lowest-terms fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import product
 from operator import add, mul, sub
 
 from .errors import ParameterError
+from .records import FrozenRecord, Record
 from .scalars import Field, Scalar, binary_power, mul_skip_one
 
 ExpVec = tuple[int, ...]
@@ -94,16 +94,14 @@ def _integer_rows(rows, name: str) -> tuple[tuple[int, ...], ...]:
     return out
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Immutable description of one q-Weyl algebra."""
+class AlgebraSpec(FrozenRecord):
+    """Immutable description of one q-Weyl algebra: rank n, the n x n
+    exponent matrix m (a tuple of rows), the normalization and the field."""
 
-    n: int
-    m: tuple[tuple[int, ...], ...]
-    rescaled: bool
-    field: Field
+    _fields = ("n", "m", "rescaled", "field")
 
-    def __post_init__(self):
+    def __init__(self, n: int, m: tuple[tuple[int, ...], ...], rescaled: bool, field: Field):
+        self.__dict__.update(n=n, m=m, rescaled=rescaled, field=field)
         if self.n < 1:
             raise ParameterError("rank n must be positive")
         if len(self.m) != self.n or any(len(row) != self.n for row in self.m):
@@ -116,25 +114,16 @@ class AlgebraSpec:
                     )
         # a spec keys every lru_cache of the PBW, hopf and moment layers, so
         # its hash is taken once
-        object.__setattr__(self, "_hash", hash((self.n, self.m, self.rescaled, self.field)))
+        self.__dict__["_hash"] = hash(self._key())
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
-        # the dataclass equality, but identity first: the element products
-        # guard every product by comparing their specs, and those are
-        # nearly always one shared object
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.m, self.rescaled, self.field) == (
-            other.n,
-            other.m,
-            other.rescaled,
-            other.field,
-        )
+        # identity first: the element products guard every product by
+        # comparing their specs, and those are nearly always one shared
+        # object
+        return self is other or super().__eq__(other)
 
     @staticmethod
     def single_parameter(n: int, field: Field, rescaled: bool = True) -> AlgebraSpec:
@@ -165,7 +154,7 @@ class AlgebraSpec:
         twin = self.__dict__.get("_twin")
         if twin is None:
             twin = AlgebraSpec(self.n, self.m, False, self.field) if self.rescaled else self
-            object.__setattr__(self, "_twin", twin)
+            self.__dict__["_twin"] = twin
         return twin
 
     def q_power(self, e: int) -> Scalar:
@@ -764,13 +753,15 @@ class LocalizedElement(TermElement):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckOutcome:
+class CheckOutcome(Record):
     """Result of a batch of exact identity checks."""
 
-    passed: bool = True
-    cases: int = 0
-    failures: list[str] = dataclass_field(default_factory=list)
+    _fields = ("passed", "cases", "failures")
+
+    def __init__(self, passed: bool = True, cases: int = 0, failures: list[str] | None = None):
+        self.passed = passed
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     def record(self, ok: bool, label: str):
         self.cases += 1

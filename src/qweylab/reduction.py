@@ -10,7 +10,6 @@ single central character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError, RelationError
@@ -29,6 +28,7 @@ from .exactla import (
 )
 from .moment import TorusData
 from .qweyl import CheckOutcome, exponent_vectors
+from .records import Record
 from .rootofunity import MatrixRep, commutant_basis, euler_inverse
 from .scalars import CyclotomicField, Scalar
 
@@ -76,11 +76,16 @@ def _rep_moment_operators(rep: MatrixRep, torus: TorusData):
     return per_torus[torus]
 
 
-@dataclass
-class WeightSpaceResult:
-    basis: list  # sparse column vectors spanning the joint eigenspace
-    eta: tuple[Scalar, ...]
-    moment_ops: list
+class WeightSpaceResult(Record):
+    """The joint eigenspace of the moment operators moment_ops with
+    eigenvalues eta: basis holds sparse column vectors spanning it."""
+
+    _fields = ("basis", "eta", "moment_ops")
+
+    def __init__(self, basis: list, eta: tuple[Scalar, ...], moment_ops: list):
+        self.basis = basis
+        self.eta = eta
+        self.moment_ops = moment_ops
 
     @property
     def dimension(self) -> int:
@@ -179,13 +184,17 @@ def _int_lth_root(m: int, l: int) -> int | None:
     return lo if lo**l == m else None
 
 
-@dataclass
-class RestrictionKernelReport:
-    dim_ideal: int
-    dim_expected: int
-    contained: bool
-    passed: bool
-    weight_dim: int
+class RestrictionKernelReport(Record):
+    _fields = ("dim_ideal", "dim_expected", "contained", "passed", "weight_dim")
+
+    def __init__(
+        self, dim_ideal: int, dim_expected: int, contained: bool, passed: bool, weight_dim: int
+    ):
+        self.dim_ideal = dim_ideal
+        self.dim_expected = dim_expected
+        self.contained = contained
+        self.passed = passed
+        self.weight_dim = weight_dim
 
 
 def restriction_kernel_check(
@@ -225,11 +234,13 @@ def restriction_kernel_check(
     )
 
 
-@dataclass
-class ReducedAlgebraResult:
-    dimension: int
-    weight_dim: int
-    iso_verified: bool
+class ReducedAlgebraResult(Record):
+    _fields = ("dimension", "weight_dim", "iso_verified")
+
+    def __init__(self, dimension: int, weight_dim: int, iso_verified: bool):
+        self.dimension = dimension
+        self.weight_dim = weight_dim
+        self.iso_verified = iso_verified
 
 
 def reduced_endomorphism_algebra(rep: MatrixRep, torus: TorusData, eta) -> ReducedAlgebraResult:

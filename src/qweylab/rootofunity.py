@@ -26,8 +26,6 @@ and counts the boxes of keys that their shifts by every d^s fill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
 from .errors import DomainError, ParameterError, RelationError
 from .exactla import (
     Mat,
@@ -39,11 +37,13 @@ from .exactla import (
     mat_mul,
     mat_pow,
     mat_scale,
+    mat_vec,
     matrix,
     scalar_of_identity,
     sparse_kernel,
 )
 from .qweyl import AlgebraSpec, CheckOutcome, PBWElement, exponent_vectors, monomials
+from .records import FrozenRecord
 from .scalars import CyclotomicField, Scalar, make_field
 
 
@@ -215,12 +215,14 @@ def verify_lcenter_freeness(spec: AlgebraSpec, blocks=None) -> CheckOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralCharacter:
-    """Values of the central elements x_i^l and d_i^l in a representation."""
+class CentralCharacter(FrozenRecord):
+    """Values a_i of the central elements x_i^l and omega_i of d_i^l in a
+    representation."""
 
-    a: tuple[Scalar, ...]
-    omega: tuple[Scalar, ...]
+    _fields = ("a", "omega")
+
+    def __init__(self, a: tuple[Scalar, ...], omega: tuple[Scalar, ...]):
+        self.__dict__.update(a=a, omega=omega)
 
     @property
     def azumaya_factors(self) -> tuple[Scalar, ...]:
@@ -248,21 +250,28 @@ def euler_inverse(alpha: Mat, c: Scalar, l: int) -> Mat | None:
     return mat_scale(power, c.inv())
 
 
-@dataclass(frozen=True)
-class MatrixRep:
-    """Exact matrices for the generators, with verified defining relations."""
+class MatrixRep(FrozenRecord):
+    """Exact matrices for the generators, with verified defining relations:
+    xs[i] and ys[i] are the dim x dim matrices of x_(i+1) and d_(i+1)."""
 
-    spec: AlgebraSpec
-    l: int
-    dim: int
-    xs: tuple
-    ys: tuple
-    character: CentralCharacter
-    # data derived from the matrices, computed at most once per rep: the
-    # Euler matrices, the commutant basis, the moment operators of each torus;
-    # and, from the builders, "diagonals": diagonal matrices that lie in the
-    # algebra the generator matrices generate
-    cache: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
+    _fields = ("spec", "l", "dim", "xs", "ys", "character")
+
+    def __init__(
+        self,
+        spec: AlgebraSpec,
+        l: int,
+        dim: int,
+        xs: tuple,
+        ys: tuple,
+        character: CentralCharacter,
+        cache: dict | None = None,
+    ):
+        self.__dict__.update(spec=spec, l=l, dim=dim, xs=xs, ys=ys, character=character)
+        # data derived from the matrices, computed at most once per rep: the
+        # Euler matrices, the commutant basis, the moment operators of each
+        # torus; and, from the builders, "diagonals": diagonal matrices that
+        # lie in the algebra the generator matrices generate.  Not compared.
+        self.__dict__["cache"] = {} if cache is None else cache
 
     @property
     def field(self):
@@ -488,6 +497,26 @@ def commutant_basis(rep: MatrixRep) -> list[dict[int, Scalar]]:
 def commutant_dimension(rep: MatrixRep) -> int:
     """Dimension of the joint commutant of all generator matrices."""
     return len(commutant_basis(rep))
+
+
+def reducible_by_euler_kernel(rep: MatrixRep) -> bool:
+    """True when a kernel of an Euler operator certifies the rep reducible.
+
+    Off the locus some Azumaya factor c_i is 0, so alpha_i^l = c_i Id = 0
+    and K = ker alpha_i is nonzero.  alpha_i q-commutes with every
+    generator g (g alpha_i = q^k alpha_i g), so g maps K into itself, and
+    K is a proper invariant subspace unless alpha_i = 0.  For the first i
+    with c_i = 0, K is solved from the rows of alpha_i, and the certificate
+    holds when 0 < dim K < dim V and alpha_i g k = 0 for every generator
+    matrix g and every basis vector k of K.  False on the locus."""
+    i = next((i for i, c in enumerate(rep.character.azumaya_factors) if c.is_zero()), None)
+    if i is None:
+        return False
+    alpha = rep.alpha_matrices()[i]
+    kernel = sparse_kernel(list(alpha.values()), rep.dim, rep.field)
+    if not 0 < len(kernel) < rep.dim:
+        return False
+    return not any(mat_vec(alpha, mat_vec(g, k)) for g in rep.xs + rep.ys for k in kernel)
 
 
 def verify_alpha_spectrum(rep: MatrixRep) -> CheckOutcome:

@@ -221,15 +221,22 @@ def _poly_str(coeffs, var: str, shift: int = 0, den: int = 1) -> str:
 
 
 def binary_power(base, e: int, one, mul=operator.mul):
-    """base^e for e >= 0 by square-and-multiply from ``one``, with the
-    product ``mul``; the last squaring, whose result is never used, is skipped."""
-    out = one
+    """base^e for e >= 0 by square-and-multiply with the product ``mul``:
+    ``one`` for e = 0, and base itself for e = 1.  The accumulator starts at
+    the lowest power of two in e, so no product is by one, and the last
+    squaring, whose result is never used, is skipped."""
+    if not e:
+        return one
+    while not e & 1:
+        base = mul(base, base)
+        e >>= 1
+    out = base
+    e >>= 1
     while e:
+        base = mul(base, base)
         if e & 1:
             out = mul(out, base)
         e >>= 1
-        if e:
-            base = mul(base, base)
     return out
 
 

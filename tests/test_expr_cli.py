@@ -486,18 +486,28 @@ def test_cli_failure_exit_code(tmp_path, capsys):
     _ = capsys.readouterr()
 
 
-def test_cli_offlocus_rep_fails_suite(tmp_path, capsys):
+def test_cli_offlocus_reps_pass_rep_irreducibility(tmp_path, capsys):
+    # off the locus a rep is reducible but may be indecomposable: the rank-1
+    # rep with b = (1, 0, 1) has a trivial commutant, and the invariant
+    # ker alpha certifies it; the all-zero rep has alpha = 0 and passes
+    # through its commutant
     raw = json.loads((CONFIGS / "n1_l3.json").read_text())
-    raw["reps"] = [[{"kind": "diag", "lambda": "1", "b": ["1", "0", "1"]}]]
+    raw["reps"] = [
+        [{"kind": "diag", "lambda": "1", "b": ["1", "0", "1"]}],
+        [{"kind": "diag", "lambda": "1", "b": ["0", "0", "0"]}],
+    ]
     cfg = tmp_path / "offlocus.json"
     cfg.write_text(json.dumps(raw))
     out_path = tmp_path / "report.json"
+    only = "rep-build,rep-irreducibility"
     code = main(
-        ["verify", "--config", str(cfg), "--only", "rep-irreducibility", "--out", str(out_path)]
+        ["verify", "--config", str(cfg), "--only", only, "--verbose", "--out", str(out_path)]
     )
-    assert code == 1
+    assert code == 0
     report = json.loads(out_path.read_text())
-    assert report["checks"][0]["status"] == "fail"
+    records = [(rec["check_id"], rec["status"]) for rec in report["checks"]]
+    assert records == [("rep-build", "pass"), ("rep-irreducibility", "pass")]
+    assert report["checks"][0]["detail"] == "dim 3, azumaya=no; dim 3, azumaya=no"
     _ = capsys.readouterr()
 
 

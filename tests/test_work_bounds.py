@@ -7,10 +7,12 @@ on any machine, however fast.
 import argparse
 import itertools
 import json
+import operator
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -57,7 +59,8 @@ def test_mat_pow_skips_the_last_squaring(monkeypatch):
     calls = []
     counting(monkeypatch, exactla, "mat_mul", calls)
     got = exactla.mat_pow(a, 5)
-    assert len(calls) == 4
+    # a^2, a^4 and a * a^4: no product by the identity
+    assert len(calls) == 3
     want = a
     for _ in range(4):
         want = exactla.mat_mul(want, a)
@@ -77,7 +80,8 @@ def test_pow_skips_the_last_squaring(monkeypatch, make, cls):
     calls = []
     counting(monkeypatch, cls, "__mul__", calls)
     assert u**5 == want
-    assert len(calls) == 4
+    # u^2, u^4 and u * u^4: no product by one
+    assert len(calls) == 3
 
 
 def eliminated_blocks(monkeypatch):
@@ -293,6 +297,36 @@ def test_scaling_by_one_forms_no_product(monkeypatch):
     assert calls == []
 
 
+def test_powers_and_scaling_by_one_form_no_product_by_one(monkeypatch):
+    # square-and-multiply from the lowest power of two in e: e.bit_length() - 1
+    # squarings and popcount(e) - 1 products into the accumulator, none of
+    # them by one; the parent started from one and formed one more each
+    u = Z3.zeta + 2
+    a = exactla.matrix(2, 2, Z3, {(0, 0): Z3.one, (0, 1): Z3.zeta, (1, 1): Z3.from_int(2)})
+    ident = exactla.identity(2, Z3)
+    powers = [(reduce(operator.mul, [u] * e, Z3.one), reduce(exactla.mat_mul, [a] * e, ident))
+              for e in range(10)]
+    scalar_calls, mat_calls = [], []
+    counting(monkeypatch, Scalar, "__mul__", scalar_calls)
+    counting(monkeypatch, exactla, "mat_mul", mat_calls)
+    for e, (u_e, a_e) in enumerate(powers):
+        scalar_calls.clear()
+        mat_calls.clear()
+        want = e.bit_length() + bin(e).count("1") - 2 if e else 0
+        assert u**e == u_e
+        assert len(scalar_calls) == want
+        assert all(Z3.one not in args for args in scalar_calls)
+        got = exactla.mat_pow(a, e)
+        assert got == a_e and len(mat_calls) == want
+        assert all(not exactla.mat_eq(m, ident) for args in mat_calls for m in args)
+        # a new matrix even for e = 1: callers hold cached rep matrices
+        assert got is not a and all(got[r] is not a[r] for r in a)
+    scalar_calls.clear()
+    scaled = exactla.mat_scale(a, Z3.one)
+    assert scaled == a and scaled is not a and all(scaled[r] is not a[r] for r in a)
+    assert scalar_calls == []
+
+
 def test_weight_space_is_computed_once_per_point(monkeypatch):
     kernels = []
     counting(monkeypatch, reduction, "sparse_kernel", kernels)
@@ -322,16 +356,19 @@ def test_failed_rep_build_fails_every_rep_check():
 def test_off_locus_last_slot_reaches_the_rep_checks():
     # the last slot twists no later factor, so its singular Euler operator
     # needs no inverse: the rep is built, lies off the locus, and the
-    # off-locus commutant law of rep-irreducibility decides it
+    # off-locus law of rep-irreducibility decides it: its commutant is
+    # trivial, but the kernel of that Euler operator is invariant
     raw = json.loads(N2_L3.read_text())
     raw["reps"] = [[{"kind": "nilpotent"}, {"kind": "diag", "lambda": "1", "b": ["1", "0", "1"]}]]
     report = run_verification_suite(parse_config(raw), verbose=True)
     by_id = {rec["check_id"]: rec for rec in report["checks"]}
     assert by_id["rep-build"]["status"] == "pass"
     assert by_id["rep-build"]["detail"] == "dim 9, azumaya=no"
-    assert by_id["rep-irreducibility"]["status"] == "fail"
-    assert by_id["rep-irreducibility"]["detail"] == "zero-character rep with trivial commutant"
-    assert report["summary"]["fail"] == 1
+    assert by_id["rep-irreducibility"]["status"] == "pass"
+    assert by_id["rep-irreducibility"]["detail"] == (
+        "configured reps plus 10 seeded rank-1 dichotomies"
+    )
+    assert report["summary"]["fail"] == 0
 
 
 def test_generic_q_suite_runs_no_polynomial_gcd(monkeypatch):
