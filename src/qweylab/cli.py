@@ -22,8 +22,7 @@ from .scalars import Scalar
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing does not change
-    it, so every `main` call shares it.  Its `subcommands` maps each
-    subcommand to that subcommand's parser, and its `exact_forms` maps `eval`,
+    it, so every `main` call shares it.  Its `exact_forms` maps `eval`,
     `reduce` and `verify` to the `_ExactForm` of their arguments."""
     parser = argparse.ArgumentParser(
         prog="qweylab",
@@ -61,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p_reduce.add_argument("expression"),
         p_reduce.add_argument("--config", required=True),
     ]
-    parser.subcommands = sub.choices
     parser.exact_forms = {command: _ExactForm(actions) for command, actions in exact.items()}
     return parser
 
@@ -125,21 +123,10 @@ def _parse_exact(parser: argparse.ArgumentParser, argv: list[str]):
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """``parser.parse_args(argv)``.  An argv of the exact form is read by
-    `_parse_exact`.  Any other argv that starts with a subcommand goes
-    straight to that subcommand's parser, as the full parser would pass it on:
-    the rest of argv, whose leftovers the top parser reports."""
+    `_parse_exact`; any other goes to argparse."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_exact(parser, argv)
-    if args is not None:
-        return args
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    return parser.parse_args(argv) if args is None else args
 
 
 def _cannot_write(path: str, exc: OSError) -> QWeylError:

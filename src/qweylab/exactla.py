@@ -9,11 +9,12 @@ follows the number of nonzeros, not the dimension.  Vectors are
 plain dicts in the same layout as a row.
 
 Kernels, ranks and spans go through `SparseEliminator`, an incremental
-row-echelon accumulator over the same row layout.  `sparse_kernel` makes a
-system small before it eliminates it: it drops the unknowns that
-single-unknown rows force to zero, then eliminates each connected component
-of the rest on its own.  Both steps keep the kernel and its basis exactly,
-so every answer is the one that one elimination of the whole system gives.
+row-echelon accumulator over the same row layout; a stored row leaves its
+pivot entry, always one, implicit.  `sparse_kernel` makes a system small
+before it eliminates it: it drops the unknowns that single-unknown rows
+force to zero, then eliminates each connected component of the rest on its
+own.  Both steps keep the kernel and its basis exactly, so every answer is
+the one that one elimination of the whole system gives.
 """
 
 from __future__ import annotations
@@ -122,13 +123,10 @@ def mat_add(a: Mat, b: Mat) -> Mat:
 
 
 def mat_scale(a: Mat, c: Scalar) -> Mat:
-    """c * a, a new matrix; scaling by one copies the rows."""
+    """c * a, a new matrix with new rows."""
     zero = a.field.zero
     out = Mat(a.nrows, a.ncols, a.field)
-    if c.v == a.field.one.v:
-        for r, row in a.items():
-            out[r] = Row(zero, row)
-    elif not c.is_zero():
+    if not c.is_zero():
         for r, row in a.items():
             out[r] = Row(zero, {k: v * c for k, v in row.items()})
     return out
@@ -198,7 +196,9 @@ class SparseEliminator:
 
     Rows are dicts column -> nonzero scalar.  Each stored row is normalized
     to have coefficient one at its pivot (the smallest column index present
-    at insertion time), so rank queries and span membership are exact.
+    at insertion time), so rank queries and span membership are exact.  That
+    one is implicit: ``rows`` maps the pivot column to the row's other
+    entries, so reducing by a row forms no product with its pivot.
     """
 
     def __init__(self, field: Field):
@@ -216,8 +216,8 @@ class SparseEliminator:
             row = self.rows.get(col)
             if row is None:
                 return vec
-            # the pivot entry cancels, so col leaves vec
-            _add_into(vec, row, -vec[col])
+            # the implicit pivot one cancels vec[col]
+            _add_into(vec, row, -vec.pop(col))
         return vec
 
     def add(self, vec: dict[int, Scalar]) -> bool:
@@ -226,7 +226,7 @@ class SparseEliminator:
         if not red:
             return False
         col = min(red)
-        inv = red[col].inv()
+        inv = red.pop(col).inv()
         self.rows[col] = {c: v * inv for c, v in red.items()}
         return True
 
@@ -306,8 +306,6 @@ def sparse_kernel(rows, ncols: int, field: Field) -> list[dict[int, Scalar]]:
             for p in pivots:
                 acc = None
                 for c, v in elim.rows[p].items():
-                    if c == p:
-                        continue
                     xv = vec.get(c)
                     if xv is None:
                         continue

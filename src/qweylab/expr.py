@@ -233,12 +233,9 @@ class _Parser:
     def parse_name(self, tok):
         name = tok.value
         if name == "q":
-            try:
-                return self.field.q, "scalar", tok.col
-            except Exception:
-                raise ExprError("symbol q is not available in this field", tok.col)
+            return self.field.q, "scalar", tok.col
         if name == "zeta":
-            if getattr(self.field, "kind", None) != "cyclotomic":
+            if self.field.kind != "cyclotomic":
                 raise ExprError("symbol zeta needs a cyclotomic field", tok.col)
             return self.field.zeta, "scalar", tok.col
         head, tail = name[0], name[1:]

@@ -53,7 +53,7 @@ from .qweyl import (
     exponent_vectors,
     graded_monomials,
 )
-from .scalars import Scalar, mul_skip_one
+from .scalars import Scalar
 
 def braid_exponent(spec: AlgebraSpec, dv: ExpVec, dw: ExpVec) -> int:
     m = spec.m
@@ -138,7 +138,7 @@ def pairing(spec: AlgebraSpec, exp: ExpVec) -> Scalar:
         step = f.zero
         for k in range(a):
             step = step + spec.q_power(-m[i][i] * k)  # [k + 1]_{q^(-m_ii)}
-            acc = mul_skip_one(acc, step)
+            acc = acc * step
     return acc
 
 
@@ -160,7 +160,7 @@ def left_regular_action(dexp: ExpVec, h: PBWElement) -> PBWElement:
         term = _second_legs(spec, hexp).get(dexp)
         if term is not None:
             h1, cc = term
-            v = mul_skip_one(mul_skip_one(c, cc), p)
+            v = c * cc * p
             out[(h1, zero)] = spec.field.twist(v, -braid_exponent(spec, dexp, h1))
     return PBWElement(spec, out)
 
@@ -180,7 +180,7 @@ def _smash_core(spec: AlgebraSpec, dexp: ExpVec, xexp: ExpVec):
         e = -braid_exponent(spec, f2, xexp)
         # f1 fixes both legs of the key, so no two terms meet
         for (aexp, _), ca in left_regular_action(f1, x).terms.items():
-            out[(aexp, f2)] = spec.field.twist(mul_skip_one(c, ca), e)
+            out[(aexp, f2)] = spec.field.twist(c * ca, e)
     return tuple(out.items())
 
 

@@ -35,7 +35,7 @@ from operator import add, mul, sub
 
 from .errors import ParameterError
 from .records import FrozenRecord, Record
-from .scalars import Field, Scalar, binary_power, mul_skip_one
+from .scalars import Field, Scalar, binary_power
 
 ExpVec = tuple[int, ...]
 Monomial = tuple[ExpVec, ExpVec]
@@ -278,7 +278,7 @@ def _one_var_table(spec: AlgebraSpec, i: int, s: int, r: int):
             for t in range(r - k):
                 p = spec.q_power(mu * t)
                 qint = p if qint is None else qint + p
-            v = mul_skip_one(mul_skip_one(c, gamma), qint)
+            v = c * gamma * qint
             out[k + 1] = v if out[k + 1] is None else out[k + 1] + v
     return tuple(f.zero if c is None else c for c in out)
 
@@ -307,7 +307,7 @@ def _reorder(spec: AlgebraSpec, b: ExpVec, a: ExpVec):
         b2 = _bump(b, i, -k)
         for (a3, b3), c3 in _reorder(spec, b2, rest):
             key = (_bump(a3, i, ai - k), b3)
-            c = mul_skip_one(coeff, c3)
+            c = coeff * c3
             prev = out.get(key)
             out[key] = c if prev is None else prev + c
     return tuple((key, c) for key, c in out.items() if not c.is_zero())
@@ -344,24 +344,16 @@ def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
     the normal form instead of multiplying.
     """
     out: dict[Monomial, Scalar] = {}
-    # most coefficients met here are one (a monomial times a monomial, a
-    # trivially ordered middle, no twist), so products by one are skipped
-    one = spec.field.one.v
     twist = spec.field.twist
-    rights = [
-        (a2, b2, c2, c2.v == one, _merge_vectors(spec, b2)[1])
-        for (a2, b2), c2 in right.items()
-    ]
+    rights = [(a2, b2, c2, _merge_vectors(spec, b2)[1]) for (a2, b2), c2 in right.items()]
     for (a1, b1), c1 in left.items():
-        c1_one = c1.v == one
         as_left = _merge_vectors(spec, a1)[0]
-        for a2, b2, c2, c2_one, as_right in rights:
-            c12 = c2 if c1_one else c1 if c2_one else c1 * c2
-            c12_one = c12.v == one
+        for a2, b2, c2, as_right in rights:
+            c12 = c1 * c2
             for (am, bm), ck in core(spec, b1, a2):
                 e = sign * (sum(map(mul, as_left, am)) + sum(map(mul, bm, as_right)))
                 key = (tuple(map(add, a1, am)), tuple(map(add, bm, b2)))
-                c = ck if c12_one else c12 if ck.v == one else c12 * ck
+                c = c12 * ck
                 if e:
                     c = twist(c, e)
                 prev = out.get(key)
@@ -440,8 +432,6 @@ class TermElement:
             c = self.spec.field.from_int(c)
         if not self.terms or c.is_zero():
             return self._like({})
-        if c == self.spec.field.one:
-            return self._like(dict(self.terms))
         # the coefficient fields have no zero divisors
         return self._like({k: v * c for k, v in self.terms.items()})
 
@@ -585,7 +575,7 @@ def _alpha_form_terms(spec: AlgebraSpec, a: ExpVec, b: ExpVec, order: tuple[int,
             a_left, b_left = _bump(aa, i, -m), _bump(bb, i, -m)
             for (_, _, k), c in _alpha_table(spec, i, aa[i], bb[i]):
                 key = (a_left, b_left, _bump(cc, i, k))
-                val = mul_skip_one(tw, c)
+                val = tw * c
                 prev = nxt.get(key)
                 nxt[key] = val if prev is None else prev + val
         terms = {k: v for k, v in nxt.items() if not v.is_zero()}
@@ -599,7 +589,7 @@ def _fraction_terms(spec: AlgebraSpec, numerator: PBWElement, denom: ExpVec, ord
     for (a, b), coeff in numerator.terms.items():
         for (aa, bb, cc), c in _alpha_form_terms(spec, a, b, order):
             key = (aa, bb, tuple(map(sub, cc, denom)))
-            val = mul_skip_one(coeff, c)
+            val = coeff * c
             prev = out.get(key)
             out[key] = val if prev is None else prev + val
     return out
@@ -628,14 +618,14 @@ def alpha_basis_product(spec: AlgebraSpec, left, right) -> dict:
     ]
     for (a1, b1, c1), u in left.items():
         for m2, c2, v, w2 in rights:
-            uv = mul_skip_one(u, v)
+            uv = u * v
             e = sum(map(mul, c1, w2))
             if e:
                 uv = twist(uv, e)
             c12 = tuple(map(add, c1, c2))
             for (a, b, c), s in _alpha_product(spec, (a1, b1), m2):
                 key = (a, b, tuple(map(add, c, c12)))
-                val = mul_skip_one(uv, s)
+                val = uv * s
                 prev = out.get(key)
                 out[key] = val if prev is None else prev + val
     return {k: c for k, c in out.items() if not c.is_zero()}

@@ -286,9 +286,16 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product.  A factor equal to one returns the other factor
+        itself, and this is the only code that skips a product by one."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        one = self.field.one.v
+        if other.v == one:
+            return self
+        if self.v == one:
+            return other
         return Scalar(self.field, self.field._mul(self.v, other.v))
 
     __rmul__ = __mul__
@@ -335,12 +342,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
-
-
-def mul_skip_one(a: Scalar, b: Scalar) -> Scalar:
-    """a * b, returning the other factor when one of them is one."""
-    one = a.field.one.v
-    return b if a.v == one else a if b.v == one else a * b
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,39 @@ def test_sparse_kernel_matches_the_unsplit_elimination(name, seed):
     assert rows == given
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", list(SYSTEM_FIELDS))
+def test_eliminator_rows_leave_their_pivot_implicit(name, seed):
+    field = SYSTEM_FIELDS[name]
+    rng = random.Random(f"pivot:{name}:{seed}")
+    ncols = rng.randint(6, 18)
+    if seed % 2:
+        rows = structured_system(rng, field, ncols)
+    else:
+        rows = seeded_system(rng, field, rng.randint(3, 14), list(range(ncols)))
+    elim = SparseEliminator(field)
+    for row in rows:
+        elim.add(row)
+    # a stored row holds only the columns after its pivot
+    assert elim.rows and all(c > p for p, row in elim.rows.items() for c in row)
+    kernel = unsplit_kernel(rows, ncols, field)
+    assert kernel_items(sparse_kernel(rows, ncols, field)) == kernel_items(kernel)
+    assert elim.rank == ncols - len(kernel)
+    for vec in kernel:
+        for row in rows:
+            dot = sum((v * vec[c] for c, v in row.items() if c in vec), field.zero)
+            assert dot.is_zero()
+        # its free column comes first, and no combination of rows has a
+        # one there alone
+        assert not elim.contains({next(iter(vec)): field.one})
+    assert all(elim.contains(row) for row in rows)
+    # with its one written out, a stored row lies in the span of the rows
+    assert all(elim.contains({p: field.one, **row}) for p, row in elim.rows.items())
+    span = SparseEliminator(field)
+    assert [span.add({p: field.one, **row}) for p, row in elim.rows.items()] == [True] * elim.rank
+    assert all(span.contains(row) for row in rows)
+
+
 def test_sparse_kernel_splits_forced_zeros_and_components(monkeypatch):
     f = FIELDS[5]
     two, three = f.from_int(2), f.zeta

@@ -91,6 +91,21 @@ def test_field_mismatch():
         QQ.one + Z3.one
 
 
+@pytest.mark.parametrize("field, other", [(QQ, QQ_Q), (QQ_Q, Z3), (Z3, QQ)],
+                         ids=["Q", "Qq", "Qzeta3"])
+def test_a_factor_one_returns_the_other_factor(field, other):
+    rng = random.Random(f"unit factor:{field.kind}")
+    one = field.one
+    values = [one, field.zero, -one, field.q, field.from_fraction(Fraction(-2, 3))]
+    values += [s for s in (_random_scalar(rng, field) for _ in range(30)) if s != one]
+    for s in values:
+        for got in (one * s, s * one, s * 1, 1 * s, s * Fraction(1)):
+            assert got is s and got.v == s.v
+    for a, b in ((one, other.q), (other.q, one), (one, other.one)):
+        with pytest.raises(ParameterError, match="different fields"):
+            a * b
+
+
 def _random_scalar(rng, field):
     if field is QQ:
         return field.from_fraction(

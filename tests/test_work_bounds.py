@@ -143,9 +143,9 @@ def test_verify_run_shares_reps_and_derived_data(monkeypatch):
 def test_n3_l5_reps_and_commutants_stay_sparse(monkeypatch):
     # dense rep matrices and exact commutant kernels took 1,342,122 scalar
     # multiplications here; sparse products and the exact commutants by
-    # weight take 46,992
+    # weight take 32,773 field products, 45,555 with the products by one
     calls, kernels = [], []
-    counting(monkeypatch, Scalar, "__mul__", calls)
+    counting(monkeypatch, scalars.CyclotomicField, "_mul", calls)
     counting(monkeypatch, rootofunity, "sparse_kernel", kernels)
     blocks = eliminated_blocks(monkeypatch)
     reps = load_config(str(N3_L5)).build_reps()
@@ -290,7 +290,7 @@ def test_scaling_by_one_forms_no_product(monkeypatch):
     spec = load_config(str(VERIFY_QQ)).spec
     u = spec.x(1) * spec.d(2) + spec.x(2).scale(spec.q_power(3))
     calls = []
-    counting(monkeypatch, Scalar, "__mul__", calls)
+    counting(monkeypatch, scalars.RationalFunctionField, "_mul", calls)
     for one in (1, spec.field.one):
         v = u.scale(one)
         assert v == u and v.terms is not u.terms
@@ -307,7 +307,7 @@ def test_powers_and_scaling_by_one_form_no_product_by_one(monkeypatch):
     powers = [(reduce(operator.mul, [u] * e, Z3.one), reduce(exactla.mat_mul, [a] * e, ident))
               for e in range(10)]
     scalar_calls, mat_calls = [], []
-    counting(monkeypatch, Scalar, "__mul__", scalar_calls)
+    counting(monkeypatch, scalars.CyclotomicField, "_mul", scalar_calls)
     counting(monkeypatch, exactla, "mat_mul", mat_calls)
     for e, (u_e, a_e) in enumerate(powers):
         scalar_calls.clear()
@@ -315,7 +315,7 @@ def test_powers_and_scaling_by_one_form_no_product_by_one(monkeypatch):
         want = e.bit_length() + bin(e).count("1") - 2 if e else 0
         assert u**e == u_e
         assert len(scalar_calls) == want
-        assert all(Z3.one not in args for args in scalar_calls)
+        assert all(Z3.one.v not in args for args in scalar_calls)
         got = exactla.mat_pow(a, e)
         assert got == a_e and len(mat_calls) == want
         assert all(not exactla.mat_eq(m, ident) for args in mat_calls for m in args)
@@ -401,7 +401,7 @@ def test_verify_qq_check_work(monkeypatch, check_id, bound):
     cfg = load_config(str(VERIFY_QQ))
     clear_layer_caches()
     calls = []
-    counting(monkeypatch, Scalar, "__mul__", calls)
+    counting(monkeypatch, scalars.RationalFunctionField, "_mul", calls)
     report = run_verification_suite(cfg, only={check_id})
     assert report["summary"]["pass"] == 1
     assert len(calls) < bound
@@ -412,7 +412,7 @@ def test_product_of_monomials_multiplies_no_scalars(monkeypatch):
     words = [(spec.x(1), spec.d(2)), (spec.d(2), spec.x(1))]
     want = [u * v for u, v in words]
     calls = []
-    counting(monkeypatch, Scalar, "__mul__", calls)
+    counting(monkeypatch, scalars.RationalFunctionField, "_mul", calls)
     assert [u * v for u, v in words] == want
     assert calls == []
     # d2 x1 = q_21 x1 d2: the cached reordering carries the twist
@@ -453,9 +453,10 @@ def test_reduced_product_stays_in_the_alpha_basis(monkeypatch):
 
 # Scalar.__mul__ calls per verify_qq check from cold caches before twists
 # went through Field.twist; the combined count of products and twists must
-# stay below them.  Counts now (products + twists): engine-soundness
-# 13,692 + 6,073, hopf-axioms 4,625 + 365, double-presentation 607 +
-# 2,329, moment-reduction 11,478 + 2,292.
+# stay below them.  A product is counted on the field's _mul: a
+# Scalar.__mul__ call with a factor one forms none.  Counts now (products
+# + twists): engine-soundness 13,692 + 6,073, hopf-axioms 493 + 164,
+# double-presentation 595 + 2,284, moment-reduction 5,925 + 953.
 PRODUCTS_BEFORE_TWISTS = {
     "engine-soundness": 20_602,
     "euler-commutativity": 21,
@@ -473,11 +474,26 @@ def test_verify_qq_products_and_twists(monkeypatch, check_id):
     cfg = load_config(str(VERIFY_QQ))
     clear_layer_caches()
     calls = []
-    counting(monkeypatch, Scalar, "__mul__", calls)
+    counting(monkeypatch, scalars.RationalFunctionField, "_mul", calls)
     counting(monkeypatch, scalars.RationalFunctionField, "twist", calls)
     report = run_verification_suite(cfg, only={check_id})
     assert report["summary"]["pass"] == 1
     assert len(calls) < PRODUCTS_BEFORE_TWISTS[check_id]
+
+
+def test_rep_checks_form_no_product_by_one(monkeypatch):
+    # 3,406 cyclotomic products, 977 of them by a factor equal to one, while
+    # only some callers skipped such a product; with Scalar.__mul__ deciding
+    # for all of them, 2,319 and none
+    cfg = load_config(str(N2_L3))
+    clear_layer_caches()
+    calls = []
+    counting(monkeypatch, scalars.CyclotomicField, "_mul", calls)
+    report = run_verification_suite(cfg, only=set(REP_CHECKS))
+    assert report["summary"]["pass"] == len(REP_CHECKS)
+    one = cfg.field.one.v
+    assert [args for args in calls if one in args[1:]] == []
+    assert len(calls) < 2_500
 
 
 def test_verify_qq_run_compares_specs_by_identity(monkeypatch):
