@@ -8,7 +8,6 @@ collects every problem (with a field path) before aborting.
 
 from __future__ import annotations
 
-import copy
 import json
 from functools import lru_cache
 
@@ -185,24 +184,26 @@ def load_config(path: str) -> WorkbenchConfig:
     the verify report); only the immutable field, spec, torus, eta and slot
     scalars are shared between calls."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ConfigError([exc.strerror or type(exc).__name__], path, unreadable=True) from None
+    try:
+        text = data.decode()
     except UnicodeDecodeError:
         raise ConfigError(["not UTF-8 text"], path, unreadable=True) from None
     try:
         shared = _config_of_text(text)
     except ConfigError as exc:
         raise ConfigError(exc.problems, path, exc.unreadable) from None
-    config = copy.copy(shared)
-    config.bounds = dict(shared.bounds)
-    config.rep_slots = [
+    rep_slots = [
         [slot if slot is None else (slot[0], list(slot[1])) for slot in slots]
         for slots in shared.rep_slots
     ]
-    config._raw, config._text, config._reps = None, text, None
-    return config
+    return WorkbenchConfig(
+        shared.field, shared.spec, shared.torus, shared.eta, rep_slots,
+        dict(shared.bounds), shared.seed, _text=text,
+    )
 
 
 @lru_cache(maxsize=16)

@@ -86,7 +86,6 @@ def coproduct(spec: AlgebraSpec, exp: ExpVec):
         gen = {(g, zero): f.one, (zero, g): f.one}
         for _ in range(e):
             terms = _ordered_product(spec, terms, gen, _braid_core, -1)
-            terms = {k: c for k, c in terms.items() if not c.is_zero()}
     return tuple(terms.items())
 
 
@@ -226,8 +225,7 @@ class DoubleElement(TermElement):
             return self.scale(other)
         if not self._same_algebra(other):
             return NotImplemented
-        terms = _ordered_product(self.spec, self.terms, other.terms, _smash_core, -1)
-        return DoubleElement(self.spec, terms)
+        return self._like(_ordered_product(self.spec, self.terms, other.terms, _smash_core, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ product is reduced by the same lattice step.
 from __future__ import annotations
 
 import operator
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 from .errors import DomainError, ParameterError
 from .exactla import column_hnf, hnf_reduce
@@ -35,6 +35,7 @@ from .qweyl import (
     _fraction_terms,
     _integer_rows,
     _rescaled,
+    _scalar_terms,
     _zero_vec,
     alpha_basis_product,
     graded_monomials,
@@ -57,6 +58,12 @@ class TorusData(FrozenRecord):
             raise ParameterError("A must be an n x d integer matrix")
         if len(self.hnf[2]) != self.d:
             raise ParameterError("embedding matrix A must have full column rank")
+        # a torus keys the lattice-step and invariance caches, so its hash is
+        # taken once
+        self.__dict__["_hash"] = hash(self._key())
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
     def hnf(self):
@@ -87,8 +94,9 @@ class TorusData(FrozenRecord):
         return tuple(max(k, 0) for k in col), tuple(max(-k, 0) for k in col)
 
     def is_invariant(self, spec: AlgebraSpec, degree: ExpVec) -> bool:
-        """True when elements of this degree commute with every comoment value."""
-        return not any(self.comoment_weights(spec, degree))
+        """True when elements of this degree commute with every comoment
+        value (decided once per torus, spec and degree)."""
+        return _is_invariant(self, spec, degree)
 
     def character(self, t, mul=operator.mul, power=operator.pow) -> tuple:
         """The subtorus point (prod_i t_i^(a_ij))_j of a torus point t, under
@@ -98,6 +106,11 @@ class TorusData(FrozenRecord):
             reduce(mul, (power(t[i], self.a[i][j]) for i in range(self.n) if self.a[i][j]))
             for j in range(self.d)
         )
+
+
+@lru_cache(maxsize=4096)
+def _is_invariant(torus: TorusData, spec: AlgebraSpec, degree: ExpVec) -> bool:
+    return not any(torus.comoment_weights(spec, degree))
 
 
 class ReductionDatum(FrozenRecord):
@@ -219,29 +232,48 @@ class ReducedElement(TermElement):
     __repr__ = __str__
 
 
+@lru_cache(maxsize=4096)
+def _lattice_step(torus: TorusData, eta: tuple[Scalar, ...], c: tuple[int, ...]):
+    """The alpha exponents c reduced modulo the column lattice of A, as
+    (reduced exponents, eta^t), with None for eta^t when t = 0."""
+    h, uu, pivots = torus.hnf
+    red, t = hnf_reduce(c, h, uu, pivots)
+    et = None
+    if any(t):
+        et = reduce(operator.mul, (e**tj for e, tj in zip(eta, t) if tj))
+    return red, et
+
+
 def _lattice_reduce(datum: ReductionDatum, spec: AlgebraSpec, terms) -> ReducedElement:
     """The canonical form of alpha-basis terms: each alpha exponent vector c
-    is reduced modulo the column lattice of A, once per distinct c, and a
-    subtracted lattice vector A t multiplies by eta^t."""
-    h, uu, pivots = datum.torus.hnf
-    # alpha exponents -> (reduced exponents, eta^t or None for t = 0)
-    reduced: dict[tuple[int, ...], tuple] = {}
-    out = {}
+    is reduced modulo the column lattice of A, and a subtracted lattice
+    vector A t multiplies by eta^t; the step is looked up once per distinct
+    c and taken once per torus, eta and c (see `_lattice_step`).  The terms
+    must have nonzero coefficients; they are accumulated as field values, as
+    in `_ordered_product`."""
+    torus, eta = datum.torus, datum.eta
+    field = spec.field
+    product, plus = field._product, field._add
+    steps: dict = {}
+    out: dict = {}
+    summed = set()
     for (a, b, c), coeff in terms.items():
-        hit = reduced.get(c)
-        if hit is None:
-            red, t = hnf_reduce(c, h, uu, pivots)
-            et = None
-            if any(t):
-                et = reduce(operator.mul, (e**tj for e, tj in zip(datum.eta, t) if tj))
-            hit = reduced[c] = (red, et)
-        red, et = hit
-        if et is not None:
-            coeff = coeff * et
+        step = steps.get(c)
+        if step is None:
+            step = steps[c] = _lattice_step(torus, eta, c)
+        red, et = step
+        coeff = coeff.v if et is None else product(coeff.v, et.v)
         key = (a, b, red)
         prev = out.get(key)
-        out[key] = coeff if prev is None else prev + coeff
-    return ReducedElement(datum, spec, out)
+        if prev is None:
+            out[key] = coeff
+        else:
+            out[key] = plus(prev, coeff)
+            summed.add(key)
+    element = ReducedElement.__new__(ReducedElement)
+    element.datum, element.spec = datum, spec
+    element.terms = _scalar_terms(field, out, summed)
+    return element
 
 
 def moment_ideal_reduce(u, datum: ReductionDatum, coord_order=None) -> ReducedElement:

@@ -25,6 +25,11 @@ x^a d^b alpha^c with min(a_i, b_i) = 0 and c in Z^n (a generalized Weyl
 algebra basis), and :class:`LocalizedElement` is a term dict over it.  A
 fraction N alpha^-k is converted into it once, and it prints as its
 lowest-terms fraction.
+
+The products are term-dict kernels (`_ordered_product`, `_reorder`,
+`_fraction_terms`, `alpha_basis_product`) that accumulate bare field values
+through the field's ``_product``, ``_twist`` and ``_add``, and wrap each
+output coefficient in a Scalar once (`_scalar_terms`).
 """
 
 from __future__ import annotations
@@ -172,7 +177,7 @@ class AlgebraSpec(FrozenRecord):
     # -- element factories (generator indices are 1-based, as in x1, d1) --
 
     def zero(self) -> PBWElement:
-        return PBWElement(self, {})
+        return PBWElement.from_terms(self, {})
 
     def one(self) -> PBWElement:
         return self.scalar_element(self.field.one)
@@ -183,7 +188,7 @@ class AlgebraSpec(FrozenRecord):
         n = self.n
         if c.is_zero():
             return self.zero()
-        return PBWElement(self, {(_zero_vec(n), _zero_vec(n)): c})
+        return PBWElement.from_terms(self, {(_zero_vec(n), _zero_vec(n)): c})
 
     def monomial(self, a, b, coeff: Scalar | int = 1) -> PBWElement:
         a, b = tuple(a), tuple(b)
@@ -195,13 +200,17 @@ class AlgebraSpec(FrozenRecord):
             coeff = self.field.from_int(coeff)
         if coeff.is_zero():
             return self.zero()
-        return PBWElement(self, {(a, b): coeff})
+        return PBWElement.from_terms(self, {(a, b): coeff})
 
     def x(self, i: int, power: int = 1) -> PBWElement:
-        return self.zero()._like({(self._exponent(i, power), _zero_vec(self.n)): self.field.one})
+        return PBWElement.from_terms(
+            self, {(self._exponent(i, power), _zero_vec(self.n)): self.field.one}
+        )
 
     def d(self, i: int, power: int = 1) -> PBWElement:
-        return self.zero()._like({(_zero_vec(self.n), self._exponent(i, power)): self.field.one})
+        return PBWElement.from_terms(
+            self, {(_zero_vec(self.n), self._exponent(i, power)): self.field.one}
+        )
 
     def alpha(self, i: int) -> PBWElement:
         """The Euler operator 1 + x_i d_i."""
@@ -296,21 +305,27 @@ def _reorder(spec: AlgebraSpec, b: ExpVec, a: ExpVec):
     rest = _bump(a, i, -ai)
     # x_i^ai moves left through d_j^bj for j > i
     e1 = s * sum(b[j] * ai * spec.m[j][i] for j in range(i + 1, n))
-    out: dict[Monomial, Scalar] = {}
+    product, twist, plus = f._product, f._twist, f._add
+    out: dict = {}
+    summed = set()
     table = _one_var_table(spec, i, b[i], ai)
     for k, ck in enumerate(table):
         if ck.is_zero():
             continue
         # surviving x_i^(ai-k) continues left through d_j^bj for j < i
         e2 = s * sum(b[j] * (ai - k) * spec.m[j][i] for j in range(i))
-        coeff = f.twist(ck, e1 + e2)
+        coeff = twist(ck.v, e1 + e2)
         b2 = _bump(b, i, -k)
         for (a3, b3), c3 in _reorder(spec, b2, rest):
             key = (_bump(a3, i, ai - k), b3)
-            c = coeff * c3
+            c = product(coeff, c3.v)
             prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return tuple((key, c) for key, c in out.items() if not c.is_zero())
+            if prev is None:
+                out[key] = c
+            else:
+                out[key] = plus(prev, c)
+                summed.add(key)
+    return tuple(_scalar_terms(f, out, summed).items())
 
 
 @lru_cache(maxsize=1024)
@@ -327,9 +342,22 @@ def _merge_vectors(spec: AlgebraSpec, vec: ExpVec) -> tuple[ExpVec, ExpVec]:
     return as_left, as_right
 
 
+def _scalar_terms(field: Field, values: dict, summed) -> dict:
+    """The term dict of the field values a kernel accumulated, in the order
+    their keys were first met.  A value that received no sum is a product of
+    nonzero values, so only the keys in ``summed`` are tested for zero, and
+    each value is wrapped in a Scalar once; the value of ``field.one``
+    itself, which a product by one passes on, is wrapped as ``field.one``."""
+    zero, one = field.zero.v, field.one
+    for key in summed:
+        if values[key] == zero:
+            del values[key]
+    return {key: one if v is one.v else Scalar(field, v) for key, v in values.items()}
+
+
 def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
     """The product of two term dicts over ordered monomials (a, b), each the
-    x-part x^a times the d-part d^b.
+    x-part x^a times the d-part d^b, zero coefficients dropped.
 
     ``core(spec, b1, a2)`` expands the middle d^b1 x^a2 as ordered terms
     ((am, bm), c); merging x^a1 x^am and d^bm d^b2 then twists by
@@ -340,25 +368,33 @@ def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
 
     The merge exponent is bilinear, so it is read as two dot products, with
     the vectors of ``_merge_vectors`` taken once per left and per right
-    term.  The twist q^e goes through ``Field.twist``, which over Q(q) shifts
-    the normal form instead of multiplying.
+    term.  The coefficients are accumulated as field values: the products go
+    through ``Field._product`` and the twists q^e through ``Field._twist``,
+    which over Q(q) shifts the normal form instead of multiplying.
     """
-    out: dict[Monomial, Scalar] = {}
-    twist = spec.field.twist
-    rights = [(a2, b2, c2, _merge_vectors(spec, b2)[1]) for (a2, b2), c2 in right.items()]
+    field = spec.field
+    product, twist, plus = field._product, field._twist, field._add
+    out: dict = {}
+    summed = set()
+    rights = [(a2, b2, c2.v, _merge_vectors(spec, b2)[1]) for (a2, b2), c2 in right.items()]
     for (a1, b1), c1 in left.items():
         as_left = _merge_vectors(spec, a1)[0]
+        c1 = c1.v
         for a2, b2, c2, as_right in rights:
-            c12 = c1 * c2
+            c12 = product(c1, c2)
             for (am, bm), ck in core(spec, b1, a2):
                 e = sign * (sum(map(mul, as_left, am)) + sum(map(mul, bm, as_right)))
                 key = (tuple(map(add, a1, am)), tuple(map(add, bm, b2)))
-                c = c12 * ck
+                c = product(c12, ck.v)
                 if e:
                     c = twist(c, e)
                 prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-    return out
+                if prev is None:
+                    out[key] = c
+                else:
+                    out[key] = plus(prev, c)
+                    summed.add(key)
+    return _scalar_terms(field, out, summed)
 
 
 class TermElement:
@@ -404,13 +440,23 @@ class TermElement:
         other = self._operand(other)
         if not self._same_algebra(other):
             return NotImplemented
+        field = self.spec.field
+        zero = field.zero.v
         out = dict(self.terms)
         for k, c in other.terms.items():
             if subtract:
                 c = -c
             prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return self._like({k: c for k, c in out.items() if not c.is_zero()})
+            if prev is None:
+                out[k] = c
+                continue
+            # only a sum can be zero
+            v = field._add(prev.v, c.v)
+            if v == zero:
+                del out[k]
+            else:
+                out[k] = Scalar(field, v)
+        return self._like(out)
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -470,8 +516,20 @@ class PBWElement(TermElement):
         self.spec = spec
         super().__init__(terms)
 
+    @staticmethod
+    def from_terms(spec: AlgebraSpec, terms) -> PBWElement:
+        """The element with the given terms, whose coefficients are known to
+        be nonzero."""
+        out = PBWElement.__new__(PBWElement)
+        out.spec = spec
+        out.terms = terms
+        return out
+
     def _meta(self):
         return (self.spec,)
+
+    def _like(self, terms):
+        return PBWElement.from_terms(self.spec, terms)
 
     def _operand(self, other):
         if isinstance(other, (int, Scalar)):
@@ -479,13 +537,16 @@ class PBWElement(TermElement):
         return other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        if not self._same_algebra(other):
-            return NotImplemented
         spec = self.spec
+        # an operand of the same spec, nearly always the shared object, needs
+        # no other test
+        if type(other) is not PBWElement or other.spec is not spec:
+            if isinstance(other, (int, Scalar)):
+                return self.scale(other)
+            if not self._same_algebra(other):
+                return NotImplemented
         terms = _ordered_product(spec, self.terms, other.terms, _reorder, spec.sign)
-        return PBWElement(spec, terms)
+        return PBWElement.from_terms(spec, terms)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -583,25 +644,34 @@ def _alpha_form_terms(spec: AlgebraSpec, a: ExpVec, b: ExpVec, order: tuple[int,
 
 
 def _fraction_terms(spec: AlgebraSpec, numerator: PBWElement, denom: ExpVec, order):
-    """The alpha-basis terms of the fraction numerator * alpha^-denom: the
-    alpha form of each numerator term, its alpha exponents shifted by -denom."""
-    out: dict[AlphaKey, Scalar] = {}
+    """The alpha-basis terms of the fraction numerator * alpha^-denom, zero
+    coefficients dropped: the alpha form of each numerator term, its alpha
+    exponents shifted by -denom, accumulated as field values."""
+    field = spec.field
+    product, plus = field._product, field._add
+    out: dict = {}
+    summed = set()
     for (a, b), coeff in numerator.terms.items():
+        coeff = coeff.v
         for (aa, bb, cc), c in _alpha_form_terms(spec, a, b, order):
             key = (aa, bb, tuple(map(sub, cc, denom)))
-            val = coeff * c
+            val = product(coeff, c.v)
             prev = out.get(key)
-            out[key] = val if prev is None else prev + val
-    return out
+            if prev is None:
+                out[key] = val
+            else:
+                out[key] = plus(prev, val)
+                summed.add(key)
+    return _scalar_terms(field, out, summed)
 
 
 @lru_cache(maxsize=4096)
 def _alpha_product(spec: AlgebraSpec, left: Monomial, right: Monomial):
     """The structure constants of the alpha basis: the engine product of two
     monomials x^a d^b in alpha form, as (key, coefficient) items."""
-    product = PBWElement(spec, {left: spec.field.one}) * PBWElement(spec, {right: spec.field.one})
-    terms = _fraction_terms(spec, product, _zero_vec(spec.n), tuple(range(spec.n)))
-    return tuple((k, c) for k, c in terms.items() if not c.is_zero())
+    one = spec.field.one
+    product = PBWElement.from_terms(spec, {left: one}) * PBWElement.from_terms(spec, {right: one})
+    return tuple(_fraction_terms(spec, product, _zero_vec(spec.n), tuple(range(spec.n))).items())
 
 
 def alpha_basis_product(spec: AlgebraSpec, left, right) -> dict:
@@ -609,26 +679,34 @@ def alpha_basis_product(spec: AlgebraSpec, left, right) -> dict:
 
     (x^a1 d^b1 alpha^c1)(x^a2 d^b2 alpha^c2) =
     q^(c1 . weight(a2 - b2)) (x^a1 d^b1 x^a2 d^b2) alpha^(c1 + c2), with
-    the middle product read from the structure constants."""
-    twist = spec.field.twist
-    out: dict[AlphaKey, Scalar] = {}
+    the middle product read from the structure constants.  The coefficients
+    are accumulated as field values, as in `_ordered_product`."""
+    field = spec.field
+    product, twist, plus = field._product, field._twist, field._add
+    out: dict = {}
+    summed = set()
     rights = [
-        ((a2, b2), c2, v, spec.weight(tuple(map(sub, a2, b2))))
+        ((a2, b2), c2, v.v, spec.weight(tuple(map(sub, a2, b2))))
         for (a2, b2, c2), v in right.items()
     ]
     for (a1, b1, c1), u in left.items():
+        u = u.v
         for m2, c2, v, w2 in rights:
-            uv = u * v
+            uv = product(u, v)
             e = sum(map(mul, c1, w2))
             if e:
                 uv = twist(uv, e)
             c12 = tuple(map(add, c1, c2))
             for (a, b, c), s in _alpha_product(spec, (a1, b1), m2):
                 key = (a, b, tuple(map(add, c, c12)))
-                val = uv * s
+                val = product(uv, s.v)
                 prev = out.get(key)
-                out[key] = val if prev is None else prev + val
-    return {k: c for k, c in out.items() if not c.is_zero()}
+                if prev is None:
+                    out[key] = val
+                else:
+                    out[key] = plus(prev, val)
+                    summed.add(key)
+    return _scalar_terms(field, out, summed)
 
 
 def _rescaled(spec: AlgebraSpec) -> AlgebraSpec:
@@ -655,7 +733,7 @@ class LocalizedElement(TermElement):
         if len(denom) != spec.n or any(k < 0 for k in denom):
             raise ParameterError("denominator exponents must be nonnegative, length n")
         self.spec = spec
-        super().__init__(_fraction_terms(spec, numerator, denom, tuple(range(spec.n))))
+        self.terms = _fraction_terms(spec, numerator, denom, tuple(range(spec.n)))
 
     @staticmethod
     def from_terms(spec: AlgebraSpec, terms) -> LocalizedElement:
@@ -704,7 +782,7 @@ class LocalizedElement(TermElement):
         out = spec.zero()
         for c, terms in parts.items():
             lift = tuple(map(add, c, denom))
-            part = PBWElement(spec, terms)
+            part = PBWElement.from_terms(spec, terms)
             out = out + (part * spec.alpha_power(lift) if any(lift) else part)
         return out
 

@@ -10,7 +10,7 @@ Supported fields:
   terms that share no polynomial factor, with coprime integer contents and
   a positive leading coefficient of den.  Zero is ``(0, (), (1,))``.  The
   normal form is unique, so equality is structural.  A twist c*q^e
-  (``Field.twist``) adds e to k.  A product needs no polynomial gcd where
+  (``_twist``) adds e to k.  A product needs no polynomial gcd where
   a numerator meets a one-term denominator (an integer, once the q-power is
   in k), which covers the values met in practice; otherwise the common
   factors across the two values are cancelled through the polynomial gcd
@@ -30,6 +30,15 @@ Supported fields:
 
 All values are immutable and all operations are pure functions, so scalars
 may be shared freely between threads and cached by identity of their field.
+
+Each field works on bare values: ``_add``, ``_neg``, ``_mul`` (the field
+product), ``_inv``, ``_product`` and ``_twist``.  ``_product`` is the product
+that returns the other factor itself when one factor equals one, and is the
+only code that skips a product by one; ``_twist(v, e)`` is the only
+implementation of v*q^e.  ``Scalar`` wraps a value and its field, and its
+``*`` and ``Field.twist`` go through those two.  The term-dict kernels of
+:mod:`.qweyl` call the value methods directly and wrap each output
+coefficient once.
 """
 
 from __future__ import annotations
@@ -286,17 +295,19 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        """The product.  A factor equal to one returns the other factor
-        itself, and this is the only code that skips a product by one."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        one = self.field.one.v
-        if other.v == one:
+        """The product through ``Field._product``: a factor equal to one
+        returns the other factor itself."""
+        field = self.field
+        if other.__class__ is not Scalar or other.field is not field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        v = field._product(self.v, other.v)
+        if v is self.v:
             return self
-        if self.v == one:
+        if v is other.v:
             return other
-        return Scalar(self.field, self.field._mul(self.v, other.v))
+        return Scalar(field, v)
 
     __rmul__ = __mul__
 
@@ -383,9 +394,22 @@ class Field:
     def q_power(self, e: int) -> Scalar:
         return self.q ** e
 
+    def _product(self, a, b):
+        """The product of two values.  A factor equal to one returns the
+        other value itself, and this is the only code that skips a product
+        by one."""
+        one = self._one
+        if b == one:
+            return a
+        if a == one:
+            return b
+        return self._mul(a, b)
+
     def twist(self, c: Scalar, e: int) -> Scalar:
-        """c * q^e, the scaling every rewrite and braiding twist applies."""
-        return c * self.q_power(e) if e else c
+        """c * q^e, the scaling every rewrite and braiding twist applies:
+        ``_twist`` on the value of c."""
+        v = self._twist(c.v, e)
+        return c if v is c.v else Scalar(self, v)
 
     def format(self, v) -> str:  # pragma: no cover
         raise NotImplementedError
@@ -399,6 +423,7 @@ class RationalField(Field):
     def __init__(self):
         self.zero = Scalar(self, Fraction(0))
         self.one = Scalar(self, Fraction(1))
+        self._one = self.one.v
 
     def from_fraction(self, f: Fraction) -> Scalar:
         return Scalar(self, Fraction(f))
@@ -411,8 +436,8 @@ class RationalField(Field):
     def q_power(self, e: int) -> Scalar:
         return self.one
 
-    def twist(self, c: Scalar, e: int) -> Scalar:
-        return c
+    def _twist(self, v, e: int):
+        return v
 
     def _add(self, a, b):
         return a + b
@@ -439,13 +464,14 @@ class RationalFunctionField(Field):
     """Rational functions in q, stored as (k, num, den) = q^k * num / den in
     the normal form of the module docstring.
 
-    ``twist(c, e)`` = c*q^e adds e to the valuation k."""
+    ``_twist(v, e)`` = v*q^e adds e to the valuation k."""
 
     kind = "rational_function_q"
 
     def __init__(self):
         self.zero = Scalar(self, (0, _ZERO_POLY, _ONE_POLY))
         self.one = Scalar(self, (0, _ONE_POLY, _ONE_POLY))
+        self._one = self.one.v
         self._q = self.q_power(1)
 
     @property
@@ -455,11 +481,11 @@ class RationalFunctionField(Field):
     def q_power(self, e: int) -> Scalar:
         return Scalar(self, (e, _ONE_POLY, _ONE_POLY))
 
-    def twist(self, c: Scalar, e: int) -> Scalar:
-        k, num, den = c.v
+    def _twist(self, v, e: int):
+        k, num, den = v
         if not e or not num:
-            return c
-        return Scalar(self, (k + e, num, den))
+            return v
+        return (k + e, num, den)
 
     def from_int(self, n: int) -> Scalar:
         return Scalar(self, (0, (int(n),), _ONE_POLY) if n else self.zero.v)
@@ -608,6 +634,7 @@ class CyclotomicField(Field):
         zeros = (0,) * phi
         self.zero = Scalar(self, (zeros, 1))
         self.one = Scalar(self, ((1,) + zeros[1:], 1))
+        self._one = self.one.v
         # Phi_l is monic, so t^k for k = phi .. 2*phi-2 reduces to an integer
         # row over 1, t, ..., t^(phi-1)
         row = tuple(-c for c in self.modulus[:-1])
@@ -674,14 +701,16 @@ class CyclotomicField(Field):
     def q_power(self, e: int) -> Scalar:
         return self.zeta_power(e)
 
-    def twist(self, c: Scalar, e: int) -> Scalar:
-        """c * zeta^e; the twist of a power of zeta is a table entry."""
+    def _twist(self, v, e: int):
+        """v * zeta^e: no twist for e = 0 mod l, and a table entry for a
+        power of zeta."""
+        e %= self.l
         if not e:
-            return c
-        k = self._zeta_exponent.get(c.v)
+            return v
+        k = self._zeta_exponent.get(v)
         if k is not None:
-            return self.zeta_power(k + e)
-        return c * self.zeta_power(e)
+            return self._zeta_pows[(k + e) % self.l]
+        return self._mul(v, self._zeta_pows[e])
 
     def _add(self, a, b):
         an, ad = a
@@ -728,7 +757,8 @@ class CyclotomicField(Field):
                         for i, r in enumerate(row):
                             if r:
                                 conj[i] += x * r
-                prod = (tuple(conj), 1) if prod is None else self._mul(prod, (conj, 1))
+                conj = (tuple(conj), 1)
+                prod = conj if prod is None else self._mul(prod, conj)
             c = self._mul((nums, 1), prod)[0][0]
             nums = tuple(den * x for x in prod[0])
         else:

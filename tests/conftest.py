@@ -1,10 +1,18 @@
 import json
 import random
+from operator import add, mul, sub
 from pathlib import Path
 
 from qweylab.config import parse_config
 from qweylab.moment import invariant_monomials, moment_ideal_reduce
-from qweylab.qweyl import AlgebraSpec, LocalizedElement, PBWElement
+from qweylab.qweyl import (
+    AlgebraSpec,
+    LocalizedElement,
+    PBWElement,
+    _alpha_form_terms,
+    _merge_vectors,
+    _one_var_table,
+)
 from qweylab.scalars import make_field
 
 QQ_Q = make_field("rational_function_q")
@@ -132,3 +140,96 @@ def seeded_invariant(rng, spec, datum):
         denom = tuple(rng.randint(0, 1) for _ in range(spec.n))
         u = u + LocalizedElement(spec.monomial(a, b, rng.choice([-2, -1, 1, 2])), denom)
     return moment_ideal_reduce(u, datum)
+
+
+# The term-dict kernels as they were written on Scalar operations: the
+# reference for the kernels of qweylab.qweyl, which accumulate field values.
+# Each returns its terms in the order the kernel meets their keys, zero
+# coefficients included.
+
+
+def reference_ordered_product(spec, left, right, core, sign):
+    out = {}
+    twist = spec.field.twist
+    rights = [(a2, b2, c2, _merge_vectors(spec, b2)[1]) for (a2, b2), c2 in right.items()]
+    for (a1, b1), c1 in left.items():
+        as_left = _merge_vectors(spec, a1)[0]
+        for a2, b2, c2, as_right in rights:
+            c12 = c1 * c2
+            for (am, bm), ck in core(spec, b1, a2):
+                e = sign * (sum(map(mul, as_left, am)) + sum(map(mul, bm, as_right)))
+                key = (tuple(map(add, a1, am)), tuple(map(add, bm, b2)))
+                c = c12 * ck
+                if e:
+                    c = twist(c, e)
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+    return out
+
+
+def reference_fraction_terms(spec, numerator, denom, order):
+    out = {}
+    for (a, b), coeff in numerator.terms.items():
+        for (aa, bb, cc), c in _alpha_form_terms(spec, a, b, order):
+            key = (aa, bb, tuple(map(sub, cc, denom)))
+            val = coeff * c
+            prev = out.get(key)
+            out[key] = val if prev is None else prev + val
+    return out
+
+
+def reference_alpha_product(spec, left, right):
+    """The alpha-basis structure constant of two monomials through the
+    reference kernels."""
+    one = spec.field.one
+    terms = reference_ordered_product(spec, {left: one}, {right: one}, reference_reorder, spec.sign)
+    product = PBWElement(spec, terms)
+    terms = reference_fraction_terms(spec, product, (0,) * spec.n, tuple(range(spec.n)))
+    return [(k, c) for k, c in terms.items() if not c.is_zero()]
+
+
+def reference_alpha_basis_product(spec, left, right):
+    twist = spec.field.twist
+    out = {}
+    rights = [
+        ((a2, b2), c2, v, spec.weight(tuple(map(sub, a2, b2))))
+        for (a2, b2, c2), v in right.items()
+    ]
+    for (a1, b1, c1), u in left.items():
+        for m2, c2, v, w2 in rights:
+            uv = u * v
+            e = sum(map(mul, c1, w2))
+            if e:
+                uv = twist(uv, e)
+            c12 = tuple(map(add, c1, c2))
+            for (a, b, c), s in reference_alpha_product(spec, (a1, b1), m2):
+                key = (a, b, tuple(map(add, c, c12)))
+                val = uv * s
+                prev = out.get(key)
+                out[key] = val if prev is None else prev + val
+    return out
+
+
+def reference_reorder(spec, b, a):
+    """Normal ordering of d^b x^a, uncached, over the cached one-variable
+    tables."""
+    n, f, s = spec.n, spec.field, spec.sign
+    i = next((k for k in range(n) if a[k]), None)
+    if i is None:
+        return (((a, b), f.one),)
+    ai = a[i]
+    rest = a[:i] + (0,) + a[i + 1:]
+    e1 = s * sum(b[j] * ai * spec.m[j][i] for j in range(i + 1, n))
+    out = {}
+    for k, ck in enumerate(_one_var_table(spec, i, b[i], ai)):
+        if ck.is_zero():
+            continue
+        e2 = s * sum(b[j] * (ai - k) * spec.m[j][i] for j in range(i))
+        coeff = f.twist(ck, e1 + e2)
+        b2 = b[:i] + (b[i] - k,) + b[i + 1:]
+        for (a3, b3), c3 in reference_reorder(spec, b2, rest):
+            key = (a3[:i] + (a3[i] + ai - k,) + a3[i + 1:], b3)
+            c = coeff * c3
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+    return tuple((key, c) for key, c in out.items() if not c.is_zero())

@@ -199,6 +199,27 @@ def test_each_load_parses_a_text_once_and_returns_an_independent_config(monkeypa
     assert not any(a is b for a, b in zip(first_reps, second_reps))
 
 
+def test_loads_own_their_bounds_slots_and_reps_and_leave_the_shared_config_alone():
+    config._config_of_text.cache_clear()
+    first, second = load_config(str(N2_L3)), load_config(str(N2_L3))
+    shared = config._config_of_text(N2_L3.read_bytes().decode())
+    before = (dict(shared.bounds), repr(shared.rep_slots), shared._reps)
+    assert first.bounds is not second.bounds and first.bounds is not shared.bounds
+    assert first.rep_slots is not second.rep_slots
+    assert all(
+        a is not b and (sa is None or sa[1] is not sb[1])
+        for a, b in zip(first.rep_slots, second.rep_slots)
+        for sa, sb in zip(a, b)
+    )
+    first.bounds["degree_bound"] = 1
+    first.rep_slots[0][0][1][0] = None
+    reps = second.build_reps()
+    assert second.bounds == shared.bounds and first._reps is None
+    assert second._reps is not None and shared._reps is None
+    assert load_config(str(N2_L3))._reps is None
+    assert (dict(shared.bounds), repr(shared.rep_slots), shared._reps) == before
+    assert [rep.dim for rep in reps] == [9, 9]
+
 
 def test_validation_errors_name_their_config_file(tmp_path):
     # two bad configs served in one session, each with one problem and then

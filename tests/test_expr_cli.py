@@ -296,12 +296,15 @@ def test_config_type_errors_name_their_field(tmp_path, capsys, path, value, prob
         ('{"field": ', "invalid JSON: Expecting value: line 1 column 11 (char 10)"),
         (None, "No such file or directory"),
         ("[1, 2]", "the top level must be a JSON object"),
+        (b'{"field": "rational\xff"}', "not UTF-8 text"),
     ],
-    ids=["invalid-json", "missing-file", "top-level-list"],
+    ids=["invalid-json", "missing-file", "top-level-list", "not-utf8"],
 )
 def test_config_file_faults_exit_2_naming_the_file(tmp_path, capsys, text, problem):
     cfg = tmp_path / "bad.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    elif text is not None:
         cfg.write_text(text)
     assert main(["eval", "x1", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()

@@ -461,3 +461,48 @@ def test_rational_twist_is_the_product_by_a_q_power():
     for s in [QQ.zero] + [_random_scalar(rng, QQ) for _ in range(20)]:
         for e in range(-8, 9):
             assert QQ.twist(s, e).v == (s * QQ.q_power(e)).v
+
+
+@pytest.mark.parametrize("field", [QQ, QQ_Q, Z3, make_field("cyclotomic", 9)],
+                         ids=["Q", "Qq", "Qzeta3", "Qzeta9"])
+def test_value_product_returns_a_factor_one_s_partner(field):
+    rng = random.Random(f"value product:{field.kind}:{field.l}")
+    one = field.one.v
+    for s in [field.zero, field.q] + [_random_scalar(rng, field) for _ in range(20)]:
+        assert field._product(s.v, one) is s.v and field._product(one, s.v) is s.v
+        if s.v != one:
+            assert field._product(s.v, s.v) == field._mul(s.v, s.v)
+
+
+@pytest.mark.parametrize("l", (3, 9))
+def test_cyclotomic_twist_by_a_multiple_of_l_is_no_twist(l, monkeypatch):
+    F, xs = _seeded_cyclotomic(l, 10)
+    products = []
+    original = type(F)._mul
+    monkeypatch.setattr(type(F), "_mul", lambda self, a, b: products.append(a) or original(self, a, b))
+    for s in xs + [F.one, F.zeta]:
+        for e in (-2 * l, -l, 0, l, 3 * l):
+            assert F._twist(s.v, e) is s.v and F.twist(s, e) is s
+    assert products == []
+
+
+@pytest.mark.parametrize("l", (3, 5, 7, 9, 15))
+def test_cyclotomic_inverse_multiplies_tuple_values(l, monkeypatch):
+    # every value is a (tuple, int) pair, so a product can look it up in
+    # the table of zeta powers
+    F, xs = _seeded_cyclotomic(l, 10)
+    seen = []
+    original = type(F)._mul
+
+    def checked(self, a, b):
+        for v in (a, b):
+            assert type(v[0]) is tuple and type(v[1]) is int
+            hash(v)
+        seen.append(a)
+        return original(self, a, b)
+
+    monkeypatch.setattr(type(F), "_mul", checked)
+    for s in xs:
+        if not s.is_zero():
+            assert (s * s.inv()).v == F.one.v
+    assert seen

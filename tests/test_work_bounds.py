@@ -454,9 +454,11 @@ def test_reduced_product_stays_in_the_alpha_basis(monkeypatch):
 # Scalar.__mul__ calls per verify_qq check from cold caches before twists
 # went through Field.twist; the combined count of products and twists must
 # stay below them.  A product is counted on the field's _mul: a
-# Scalar.__mul__ call with a factor one forms none.  Counts now (products
-# + twists): engine-soundness 13,692 + 6,073, hopf-axioms 493 + 164,
-# double-presentation 595 + 2,284, moment-reduction 5,925 + 953.
+# Scalar.__mul__ call with a factor one forms none.  A twist is counted on
+# the value-level _twist, which Field.twist wraps and the term-dict kernels
+# call directly.  Counts now (products + twists): engine-soundness
+# 13,692 + 6,073, hopf-axioms 493 + 164, double-presentation 595 + 2,284,
+# moment-reduction 5,546 + 953.
 PRODUCTS_BEFORE_TWISTS = {
     "engine-soundness": 20_602,
     "euler-commutativity": 21,
@@ -475,10 +477,25 @@ def test_verify_qq_products_and_twists(monkeypatch, check_id):
     clear_layer_caches()
     calls = []
     counting(monkeypatch, scalars.RationalFunctionField, "_mul", calls)
-    counting(monkeypatch, scalars.RationalFunctionField, "twist", calls)
+    counting(monkeypatch, scalars.RationalFunctionField, "_twist", calls)
     report = run_verification_suite(cfg, only={check_id})
     assert report["summary"]["pass"] == 1
     assert len(calls) < PRODUCTS_BEFORE_TWISTS[check_id]
+
+
+def test_verify_qq_takes_each_lattice_step_and_invariance_once(monkeypatch):
+    # 2,375 hnf_reduce and 1,554 comoment_weights calls while each reduction
+    # took its own lattice steps and each invariance test its own weights;
+    # 35 and 77 distinct ones
+    cfg = load_config(str(VERIFY_QQ))
+    clear_layer_caches()
+    steps, weights = [], []
+    counting(monkeypatch, moment, "hnf_reduce", steps)
+    counting(monkeypatch, moment.TorusData, "comoment_weights", weights)
+    report = run_verification_suite(cfg)
+    assert report["summary"]["ok"] and report["summary"]["pass"] == 8
+    assert len(steps) <= 50 and len(weights) <= 100
+    assert len(steps) == len({args[0] for args in steps})
 
 
 def test_rep_checks_form_no_product_by_one(monkeypatch):
@@ -533,6 +550,8 @@ def test_moment_reduction_expands_each_alpha_form_once():
         (qweyl, "_alpha_form_terms"),
         (qweyl, "_alpha_product"),
         (config, "_config_of_text"),
+        (moment, "_lattice_step"),
+        (moment, "_is_invariant"),
     ],
 )
 def test_product_kernel_caches_are_bounded(module, name):
