@@ -3,11 +3,12 @@ ideal, build representations, and run the verification suite."""
 
 from __future__ import annotations
 
-import argparse
 import functools
+import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .checks import CHECKS, run_verification_suite
@@ -18,87 +19,104 @@ from .moment import moment_ideal_reduce
 from .rootofunity import export_rep
 from .scalars import Scalar
 
+# The arguments of `eval`, `reduce` and `verify`, which both `_build_parser`
+# and `_parse_exact` read: (flag, dest, takes a value, required, default,
+# help), with flag None for the positional.
+_ARGUMENTS = {
+    "eval": (
+        (None, "expression", True, True, None, None),
+        ("--config", "config", True, True, None, None),
+    ),
+    "verify": (
+        ("--config", "config", True, False, None, None),
+        ("--only", "only", True, False, None, "comma-separated check ids (see --list-checks)"),
+        ("--verbose", "verbose", False, False, False, None),
+        ("--out", "out", True, False, None, "write the JSON report here"),
+        ("--list-checks", "list_checks", False, False, False, "list check ids and exit"),
+    ),
+    "reduce": (
+        (None, "expression", True, True, None, None),
+        ("--config", "config", True, True, None, None),
+    ),
+}
+
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing does not change
-    it, so every `main` call shares it.  Its `exact_forms` maps `eval`,
-    `reduce` and `verify` to the `_ExactForm` of their arguments."""
+def _build_parser():
+    """The full argparse parser, built on the first argv that is not of the
+    exact form (or the first `parser.error`) and shared by every later
+    `main` call: parsing does not change it.  argparse is imported here, so
+    a process that only sees exact-form argvs never loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qweylab",
         description="exact q-Weyl algebra workbench",
     )
     parser.add_argument("--version", action="version", version=f"qweylab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    exact = {}
 
-    p_eval = sub.add_parser("eval", help="normal-order an expression")
-    exact["eval"] = [
-        p_eval.add_argument("expression"),
-        p_eval.add_argument("--config", required=True),
-    ]
+    def add_exact(command, help):
+        p = sub.add_parser(command, help=help)
+        for flag, dest, takes_value, required, default, text in _ARGUMENTS[command]:
+            if flag is None:
+                p.add_argument(dest, help=text)
+            elif takes_value:
+                p.add_argument(flag, dest=dest, required=required, default=default, help=text)
+            else:
+                p.add_argument(flag, dest=dest, action="store_true", help=text)
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    exact["verify"] = [
-        p_verify.add_argument("--config"),
-        p_verify.add_argument("--only", help="comma-separated check ids (see --list-checks)"),
-        p_verify.add_argument("--verbose", action="store_true"),
-        p_verify.add_argument("--out", help="write the JSON report here"),
-        p_verify.add_argument(
-            "--list-checks", action="store_true", help="list check ids and exit"
-        ),
-    ]
-
+    add_exact("eval", "normal-order an expression")
+    add_exact("verify", "run the verification suite")
     p_rep = sub.add_parser("rep", help="representation commands")
     rep_sub = p_rep.add_subparsers(dest="rep_command", required=True)
     p_build = rep_sub.add_parser("build", help="build configured representations")
     p_build.add_argument("--config", required=True)
     p_build.add_argument("--out", required=True)
-
-    p_reduce = sub.add_parser("reduce", help="canonical form modulo the moment ideal")
-    exact["reduce"] = [
-        p_reduce.add_argument("expression"),
-        p_reduce.add_argument("--config", required=True),
-    ]
-    parser.exact_forms = {command: _ExactForm(actions) for command, actions in exact.items()}
+    add_exact("reduce", "canonical form modulo the moment ideal")
     return parser
 
 
 class _ExactForm:
-    """The arguments of one subcommand, as its parser's actions: its exact
-    long options, at most one positional, and the defaults of all of them."""
+    """The rows of `_ARGUMENTS` for one subcommand, as `_parse_exact` reads
+    them: its long options, at most one positional, and the defaults."""
 
-    def __init__(self, actions):
-        self.options = {name: a for a in actions for name in a.option_strings}
-        self.positional = next((a.dest for a in actions if not a.option_strings), None)
-        self.required = {a.dest for a in actions if a.required}
-        self.defaults = {a.dest: a.default for a in actions}
+    def __init__(self, rows):
+        self.options = {flag: (dest, takes_value) for flag, dest, takes_value, *_ in rows if flag}
+        self.positional = next((dest for flag, dest, *_ in rows if flag is None), None)
+        self.required = {dest for _, dest, _, required, _, _ in rows if required}
+        self.defaults = {dest: default for _, dest, _, _, default, _ in rows}
 
 
-def _parse_exact(parser: argparse.ArgumentParser, argv: list[str]):
-    """The Namespace ``parser.parse_args(argv)`` returns, without argparse,
-    for an argv of the exact form: `eval`, `reduce` or `verify`, then only
-    that subcommand's long options, each spelled in full and given at most
-    once, with its value (if it takes one) in the next token; the positional
-    as a token of its own or as the one token after a final ``--``; every
-    required argument present; and no other token starts with ``-``.  Any
-    other argv returns None, for argparse to parse and report."""
-    form = parser.exact_forms.get(argv[0]) if argv else None
+_EXACT_FORMS = {command: _ExactForm(rows) for command, rows in _ARGUMENTS.items()}
+
+
+def _parse_exact(argv: list[str]):
+    """A namespace with the attributes ``_build_parser().parse_args(argv)``
+    gives, without argparse, for an argv of the exact form: `eval`, `reduce`
+    or `verify`, then only that subcommand's long options, each spelled in
+    full and given at most once, with its value (if it takes one) in the
+    next token; the positional as a token of its own or as the one token
+    after a final ``--``; every required argument present; and no other
+    token starts with ``-``.  Any other argv returns None, for argparse to
+    parse and report."""
+    form = _EXACT_FORMS.get(argv[0]) if argv else None
     if form is None:
         return None
     values = {}
     i, n = 1, len(argv)
     while i < n:
         token = argv[i]
-        action = form.options.get(token)
-        if action is not None:
-            if action.dest in values:
+        option = form.options.get(token)
+        if option is not None:
+            dest, takes_value = option
+            if dest in values:
                 return None
-            if action.nargs == 0:
-                values[action.dest] = action.const
+            if not takes_value:
+                values[dest] = True
             elif i + 1 < n and not argv[i + 1].startswith("-"):
                 i += 1
-                values[action.dest] = argv[i]
+                values[dest] = argv[i]
             else:
                 return None
         elif form.positional is None or form.positional in values:
@@ -115,18 +133,15 @@ def _parse_exact(parser: argparse.ArgumentParser, argv: list[str]):
         i += 1
     if not form.required <= values.keys():
         return None
-    args = argparse.Namespace(**form.defaults)
-    args.__dict__.update(values)
-    args.command = argv[0]
-    return args
+    return SimpleNamespace(**{**form.defaults, **values}, command=argv[0])
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """``parser.parse_args(argv)``.  An argv of the exact form is read by
-    `_parse_exact`; any other goes to argparse."""
+def _parse_args(argv):
+    """``_build_parser().parse_args(argv)``.  An argv of the exact form is
+    read by `_parse_exact`; any other goes to argparse."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_exact(parser, argv)
-    return parser.parse_args(argv) if args is None else args
+    args = _parse_exact(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def _cannot_write(path: str, exc: OSError) -> QWeylError:
@@ -175,14 +190,13 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
-    args = _parse_args(parser, argv)
+    args = _parse_args(argv)
     if args.command == "verify" and args.list_checks:
         for check_id, law, _, _ in CHECKS:
             print(f"{check_id}: {law}")
         return 0
     if getattr(args, "config", None) is None:
-        parser.error("--config is required")
+        _build_parser().error("--config is required")
     config = load_config(args.config)
     if args.command == "eval":
         value = parse_expression(args.expression, config.spec)
@@ -225,5 +239,16 @@ def _run(argv) -> int:
         return 0 if summary["ok"] else 1
 
 
+def run() -> int:
+    """The process entry point: `main` on ``sys.argv``, returning its exit
+    code.  The process ends next and the OS frees its memory, so the heap
+    is frozen first: the interpreter's collection at exit then skips every
+    table the run's caches hold instead of traversing them.  `main` itself
+    freezes nothing, for callers that go on in the same process."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

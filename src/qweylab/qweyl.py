@@ -371,9 +371,28 @@ def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
     term.  The coefficients are accumulated as field values: the products go
     through ``Field._product`` and the twists q^e through ``Field._twist``,
     which over Q(q) shifts the normal form instead of multiplying.
+
+    A one-term by one-term product is formed without the accumulator: its
+    core terms have distinct keys, so its terms do too, and each coefficient
+    is a product of nonzero values.
     """
     field = spec.field
     product, twist, plus = field._product, field._twist, field._add
+    if len(left) == 1 and len(right) == 1:
+        (((a1, b1), c1),) = left.items()
+        (((a2, b2), c2),) = right.items()
+        as_left, as_right = _merge_vectors(spec, a1)[0], _merge_vectors(spec, b2)[1]
+        c12 = product(c1.v, c2.v)
+        one = field.one
+        out = {}
+        for (am, bm), ck in core(spec, b1, a2):
+            e = sign * (sum(map(mul, as_left, am)) + sum(map(mul, bm, as_right)))
+            c = product(c12, ck.v)
+            if e:
+                c = twist(c, e)
+            key = (tuple(map(add, a1, am)), tuple(map(add, bm, b2)))
+            out[key] = one if c is one.v else Scalar(field, c)
+        return out
     out: dict = {}
     summed = set()
     rights = [(a2, b2, c2.v, _merge_vectors(spec, b2)[1]) for (a2, b2), c2 in right.items()]

@@ -742,30 +742,43 @@ class CyclotomicField(Field):
         return self._normal(out, ad * bd)
 
     def _inv(self, a):
+        """1/a.  A one-term value c*zeta^k/den (k = 0 for a rational)
+        inverts to den*zeta^(l-k)/c, read from the table of zeta powers;
+        any other value through its Galois conjugates."""
         nums, den = a
-        if not any(nums):
+        zeros = nums.count(0)
+        if zeros == self.degree:
             raise ZeroDivisorError("division by zero in the cyclotomic field")
+        if zeros < self.degree - 1:
+            return self._conjugate_inv(a)
         c = nums[0]
-        if any(nums[1:]):
-            # a^-1 = prod_(k != 1) sigma_k(a) / N(a), where the norm
-            # N(a) = a prod_(k != 1) sigma_k(a) is rational
-            prod = None
-            for rows in self._conjugations:
-                conj = [0] * self.degree
-                for x, row in zip(nums, rows):
-                    if x:
-                        for i, r in enumerate(row):
-                            if r:
-                                conj[i] += x * r
-                conj = (tuple(conj), 1)
-                prod = conj if prod is None else self._mul(prod, conj)
-            c = self._mul((nums, 1), prod)[0][0]
-            nums = tuple(den * x for x in prod[0])
-        else:
+        if c:
             nums = (den,) + nums[1:]
+        else:
+            k = next(k for k, x in enumerate(nums) if x)
+            c, nums = nums[k], tuple(den * x for x in self._zeta_pows[self.l - k][0])
         if c < 0:
             nums, c = tuple(-x for x in nums), -c
         return self._normal(nums, c)
+
+    def _conjugate_inv(self, a):
+        """1/a for a nonzero value a, as prod_(k != 1) sigma_k(a) / N(a),
+        where the norm N(a) = a prod_(k != 1) sigma_k(a) is rational."""
+        nums, den = a
+        prod = None
+        for rows in self._conjugations:
+            conj = [0] * self.degree
+            for x, row in zip(nums, rows):
+                if x:
+                    for i, r in enumerate(row):
+                        if r:
+                            conj[i] += x * r
+            conj = (tuple(conj), 1)
+            prod = conj if prod is None else self._mul(prod, conj)
+        c = self._mul((nums, 1), prod)[0][0]
+        if c < 0:
+            den, c = -den, -c
+        return self._normal(tuple(den * x for x in prod[0]), c)
 
     def format(self, v) -> str:
         nums, den = v

@@ -563,6 +563,61 @@ def test_cli_entrypoint_subprocess():
     assert proc.stdout.strip() == "x1^2"
 
 
+def cold_verify(args, stdout=subprocess.PIPE):
+    """(exit code, stdout, stderr, imported modules) of a cold
+    ``python -m qweylab.cli verify`` process; the modules are read from
+    its ``-X importtime`` lines, which are cut from its stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qweylab.cli", "verify", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")},
+    )
+    lines = proc.stderr.splitlines(keepends=True)
+    modules = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    err = "".join(line for line in lines if not line.startswith("import time:"))
+    return proc.returncode, proc.stdout, err, modules
+
+
+def test_cold_verify_process_answers_without_argparse(tmp_path, capsys):
+    # exit 0 with a report, 1 on a failing check and 2 on a config error or
+    # a closed stdout, each with the stdout and stderr of an in-process call
+    raw = json.loads((CONFIGS / "n2_l3.json").read_text())
+    raw["reps"][0][0]["b"] = ["0", "0", "0"]
+    singular = tmp_path / "singular.json"
+    singular.write_text(json.dumps(raw))
+    n2_l3 = ["--config", str(CONFIGS / "n2_l3.json")]
+    cases = [
+        (n2_l3 + ["--out", str(tmp_path / "cold.json")], 0),
+        (["--config", str(singular), "--only", "rep-build,cover-degree"], 1),
+        (["--config", str(tmp_path / "missing.json")], 2),
+    ]
+    for args, code in cases:
+        cold_code, out, err, modules = cold_verify(args)
+        assert cold_code == code, err
+        assert not modules & {"argparse", "gettext", "locale"}
+        assert "qweylab.checks" in modules
+        warm_args = [str(tmp_path / "warm.json") if a.endswith("cold.json") else a for a in args]
+        assert main(["verify", *warm_args]) == code
+        assert capsys.readouterr() == (out, err)
+    reports = []
+    for name in ("cold.json", "warm.json"):
+        report = json.loads((tmp_path / name).read_text())
+        for rec in report["checks"]:
+            rec.pop("elapsed")
+        reports.append(report)
+    assert reports[0] == reports[1] and reports[0]["summary"]["pass"] == 17
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _, err, modules = cold_verify(n2_l3 + ["--only", "cover-degree"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (2, "error: cannot write stdout: Broken pipe\n")
+    assert not modules & {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [["eval", "x1*d1"], ["verify", "--only", "cover-degree"]],

@@ -3,7 +3,8 @@ Scalar-level references in conftest: the same terms in the same key order,
 with the zero sums dropped."""
 
 import random
-from itertools import permutations
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -105,3 +106,33 @@ def test_alpha_basis_kernels_match_the_reference(field_id):
         want = reference_alpha_basis_product(spec, lu.terms, lv.terms)
         got = alpha_basis_product(spec, lu.terms, lv.terms)
         assert list(got.items()) == _nonzero_items(want)
+
+
+@pytest.mark.parametrize("field_id", list(FIELDS))
+def test_one_term_products_match_the_reference(field_id):
+    # every d^b1 x^a2 in the box, between a seeded x^a1 and d^b2, with
+    # coefficients one, an integer, a fraction and q
+    spec = _spec(field_id, True)
+    twin = spec.unscaled_twin()
+    f = spec.field
+    coefficients = [f.one, f.from_int(-2), f.from_fraction(Fraction(3, 4)), f.q_power(1)]
+    rng = random.Random(f"one-term kernels:{field_id}")
+    vecs = list(exponent_vectors(2, 2))
+    core_sizes = {}
+    for s, core, sign in (
+        (spec, _reorder, spec.sign),
+        (twin, _reorder, twin.sign),
+        (twin, _braid_core, -1),
+        (twin, _smash_core, -1),
+    ):
+        sizes = core_sizes.setdefault(core.__name__, set())
+        for b1, a2 in product(vecs, repeat=2):
+            left = {(rng.choice(vecs), b1): rng.choice(coefficients)}
+            right = {(a2, rng.choice(vecs)): rng.choice(coefficients)}
+            sizes.add(min(len(core(s, b1, a2)), 2))
+            want = reference_ordered_product(s, left, right, core, sign)
+            got = _ordered_product(s, left, right, core, sign)
+            assert list(got.items()) == _nonzero_items(want)
+    # one-term and many-term cores (over Q the rescaled PBW cores have one
+    # term only); the braiding always has one
+    assert core_sizes == {"_reorder": {1, 2}, "_braid_core": {1}, "_smash_core": {1, 2}}

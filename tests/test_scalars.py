@@ -506,3 +506,25 @@ def test_cyclotomic_inverse_multiplies_tuple_values(l, monkeypatch):
         if not s.is_zero():
             assert (s * s.inv()).v == F.one.v
     assert seen
+
+
+@pytest.mark.parametrize("l", (3, 5, 7, 9, 15))
+def test_one_term_cyclotomic_inverse_matches_the_conjugate_path(l, monkeypatch):
+    # c*zeta^k/den for every k < phi(l), c of either sign and den 1 or not,
+    # inverted from the table of zeta powers with no product
+    F = make_field("cyclotomic", l)
+    values = [
+        F._normal([c if j == k else 0 for j in range(F.degree)], den)
+        for k in range(F.degree)
+        for c in (1, -1, 3, -6)
+        for den in (1, 4)
+    ]
+    want = [F._conjugate_inv(v) for v in values]
+    products = []
+    original = type(F)._mul
+    monkeypatch.setattr(type(F), "_mul", lambda self, a, b: products.append(a) or original(self, a, b))
+    assert [F._inv(v) for v in values] == want
+    assert products == []
+    monkeypatch.undo()
+    for v, inv in zip(values, want):
+        assert F._mul(v, inv) == F.one.v
