@@ -256,6 +256,10 @@ def parse_config(raw: dict) -> WorkbenchConfig:
         problems.append("n: must be >= 1")
         n = None
     d = need("d", int, default=0)
+    if d is not None and (d < 0 or (n is not None and d > n)):
+        # the A and eta checks read d, so they are skipped
+        problems.append("d: must be between 0 and n")
+        d = None
     normalization = raw.get("normalization", "rescaled")
     if normalization not in ("rescaled", "unscaled"):
         problems.append("normalization: must be 'rescaled' or 'unscaled'")

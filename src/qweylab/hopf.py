@@ -47,6 +47,7 @@ from .qweyl import (
     PBWElement,
     TermElement,
     _bump,
+    _collect,
     _ordered_product,
     _reorder,
     _zero_vec,
@@ -236,14 +237,12 @@ class DoubleElement(TermElement):
 def _coproduct_on_leg(spec: AlgebraSpec, delta, leg: int):
     """(Delta (x) id) Delta for leg 0 and (id (x) Delta) Delta for leg 1 of a
     coproduct, as a dict over triples of legs without zero values."""
-    out = {}
-    for legs, c in delta:
-        for split, cc in coproduct(spec, legs[leg]):
-            key = legs[:leg] + split + legs[leg + 1 :]
-            val = c * cc
-            prev = out.get(key)
-            out[key] = val if prev is None else prev + val
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    product = spec.field._product
+    return _collect(spec.field, (
+        (legs[:leg] + split + legs[leg + 1 :], product(c.v, cc.v))
+        for legs, c in delta
+        for split, cc in coproduct(spec, legs[leg])
+    ))
 
 
 def verify_hopf_axioms(spec: AlgebraSpec, degree_bound: int) -> CheckOutcome:

@@ -32,10 +32,10 @@ from .qweyl import (
     TermElement,
     _alpha_table,  # noqa: F401 (the benchmark tracer reads its cache here)
     _bump,
+    _collect,
     _fraction_terms,
     _integer_rows,
     _rescaled,
-    _scalar_terms,
     _zero_vec,
     alpha_basis_product,
     graded_monomials,
@@ -131,6 +131,8 @@ def quantum_comoment(
 ) -> LocalizedElement:
     """Image of a Laurent monomial of the torus (basis 'z') or of the
     subtorus (basis 'u', routed through A)."""
+    if spec.n != torus.n:
+        raise ParameterError("algebra rank and torus rank differ")
     exponents = tuple(int(e) for e in exponents)
     if basis == "u":
         if len(exponents) != torus.d:
@@ -249,30 +251,23 @@ def _lattice_reduce(datum: ReductionDatum, spec: AlgebraSpec, terms) -> ReducedE
     is reduced modulo the column lattice of A, and a subtracted lattice
     vector A t multiplies by eta^t; the step is looked up once per distinct
     c and taken once per torus, eta and c (see `_lattice_step`).  The terms
-    must have nonzero coefficients; they are accumulated as field values, as
-    in `_ordered_product`."""
+    must have nonzero coefficients; the reduced terms are summed by the
+    accumulator of the PBW engine, `_collect`."""
     torus, eta = datum.torus, datum.eta
-    field = spec.field
-    product, plus = field._product, field._add
-    steps: dict = {}
-    out: dict = {}
-    summed = set()
-    for (a, b, c), coeff in terms.items():
-        step = steps.get(c)
-        if step is None:
-            step = steps[c] = _lattice_step(torus, eta, c)
-        red, et = step
-        coeff = coeff.v if et is None else product(coeff.v, et.v)
-        key = (a, b, red)
-        prev = out.get(key)
-        if prev is None:
-            out[key] = coeff
-        else:
-            out[key] = plus(prev, coeff)
-            summed.add(key)
+    product = spec.field._product
+
+    def reduced():
+        steps: dict = {}
+        for (a, b, c), coeff in terms.items():
+            step = steps.get(c)
+            if step is None:
+                step = steps[c] = _lattice_step(torus, eta, c)
+            red, et = step
+            yield (a, b, red), (coeff.v if et is None else product(coeff.v, et.v))
+
     element = ReducedElement.__new__(ReducedElement)
     element.datum, element.spec = datum, spec
-    element.terms = _scalar_terms(field, out, summed)
+    element.terms = _collect(spec.field, reduced())
     return element
 
 

@@ -26,15 +26,19 @@ algebra basis), and :class:`LocalizedElement` is a term dict over it.  A
 fraction N alpha^-k is converted into it once, and it prints as its
 lowest-terms fraction.
 
-The products are term-dict kernels (`_ordered_product`, `_reorder`,
-`_fraction_terms`, `alpha_basis_product`) that accumulate bare field values
-through the field's ``_product``, ``_twist`` and ``_add``, and wrap each
-output coefficient in a Scalar once (`_scalar_terms`).
+The products and the tables they read are term-dict kernels
+(`_ordered_product`, `_reorder`, `_one_var_table`, `_fraction_terms`,
+`_alpha_form_terms`, `_alpha_table`, `alpha_basis_product`).  Each forms its
+terms as (key, field value) pairs through the field's ``_product``,
+``_twist`` and ``_neg``, and builds its term dict through the one
+accumulator, `_collect`, which sums the values of a key with ``_add``, drops
+every zero value, keeps the first-met key order, and wraps each coefficient
+in a Scalar once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from operator import add, mul, sub
 
@@ -255,6 +259,23 @@ def _alpha_power(spec: AlgebraSpec, c: ExpVec) -> PBWElement:
 # ---------------------------------------------------------------------------
 
 
+def _collect(field: Field, pairs) -> dict:
+    """The term dict of (key, field value) pairs: the values of each key are
+    summed with ``field._add``, the keys whose sum is zero are dropped, and
+    the rest stay in the order their keys were first met.  Each value is
+    wrapped in a Scalar once; the value of ``field.one`` itself, which a
+    product by one passes on, is wrapped as ``field.one``.  Every term-dict
+    kernel builds its terms here."""
+    plus = field._add
+    out: dict = {}
+    get = out.get
+    for key, v in pairs:
+        prev = get(key)
+        out[key] = v if prev is None else plus(prev, v)
+    zero, one = field.zero.v, field.one
+    return {key: one if v is one.v else Scalar(field, v) for key, v in out.items() if v != zero}
+
+
 # A cached table recurses on its predecessor.  Tables far from the base case
 # are filled bottom-up in steps of this many, so the recursion stays shallow
 # for large exponents; below it the calls are those of the plain recursion.
@@ -263,33 +284,30 @@ _FILL_STEP = 128
 
 @lru_cache(maxsize=None)
 def _one_var_table(spec: AlgebraSpec, i: int, s: int, r: int):
-    """Coefficients c_k with d_i^s x_i^r = sum_k c_k x_i^(r-k) d_i^(s-k)."""
+    """The nonzero coefficients c_k of d_i^s x_i^r = sum_k c_k x_i^(r-k)
+    d_i^(s-k), as (k, c_k) items in increasing k."""
     f = spec.field
     if s == 0 or r == 0:
-        return (f.one,)
+        return ((0, f.one),)
     for t in range(_FILL_STEP, s - 1, _FILL_STEP):
         _one_var_table(spec, i, t, r)
     # mu = q^(sign * m_ii); gamma = mu - 1 rescaled, 1 unscaled
     mu = spec.sign * spec.m[i][i]
-    gamma = spec.q_power(mu) - 1 if spec.rescaled else f.one
+    gamma = (spec.q_power(mu) - 1).v if spec.rescaled else f.one.v
     prev = _one_var_table(spec, i, s - 1, r)
-    # d * (x^(r-k) d^(s-1-k)) = mu^(r-k) x^(r-k) d^(s-k)
-    #                          + gamma [r-k]_mu x^(r-k-1) d^(s-1-k)
-    kmax = min(s, r)
-    out = [None] * (kmax + 1)
-    for k, c in enumerate(prev):
-        if c.is_zero():
-            continue
-        v = f.twist(c, mu * (r - k))
-        out[k] = v if out[k] is None else out[k] + v
-        if r - k >= 1 and k + 1 <= kmax:
-            qint = None
-            for t in range(r - k):
-                p = spec.q_power(mu * t)
-                qint = p if qint is None else qint + p
-            v = c * gamma * qint
-            out[k + 1] = v if out[k + 1] is None else out[k + 1] + v
-    return tuple(f.zero if c is None else c for c in out)
+    product, twist, plus = f._product, f._twist, f._add
+
+    def terms():
+        # d * (x^(r-k) d^(s-1-k)) = mu^(r-k) x^(r-k) d^(s-k)
+        #                          + gamma [r-k]_mu x^(r-k-1) d^(s-1-k)
+        for k, c in prev:
+            c = c.v
+            yield k, twist(c, mu * (r - k))
+            if k < r:
+                qint = reduce(plus, [spec.q_power(mu * t).v for t in range(r - k)])
+                yield k + 1, product(product(c, gamma), qint)
+
+    return tuple(_collect(f, terms()).items())
 
 
 @lru_cache(maxsize=None)
@@ -305,27 +323,17 @@ def _reorder(spec: AlgebraSpec, b: ExpVec, a: ExpVec):
     rest = _bump(a, i, -ai)
     # x_i^ai moves left through d_j^bj for j > i
     e1 = s * sum(b[j] * ai * spec.m[j][i] for j in range(i + 1, n))
-    product, twist, plus = f._product, f._twist, f._add
-    out: dict = {}
-    summed = set()
-    table = _one_var_table(spec, i, b[i], ai)
-    for k, ck in enumerate(table):
-        if ck.is_zero():
-            continue
-        # surviving x_i^(ai-k) continues left through d_j^bj for j < i
-        e2 = s * sum(b[j] * (ai - k) * spec.m[j][i] for j in range(i))
-        coeff = twist(ck.v, e1 + e2)
-        b2 = _bump(b, i, -k)
-        for (a3, b3), c3 in _reorder(spec, b2, rest):
-            key = (_bump(a3, i, ai - k), b3)
-            c = product(coeff, c3.v)
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
-            else:
-                out[key] = plus(prev, c)
-                summed.add(key)
-    return tuple(_scalar_terms(f, out, summed).items())
+    product, twist = f._product, f._twist
+
+    def terms():
+        for k, ck in _one_var_table(spec, i, b[i], ai):
+            # surviving x_i^(ai-k) continues left through d_j^bj for j < i
+            e2 = s * sum(b[j] * (ai - k) * spec.m[j][i] for j in range(i))
+            coeff = twist(ck.v, e1 + e2)
+            for (a3, b3), c3 in _reorder(spec, _bump(b, i, -k), rest):
+                yield (_bump(a3, i, ai - k), b3), product(coeff, c3.v)
+
+    return tuple(_collect(f, terms()).items())
 
 
 @lru_cache(maxsize=1024)
@@ -342,19 +350,6 @@ def _merge_vectors(spec: AlgebraSpec, vec: ExpVec) -> tuple[ExpVec, ExpVec]:
     return as_left, as_right
 
 
-def _scalar_terms(field: Field, values: dict, summed) -> dict:
-    """The term dict of the field values a kernel accumulated, in the order
-    their keys were first met.  A value that received no sum is a product of
-    nonzero values, so only the keys in ``summed`` are tested for zero, and
-    each value is wrapped in a Scalar once; the value of ``field.one``
-    itself, which a product by one passes on, is wrapped as ``field.one``."""
-    zero, one = field.zero.v, field.one
-    for key in summed:
-        if values[key] == zero:
-            del values[key]
-    return {key: one if v is one.v else Scalar(field, v) for key, v in values.items()}
-
-
 def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
     """The product of two term dicts over ordered monomials (a, b), each the
     x-part x^a times the d-part d^b, zero coefficients dropped.
@@ -368,16 +363,17 @@ def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
 
     The merge exponent is bilinear, so it is read as two dot products, with
     the vectors of ``_merge_vectors`` taken once per left and per right
-    term.  The coefficients are accumulated as field values: the products go
-    through ``Field._product`` and the twists q^e through ``Field._twist``,
-    which over Q(q) shifts the normal form instead of multiplying.
+    term.  The coefficients are field values, summed by `_collect`: the
+    products go through ``Field._product`` and the twists q^e through
+    ``Field._twist``, which over Q(q) shifts the normal form instead of
+    multiplying.
 
     A one-term by one-term product is formed without the accumulator: its
     core terms have distinct keys, so its terms do too, and each coefficient
     is a product of nonzero values.
     """
     field = spec.field
-    product, twist, plus = field._product, field._twist, field._add
+    product, twist = field._product, field._twist
     if len(left) == 1 and len(right) == 1:
         (((a1, b1), c1),) = left.items()
         (((a2, b2), c2),) = right.items()
@@ -393,27 +389,21 @@ def _ordered_product(spec: AlgebraSpec, left, right, core, sign: int):
             key = (tuple(map(add, a1, am)), tuple(map(add, bm, b2)))
             out[key] = one if c is one.v else Scalar(field, c)
         return out
-    out: dict = {}
-    summed = set()
     rights = [(a2, b2, c2.v, _merge_vectors(spec, b2)[1]) for (a2, b2), c2 in right.items()]
-    for (a1, b1), c1 in left.items():
-        as_left = _merge_vectors(spec, a1)[0]
-        c1 = c1.v
-        for a2, b2, c2, as_right in rights:
-            c12 = product(c1, c2)
-            for (am, bm), ck in core(spec, b1, a2):
-                e = sign * (sum(map(mul, as_left, am)) + sum(map(mul, bm, as_right)))
-                key = (tuple(map(add, a1, am)), tuple(map(add, bm, b2)))
-                c = product(c12, ck.v)
-                if e:
-                    c = twist(c, e)
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = c
-                else:
-                    out[key] = plus(prev, c)
-                    summed.add(key)
-    return _scalar_terms(field, out, summed)
+
+    def terms():
+        for (a1, b1), c1 in left.items():
+            as_left = _merge_vectors(spec, a1)[0]
+            c1 = c1.v
+            for a2, b2, c2, as_right in rights:
+                c12 = product(c1, c2)
+                for (am, bm), ck in core(spec, b1, a2):
+                    e = sign * (sum(map(mul, as_left, am)) + sum(map(mul, bm, as_right)))
+                    c = product(c12, ck.v)
+                    key = (tuple(map(add, a1, am)), tuple(map(add, bm, b2)))
+                    yield key, (twist(c, e) if e else c)
+
+    return _collect(field, terms())
 
 
 class TermElement:
@@ -613,16 +603,15 @@ def _alpha_table(spec: AlgebraSpec, i: int, r: int, s: int):
         _alpha_table(spec, i, r - m + t, s - m + t)
     e = -spec.m[i][i] * (s - 1)
     below = _alpha_table(spec, i, r - 1, s - 1)
-    out: dict[tuple[int, int, int], Scalar] = {}
-    for (rr, ss, k), c in below:
+    twist, neg = f._twist, f._neg
+
+    def terms():
         # x^r d^s = q^-(s-1) x^(r-1) d^(s-1) alpha - x^(r-1) d^(s-1)
-        key, v = (rr, ss, k + 1), f.twist(c, e)
-        prev = out.get(key)
-        out[key] = v if prev is None else prev + v
-        key = (rr, ss, k)
-        prev = out.get(key)
-        out[key] = -c if prev is None else prev - c
-    return tuple((k, c) for k, c in out.items() if not c.is_zero())
+        for (rr, ss, k), c in below:
+            yield (rr, ss, k + 1), twist(c.v, e)
+            yield (rr, ss, k), neg(c.v)
+
+    return tuple(_collect(f, terms()).items())
 
 
 @lru_cache(maxsize=512)
@@ -636,52 +625,39 @@ def _alpha_form_terms(spec: AlgebraSpec, a: ExpVec, b: ExpVec, order: tuple[int,
     """
     n = spec.n
     f = spec.field
-    terms: dict[AlphaKey, Scalar] = {(a, b, _zero_vec(n)): f.one}
-    for i in order:
-        nxt: dict[AlphaKey, Scalar] = {}
+    product, twist = f._product, f._twist
+
+    def eliminate(terms, i):
         for (aa, bb, cc), coeff in terms.items():
             m = min(aa[i], bb[i])
             if m == 0:
-                key = (aa, bb, cc)
-                prev = nxt.get(key)
-                nxt[key] = coeff if prev is None else prev + coeff
+                yield (aa, bb, cc), coeff.v
                 continue
             # twist from commuting the i-block together and back
             e = -sum(spec.m[i][j] * aa[j] * m for j in range(i + 1, n))
             e -= sum(spec.m[j][i] * bb[j] * m for j in range(i))
-            e *= spec.sign
-            tw = f.twist(coeff, e)
+            tw = twist(coeff.v, e * spec.sign)
             # every term of the table is x_i^(r-m) d_i^(s-m) alpha_i^k
             a_left, b_left = _bump(aa, i, -m), _bump(bb, i, -m)
             for (_, _, k), c in _alpha_table(spec, i, aa[i], bb[i]):
-                key = (a_left, b_left, _bump(cc, i, k))
-                val = tw * c
-                prev = nxt.get(key)
-                nxt[key] = val if prev is None else prev + val
-        terms = {k: v for k, v in nxt.items() if not v.is_zero()}
+                yield (a_left, b_left, _bump(cc, i, k)), product(tw, c.v)
+
+    terms = {(a, b, _zero_vec(n)): f.one}
+    for i in order:
+        terms = _collect(f, eliminate(terms, i))
     return tuple(terms.items())
 
 
 def _fraction_terms(spec: AlgebraSpec, numerator: PBWElement, denom: ExpVec, order):
     """The alpha-basis terms of the fraction numerator * alpha^-denom, zero
     coefficients dropped: the alpha form of each numerator term, its alpha
-    exponents shifted by -denom, accumulated as field values."""
-    field = spec.field
-    product, plus = field._product, field._add
-    out: dict = {}
-    summed = set()
-    for (a, b), coeff in numerator.terms.items():
-        coeff = coeff.v
-        for (aa, bb, cc), c in _alpha_form_terms(spec, a, b, order):
-            key = (aa, bb, tuple(map(sub, cc, denom)))
-            val = product(coeff, c.v)
-            prev = out.get(key)
-            if prev is None:
-                out[key] = val
-            else:
-                out[key] = plus(prev, val)
-                summed.add(key)
-    return _scalar_terms(field, out, summed)
+    exponents shifted by -denom."""
+    product = spec.field._product
+    return _collect(spec.field, (
+        ((aa, bb, tuple(map(sub, cc, denom))), product(coeff.v, c.v))
+        for (a, b), coeff in numerator.terms.items()
+        for (aa, bb, cc), c in _alpha_form_terms(spec, a, b, order)
+    ))
 
 
 @lru_cache(maxsize=4096)
@@ -698,34 +674,27 @@ def alpha_basis_product(spec: AlgebraSpec, left, right) -> dict:
 
     (x^a1 d^b1 alpha^c1)(x^a2 d^b2 alpha^c2) =
     q^(c1 . weight(a2 - b2)) (x^a1 d^b1 x^a2 d^b2) alpha^(c1 + c2), with
-    the middle product read from the structure constants.  The coefficients
-    are accumulated as field values, as in `_ordered_product`."""
+    the middle product read from the structure constants."""
     field = spec.field
-    product, twist, plus = field._product, field._twist, field._add
-    out: dict = {}
-    summed = set()
+    product, twist = field._product, field._twist
     rights = [
         ((a2, b2), c2, v.v, spec.weight(tuple(map(sub, a2, b2))))
         for (a2, b2, c2), v in right.items()
     ]
-    for (a1, b1, c1), u in left.items():
-        u = u.v
-        for m2, c2, v, w2 in rights:
-            uv = product(u, v)
-            e = sum(map(mul, c1, w2))
-            if e:
-                uv = twist(uv, e)
-            c12 = tuple(map(add, c1, c2))
-            for (a, b, c), s in _alpha_product(spec, (a1, b1), m2):
-                key = (a, b, tuple(map(add, c, c12)))
-                val = product(uv, s.v)
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = val
-                else:
-                    out[key] = plus(prev, val)
-                    summed.add(key)
-    return _scalar_terms(field, out, summed)
+
+    def terms():
+        for (a1, b1, c1), u in left.items():
+            u = u.v
+            for m2, c2, v, w2 in rights:
+                uv = product(u, v)
+                e = sum(map(mul, c1, w2))
+                if e:
+                    uv = twist(uv, e)
+                c12 = tuple(map(add, c1, c2))
+                for (a, b, c), s in _alpha_product(spec, (a1, b1), m2):
+                    yield (a, b, tuple(map(add, c, c12))), product(uv, s.v)
+
+    return _collect(field, terms())
 
 
 def _rescaled(spec: AlgebraSpec) -> AlgebraSpec:

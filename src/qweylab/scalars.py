@@ -37,7 +37,9 @@ that returns the other factor itself when one factor equals one, and is the
 only code that skips a product by one; ``_twist(v, e)`` is the only
 implementation of v*q^e.  ``Scalar`` wraps a value and its field, and its
 ``*`` and ``Field.twist`` go through those two.  The term-dict kernels of
-:mod:`.qweyl` call the value methods directly and wrap each output
+:mod:`.qweyl`, :mod:`.moment` and :mod:`.hopf` call the value methods
+directly and build their term dicts through one accumulator,
+``qweyl._collect``, which sums with ``_add`` and wraps each output
 coefficient once.
 """
 

@@ -4,15 +4,9 @@ from operator import add, mul, sub
 from pathlib import Path
 
 from qweylab.config import parse_config
-from qweylab.moment import invariant_monomials, moment_ideal_reduce
-from qweylab.qweyl import (
-    AlgebraSpec,
-    LocalizedElement,
-    PBWElement,
-    _alpha_form_terms,
-    _merge_vectors,
-    _one_var_table,
-)
+from qweylab.hopf import coproduct
+from qweylab.moment import _lattice_step, invariant_monomials, moment_ideal_reduce
+from qweylab.qweyl import AlgebraSpec, LocalizedElement, PBWElement, _merge_vectors
 from qweylab.scalars import make_field
 
 QQ_Q = make_field("rational_function_q")
@@ -143,9 +137,109 @@ def seeded_invariant(rng, spec, datum):
 
 
 # The term-dict kernels as they were written on Scalar operations: the
-# reference for the kernels of qweylab.qweyl, which accumulate field values.
-# Each returns its terms in the order the kernel meets their keys, zero
-# coefficients included.
+# reference for the kernels of qweylab.qweyl, qweylab.moment and
+# qweylab.hopf, which build their terms from field values through one
+# accumulator.  Each returns its terms in the order the kernel meets their
+# keys, zero coefficients included, and each skips the zero coefficients of
+# the reference terms it reads, as the kernels never meet them.
+
+
+def reference_one_var_table(spec, i, s, r):
+    """The dense coefficients (c_0, .., c_min(s, r)) of d_i^s x_i^r =
+    sum_k c_k x_i^(r-k) d_i^(s-k), uncached."""
+    f = spec.field
+    if s == 0 or r == 0:
+        return (f.one,)
+    mu = spec.sign * spec.m[i][i]
+    gamma = spec.q_power(mu) - 1 if spec.rescaled else f.one
+    kmax = min(s, r)
+    out = [f.zero] * (kmax + 1)
+    for k, c in enumerate(reference_one_var_table(spec, i, s - 1, r)):
+        if c.is_zero():
+            continue
+        out[k] = out[k] + f.twist(c, mu * (r - k))
+        if k < r:
+            qint = f.zero
+            for t in range(r - k):
+                qint = qint + spec.q_power(mu * t)
+            out[k + 1] = out[k + 1] + c * gamma * qint
+    return tuple(out)
+
+
+def reference_alpha_table(spec, i, r, s):
+    """x_i^r d_i^s as a term dict over keys (r - m, s - m, k) for
+    x_i^(r-m) d_i^(s-m) alpha_i^k, uncached."""
+    f = spec.field
+    if r == 0 or s == 0:
+        return {(r, s, 0): f.one}
+    e = -spec.m[i][i] * (s - 1)
+    out = {}
+    for (rr, ss, k), c in reference_alpha_table(spec, i, r - 1, s - 1).items():
+        if c.is_zero():
+            continue
+        # x^r d^s = q^-(s-1) x^(r-1) d^(s-1) alpha - x^(r-1) d^(s-1)
+        key, v = (rr, ss, k + 1), f.twist(c, e)
+        prev = out.get(key)
+        out[key] = v if prev is None else prev + v
+        key = (rr, ss, k)
+        prev = out.get(key)
+        out[key] = -c if prev is None else prev - c
+    return out
+
+
+def reference_alpha_form_terms(spec, a, b, order):
+    """x^a d^b over the alpha basis, the coordinates eliminated in order."""
+    n = spec.n
+    terms = {(a, b, (0,) * n): spec.field.one}
+    for i in order:
+        nxt = {}
+        for (aa, bb, cc), coeff in terms.items():
+            if coeff.is_zero():
+                continue
+            m = min(aa[i], bb[i])
+            if m == 0:
+                prev = nxt.get((aa, bb, cc))
+                nxt[(aa, bb, cc)] = coeff if prev is None else prev + coeff
+                continue
+            e = -sum(spec.m[i][j] * aa[j] * m for j in range(i + 1, n))
+            e -= sum(spec.m[j][i] * bb[j] * m for j in range(i))
+            tw = spec.field.twist(coeff, e * spec.sign)
+            a_left = aa[:i] + (aa[i] - m,) + aa[i + 1:]
+            b_left = bb[:i] + (bb[i] - m,) + bb[i + 1:]
+            for (_, _, k), c in reference_alpha_table(spec, i, aa[i], bb[i]).items():
+                if c.is_zero():
+                    continue
+                key = (a_left, b_left, cc[:i] + (cc[i] + k,) + cc[i + 1:])
+                val = tw * c
+                prev = nxt.get(key)
+                nxt[key] = val if prev is None else prev + val
+        terms = nxt
+    return terms
+
+
+def reference_lattice_reduce(datum, spec, terms):
+    """The alpha-basis terms with each alpha exponent vector reduced
+    modulo the column lattice of A, a subtracted A t scaling by eta^t."""
+    out = {}
+    for (a, b, c), coeff in terms.items():
+        red, et = _lattice_step(datum.torus, datum.eta, c)
+        key, val = (a, b, red), coeff if et is None else coeff * et
+        prev = out.get(key)
+        out[key] = val if prev is None else prev + val
+    return out
+
+
+def reference_coproduct_on_leg(spec, delta, leg):
+    """The coproduct applied to one leg of the items of an element of the
+    braided tensor square."""
+    out = {}
+    for legs, c in delta:
+        for split, cc in coproduct(spec, legs[leg]):
+            key = legs[:leg] + split + legs[leg + 1:]
+            val = c * cc
+            prev = out.get(key)
+            out[key] = val if prev is None else prev + val
+    return out
 
 
 def reference_ordered_product(spec, left, right, core, sign):
@@ -170,7 +264,9 @@ def reference_ordered_product(spec, left, right, core, sign):
 def reference_fraction_terms(spec, numerator, denom, order):
     out = {}
     for (a, b), coeff in numerator.terms.items():
-        for (aa, bb, cc), c in _alpha_form_terms(spec, a, b, order):
+        for (aa, bb, cc), c in reference_alpha_form_terms(spec, a, b, order).items():
+            if c.is_zero():
+                continue
             key = (aa, bb, tuple(map(sub, cc, denom)))
             val = coeff * c
             prev = out.get(key)
@@ -211,8 +307,7 @@ def reference_alpha_basis_product(spec, left, right):
 
 
 def reference_reorder(spec, b, a):
-    """Normal ordering of d^b x^a, uncached, over the cached one-variable
-    tables."""
+    """Normal ordering of d^b x^a, uncached, zero coefficients dropped."""
     n, f, s = spec.n, spec.field, spec.sign
     i = next((k for k in range(n) if a[k]), None)
     if i is None:
@@ -221,7 +316,7 @@ def reference_reorder(spec, b, a):
     rest = a[:i] + (0,) + a[i + 1:]
     e1 = s * sum(b[j] * ai * spec.m[j][i] for j in range(i + 1, n))
     out = {}
-    for k, ck in enumerate(_one_var_table(spec, i, b[i], ai)):
+    for k, ck in enumerate(reference_one_var_table(spec, i, b[i], ai)):
         if ck.is_zero():
             continue
         e2 = s * sum(b[j] * (ai - k) * spec.m[j][i] for j in range(i))

@@ -258,6 +258,8 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
         (["seed"], True, "seed: expected an integer"),
         (["chi"], [True], "chi: expected a list of integers"),
         (["field"], "rationalfunctioninq", "field/l: unknown field kind 'rationalfunctioninq'"),
+        (["d"], -1, "d: must be between 0 and n"),
+        (["d"], 3, "d: must be between 0 and n"),
     ],
     ids=[
         "l-string",
@@ -273,6 +275,8 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
         "seed-bool",
         "chi-bool",
         "field-alias",
+        "d-negative",
+        "d-above-n",
     ],
 )
 def test_config_type_errors_name_their_field(tmp_path, capsys, path, value, problem):

@@ -1,6 +1,6 @@
-"""The term-dict kernels, which accumulate field values, against their
-Scalar-level references in conftest: the same terms in the same key order,
-with the zero sums dropped."""
+"""The term-dict kernels, which build their terms from field values through
+one accumulator, against their Scalar-level references in conftest: the same
+terms in the same key order, with the zero sums dropped."""
 
 import random
 from fractions import Fraction
@@ -12,15 +12,24 @@ from conftest import (
     random_element,
     random_skew_matrix,
     reference_alpha_basis_product,
+    reference_alpha_form_terms,
+    reference_alpha_table,
+    reference_coproduct_on_leg,
     reference_fraction_terms,
+    reference_lattice_reduce,
+    reference_one_var_table,
     reference_ordered_product,
     reference_reorder,
 )
-from qweylab.hopf import _braid_core, _smash_core
+from qweylab.hopf import _braid_core, _coproduct_on_leg, _smash_core, coproduct
+from qweylab.moment import ReductionDatum, TorusData, _lattice_reduce
 from qweylab.qweyl import (
     AlgebraSpec,
     LocalizedElement,
+    _alpha_form_terms,
+    _alpha_table,
     _fraction_terms,
+    _one_var_table,
     _ordered_product,
     _reorder,
     alpha_basis_product,
@@ -64,7 +73,12 @@ IDS = [f"{f}-{'rescaled' if r else 'unscaled'}" for f, r in CASES]
 @pytest.mark.parametrize("field_id, rescaled", CASES, ids=IDS)
 def test_pbw_kernel_matches_the_reference(field_id, rescaled):
     spec = _spec(field_id, rescaled)
-    vecs = list(exponent_vectors(2, 2))
+    # at q = zeta_3 the box reaches [3]_mu = 0, mu = q^(sign m_22): the table
+    # of d_2^s x_2^3 has c_1 = 0
+    top = 3 if field_id == "Qzeta3" else 2
+    if top == 3:
+        assert any(c.is_zero() for s in range(1, 4) for c in reference_one_var_table(spec, 1, s, 3))
+    vecs = list(exponent_vectors(2, top))
     for b in vecs:
         for a in vecs:
             assert _reorder(spec, b, a) == reference_reorder(spec, b, a)
@@ -136,3 +150,81 @@ def test_one_term_products_match_the_reference(field_id):
     # one-term and many-term cores (over Q the rescaled PBW cores have one
     # term only); the braiding always has one
     assert core_sizes == {"_reorder": {1, 2}, "_braid_core": {1}, "_smash_core": {1, 2}}
+
+
+def _top(field):
+    """The largest exponent of a table box: l at q = zeta_l, which reaches
+    the vanishing q-integer [l] = 0, and 3 otherwise."""
+    return field.l or 3
+
+
+@pytest.mark.parametrize("field_id, rescaled", CASES, ids=IDS)
+def test_one_var_tables_match_the_reference(field_id, rescaled):
+    spec = _spec(field_id, rescaled)
+    top = _top(spec.field)
+    for i, s, r in product(range(2), range(top + 1), range(top + 1)):
+        want = reference_one_var_table(spec, i, s, r)
+        assert _one_var_table(spec, i, s, r) == tuple(
+            (k, c) for k, c in enumerate(want) if not c.is_zero()
+        )
+    if spec.field.l:
+        # c_1 of d_2^l x_2 is gamma [l]_mu, the sum of gamma [l-1]_mu and
+        # gamma mu^(l-1), both nonzero: a cancelling sum
+        assert reference_one_var_table(spec, 1, top, 1)[1].is_zero()
+        assert not reference_one_var_table(spec, 1, top - 1, 1)[1].is_zero()
+
+
+@pytest.mark.parametrize("field_id", list(FIELDS))
+def test_alpha_tables_and_forms_match_the_reference(field_id):
+    spec = _spec(field_id, True)
+    top = _top(spec.field)
+    cancelled = False
+    for i, r, s in product(range(2), range(top + 1), range(top + 1)):
+        want = reference_alpha_table(spec, i, r, s)
+        cancelled = cancelled or any(c.is_zero() for c in want.values())
+        assert _alpha_table(spec, i, r, s) == tuple(_nonzero_items(want))
+    # at q = zeta_l, x_2^l d_2^l = prod_t (q^(-t m_22) alpha_2 - 1) has
+    # vanishing middle coefficients, each a sum of nonzero values
+    assert cancelled == bool(spec.field.l)
+    box = list(exponent_vectors(2, 2))
+    for a, b in product(box, repeat=2):
+        for order in permutations(range(2)):
+            want = reference_alpha_form_terms(spec, a, b, order)
+            assert _alpha_form_terms(spec, a, b, order) == tuple(_nonzero_items(want))
+
+
+@pytest.mark.parametrize("field_id", list(FIELDS))
+def test_lattice_reduce_matches_the_reference(field_id):
+    spec = _spec(field_id, True)
+    f = spec.field
+    eta = f.from_int(2) * f.q_power(1)
+    datum = ReductionDatum(TorusData.from_rows([[1], [1]]), (eta,))
+    # alpha^(1,1) reduces to eta alpha^0, so the two terms cancel
+    zero = (0, 0)
+    cancelling = {(zero, zero, (0, 0)): f.one, (zero, zero, (1, 1)): -eta.inv()}
+    assert list(reference_lattice_reduce(datum, spec, cancelling).values())[0].is_zero()
+    rng = random.Random(f"lattice kernel:{field_id}")
+    inputs = [cancelling]
+    for u, _ in _operand_pairs(spec, rng, count=8):
+        inputs.append(LocalizedElement(u, (rng.randint(0, 2), rng.randint(0, 2))).terms)
+    for terms in inputs:
+        want = reference_lattice_reduce(datum, spec, terms)
+        assert list(_lattice_reduce(datum, spec, terms).terms.items()) == _nonzero_items(want)
+
+
+@pytest.mark.parametrize("field_id", list(FIELDS))
+def test_coproduct_on_leg_matches_the_reference(field_id):
+    twin = _spec(field_id, True).unscaled_twin()
+    cancelled = False
+    for exp in exponent_vectors(2, 3):
+        delta = coproduct(twin, exp)
+        # the items of Delta(x^exp) minus its first term, which repeats
+        # that term's key, so its coefficient cancels
+        (legs, c), *_ = delta
+        for items in (delta, delta + ((legs, -c),)):
+            for leg in (0, 1):
+                want = reference_coproduct_on_leg(twin, items, leg)
+                cancelled = cancelled or any(v.is_zero() for v in want.values())
+                got = _coproduct_on_leg(twin, items, leg)
+                assert list(got.items()) == _nonzero_items(want)
+    assert cancelled

@@ -102,6 +102,15 @@ def test_quantum_comoment():
     assert zinv.equals(LocalizedElement(S1.one(), (1,)))
 
 
+@pytest.mark.parametrize("basis", ["z", "u"])
+@pytest.mark.parametrize("rows", [[[1], [1], [1]], [[1]]], ids=["rank-3-torus", "rank-1-torus"])
+def test_quantum_comoment_rejects_a_torus_of_another_rank(rows, basis):
+    torus = TorusData.from_rows(rows)
+    exponents = [1] * (torus.d if basis == "u" else torus.n)
+    with pytest.raises(ParameterError, match="algebra rank and torus rank differ"):
+        quantum_comoment(exponents, torus, S2, basis)
+
+
 def test_classical_moment_eval():
     zero = (QQ.zero, QQ.zero)
     t, k = classical_moment_eval(zero, zero, T21)
