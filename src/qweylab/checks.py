@@ -202,7 +202,7 @@ def check_moment_reduction(config: WorkbenchConfig) -> str:
 
 
 def check_rep_build(config: WorkbenchConfig) -> str:
-    reps = config.build_reps()  # builders verify all relations exactly
+    reps = config.build_reps()  # certified on their slots by the builders
     details = []
     for rep in reps:
         member = azumaya_membership(rep.character)
@@ -253,12 +253,18 @@ def rank1_dichotomy_cases(f: CyclotomicField, rng: random.Random, cases: int):
             raise AssertionError(_outcome_detail(spectrum))
 
 
+def _fiber_degree(l: int, torus: TorusData) -> int:
+    """l^(n-d), the count the fiber laws expect: the dimension of a nonempty
+    weight space and the points of a compatible root-cover fiber."""
+    return l ** (torus.n - torus.d)
+
+
 def check_fiber_weights(config: WorkbenchConfig) -> str:
     """The weight law of each configured rep.  A rep on the locus whose
     character values have no rational l-th root has no eta grid to sum over,
     so only its moment operators are checked; the check skips when every
     configured rep is such a rep."""
-    expected = config.field.l ** (config.torus.n - config.torus.d)
+    expected = _fiber_degree(config.field.l, config.torus)
     details, gridless = [], 0
     for rep in config.build_reps():
         grid = compatible_eta_grid(rep, config.torus)
@@ -317,7 +323,7 @@ def check_fiber_restriction(config: WorkbenchConfig) -> str:
 
 
 def check_fiber_reduced_endos(config: WorkbenchConfig) -> str:
-    expected = config.field.l ** (2 * (config.torus.n - config.torus.d))
+    expected = _fiber_degree(config.field.l, config.torus) ** 2
     count = 0
     for rep, eta in _locus_fibers(config):
         out = reduced_endomorphism_algebra(rep, config.torus, eta)
@@ -336,7 +342,7 @@ def check_cover_degree(config: WorkbenchConfig) -> str:
     if l**torus.n > cap:
         raise Skip("enumeration cap exceeded")
     cover_degree_cases(config.field, torus, _rng_for(config, "cover-degree"), 10, cap)
-    return f"10 seeded instances, {l ** (torus.n - torus.d)} points each"
+    return f"10 seeded instances, {_fiber_degree(l, torus)} points each"
 
 
 def cover_degree_cases(
@@ -350,7 +356,7 @@ def cover_degree_cases(
     first entry times 7 has none.  Raises AssertionError naming the first case
     that fails."""
     l = f.l
-    expected = l ** (torus.n - torus.d)
+    expected = _fiber_degree(l, torus)
     for k in range(cases):
         base = [f.from_int(rng.randint(1, 9)) for _ in range(torus.n)]
         values = [r**l for r in base]

@@ -27,6 +27,8 @@ DEFAULT_BOUNDS = {
 }
 # the bounds at 0 would leave their checks nothing to check
 NONZERO_BOUNDS = ("degree_bound", "random_cases")
+# the top-level keys of the schema; any other key is a problem
+KNOWN_KEYS = frozenset("field l n d M normalization A eta chi reps bounds seed".split())
 
 
 class WorkbenchConfig(Record):
@@ -71,7 +73,7 @@ class WorkbenchConfig(Record):
         return ReductionDatum(self.torus, self.eta)
 
     def build_reps(self) -> list[MatrixRep]:
-        """Build (and thereby fully verify) every configured representation.
+        """Build (and thereby certify) every configured representation.
 
         The reps are built once per config and shared by later calls.  A build
         that raises keeps nothing, so every later call raises the same error.
@@ -92,7 +94,7 @@ class WorkbenchConfig(Record):
             build_irrep_nilpotent(l, self.field) if slot is None else build_irrep_rank1(*slot, l)
             for slot in slots
         ]
-        return built[0] if len(built) == 1 else build_irrep(built, l)
+        return build_irrep(built, l)
 
 
 class ConfigError(ParameterError):
@@ -289,17 +291,15 @@ def parse_config(raw: dict) -> WorkbenchConfig:
     problems.extend(a_problems)
     if d and a_raw is None:
         problems.append("A: missing (required when d > 0)")
-    if n is not None and d is not None and not a_problems:
-        try:
-            if d == 0:
-                torus = TorusData(n, 0, tuple(() for _ in range(n)))
-            elif a_raw is not None:
-                torus = TorusData.from_rows(a_raw)
-                if torus.n != n or torus.d != d:
-                    problems.append("A: shape does not match n x d")
-                    torus = None
-        except (ParameterError, TypeError) as exc:
-            problems.append(f"A: {exc}")
+    elif n is not None and d is not None and not a_problems:
+        rows = [[]] * n if a_raw is None else a_raw
+        if len(rows) != n or any(len(row) != d for row in rows):
+            problems.append("A: shape does not match n x d")
+        else:
+            try:
+                torus = TorusData(n, d, tuple(map(tuple, rows)))
+            except ParameterError as exc:
+                problems.append(f"A: {exc}")
 
     eta_literals = raw.get("eta")
     if eta_literals is None:
@@ -358,6 +358,7 @@ def parse_config(raw: dict) -> WorkbenchConfig:
     if not isinstance(chi, list) or not all(_is_int(c) for c in chi):
         problems.append("chi: expected a list of integers")
 
+    problems.extend(f"{key}: unknown key" for key in raw if key not in KNOWN_KEYS)
     if problems:
         raise ConfigError(problems)
     return WorkbenchConfig(

@@ -12,8 +12,9 @@ Representation conventions (single-parameter preset, rescaled):
   truncated polynomial module;
 * rank n: slot matrices are placed on tensor factors with Euler-operator
   twists (alpha-hat = I + XY) on the earlier factors, the orientation fixed
-  by the engine's cross relations.  Every built representation has all of
-  its defining relations verified exactly before it is returned.
+  by the engine's cross relations.  Each rank-1 slot has its relation and
+  l-th powers verified exactly, and a tensor rep is certified on its slots
+  by the mixed-product rule (`build_irrep`).
 
 Each exact system here is made small before it is built, by steps that
 keep the exact answer: the centralizer's unknowns are the alpha-invariant
@@ -251,7 +252,7 @@ def euler_inverse(alpha: Mat, c: Scalar, l: int) -> Mat | None:
 
 
 class MatrixRep(FrozenRecord):
-    """Exact matrices for the generators, with verified defining relations:
+    """Exact matrices for the generators, with certified defining relations:
     xs[i] and ys[i] are the dim x dim matrices of x_(i+1) and d_(i+1)."""
 
     _fields = ("spec", "l", "dim", "xs", "ys", "character")
@@ -287,45 +288,23 @@ class MatrixRep(FrozenRecord):
         return list(self.cache["alphas"])
 
 
-def _verify_rep(spec: AlgebraSpec, l: int, xs, ys) -> CentralCharacter:
-    """Check every defining relation and the centrality of l-th powers;
-    raises RelationError on any failure, returns the central character."""
-    f = spec.field
-    n = spec.n
+def _verify_rep(spec: AlgebraSpec, l: int, x: Mat, y: Mat) -> CentralCharacter:
+    """The slot certificate of a rank-1 pair: checks d x = q x d + (q-1) and
+    that x^l and d^l are scalar; raises RelationError on any failure,
+    returns the central character."""
+    q = spec.q_power(spec.m[0][0])
     failures = []
-    for i in range(n):
-        for j in range(n):
-            qij = spec.q_power(spec.m[i][j])
-            if i < j:
-                if not mat_eq(mat_mul(xs[j], xs[i]), mat_scale(mat_mul(xs[i], xs[j]), qij)):
-                    failures.append(f"x{j+1} x{i+1} = q_{i+1}{j+1} x{i+1} x{j+1}")
-                if not mat_eq(mat_mul(ys[j], ys[i]), mat_scale(mat_mul(ys[i], ys[j]), qij)):
-                    failures.append(f"d{j+1} d{i+1} = q_{i+1}{j+1} d{i+1} d{j+1}")
-            if i != j:
-                if not mat_eq(mat_mul(ys[i], xs[j]), mat_scale(mat_mul(xs[j], ys[i]), qij)):
-                    failures.append(f"d{i+1} x{j+1} = q_{i+1}{j+1} x{j+1} d{i+1}")
-    for i in range(n):
-        qii = spec.q_power(spec.m[i][i])
-        lhs = mat_mul(ys[i], xs[i])
-        rhs = mat_add(
-            mat_scale(mat_mul(xs[i], ys[i]), qii),
-            mat_scale(identity(xs[i].nrows, f), qii - 1),
-        )
-        if not mat_eq(lhs, rhs):
-            failures.append(f"d{i+1} x{i+1} = q x{i+1} d{i+1} + (q-1)")
-    a_vals, w_vals = [], []
-    for i in range(n):
-        xa = scalar_of_identity(mat_pow(xs[i], l))
-        ya = scalar_of_identity(mat_pow(ys[i], l))
-        if xa is None:
-            failures.append(f"x{i+1}^{l} is not scalar")
-        if ya is None:
-            failures.append(f"d{i+1}^{l} is not scalar")
-        a_vals.append(xa if xa is not None else f.zero)
-        w_vals.append(ya if ya is not None else f.zero)
+    rhs = mat_add(mat_scale(mat_mul(x, y), q), mat_scale(identity(x.nrows, spec.field), q - 1))
+    if not mat_eq(mat_mul(y, x), rhs):
+        failures.append("d1 x1 = q x1 d1 + (q-1)")
+    a, omega = scalar_of_identity(mat_pow(x, l)), scalar_of_identity(mat_pow(y, l))
+    if a is None:
+        failures.append(f"x1^{l} is not scalar")
+    if omega is None:
+        failures.append(f"d1^{l} is not scalar")
     if failures:
         raise RelationError("representation violates: " + "; ".join(failures))
-    return CentralCharacter(tuple(a_vals), tuple(w_vals))
+    return CentralCharacter((a,), (omega,))
 
 
 def build_irrep_rank1(lam: Scalar, b, l: int) -> MatrixRep:
@@ -345,7 +324,7 @@ def build_irrep_rank1(lam: Scalar, b, l: int) -> MatrixRep:
     entries = {(m, m): -(lams[m].inv()) for m in range(l)}
     entries.update({(m, (m + 1) % l): b[m] for m in range(l)})
     ys = matrix(l, l, field, entries)
-    character = _verify_rep(spec, l, (xs,), (ys,))
+    character = _verify_rep(spec, l, xs, ys)
     return MatrixRep(spec, l, l, (xs,), (ys,), character, {"diagonals": [xs]})
 
 
@@ -357,7 +336,7 @@ def build_irrep_nilpotent(l: int, field: CyclotomicField | None = None) -> Matri
     spec = AlgebraSpec.single_parameter(1, field)
     xs = matrix(l, l, field, {(m + 1, m): field.one for m in range(l - 1)})
     ys = matrix(l, l, field, {(m, m + 1): field.zeta_power(m + 1) - 1 for m in range(l - 1)})
-    character = _verify_rep(spec, l, (xs,), (ys,))
+    character = _verify_rep(spec, l, xs, ys)
     rep = MatrixRep(spec, l, l, (xs,), (ys,), character)
     # the Euler operator I + XY is diagonal here
     rep.cache["diagonals"] = rep.alpha_matrices()
@@ -366,15 +345,19 @@ def build_irrep_nilpotent(l: int, field: CyclotomicField | None = None) -> Matri
 
 def build_irrep(slots, l: int) -> MatrixRep:
     """Tensor builder: places rank-1 slot matrices on tensor factors with
-    Euler-operator twists on the earlier factors, then verifies everything.
+    Euler-operator twists on the earlier factors.
 
     Slot i's x carries the Euler operators alpha_j of the slots j < i, and its
     y their inverses alpha_j^-1 = c_j^-1 alpha_j^(l-1), where c_j = 1 + a_j
     omega_j is slot j's Azumaya factor (`euler_inverse`).  So every slot but
     the last must lie on the invertible locus, c_j != 0.
 
-    Fails loudly (RelationError / DomainError) rather than returning an
-    unverified representation.
+    The relations are certified on the l x l slots, not at dim l^n: the slot
+    builders checked d x = q x d + (q-1), which gives alpha X = q X alpha
+    and alpha Y = q^-1 Y alpha, and the l-th powers; `euler_inverse` checked
+    alpha_j^l = c_j Id.  By the mixed-product rule (A (x) B)(C (x) D) =
+    AC (x) BD, every relation of the tensor rep reduces to these, and
+    x_i^l = t_i a_i Id, d_i^l = t_i^-1 omega_i Id with t_i = c_1 ... c_(i-1).
     """
     if not slots:
         raise ParameterError("need at least one slot")
@@ -386,25 +369,30 @@ def build_irrep(slots, l: int) -> MatrixRep:
     spec = AlgebraSpec.single_parameter(n, field)
     dim = l**n
     ident = identity(l, field)
-    xs, ys = [], []
-    # the Kronecker products of alpha_j and of alpha_j^-1 over the slots j < k
+    xs, ys, a_vals, w_vals = [], [], [], []
+    # the Kronecker products of alpha_j and of alpha_j^-1 over the slots j < k,
+    # and the product t of their Azumaya factors
     x_twist = y_twist = identity(1, field)
+    t = field.one
     for k, slot in enumerate(slots):
         xmat, ymat = kron(x_twist, slot.xs[0]), kron(y_twist, slot.ys[0])
         for _ in range(k + 1, n):
             xmat, ymat = kron(xmat, ident), kron(ymat, ident)
         xs.append(xmat)
         ys.append(ymat)
+        a_vals.append(t * slot.character.a[0])
+        w_vals.append(slot.character.omega[0] / t)
         if k < n - 1:
             alpha = slot.alpha_matrices()[0]
-            inverse = euler_inverse(alpha, slot.character.azumaya_factors[0], l)
+            c = slot.character.azumaya_factors[0]
+            inverse = euler_inverse(alpha, c, l)
             if inverse is None:
                 raise DomainError(
                     f"slot {k+1} has a singular Euler operator; it cannot carry "
                     "tensor twists (off the invertible locus)"
                 )
             x_twist, y_twist = kron(x_twist, alpha), kron(y_twist, inverse)
-    character = _verify_rep(spec, l, tuple(xs), tuple(ys))
+            t = t * c
     # With alpha_<i the product of the Euler matrices I + x_j y_j (j < i),
     # which are invertible, I (x) X_i (x) I = alpha_<i^-1 x_i and
     # I (x) Y_i (x) I = alpha_<i y_i.  So the lift I (x) D (x) I of every
@@ -414,6 +402,7 @@ def build_irrep(slots, l: int) -> MatrixRep:
         for k, rep in enumerate(slots)
         for diag in rep.cache.get("diagonals", ())
     ]
+    character = CentralCharacter(tuple(a_vals), tuple(w_vals))
     return MatrixRep(
         spec, l, dim, tuple(xs), tuple(ys), character, {"diagonals": diagonals}
     )

@@ -4,9 +4,12 @@ from operator import add, mul, sub
 from pathlib import Path
 
 from qweylab.config import parse_config
+from qweylab.errors import RelationError
+from qweylab.exactla import identity, mat_add, mat_eq, mat_mul, mat_pow, mat_scale, scalar_of_identity
 from qweylab.hopf import coproduct
 from qweylab.moment import _lattice_step, invariant_monomials, moment_ideal_reduce
 from qweylab.qweyl import AlgebraSpec, LocalizedElement, PBWElement, _merge_vectors
+from qweylab.rootofunity import CentralCharacter
 from qweylab.scalars import make_field
 
 QQ_Q = make_field("rational_function_q")
@@ -328,3 +331,46 @@ def reference_reorder(spec, b, a):
             prev = out.get(key)
             out[key] = c if prev is None else prev + c
     return tuple((key, c) for key, c in out.items() if not c.is_zero())
+
+
+def reference_verify_rep(spec, l, xs, ys):
+    """Every defining relation of the rank-n algebra and the centrality of
+    the l-th powers, checked on the full matrices; raises RelationError on
+    any failure, returns the central character.  The reference for the
+    slot certificate of `build_irrep`."""
+    f = spec.field
+    n = spec.n
+    failures = []
+    for i in range(n):
+        for j in range(n):
+            qij = spec.q_power(spec.m[i][j])
+            if i < j:
+                if not mat_eq(mat_mul(xs[j], xs[i]), mat_scale(mat_mul(xs[i], xs[j]), qij)):
+                    failures.append(f"x{j+1} x{i+1} = q_{i+1}{j+1} x{i+1} x{j+1}")
+                if not mat_eq(mat_mul(ys[j], ys[i]), mat_scale(mat_mul(ys[i], ys[j]), qij)):
+                    failures.append(f"d{j+1} d{i+1} = q_{i+1}{j+1} d{i+1} d{j+1}")
+            if i != j:
+                if not mat_eq(mat_mul(ys[i], xs[j]), mat_scale(mat_mul(xs[j], ys[i]), qij)):
+                    failures.append(f"d{i+1} x{j+1} = q_{i+1}{j+1} x{j+1} d{i+1}")
+    for i in range(n):
+        qii = spec.q_power(spec.m[i][i])
+        lhs = mat_mul(ys[i], xs[i])
+        rhs = mat_add(
+            mat_scale(mat_mul(xs[i], ys[i]), qii),
+            mat_scale(identity(xs[i].nrows, f), qii - 1),
+        )
+        if not mat_eq(lhs, rhs):
+            failures.append(f"d{i+1} x{i+1} = q x{i+1} d{i+1} + (q-1)")
+    a_vals, w_vals = [], []
+    for i in range(n):
+        xa = scalar_of_identity(mat_pow(xs[i], l))
+        ya = scalar_of_identity(mat_pow(ys[i], l))
+        if xa is None:
+            failures.append(f"x{i+1}^{l} is not scalar")
+        if ya is None:
+            failures.append(f"d{i+1}^{l} is not scalar")
+        a_vals.append(xa if xa is not None else f.zero)
+        w_vals.append(ya if ya is not None else f.zero)
+    if failures:
+        raise RelationError("representation violates: " + "; ".join(failures))
+    return CentralCharacter(tuple(a_vals), tuple(w_vals))

@@ -260,6 +260,8 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
         (["field"], "rationalfunctioninq", "field/l: unknown field kind 'rationalfunctioninq'"),
         (["d"], -1, "d: must be between 0 and n"),
         (["d"], 3, "d: must be between 0 and n"),
+        (["exponent_bound"], 99, "exponent_bound: unknown key"),
+        (["bound"], {"degree_bound": 0}, "bound: unknown key"),
     ],
     ids=[
         "l-string",
@@ -277,6 +279,8 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
         "field-alias",
         "d-negative",
         "d-above-n",
+        "bound-at-top-level",
+        "bounds-misspelled",
     ],
 )
 def test_config_type_errors_name_their_field(tmp_path, capsys, path, value, problem):
@@ -292,6 +296,43 @@ def test_config_type_errors_name_their_field(tmp_path, capsys, path, value, prob
     cfg.write_text(json.dumps(raw))
     assert main(["verify", "--config", str(cfg)]) == 2
     assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, problems",
+    [
+        (
+            {"bound": {"degree_bound": 0}, "exponent_bound": 99},
+            ["bound: unknown key", "exponent_bound: unknown key"],
+        ),
+        ({"A": [[1], [1]]}, ["A: shape does not match n x d"]),
+        (
+            {"A": [[1], [1]], "eta": ["2"]},
+            ["A: shape does not match n x d", "eta: expected a list of d scalar literals"],
+        ),
+        ({"d": 0, "A": []}, ["A: shape does not match n x d"]),
+        ({"d": 1, "A": [[1], [1], [1]], "eta": ["2"]}, ["A: shape does not match n x d"]),
+        ({"d": 1, "A": [[1], [1, 1]], "eta": ["2"]}, ["A: shape does not match n x d"]),
+        ({"A": [[], []], "chi": [1]}, []),
+    ],
+    ids=[
+        "unknown-keys",
+        "A-without-d",
+        "A-and-eta-without-d",
+        "A-no-rows",
+        "A-extra-row",
+        "A-ragged",
+        "A-empty-columns",
+    ],
+)
+def test_config_reports_unknown_keys_and_the_shape_of_every_given_A(extra, problems):
+    raw = {"field": "rational", "n": 2, **extra}
+    if not problems:
+        assert parse_config(raw).torus.d == 0
+        return
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw)
+    assert info.value.problems == problems
 
 
 @pytest.mark.parametrize(

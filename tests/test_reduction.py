@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import operator
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from qweylab import reduction
-from qweylab.config import load_config
+from qweylab.checks import run_verification_suite
+from qweylab.config import load_config, parse_config
 from qweylab.errors import DomainError, RelationError
 from qweylab.exactla import (
     SparseEliminator,
@@ -350,6 +352,24 @@ def test_cover_fiber_points_square_invertible():
     sols = cover_fiber_points(vals, t22, [Z3.from_int(2), Z3.from_int(3)], 10000)
     assert len(sols) == 1
     assert sols[0] == (Z3.from_int(2), Z3.from_int(3))
+
+
+def test_cover_degree_judges_the_count_the_enumeration_returns():
+    # A = [[3], [3]] loses its rank mod 3: T^A = eta has 9 solutions, not
+    # l^(n-d) = 3.  The enumeration returns them all, and the law's own
+    # count fails the check
+    torus = TorusData.from_rows([[3], [3]])
+    roots = [Z3.from_int(2), Z3.from_int(5)]
+    values = [r**3 for r in roots]
+    eta = torus.character(roots)
+    sols = cover_fiber_points(values, torus, eta, 10000)
+    assert len(sols) == len(set(sols)) == 9
+    assert all(torus.character(t) == eta for t in sols)
+    raw = json.loads(N2_L3.read_text())
+    raw["A"] = [[3], [3]]
+    report = run_verification_suite(parse_config(raw), only={"cover-degree"})
+    (record,) = report["checks"]
+    assert (record["status"], record["detail"]) == ("fail", "instance 0: 9 points, expected 3")
 
 
 def test_cover_fiber_points_needs_root():

@@ -1,14 +1,26 @@
+import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import reference_verify_rep
 from qweylab.config import load_config
-from qweylab.errors import DomainError, ParameterError
-from qweylab.exactla import identity, mat_mul, mat_pow, scalar_of_identity, sparse_kernel
+from qweylab.errors import DomainError, ParameterError, RelationError
+from qweylab.exactla import (
+    identity,
+    mat_mul,
+    mat_pow,
+    mat_scale,
+    matrix,
+    scalar_of_identity,
+    sparse_kernel,
+)
 from qweylab.qweyl import AlgebraSpec, exponent_vectors, monomials
 from qweylab.rootofunity import (
+    _verify_rep,
     azumaya_membership,
     build_irrep,
     build_irrep_nilpotent,
@@ -28,6 +40,13 @@ Z3 = make_field("cyclotomic", 3)
 Z5 = make_field("cyclotomic", 5)
 C3 = AlgebraSpec.single_parameter(1, Z3)
 C3_2 = AlgebraSpec.single_parameter(2, Z3)
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS_WITH_REPS = [
+    path
+    for folder in (ROOT / "configs", ROOT / "tests" / "configs", ROOT / "perfbench" / "configs")
+    for path in sorted(folder.glob("*.json"))
+    if json.loads(path.read_text()).get("reps")
+]
 
 
 def rank1(field, lam_num, mu_num=None, b=None):
@@ -221,6 +240,76 @@ def test_tensor_builder_accepts_an_off_locus_last_slot():
     assert commutant_dimension(rep) == 1
     with pytest.raises(DomainError):
         build_irrep([off, build_irrep_nilpotent(3)], 3)
+
+
+@pytest.mark.parametrize("path", CONFIGS_WITH_REPS, ids=lambda path: path.stem)
+def test_configured_reps_pass_the_full_dimension_relation_check(path):
+    # build_irrep certifies a tensor rep on its slots; the check of every
+    # relation on the dim l^n matrices agrees, with the same character
+    reps = load_config(str(path)).build_reps()
+    assert reps
+    for rep in reps:
+        assert reference_verify_rep(rep.spec, rep.l, rep.xs, rep.ys) == rep.character
+
+
+def seeded_slots(field, n, last, rng):
+    """n rank-1 slots: each before the last nilpotent, on the matrix-algebra
+    locus (b_m = mu / lambda_m), or with b drawn from {0, 1, 2} and a nonzero
+    Azumaya factor, so that it can twist the later factors; the last of the
+    given kind, where "off-locus" has b = 0 and Azumaya factor 0."""
+    l = field.l
+
+    def slot(kind):
+        if kind == "nilpotent":
+            return build_irrep_nilpotent(l, field)
+        lam = field.from_int(rng.randint(1, 9))
+        if kind == "off-locus":
+            return build_irrep_rank1(lam, [field.zero] * l, l)
+        if kind == "locus":
+            mu = field.from_int(rng.randint(1, 9))
+            return build_irrep_rank1(lam, [mu / (lam * field.zeta_power(m)) for m in range(l)], l)
+        return build_irrep_rank1(lam, [field.from_int(rng.randint(0, 2)) for _ in range(l)], l)
+
+    slots = []
+    while len(slots) < n - 1:
+        rep = slot(rng.choice(("nilpotent", "locus", "drawn")))
+        if not rep.character.azumaya_factors[0].is_zero():
+            slots.append(rep)
+    return slots + [slot(last)]
+
+
+@pytest.mark.parametrize("last", ["nilpotent", "locus", "drawn", "off-locus"])
+@pytest.mark.parametrize("n, l", [(2, 3), (3, 3), (2, 5), (3, 5)])
+def test_seeded_tensor_reps_pass_the_full_dimension_relation_check(n, l, last):
+    field = {3: Z3, 5: Z5}[l]
+    slots = seeded_slots(field, n, last, random.Random(f"tensor:{n}:{l}:{last}"))
+    rep = build_irrep(slots, l)
+    assert reference_verify_rep(rep.spec, l, rep.xs, rep.ys) == rep.character
+    # the character read from the slots: a_k = t_k a_k^slot and
+    # omega_k = omega_k^slot / t_k, with t_k the Azumaya factors before k
+    assert rep.character.azumaya_factors == tuple(
+        slot.character.azumaya_factors[0] for slot in slots
+    )
+
+
+@pytest.mark.parametrize(
+    "x_scale, y_scale, diagonal",
+    [(1, 2, ""), (1, 1, "x"), (2, 1, "y"), (1, 1, "xy")],
+)
+def test_slot_certificate_names_each_failed_relation(x_scale, y_scale, diagonal):
+    # the rank-1 certificate fails with the messages of the full check at n = 1
+    rep = rank1(Z3, 2, 3)
+    x = mat_scale(rep.xs[0], Z3.from_int(x_scale))
+    y = mat_scale(rep.ys[0], Z3.from_int(y_scale))
+    spread = matrix(3, 3, Z3, {(m, m): Z3.from_int(m + 1) for m in range(3)})
+    if "x" in diagonal:
+        x = spread
+    if "y" in diagonal:
+        y = spread
+    with pytest.raises(RelationError) as want:
+        reference_verify_rep(rep.spec, 3, (x,), (y,))
+    with pytest.raises(RelationError, match=f"^{re.escape(str(want.value))}$"):
+        _verify_rep(rep.spec, 3, x, y)
 
 
 def test_azumaya_dichotomy_seeded():
