@@ -210,6 +210,7 @@ def _run(argv) -> int:
         print(reduced)
         return 0
     if args.command == "rep":
+        _check_writable(args.out)
         reps = config.build_reps()
         dump = [export_rep(rep) for rep in reps]
         _write_json(args.out, dump)

@@ -29,6 +29,8 @@ DEFAULT_BOUNDS = {
 NONZERO_BOUNDS = ("degree_bound", "random_cases")
 # the top-level keys of the schema; any other key is a problem
 KNOWN_KEYS = frozenset("field l n d M normalization A eta chi reps bounds seed".split())
+# the keys of a rep slot descriptor of each kind
+SLOT_KEYS = {"nilpotent": ("kind",), "diag": ("kind", "lambda", "b", "mu")}
 
 
 class WorkbenchConfig(Record):
@@ -144,9 +146,11 @@ def _parse_slot(slot, field: CyclotomicField | None, path: str, problems: list[s
     """A rep slot descriptor as None (nilpotent) or (lambda, b) (diag), with
     its problems recorded.  Without a cyclotomic field only its keys are
     checked.  The value returned after a problem is meaningless."""
-    if not isinstance(slot, dict) or slot.get("kind") not in ("diag", "nilpotent"):
+    if not isinstance(slot, dict) or slot.get("kind") not in SLOT_KEYS:
         problems.append(f"{path}: kind must be 'diag' or 'nilpotent'")
         return None
+    keys = SLOT_KEYS[slot["kind"]]
+    problems.extend(f"{path}.{key}: unknown key" for key in slot if key not in keys)
     if slot["kind"] == "nilpotent":
         return None
     blist = slot.get("b")
@@ -154,6 +158,8 @@ def _parse_slot(slot, field: CyclotomicField | None, path: str, problems: list[s
         problems.append(f"{path}: missing lambda")
     if blist is None and "mu" not in slot:
         problems.append(f"{path}: need b or mu")
+    if "b" in slot and "mu" in slot:
+        problems.append(f"{path}: give b or mu, not both")
     if field is None:
         return None
     lam = None

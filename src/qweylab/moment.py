@@ -98,12 +98,12 @@ class TorusData(FrozenRecord):
         value (decided once per torus, spec and degree)."""
         return _is_invariant(self, spec, degree)
 
-    def character(self, t, mul=operator.mul, power=operator.pow) -> tuple:
-        """The subtorus point (prod_i t_i^(a_ij))_j of a torus point t, under
-        the given product and power; a factor with a_ij = 0 is left out.  No
-        column of A is zero (A has full column rank), so no product is empty."""
+    def character(self, t) -> tuple:
+        """The subtorus point (prod_i t_i^(a_ij))_j of a torus point t; a
+        factor with a_ij = 0 is left out.  No column of A is zero (A has full
+        column rank), so no product is empty."""
         return tuple(
-            reduce(mul, (power(t[i], self.a[i][j]) for i in range(self.n) if self.a[i][j]))
+            reduce(operator.mul, (t[i] ** self.a[i][j] for i in range(self.n) if self.a[i][j]))
             for j in range(self.d)
         )
 

@@ -5,67 +5,63 @@ the degree-l^(n-d) cover.
 
 Everything here is exact linear algebra over the cyclotomic field; the
 computations mirror the algebra-level reduction of the moment module at a
-single central character.
+single central character.  The Euler operators, their inverses and the
+moment operators come from the l x l slots of a tensor rep, whose Euler
+facts `build_irrep` certified once (`MatrixRep.slot_eulers`); nothing here
+forms or re-checks them at dim l^n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .errors import DomainError, ParameterError, RelationError
 from .exactla import (
     Mat,
     SparseEliminator,
     identity,
+    kron,
     mat_add,
-    mat_eq,
-    mat_mul,
     mat_pow,
     mat_scale,
     mat_vec,
-    scalar_of_identity,
     sparse_kernel,
 )
 from .moment import TorusData
-from .qweyl import CheckOutcome, exponent_vectors
+from .qweyl import exponent_vectors
 from .records import Record
-from .rootofunity import MatrixRep, commutant_basis, euler_inverse
+from .rootofunity import MatrixRep, commutant_basis
 from .scalars import CyclotomicField, Scalar
 
 
 def moment_operators(rep: MatrixRep, torus: TorusData):
-    """The d moment operator matrices prod_i (I + X_i Y_i)^(a_ij), their
-    central l-th power scalars prod_i (1 + a_i omega_i)^(a_ij), and an exact
-    check that each operator's l-th power is that scalar.
+    """The d moment operators Phi(mu_j) = prod_i alpha_i^(a_ij) and their
+    central l-th power scalars prod_i c_i^(a_ij), c_i = 1 + a_i omega_i.
 
-    A negative power of alpha_i = I + X_i Y_i is a power of its inverse
-    c_i^-1 alpha_i^(l-1), where c_i = 1 + a_i omega_i (`euler_inverse`)."""
+    alpha_i = I (x) alpha^(i) (x) I, so operator j is the Kronecker product
+    over the slots of (alpha^(i))^(a_ij), a negative power taken of the slot
+    inverse (`MatrixRep.slot_eulers`).  Each slot has (alpha^(i))^l = c_i Id,
+    certified once, so by the mixed-product rule operator j has l-th power
+    prod_i c_i^(a_ij) Id, and the operators commute."""
     if torus.n != rep.spec.n:
         raise ParameterError("torus rank and representation rank differ")
-    alphas = rep.alpha_matrices()
-    factors = rep.character.azumaya_factors
-
-    def alpha_power(i: int, e: int) -> Mat:
-        if e > 0:
-            return mat_pow(alphas[i], e)
-        inverse = euler_inverse(alphas[i], factors[i], rep.l)
-        if inverse is None:
-            raise DomainError(
-                f"Euler operator {i+1} is singular but A needs its inverse "
-                "(off the invertible locus)"
-            )
-        return mat_pow(inverse, -e)
-
-    ops = list(torus.character(range(rep.spec.n), mat_mul, alpha_power))
-    # computed after the inverses above, so that a singular Euler operator
-    # raises its own DomainError rather than a division by zero here
-    scalars = list(torus.character(factors))
-    for j, (op, scal) in enumerate(zip(ops, scalars)):
-        if scalar_of_identity(mat_pow(op, rep.l)) != scal:
-            raise DomainError(
-                f"moment operator {j+1} does not have the predicted central power"
-            )
-    return ops, scalars
+    pairs = rep.slot_eulers()
+    ops = []
+    for j in range(torus.d):
+        factors = []
+        for i, (alpha, inverse) in enumerate(pairs):
+            e = torus.a[i][j]
+            if e < 0 and inverse is None:
+                raise DomainError(
+                    f"Euler operator {i+1} is singular but A needs its inverse "
+                    "(off the invertible locus)"
+                )
+            factors.append(mat_pow(alpha if e >= 0 else inverse, abs(e)))
+        ops.append(reduce(kron, factors))
+    # computed after the operators, so that a singular Euler operator raises
+    # its own DomainError rather than a division by zero here
+    return ops, list(torus.character(rep.character.azumaya_factors))
 
 
 def _rep_moment_operators(rep: MatrixRep, torus: TorusData):
@@ -185,14 +181,11 @@ def _int_lth_root(m: int, l: int) -> int | None:
 
 
 class RestrictionKernelReport(Record):
-    _fields = ("dim_ideal", "dim_expected", "contained", "passed", "weight_dim")
+    _fields = ("dim_ideal", "dim_expected", "passed", "weight_dim")
 
-    def __init__(
-        self, dim_ideal: int, dim_expected: int, contained: bool, passed: bool, weight_dim: int
-    ):
+    def __init__(self, dim_ideal: int, dim_expected: int, passed: bool, weight_dim: int):
         self.dim_ideal = dim_ideal
         self.dim_expected = dim_expected
-        self.contained = contained
         self.passed = passed
         self.weight_dim = weight_dim
 
@@ -203,9 +196,10 @@ def restriction_kernel_check(
     """The left ideal generated by the shifted moment operators equals the
     kernel of restriction to the weight space.
 
-    The ideal is spanned by P (Phi(u_j) - eta_j Id) over matrix units P; its
-    span is compared against {f : f|_(V_eta) = 0} by exact dimension count
-    plus containment (each generator annihilates the weight space).
+    The ideal is spanned by P (Phi(u_j) - eta_j Id) over matrix units P.  It
+    lies in {f : f|_(V_eta) = 0}, since `weight_space` certified that every
+    basis vector is a joint eigenvector, so the two are equal exactly when
+    their dimensions are.
 
     P = E_rc sends a generator S to the matrix whose only nonzero row, r, is
     row c of S.  Different r use disjoint entries, so the ideal is dim copies
@@ -213,23 +207,18 @@ def restriction_kernel_check(
     of their d * dim rows.
     """
     ws = weight_space(rep, torus, eta)
-    f = rep.field
     dim = rep.dim
     m = ws.dimension
-    row_span = SparseEliminator(f)
-    contained = True
+    row_span = SparseEliminator(rep.field)
     for shifted in _shifted(ws.moment_ops, ws.eta):
         for row in shifted.values():
             row_span.add(row)
-        if any(mat_vec(shifted, v) for v in ws.basis):
-            contained = False
     dim_ideal = dim * row_span.rank
     dim_expected = dim * (dim - m)
     return RestrictionKernelReport(
         dim_ideal=dim_ideal,
         dim_expected=dim_expected,
-        contained=contained,
-        passed=(dim_ideal == dim_expected and contained),
+        passed=dim_ideal == dim_expected,
         weight_dim=m,
     )
 
@@ -276,18 +265,6 @@ def reduced_endomorphism_algebra(rep: MatrixRep, torus: TorusData, eta) -> Reduc
         weight_dim=m,
         iso_verified=identity_commutes and cdim == m * m,
     )
-
-
-def verify_moment_operators_commute(rep: MatrixRep, torus: TorusData) -> CheckOutcome:
-    out = CheckOutcome()
-    ops, _ = _rep_moment_operators(rep, torus)
-    for j in range(len(ops)):
-        for k in range(j + 1, len(ops)):
-            out.record(
-                mat_eq(mat_mul(ops[j], ops[k]), mat_mul(ops[k], ops[j])),
-                f"moment operators {j+1},{k+1} commute",
-            )
-    return out
 
 
 def cover_fiber_points(alpha_l_values, torus: TorusData, eta, enumeration_cap: int):

@@ -12,9 +12,10 @@ Representation conventions (single-parameter preset, rescaled):
   truncated polynomial module;
 * rank n: slot matrices are placed on tensor factors with Euler-operator
   twists (alpha-hat = I + XY) on the earlier factors, the orientation fixed
-  by the engine's cross relations.  Each rank-1 slot has its relation and
-  l-th powers verified exactly, and a tensor rep is certified on its slots
-  by the mixed-product rule (`build_irrep`).
+  by the engine's cross relations.  Each rank-1 slot has its relation, its
+  l-th powers and its Euler operator certified exactly, once, on l x l
+  matrices, and a tensor rep is certified on its slots by the mixed-product
+  rule (`build_irrep`).
 
 Each exact system here is made small before it is built, by steps that
 keep the exact answer: the centralizer's unknowns are the alpha-invariant
@@ -26,6 +27,8 @@ and counts the boxes of keys that their shifts by every d^s fill.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .errors import DomainError, ParameterError, RelationError
 from .exactla import (
@@ -269,9 +272,9 @@ class MatrixRep(FrozenRecord):
     ):
         self.__dict__.update(spec=spec, l=l, dim=dim, xs=xs, ys=ys, character=character)
         # data derived from the matrices, computed at most once per rep: the
-        # Euler matrices, the commutant basis, the moment operators of each
-        # torus; and, from the builders, "diagonals": diagonal matrices that
-        # lie in the algebra the generator matrices generate.  Not compared.
+        # Euler matrices and slot pairs, the commutant basis, the moment
+        # operators of each torus; and, from the builders, "diagonals":
+        # diagonal matrices of the rep's algebra.  Not compared.
         self.__dict__["cache"] = {} if cache is None else cache
 
     @property
@@ -286,6 +289,18 @@ class MatrixRep(FrozenRecord):
                 mat_add(ident, mat_mul(x, y)) for x, y in zip(self.xs, self.ys)
             ]
         return list(self.cache["alphas"])
+
+    def slot_eulers(self):
+        """The l x l pair (alpha^(k), its inverse or None) of each tensor slot,
+        certified by `euler_inverse`.  `build_irrep` records them; a rank-1
+        rep is its own slot, and its pair is computed on first use."""
+        if "slot_eulers" not in self.cache:
+            if self.spec.n != 1:
+                raise ParameterError("only a rank-1 rep is its own tensor slot")
+            (alpha,) = self.alpha_matrices()
+            (c,) = self.character.azumaya_factors
+            self.cache["slot_eulers"] = [(alpha, euler_inverse(alpha, c, self.l))]
+        return self.cache["slot_eulers"]
 
 
 def _verify_rep(spec: AlgebraSpec, l: int, x: Mat, y: Mat) -> CentralCharacter:
@@ -307,6 +322,16 @@ def _verify_rep(spec: AlgebraSpec, l: int, x: Mat, y: Mat) -> CentralCharacter:
     return CentralCharacter((a,), (omega,))
 
 
+def _slot_rep(field: CyclotomicField, l: int, x: Mat, y: Mat) -> MatrixRep:
+    """The tail of both rank-1 builders: the certified rep of (x, y), with x
+    recorded as its diagonal matrix when it is one, else its Euler operator
+    I + xy, which is diagonal for the nilpotent builder."""
+    spec = AlgebraSpec.single_parameter(1, field)
+    rep = MatrixRep(spec, l, l, (x,), (y,), _verify_rep(spec, l, x, y))
+    rep.cache["diagonals"] = rep.alpha_matrices() if _diagonal_entries(x) is None else [x]
+    return rep
+
+
 def build_irrep_rank1(lam: Scalar, b, l: int) -> MatrixRep:
     """Rank-1 semisimple builder: X diagonal with eigenvalues lambda q^m, Y
     cyclic with diagonal -1/lambda_m and the given l off-diagonal entries."""
@@ -318,14 +343,11 @@ def build_irrep_rank1(lam: Scalar, b, l: int) -> MatrixRep:
     b = list(b)
     if len(b) != l:
         raise ParameterError("b must have length l")
-    spec = AlgebraSpec.single_parameter(1, field)
     lams = [lam * field.zeta_power(m) for m in range(l)]
-    xs = matrix(l, l, field, {(m, m): lams[m] for m in range(l)})
+    x = matrix(l, l, field, {(m, m): lams[m] for m in range(l)})
     entries = {(m, m): -(lams[m].inv()) for m in range(l)}
     entries.update({(m, (m + 1) % l): b[m] for m in range(l)})
-    ys = matrix(l, l, field, entries)
-    character = _verify_rep(spec, l, xs, ys)
-    return MatrixRep(spec, l, l, (xs,), (ys,), character, {"diagonals": [xs]})
+    return _slot_rep(field, l, x, matrix(l, l, field, entries))
 
 
 def build_irrep_nilpotent(l: int, field: CyclotomicField | None = None) -> MatrixRep:
@@ -333,31 +355,34 @@ def build_irrep_nilpotent(l: int, field: CyclotomicField | None = None) -> Matri
     field = field or make_field("cyclotomic", l)
     if field.l != l:
         raise ParameterError("field order and l differ")
-    spec = AlgebraSpec.single_parameter(1, field)
-    xs = matrix(l, l, field, {(m + 1, m): field.one for m in range(l - 1)})
-    ys = matrix(l, l, field, {(m, m + 1): field.zeta_power(m + 1) - 1 for m in range(l - 1)})
-    character = _verify_rep(spec, l, xs, ys)
-    rep = MatrixRep(spec, l, l, (xs,), (ys,), character)
-    # the Euler operator I + XY is diagonal here
-    rep.cache["diagonals"] = rep.alpha_matrices()
-    return rep
+    x = matrix(l, l, field, {(m + 1, m): field.one for m in range(l - 1)})
+    y = matrix(l, l, field, {(m, m + 1): field.zeta_power(m + 1) - 1 for m in range(l - 1)})
+    return _slot_rep(field, l, x, y)
+
+
+def _lift(before, mat: Mat, n: int) -> Mat:
+    """The Kronecker product before[0] (x) ... (x) before[k-1] (x) mat (x) I
+    (x) ... (x) I of n factors, k = len(before), formed left to right."""
+    ident = identity(mat.nrows, mat.field)
+    return reduce(kron, [*before, mat] + [ident] * (n - 1 - len(before)))
 
 
 def build_irrep(slots, l: int) -> MatrixRep:
-    """Tensor builder: places rank-1 slot matrices on tensor factors with
-    Euler-operator twists on the earlier factors.
+    """Tensor builder: slot k's matrices on tensor factor k, twisted by the
+    Euler operators alpha^(j) = I + X_j Y_j of the earlier slots:
+    x_k = alpha^(1) (x) ... (x) alpha^(k-1) (x) X_k (x) I (x) ... (x) I, and
+    y_k the same with their inverses and Y_k.  So every slot but the last
+    must lie on the invertible locus, c_j = 1 + a_j omega_j != 0.
 
-    Slot i's x carries the Euler operators alpha_j of the slots j < i, and its
-    y their inverses alpha_j^-1 = c_j^-1 alpha_j^(l-1), where c_j = 1 + a_j
-    omega_j is slot j's Azumaya factor (`euler_inverse`).  So every slot but
-    the last must lie on the invertible locus, c_j != 0.
-
-    The relations are certified on the l x l slots, not at dim l^n: the slot
-    builders checked d x = q x d + (q-1), which gives alpha X = q X alpha
-    and alpha Y = q^-1 Y alpha, and the l-th powers; `euler_inverse` checked
-    alpha_j^l = c_j Id.  By the mixed-product rule (A (x) B)(C (x) D) =
-    AC (x) BD, every relation of the tensor rep reduces to these, and
-    x_i^l = t_i a_i Id, d_i^l = t_i^-1 omega_i Id with t_i = c_1 ... c_(i-1).
+    Each Euler fact is certified once, on l x l matrices: `euler_inverse`
+    checks (alpha^(k))^l = c_k Id on every slot and gives the inverse
+    c_k^-1 (alpha^(k))^(l-1), or None when c_k = 0, and the rep records each
+    pair (`MatrixRep.slot_eulers`).  The slot builders checked d x = q x d +
+    (q-1), which gives alpha X = q X alpha and alpha Y = q^-1 Y alpha, and the
+    l-th powers.  By the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD,
+    every relation of the tensor rep reduces to these: its Euler operator
+    alpha_k is I (x) alpha^(k) (x) I, x_k^l = t_k a_k Id and d_k^l = t_k^-1
+    omega_k Id, with t_k = c_1 ... c_(k-1).
     """
     if not slots:
         raise ParameterError("need at least one slot")
@@ -366,46 +391,35 @@ def build_irrep(slots, l: int) -> MatrixRep:
     for k, rep in enumerate(slots):
         if rep.spec.n != 1 or rep.l != l or rep.field != field:
             raise ParameterError(f"slot {k+1} is not a rank-1 builder output for l={l}")
-    spec = AlgebraSpec.single_parameter(n, field)
-    dim = l**n
+    pairs = [pair for slot in slots for pair in slot.slot_eulers()]
+    for k, (_, inverse) in enumerate(pairs[:-1]):
+        if inverse is None:
+            raise DomainError(
+                f"slot {k+1} has a singular Euler operator; it cannot carry "
+                "tensor twists (off the invertible locus)"
+            )
+    alphas, inverses = zip(*pairs)
+    xs = tuple(_lift(alphas[:k], slot.xs[0], n) for k, slot in enumerate(slots))
+    ys = tuple(_lift(inverses[:k], slot.ys[0], n) for k, slot in enumerate(slots))
+    # With alpha_<k the product of the Euler matrices I + x_j y_j (j < k),
+    # which are invertible, I (x) X_k (x) I = alpha_<k^-1 x_k and
+    # I (x) Y_k (x) I = alpha_<k y_k.  So the lift I (x) D (x) I of every
+    # element D of a slot's algebra lies in the algebra of this rep.
     ident = identity(l, field)
-    xs, ys, a_vals, w_vals = [], [], [], []
-    # the Kronecker products of alpha_j and of alpha_j^-1 over the slots j < k,
-    # and the product t of their Azumaya factors
-    x_twist = y_twist = identity(1, field)
-    t = field.one
+    diagonals = [
+        _lift([ident] * k, diag, n)
+        for k, slot in enumerate(slots)
+        for diag in slot.cache.get("diagonals", ())
+    ]
+    a_vals, w_vals, t = [], [], field.one
     for k, slot in enumerate(slots):
-        xmat, ymat = kron(x_twist, slot.xs[0]), kron(y_twist, slot.ys[0])
-        for _ in range(k + 1, n):
-            xmat, ymat = kron(xmat, ident), kron(ymat, ident)
-        xs.append(xmat)
-        ys.append(ymat)
+        if k:
+            t = t * slots[k - 1].character.azumaya_factors[0]
         a_vals.append(t * slot.character.a[0])
         w_vals.append(slot.character.omega[0] / t)
-        if k < n - 1:
-            alpha = slot.alpha_matrices()[0]
-            c = slot.character.azumaya_factors[0]
-            inverse = euler_inverse(alpha, c, l)
-            if inverse is None:
-                raise DomainError(
-                    f"slot {k+1} has a singular Euler operator; it cannot carry "
-                    "tensor twists (off the invertible locus)"
-                )
-            x_twist, y_twist = kron(x_twist, alpha), kron(y_twist, inverse)
-            t = t * c
-    # With alpha_<i the product of the Euler matrices I + x_j y_j (j < i),
-    # which are invertible, I (x) X_i (x) I = alpha_<i^-1 x_i and
-    # I (x) Y_i (x) I = alpha_<i y_i.  So the lift I (x) D (x) I of every
-    # element D of a slot's algebra lies in the algebra of this rep.
-    diagonals = [
-        kron(kron(identity(l**k, field), diag), identity(l ** (n - 1 - k), field))
-        for k, rep in enumerate(slots)
-        for diag in rep.cache.get("diagonals", ())
-    ]
     character = CentralCharacter(tuple(a_vals), tuple(w_vals))
-    return MatrixRep(
-        spec, l, dim, tuple(xs), tuple(ys), character, {"diagonals": diagonals}
-    )
+    cache = {"diagonals": diagonals, "slot_eulers": pairs}
+    return MatrixRep(AlgebraSpec.single_parameter(n, field), l, l**n, xs, ys, character, cache)
 
 
 def _diagonal_entries(mat: Mat):

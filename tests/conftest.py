@@ -1,15 +1,17 @@
+import itertools
 import json
 import random
+from functools import reduce
 from operator import add, mul, sub
 from pathlib import Path
 
 from qweylab.config import parse_config
-from qweylab.errors import RelationError
+from qweylab.errors import DomainError, RelationError
 from qweylab.exactla import identity, mat_add, mat_eq, mat_mul, mat_pow, mat_scale, scalar_of_identity
 from qweylab.hopf import coproduct
 from qweylab.moment import _lattice_step, invariant_monomials, moment_ideal_reduce
 from qweylab.qweyl import AlgebraSpec, LocalizedElement, PBWElement, _merge_vectors
-from qweylab.rootofunity import CentralCharacter
+from qweylab.rootofunity import CentralCharacter, euler_inverse
 from qweylab.scalars import make_field
 
 QQ_Q = make_field("rational_function_q")
@@ -374,3 +376,36 @@ def reference_verify_rep(spec, l, xs, ys):
     if failures:
         raise RelationError("representation violates: " + "; ".join(failures))
     return CentralCharacter(tuple(a_vals), tuple(w_vals))
+
+
+def reference_moment_operators(rep, torus):
+    """The moment operators prod_i alpha_i^(a_ij) formed at dim l^n, from the
+    rep's Euler operators I + x_i y_i and their dim-l^n `euler_inverse`, and
+    their central l-th power scalars prod_i c_i^(a_ij).  Asserts that each
+    operator's l-th power is its scalar and that the operators commute
+    pairwise.  The reference for `reduction.moment_operators`, which builds
+    them from the l x l slots."""
+    alphas = rep.alpha_matrices()
+    factors = rep.character.azumaya_factors
+
+    def alpha_power(i, e):
+        if e > 0:
+            return mat_pow(alphas[i], e)
+        inverse = euler_inverse(alphas[i], factors[i], rep.l)
+        if inverse is None:
+            raise DomainError(
+                f"Euler operator {i+1} is singular but A needs its inverse "
+                "(off the invertible locus)"
+            )
+        return mat_pow(inverse, -e)
+
+    columns = [
+        [(i, torus.a[i][j]) for i in range(torus.n) if torus.a[i][j]] for j in range(torus.d)
+    ]
+    ops = [reduce(mat_mul, (alpha_power(i, e) for i, e in col)) for col in columns]
+    scalars = [reduce(mul, (factors[i] ** e for i, e in col)) for col in columns]
+    for op, scalar in zip(ops, scalars):
+        assert scalar_of_identity(mat_pow(op, rep.l)) == scalar
+    for p, r in itertools.combinations(ops, 2):
+        assert mat_eq(mat_mul(p, r), mat_mul(r, p))
+    return ops, scalars

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qweylab.config import ConfigError, parse_config
+from qweylab.config import ConfigError, WorkbenchConfig, parse_config
 from qweylab.cli import main
 from qweylab.errors import DomainError, ExprError
 from qweylab.expr import format_localized, format_pbw, parse_expression, parse_scalar
@@ -242,18 +242,21 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
     "path, value, problem",
     [
         (["l"], "3", "l: expected an integer"),
-        (["reps", 0, 0, "b"], 5, "reps[0][0]: b must be a list"),
+        (["reps", 0, 0], {"kind": "diag", "lambda": "1", "b": 5}, "reps[0][0]: b must be a list"),
         (["bounds", "degree_bound"], True, "bounds.degree_bound: expected a nonnegative integer"),
         (["bounds", "degree_bound"], 0, "bounds.degree_bound: must be at least 1"),
         (["bounds", "random_cases"], 0, "bounds.random_cases: must be at least 1"),
         (["reps", 0, 0, "lambda"], "0", "reps[0][0].lambda: must be nonzero"),
         (
-            ["reps", 0, 0, "b"],
-            ["1", "x1", "1"],
+            ["reps", 0, 0],
+            {"kind": "diag", "lambda": "1", "b": ["1", "x1", "1"]},
             "reps[0][0].b[1]: generators are not allowed in a scalar literal (column 1)",
         ),
         (["reps", 0, 0, "mu"], "zeta^", "reps[0][0].mu: exponent must be an integer (column 6)"),
         (["reps", 0, 0], {"kind": "diag", "lambda": "1", "b": None}, "reps[0][0]: need b or mu"),
+        (["reps", 0, 0, "mu2"], "5", "reps[0][0].mu2: unknown key"),
+        (["reps", 1, 0, "lambda"], "1", "reps[1][0].lambda: unknown key"),
+        (["reps", 0, 0, "b"], ["1", "1", "1"], "reps[0][0]: give b or mu, not both"),
         (["eta", 0], "0^-1", "eta[0]: division by zero in the cyclotomic field"),
         (["seed"], True, "seed: expected an integer"),
         (["chi"], [True], "chi: expected a list of integers"),
@@ -273,6 +276,9 @@ def test_config_rejects_non_integer_matrix_entries(key, value, problem):
         "b-entry-generator",
         "mu-bad-exponent",
         "b-null-without-mu",
+        "slot-key-misspelled",
+        "nilpotent-slot-with-lambda",
+        "b-and-mu",
         "eta-division-by-zero",
         "seed-bool",
         "chi-bool",
@@ -296,6 +302,19 @@ def test_config_type_errors_name_their_field(tmp_path, capsys, path, value, prob
     cfg.write_text(json.dumps(raw))
     assert main(["verify", "--config", str(cfg)]) == 2
     assert problem in capsys.readouterr().err
+
+
+def test_config_reports_every_slot_key_problem_in_one_list():
+    raw = json.loads((CONFIGS / "n1_l3.json").read_text())
+    raw["reps"][0][0].update(b=["1", "1", "1"], mu2="5")
+    raw["reps"][1][0]["lambda"] = "3"
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw)
+    assert info.value.problems == [
+        "reps[0][0].mu2: unknown key",
+        "reps[0][0]: give b or mu, not both",
+        "reps[1][0].lambda: unknown key",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -499,11 +518,15 @@ def test_cli_verify_rejects_an_empty_check_id(tmp_path, capsys, only):
     ],
     ids=["verify", "rep-build"],
 )
-def test_cli_unwritable_out_path_is_an_error(tmp_path, capsys, argv, stdout):
-    # verify tests the path before its first check, so it prints no check line
+def test_cli_unwritable_out_path_is_an_error(tmp_path, capsys, monkeypatch, argv, stdout):
+    # verify tests the path before its first check, so it prints no check
+    # line, and rep build tests it before it builds a rep
+    builds = []
+    monkeypatch.setattr(WorkbenchConfig, "build_reps", lambda cfg: builds.append(cfg) or [])
     out_path = tmp_path / "missing" / "r.json"
     cfg = str(CONFIGS / "n2_l3.json")
     assert main(argv + ["--config", cfg, "--out", str(out_path)]) == 2
+    assert builds == []
     assert capsys.readouterr() == (
         stdout,
         f"error: cannot write {out_path}: No such file or directory\n",
@@ -629,7 +652,9 @@ def test_cold_verify_process_answers_without_argparse(tmp_path, capsys):
     # exit 0 with a report, 1 on a failing check and 2 on a config error or
     # a closed stdout, each with the stdout and stderr of an in-process call
     raw = json.loads((CONFIGS / "n2_l3.json").read_text())
-    raw["reps"][0][0]["b"] = ["0", "0", "0"]
+    slot = raw["reps"][0][0]
+    del slot["mu"]
+    slot["b"] = ["0", "0", "0"]
     singular = tmp_path / "singular.json"
     singular.write_text(json.dumps(raw))
     n2_l3 = ["--config", str(CONFIGS / "n2_l3.json")]

@@ -35,7 +35,7 @@ def records():
         (WeightSpaceResult, dict(basis=[{0: Z3.one}], eta=(Z3.one,), moment_ops=[])),
         (
             RestrictionKernelReport,
-            dict(dim_ideal=6, dim_expected=6, contained=True, passed=True, weight_dim=1),
+            dict(dim_ideal=6, dim_expected=6, passed=True, weight_dim=1),
         ),
         (ReducedAlgebraResult, dict(dimension=1, weight_dim=1, iso_verified=True)),
         (CentralCharacter, dict(a=(Z3.one,), omega=(Z3.zero,))),

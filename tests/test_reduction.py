@@ -3,17 +3,20 @@ import itertools
 import json
 import operator
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import reference_moment_operators
 from qweylab import reduction
 from qweylab.checks import run_verification_suite
 from qweylab.config import load_config, parse_config
 from qweylab.errors import DomainError, RelationError
 from qweylab.exactla import (
     SparseEliminator,
+    mat_eq,
     mat_mul,
     mat_pow,
     scalar_of_identity,
@@ -27,12 +30,12 @@ from qweylab.reduction import (
     moment_operators,
     reduced_endomorphism_algebra,
     restriction_kernel_check,
-    verify_moment_operators_commute,
     weight_space,
 )
 from qweylab.rootofunity import build_irrep, build_irrep_nilpotent, build_irrep_rank1
 from qweylab.scalars import make_field
 from test_exactla import dense_inv, from_dense, to_dense
+from test_rootofunity import CONFIGS_WITH_REPS, Z5, seeded_slots
 
 Z3 = make_field("cyclotomic", 3)
 T11 = TorusData.from_rows([[1]])
@@ -146,7 +149,7 @@ def test_moment_operators_tensor():
     rep = build_irrep([rank1(Z3, 1, 2), rank1(Z3, 2, 1)], 3)
     ops, scalars = moment_operators(rep, T21)
     assert len(ops) == 1 and scalars[0] == Z3.from_int(8)
-    assert verify_moment_operators_commute(rep, TorusData.from_rows([[1, 0], [0, 1]])).passed
+    assert_matches_reference_moment_operators(rep, TorusData.from_rows([[1, 0], [0, 1]]))
 
 
 def test_moment_operators_with_a_negative_exponent():
@@ -160,6 +163,54 @@ def test_moment_operators_with_a_negative_exponent():
         c1, c2 = rep.character.azumaya_factors
         assert scalars == [c1 / c2]
         assert scalar_of_identity(mat_pow(ops[0], rep.l)) == c1 / c2
+
+
+def assert_matches_reference_moment_operators(rep, torus) -> bool:
+    """moment_operators(rep, torus) against the dim-l^n reference: the same
+    operators and scalars, or the same DomainError.  True when they exist."""
+    try:
+        want_ops, want_scalars = reference_moment_operators(rep, torus)
+    except DomainError as err:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(err))}$"):
+            moment_operators(rep, torus)
+        return False
+    ops, scalars = moment_operators(rep, torus)
+    assert len(ops) == len(want_ops) and all(map(mat_eq, ops, want_ops))
+    assert scalars == want_scalars
+    return True
+
+
+def reference_tori(n):
+    """The tori the moment operators are compared under, for a rep of rank n:
+    one column with a negative exponent on the last slot, [[1], [-1]] at
+    n = 2, and for n >= 2 a d = 2 torus with exponents -2, 0, 1 and 2."""
+    tori = [TorusData.from_rows([[1]] * (n - 1) + [[-1]])]
+    if n >= 2:
+        tori.append(TorusData.from_rows([[-2, 1]] + [[1, i] for i in range(n - 1)]))
+    return tori
+
+
+@pytest.mark.parametrize("path", CONFIGS_WITH_REPS, ids=lambda path: path.stem)
+def test_configured_reps_match_the_full_dimension_moment_operators(path):
+    # under the config's own A, a negative exponent and a d = 2 torus
+    config = load_config(str(path))
+    own = [config.torus] if config.torus.d else []
+    for rep in config.build_reps():
+        for torus in own + reference_tori(rep.spec.n):
+            assert_matches_reference_moment_operators(rep, torus)
+
+
+@pytest.mark.parametrize("last", ["nilpotent", "locus", "drawn", "off-locus"])
+@pytest.mark.parametrize("n, l", [(2, 3), (3, 3), (2, 5), (3, 5)])
+def test_seeded_tensor_reps_match_the_full_dimension_moment_operators(n, l, last):
+    field = {3: Z3, 5: Z5}[l]
+    rep = build_irrep(seeded_slots(field, n, last, random.Random(f"moment:{n}:{l}:{last}")), l)
+    tori = [TorusData.from_rows([[1]] * n)] + reference_tori(n)
+    built = [assert_matches_reference_moment_operators(rep, torus) for torus in tori]
+    # a singular last slot, off-locus or drawn, has no inverse for the
+    # negative exponent
+    singular = rep.character.azumaya_factors[-1].is_zero()
+    assert built == [True, not singular, True] and singular >= (last == "off-locus")
 
 
 def test_moment_operators_need_the_inverted_operator_on_the_locus():
@@ -280,8 +331,12 @@ def test_restriction_kernel_matches_full_system():
     for rep in config.build_reps():
         for eta in compatible_eta_grid(rep, config.torus):
             report = restriction_kernel_check(rep, config.torus, eta)
-            got = (report.dim_ideal, report.dim_expected, report.contained, report.passed)
-            assert got == full_restriction_kernel_check(rep, config.torus, eta)
+            got = (report.dim_ideal, report.dim_expected, report.passed)
+            dim_ideal, dim_expected, contained, passed = full_restriction_kernel_check(
+                rep, config.torus, eta
+            )
+            # weight_space certifies the containment the reference tests
+            assert contained and got == (dim_ideal, dim_expected, passed)
             pairs += 1
     assert pairs == 6
 

@@ -33,6 +33,7 @@ N2_L3 = CONFIGS / "n2_l3.json"
 N3_L5 = Path(__file__).resolve().parent / "configs" / "n3_l5.json"
 N4_L3 = Path(__file__).resolve().parent / "configs" / "n4_l3.json"
 VERIFY_QQ = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "verify_qq.json"
+VERIFY_L5 = VERIFY_QQ.with_name("verify_l5.json")
 Z3 = make_field("cyclotomic", 3)
 REP_CHECKS = [
     "rep-build",
@@ -41,6 +42,7 @@ REP_CHECKS = [
     "fiber-restriction",
     "fiber-reduced-endos",
 ]
+FIBER_CHECKS = REP_CHECKS[2:]
 
 
 def counting(monkeypatch, owner, name, log):
@@ -166,6 +168,62 @@ def test_n3_l5_rep_build_certifies_on_the_slots(monkeypatch):
     reps = load_config(str(N3_L5)).build_reps()
     assert [rep.dim for rep in reps] == [125, 125]
     assert len(calls) < 2_000
+
+
+def test_fiber_checks_multiply_only_slot_matrices(monkeypatch):
+    # the moment operators were products and powers of the dim-125 Euler
+    # operators, with dim-125 inverses and l-th power checks; now they are
+    # Kronecker products of powers of the l x l slot matrices
+    cfg = load_config(str(N3_L5))
+    cfg.build_reps()
+    operands = []
+
+    def recording(fn):
+        def wrapper(*args):
+            operands.extend(m for m in args if isinstance(m, exactla.Mat))
+            return fn(*args)
+
+        return wrapper
+
+    for module in (reduction, rootofunity):
+        for name in ("mat_mul", "mat_pow"):
+            monkeypatch.setattr(module, name, recording(getattr(exactla, name)), raising=False)
+    report = run_verification_suite(cfg, only={"fiber-weights", "fiber-restriction"})
+    assert report["summary"]["pass"] == 2
+    assert operands and max(m.nrows for m in operands) <= cfg.field.l
+
+
+def test_n3_l5_fiber_checks_build_moment_operators_on_the_slots(monkeypatch):
+    # 14,654 field products with the moment operators formed, inverted and
+    # checked at dim 125; 12,155 with them built from the slots
+    cfg = load_config(str(N3_L5))
+    cfg.build_reps()
+    clear_layer_caches()
+    calls = []
+    counting(monkeypatch, scalars.CyclotomicField, "_mul", calls)
+    report = run_verification_suite(cfg, only=set(FIBER_CHECKS))
+    assert report["summary"]["pass"] == len(FIBER_CHECKS)
+    assert len(calls) < 13_000
+
+
+@pytest.mark.parametrize(
+    "path, skipped, bound",
+    # the field products of the suites with the moment operators formed at
+    # dim l^n: the slots' Euler inverses cost less than that, and the seeded
+    # rank-1 reps of rep-irreducibility form none
+    [(N2_L3, set(), 4_457), (VERIFY_L5, {"fiber-reduced-endos"}, 9_840)],
+    ids=["n2_l3", "verify_l5"],
+)
+def test_rep_suites_form_no_more_products_than_full_dimension_operators(
+    monkeypatch, path, skipped, bound
+):
+    cfg = load_config(str(path))
+    clear_layer_caches()
+    calls = []
+    counting(monkeypatch, scalars.CyclotomicField, "_mul", calls)
+    report = run_verification_suite(cfg, only={c[0] for c in checks.CHECKS} - skipped)
+    assert report["summary"]["ok"] and report["summary"]["skipped"] == 0
+    assert len(calls) <= bound
 
 
 @pytest.mark.parametrize("path, unknowns", [(N3_L5, 512), (N4_L3, 1_296)], ids=["n3_l5", "n4_l3"])
